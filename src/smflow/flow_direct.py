@@ -115,32 +115,35 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, **params)
 # -- spatial operators ----------------------------------------------------------
 
 
-def tension(state: LoopState) -> np.ndarray:
-    """Tension field tau(u) at the grid nodes (tangent to the target)."""
-    s, grid, u = state.surface, state.grid, state.points
-    ux = grid.derivative(u)
-    uxx = grid.derivative(u, order=2)
-    if s.embedded:
-        speed2 = np.sum(ux * ux, axis=-1, keepdims=True)
-        tau = uxx + speed2 * u / s.radius**2
-        if s.kind == "warped_sphere":
+def _tension(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    ux, uxx = grid.derivatives(u, (1, 2))
+    if surface.embedded:
+        speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
+        tau = uxx + speed2 * u / surface.radius**2
+        if surface.kind == "warped_sphere":
             # conformal change of the target metric adds first-order terms
-            grad = np.asarray(s.warp_grad(u))
+            grad = np.asarray(surface.warp_grad(u))
             grad_tan = grad - np.sum(grad * u, axis=-1, keepdims=True) * u
             dlam_ux = np.sum(grad_tan * ux, axis=-1, keepdims=True)
             tau = tau + 2.0 * dlam_ux * ux - speed2 * grad_tan
         return tau
-    ux_, uxx_ = ux, uxx
-    quad = np.empty_like(u)
-    for j in range(grid.n):
-        gam = christoffel_at(s, u[j])
-        quad[j] = np.einsum("kij,i,j->k", gam, ux_[j], ux_[j])
-    return uxx_ + quad
+    gam = christoffel_at(surface, u)
+    return uxx + np.einsum("nkij,ni,nj->nk", gam, ux, ux)
+
+
+def _velocity(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """u_t = -J tau(u) on plain arrays: the stage function of every RK4 step."""
+    return -surface.apply_J(u, _tension(surface, grid, u))
+
+
+def tension(state: LoopState) -> np.ndarray:
+    """Tension field tau(u) at the grid nodes (tangent to the target)."""
+    return _tension(state.surface, state.grid, state.points)
 
 
 def flow_rhs(state: LoopState) -> np.ndarray:
     """u_t = -J tau(u)."""
-    return -state.surface.apply_J(state.points, tension(state))
+    return _velocity(state.surface, state.grid, state.points)
 
 
 def energy(state: LoopState) -> float:
@@ -163,38 +166,43 @@ def admissible_dt(state: LoopState) -> float:
     return CFL_CONSTANT * state.grid.dx**2
 
 
+def _rk4_step(state: LoopState, dt: float, rhs, y: np.ndarray):
+    """Guarded RK4 step of y_t = rhs(y) on a plain array whose first grid.n
+    rows are the loop points; further rows (the coupled driver's frame seed)
+    ride on the same stages. Returns the new LoopState and carried rows."""
+    n = state.grid.n
+    if dt == 0.0:
+        return replace(state, points=state.points.copy()), y[n:].copy()
+    limit = admissible_dt(state)
+    if abs(dt) > limit * (1 + 1e-12):
+        raise RejectedStepError(dt, limit)
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    new = y[:n]
+    if not np.all(np.isfinite(new)):
+        raise BlowUpSuspectedError(
+            "non-finite values after time step",
+            {"time": state.time, "dt": dt, "max_abs": float(np.abs(new[np.isfinite(new)]).max(initial=0.0))},
+        )
+    s = state.surface
+    if s.embedded:
+        new = s.project_point(new)
+    else:
+        s.validate_points(new)
+    return LoopState(grid=state.grid, surface=s, points=new, time=state.time + dt), y[n:]
+
+
 def step(state: LoopState, dt: float) -> LoopState:
     """One RK4 step of the flow. Rejects |dt| above the stability guard.
 
     Negative dt integrates backward, which is legitimate for the
     time-reversible equation and used by the reversibility checks.
     """
-    if dt == 0.0:
-        return replace(state, points=state.points.copy())
-    limit = admissible_dt(state)
-    if abs(dt) > limit * (1 + 1e-12):
-        raise RejectedStepError(dt, limit)
     s, grid = state.surface, state.grid
-
-    def rhs(pts):
-        return flow_rhs(replace(state, points=pts))
-
-    u = state.points
-    k1 = rhs(u)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(new)):
-        raise BlowUpSuspectedError(
-            "non-finite values after time step",
-            {"time": state.time, "dt": dt, "max_abs": float(np.abs(new[np.isfinite(new)]).max(initial=0.0))},
-        )
-    if s.embedded:
-        new = s.project_point(new)
-    else:
-        s.validate_points(new)
-    return LoopState(grid=grid, surface=s, points=new, time=state.time + dt)
+    return _rk4_step(state, dt, lambda u: _velocity(s, grid, u), state.points)[0]
 
 
 def evolve(state: LoopState, dt: float, n_steps: int, observer=None) -> LoopState:

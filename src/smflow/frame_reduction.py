@@ -26,7 +26,7 @@ that Q + S - W + T = V identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .flow_direct import LoopState
-from .geometry import SurfaceModel, _covariant_rhs, loop_frame
+from .geometry import SurfaceModel, _covariant_rhs, _unit_tangent, loop_frame
 from .holonomy import (
     holonomy_ode,
     holonomy_rate,
@@ -223,6 +223,16 @@ class NonlinearTerms:
         return self.Q + self.S - self.W + self.T
 
 
+def _curvature_letters(surface: SurfaceModel, grid: SpectralGrid,
+                       points: np.ndarray, phi: np.ndarray):
+    """S = -K |Phi|^2 / 2, the curvature-rate density r = (K o u)_x |Phi|^2 / 2
+    and its primitive R from node 0."""
+    K = surface.gaussian_curvature(points)
+    amp2 = np.abs(phi) ** 2
+    r = grid.derivative(K) * amp2 * 0.5
+    return -0.5 * K * amp2, r, grid.cumulative_integral(r)
+
+
 def gauge_potential(surface: SurfaceModel, loop: LoopState,
                     coeffs: FrameCoefficients) -> np.ndarray:
     """V with i Phi_t = Phi_xx - V Phi in the base-node parallel gauge.
@@ -231,11 +241,7 @@ def gauge_potential(surface: SurfaceModel, loop: LoopState,
     density r = (K o u)_x |Phi|^2 / 2 along the transport path from the
     base node (wrapping past the seam for nodes before the base)."""
     grid = loop.grid
-    K = surface.gaussian_curvature(loop.points)
-    amp2 = np.abs(coeffs.phi) ** 2
-    S = -0.5 * K * amp2
-    r = grid.derivative(K) * amp2 * 0.5
-    R = grid.cumulative_integral(r)
+    S, r, R = _curvature_letters(surface, grid, loop.points, coeffs.phi)
     b = coeffs.base_index
     tail = R - R[b]
     if b:
@@ -262,11 +268,7 @@ def nonlinear_terms(surface: SurfaceModel, loop: LoopState,
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
     grid = loop.grid
-    K = surface.gaussian_curvature(loop.points)
-    amp2 = np.abs(coeffs.phi) ** 2
-    S = -0.5 * K * amp2
-    r = grid.derivative(K) * amp2 * 0.5
-    R = grid.cumulative_integral(r)
+    S, r, R = _curvature_letters(surface, grid, loop.points, coeffs.phi)
     if domain == "line":
         edge = max(2, grid.n // 16)
         scale = np.abs(coeffs.phi).max()
@@ -324,10 +326,8 @@ def assemble_nls_rhs(grid: SpectralGrid, values: np.ndarray,
         out = -(terms.S + terms.T) * values
         if variable_metric is not None:
             alpha = np.asarray(variable_metric, dtype=float)
-            ax = grid.derivative(alpha)
-            axx = grid.derivative(alpha, order=2)
-            vxx = grid.derivative(values, order=2)
-            vx = grid.derivative(values)
+            ax, axx = grid.derivatives(alpha)
+            vx, vxx = grid.derivatives(values)
             out = out + (alpha - 1.0) * vxx + 1.5 * ax * vx + 0.5 * axx * values
         return out
     raise ConfigError([f"unknown reduction domain {domain!r}"])
@@ -360,32 +360,19 @@ def spacetime_shift(grid: SpectralGrid, history: np.ndarray,
 
 def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
     """One flow step plus parallel transport of the base-node seed vector
-    along the base point's trajectory, sharing the RK4 stages."""
-    new_state = fd.step(state, dt)  # validates dt and handles projection
-    s = state.surface
-    u = state.points
-    b = 0
+    along the base point's trajectory: the seed rides as one extra row of
+    the RK4 state, so both share the four flow stages."""
+    s, grid, n = state.surface, state.grid, state.grid.n
 
-    def rhs(pts):
-        return fd.flow_rhs(replace(state, points=pts))
+    def rhs(y):
+        rate = np.empty_like(y)
+        rate[:n] = fd._velocity(s, grid, y[:n])
+        rate[n] = _covariant_rhs(s, y[0], rate[0], y[n])
+        return rate
 
-    k1 = rhs(u)
-    u2 = u + 0.5 * dt * k1
-    k2 = rhs(u2)
-    u3 = u + 0.5 * dt * k2
-    k3 = rhs(u3)
-    u4 = u + dt * k3
-    k4 = rhs(u4)
-    w = np.asarray(seed, dtype=float)
-    g1 = _covariant_rhs(s, u[b], dt * k1[b], w)
-    g2 = _covariant_rhs(s, u2[b], dt * k2[b], w + 0.5 * g1)
-    g3 = _covariant_rhs(s, u3[b], dt * k3[b], w + 0.5 * g2)
-    g4 = _covariant_rhs(s, u4[b], dt * k4[b], w + g3)
-    w = w + (g1 + 2.0 * g2 + 2.0 * g3 + g4) / 6.0
-    p_new = new_state.points[b]
-    w = s.tangent_project(p_new, w)
-    w = w / np.sqrt(s.metric(p_new, w, w))
-    return new_state, w
+    y = np.vstack([state.points, np.asarray(seed, dtype=float)])
+    new_state, carried = fd._rk4_step(state, dt, rhs, y)
+    return new_state, _unit_tangent(s, new_state.points[0], carried[0])
 
 
 def solver_tolerance(grid: SpectralGrid, dt: float) -> float:
@@ -579,8 +566,7 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
     pts = np.empty((n, surface.point_dim))
     e1s = np.empty_like(pts)
     u = surface.project_point(np.asarray(base_point, dtype=float))
-    w = surface.tangent_project(u, np.asarray(e1_base, dtype=float))
-    w = w / np.sqrt(surface.metric(u, w, w))
+    w = _unit_tangent(surface, u, np.asarray(e1_base, dtype=float))
 
     def vel(point, e1v, coeff):
         e2v = surface.apply_J(point, e1v)
@@ -603,9 +589,7 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
         k4 = dx * vel(ue, w + h3, c1)
         h4 = _covariant_rhs(surface, ue, k4, w + h3)
         u = surface.project_point(u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
-        w = w + (h1 + 2 * h2 + 2 * h3 + h4) / 6.0
-        w = surface.tangent_project(u, w)
-        w = w / np.sqrt(surface.metric(u, w, w))
+        w = _unit_tangent(surface, u, w + (h1 + 2 * h2 + 2 * h3 + h4) / 6.0)
     closure = float(np.linalg.norm(u - pts[0]))
     e2s = surface.apply_J(pts, e1s)
     return pts, e1s, e2s, closure
@@ -639,12 +623,8 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     def snapshot(st):
         pts, e1s, e2s, closure = reconstruct_loop(
             surface, grid, st.phi, st.base_point, st.e1_base, st.theta)
-        Phi = np.exp(-1j * st.theta * x) * st.phi
-        K = surface.gaussian_curvature(pts)
-        amp2 = np.abs(Phi) ** 2
-        S = -0.5 * K * amp2
-        r = grid.derivative(K) * amp2 * 0.5
-        R = grid.cumulative_integral(r)
+        S, _, R = _curvature_letters(surface, grid, pts,
+                                     np.exp(-1j * st.theta * x) * st.phi)
         rate = holonomy_rate(surface, grid, pts)
         pot = x * rate + (S - S[0] + R)
         Phi_x = np.exp(-1j * st.theta * x) * (grid.derivative(st.phi)
@@ -662,9 +642,7 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
                           theta=state.theta, t0=state.time)
         base_pred = surface.project_point(state.base_point + dt * ut0)
         h1 = _covariant_rhs(surface, state.base_point, dt * ut0, state.e1_base)
-        seed_pred = state.e1_base + h1
-        seed_pred = surface.tangent_project(base_pred, seed_pred)
-        seed_pred = seed_pred / np.sqrt(surface.metric(base_pred, seed_pred, seed_pred))
+        seed_pred = _unit_tangent(surface, base_pred, state.e1_base + h1)
         st_pred = AutonomousState(grid, pred.values, base_pred, seed_pred,
                                   state.theta + dt * rate0, state.time + dt)
         _, pot1, rate1, ut1, _ = snapshot(st_pred)
@@ -680,9 +658,7 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
             state.base_point + 0.5 * dt * (ut0 + ut1))
         g1 = _covariant_rhs(surface, state.base_point,
                             0.5 * dt * (ut0 + ut1), state.e1_base)
-        seed_new = state.e1_base + g1
-        seed_new = surface.tangent_project(base_new, seed_new)
-        seed_new = seed_new / np.sqrt(surface.metric(base_new, seed_new, seed_new))
+        seed_new = _unit_tangent(surface, base_new, state.e1_base + g1)
         state = AutonomousState(grid, corr.values, base_new, seed_new,
                                 state.theta + 0.5 * dt * (rate0 + rate1),
                                 state.time + dt)

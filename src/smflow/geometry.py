@@ -42,6 +42,15 @@ _LAPLACE_STEP = 1e-4
 _CURV_GRAD_STEP = 1e-3
 # ambient distance from the manifold at which points are rejected
 MANIFOLD_TOL = 1e-10
+# cyclic component shifts behind the explicit cross product
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a, b):
+    """a x b over the last axis, bit-equal to np.cross without its
+    argument handling, which dominates on the small arrays of the flow."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +152,7 @@ class SurfaceModel:
                 out[..., sl] = f.apply_J(p[..., sl], v[..., sl])
             return out
         if self.embedded:
-            return np.cross(p, v) / self.radius
+            return _cross(p, v) / self.radius
         v = np.asarray(v)
         return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
@@ -375,19 +384,11 @@ def christoffel_at(surface: SurfaceModel, q: np.ndarray) -> np.ndarray:
             l2 = np.sum(grad * e_ph, axis=-1)
             lam_d = np.stack([l1, l2], axis=-1)
             g = np.stack([np.ones_like(s), s * s], axis=-1)  # diagonal, radius 1
-            extra = np.zeros_like(gam)
-            for k in range(2):
-                for i in range(2):
-                    for j in range(2):
-                        term = 0.0
-                        if k == i:
-                            term = term + lam_d[..., j]
-                        if k == j:
-                            term = term + lam_d[..., i]
-                        if i == j:
-                            term = term - g[..., i] * lam_d[..., k] / g[..., k]
-                        extra[..., k, i, j] = term
-            gam = gam + extra
+            eye = np.eye(2)
+            gam = gam + (np.einsum("ki,...j->...kij", eye, lam_d)
+                         + np.einsum("kj,...i->...kij", eye, lam_d)
+                         - np.einsum("ij,...i,...k->...kij", eye, g, lam_d)
+                         / g[..., :, None, None])
         return gam
     if surface.kind in ("hyperbolic_disk", "flat_torus"):
         gam = np.zeros(q.shape[:-1] + (2, 2, 2))
@@ -427,6 +428,12 @@ def _covariant_rhs(surface: SurfaceModel, u, du, v):
     return -np.einsum("kij,i,j->k", gam, du, v)
 
 
+def _unit_tangent(surface: SurfaceModel, p, w):
+    """w projected onto the tangent space at p and scaled to unit length."""
+    w = surface.tangent_project(p, w)
+    return w / np.sqrt(surface.metric(p, w, w))
+
+
 def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
     """RK4 transport of e1 through consecutive samples.
 
@@ -436,13 +443,7 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
     re-projected tangentially after each step.
     """
     out = np.empty_like(nodes)
-    v = np.asarray(e1, dtype=float).copy()
-
-    def normalize(p, w):
-        w = surface.tangent_project(p, w)
-        return w / np.sqrt(surface.metric(p, w, w))
-
-    v = normalize(nodes[0], v)
+    v = _unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
     out[0] = v
     m = nodes.shape[0] - 1
     for i in range(m):
@@ -453,7 +454,7 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
         k3 = _covariant_rhs(surface, um, dm, v + 0.5 * k2)
         k4 = _covariant_rhs(surface, u1, d1, v + k3)
         v = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        v = normalize(u1, v)
+        v = _unit_tangent(surface, u1, v)
         out[i + 1] = v
     return out
 

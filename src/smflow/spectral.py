@@ -16,13 +16,32 @@ is 2*pi*m/period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ResolutionError
 
 _KINDS = ("circle", "line", "torus")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _multipliers(grid: "SpectralGrid", orders: tuple, real: bool) -> np.ndarray:
+    """(i k)^order for each order as the columns of one array in FFT layout,
+    on the rfft half spectrum for real data."""
+    k = grid.wavenumbers[: grid.n // 2 + 1] if real else grid.wavenumbers
+    orders = np.array(orders)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fac = (1j * k[:, None]) ** orders
+    fac[grid.n // 2, orders % 2 == 1] = 0.0  # drop the unpaired Nyquist mode
+    fac[0, orders < 0] = 0.0  # the mean has no periodic antiderivative
+    return _read_only(fac)
 
 
 @dataclass(frozen=True)
@@ -60,28 +79,32 @@ class SpectralGrid:
             return x - self.half_width
         return x
 
-    @property
+    @cached_property
     def modes(self) -> np.ndarray:
-        """Integer mode numbers in FFT layout."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
+        """Integer mode numbers in FFT layout (cached, read-only)."""
+        return _read_only(np.fft.fftfreq(self.n, d=1.0 / self.n))
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes / self.period
+        return _read_only(2.0 * np.pi * self.modes / self.period)
 
     # -- differentiation and quadrature ------------------------------------
 
+    def derivatives(self, values: np.ndarray, orders=(1, 2)) -> tuple:
+        """Spectral derivatives of several orders along axis 0 from one
+        forward and one inverse transform; real data uses rfft/irfft.
+        Order -1 is the periodic antiderivative of the mean-free part."""
+        values = np.asarray(values)
+        real = np.isrealobj(values)
+        vhat = np.fft.rfft(values, axis=0) if real else np.fft.fft(values, axis=0)
+        fac = _multipliers(self, tuple(orders), real)
+        scaled = vhat[:, None] * fac.reshape(fac.shape + (1,) * (values.ndim - 1))
+        out = np.fft.irfft(scaled, n=self.n, axis=0) if real else np.fft.ifft(scaled, axis=0)
+        return tuple(out[:, i] for i in range(len(orders)))
+
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Spectral d^order/dx^order along axis 0."""
-        vhat = np.fft.fft(values, axis=0)
-        k = self.wavenumbers
-        if order % 2:
-            k = k.copy()
-            k[self.n // 2] = 0.0  # drop the unpaired Nyquist mode
-        factor = (1j * k) ** order
-        vhat *= factor.reshape((-1,) + (1,) * (values.ndim - 1))
-        out = np.fft.ifft(vhat, axis=0)
-        return out.real if np.isrealobj(values) else out
+        return self.derivatives(values, (order,))[0]
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Integral over one period (exact for band-limited data)."""
@@ -94,16 +117,7 @@ class SpectralGrid:
         periodic antiderivative, so accuracy matches the differentiation.
         """
         mean = values.mean(axis=0)
-        vhat = np.fft.fft(values - mean, axis=0)
-        k = self.wavenumbers.copy()
-        k[0] = 1.0  # mode 0 already removed
-        k[self.n // 2] = 1.0  # Nyquist has no smooth antiderivative
-        fac = 1.0 / (1j * k)
-        fac[0] = 0.0
-        fac[self.n // 2] = 0.0  # zeroed along with mode 0
-        anti = np.fft.ifft(vhat * fac.reshape((-1,) + (1,) * (values.ndim - 1)), axis=0)
-        if np.isrealobj(values):
-            anti = anti.real
+        anti = self.derivatives(values - mean, (-1,))[0]
         x = (np.arange(self.n) * self.dx).reshape((-1,) + (1,) * (values.ndim - 1))
         return anti - anti[0] + mean * x
 

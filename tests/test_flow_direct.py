@@ -183,3 +183,70 @@ def test_hyperbolic_disk_flow_conserves_energy():
     out = fd.evolve(state, fd.admissible_dt(state), 100)
     surface.validate_points(out.points)
     assert abs(fd.energy(out) - e0) < 1e-9 * e0
+
+
+def test_chart_tension_matches_per_node_christoffel_loop():
+    grid = SpectralGrid(64)
+    for surface in (geo.hyperbolic_disk(), geo.flat_torus()):
+        state = fd.initial_loop(surface, grid, "fourier",
+                                coeffs=[(1, 0.15, 0.1), (3, 0.03, 0.02)],
+                                offset=[0.05, -0.1])
+        ux = grid.derivative(state.points)
+        quad = np.empty_like(ux)
+        for j in range(grid.n):
+            gam = geo.christoffel_at(surface, state.points[j])
+            quad[j] = np.einsum("kij,i,j->k", gam, ux[j], ux[j])
+        oracle = grid.derivative(state.points, order=2) + quad
+        tau = fd.tension(state)
+        assert np.abs(tau - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+# -- kernel parity ------------------------------------------------------------------
+
+
+def reference_step(state, dt):
+    """RK4 through the public LoopState interface, accepted as fd.step does."""
+
+    def rhs(pts):
+        return fd.flow_rhs(fd.LoopState(state.grid, state.surface, pts, state.time))
+
+    u = state.points
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if state.surface.embedded:
+        new = state.surface.project_point(new)
+    else:
+        state.surface.validate_points(new)
+    return fd.LoopState(state.grid, state.surface, new, state.time + dt)
+
+
+@pytest.mark.parametrize("target", ["round", "warped", "hyperbolic", "torus"])
+def test_step_matches_reference_rk4(target):
+    grid = SpectralGrid(32)
+    if target in ("round", "warped"):
+        surface = geo.round_sphere() if target == "round" else \
+            geo.warped_sphere(*geo.bump_warp(0.3, 0.6, center=(0.6, 0.0, 0.8)))
+        state = fd.initial_loop(surface, grid, "perturbed_latitude",
+                                alpha=1.0, eps=0.05, m=2)
+    else:
+        surface = geo.hyperbolic_disk() if target == "hyperbolic" else geo.flat_torus()
+        state = fd.initial_loop(surface, grid, "fourier",
+                                coeffs=[(1, 0.15, 0.1)], offset=[0.05, 0.0])
+    dt = fd.admissible_dt(state)
+    fast, ref = state, state
+    for _ in range(50):
+        fast, ref = fd.step(fast, dt), reference_step(ref, dt)
+    assert np.abs(fast.points - ref.points).max() < 1e-13
+    assert fast.time == ref.time
+
+
+def test_evolve_rejects_oversized_step_with_admissible_value():
+    state = make_state("perturbed_latitude", n=32, alpha=1.0, eps=0.05, m=2)
+    limit = fd.admissible_dt(state)
+    with pytest.raises(RejectedStepError) as exc:
+        fd.evolve(state, 1.01 * limit, 3)
+    assert exc.value.admissible_dt == pytest.approx(limit)
+    assert exc.value.dt == pytest.approx(1.01 * limit)

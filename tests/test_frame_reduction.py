@@ -16,6 +16,7 @@ from smflow.errors import (
 from smflow.flow_direct import LoopState
 from smflow.geometry import (
     TangentVector,
+    _covariant_rhs,
     bump_warp,
     flat_torus,
     hyperbolic_disk,
@@ -527,6 +528,55 @@ class TestCoupledDriver:
         oracle = parallel_transport(ROUND, path, TangentVector(path[0], w0))
         assert np.linalg.norm(st.points[0] - path[-1]) < 1e-8
         assert np.linalg.norm(w - oracle.components) < 1e-7
+
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_one_step_costs_four_flow_evaluations(self, monkeypatch, warped):
+        surf = bumpy_surface() if warped else ROUND
+        grid = SpectralGrid(32)
+        loop = fd.initial_loop(surf, grid, "perturbed_latitude",
+                               alpha=np.pi / 4, eps=0.05, m=2)
+        dt = fd.admissible_dt(loop)
+
+        # the seed transport as it was done before the shared stages: a
+        # full flow step, then the four stages recomputed for the seed
+        def old_step_with_seed(state, w):
+            new_state = fd.step(state, dt)
+            u = state.points
+
+            def rhs(pts):
+                return fd.flow_rhs(LoopState(grid, surf, pts, state.time))
+
+            k1 = rhs(u)
+            u2 = u + 0.5 * dt * k1
+            k2 = rhs(u2)
+            u3 = u + 0.5 * dt * k2
+            k3 = rhs(u3)
+            u4 = u + dt * k3
+            k4 = rhs(u4)
+            g1 = _covariant_rhs(surf, u[0], dt * k1[0], w)
+            g2 = _covariant_rhs(surf, u2[0], dt * k2[0], w + 0.5 * g1)
+            g3 = _covariant_rhs(surf, u3[0], dt * k3[0], w + 0.5 * g2)
+            g4 = _covariant_rhs(surf, u4[0], dt * k4[0], w + g3)
+            w = w + (g1 + 2.0 * g2 + 2.0 * g3 + g4) / 6.0
+            p = new_state.points[0]
+            w = surf.tangent_project(p, w)
+            return new_state, w / np.sqrt(surf.metric(p, w, w))
+
+        state, w = old_step_with_seed(loop, fr.parallel_frame(surf, loop).e1[0])
+        expected_seed = fr.parallel_frame(surf, state, seed=w).e1[0]
+
+        calls = []
+        velocity = fd._velocity
+
+        def counting(*args):
+            calls.append(1)
+            return velocity(*args)
+
+        monkeypatch.setattr(fd, "_velocity", counting)
+        res = fr.coupled_evolve(loop, dt, 1)
+        assert len(calls) == 4
+        assert np.abs(res.final_seed - expected_seed).max() < 1e-13
+        assert np.abs(res.final_state.points - state.points).max() < 1e-13
 
     def test_solver_tolerance_model(self):
         grid = SpectralGrid(64)

@@ -12,6 +12,7 @@ from smflow.nls_solver import (
     ComplexField,
     SpaceTimeField,
     bourgain_weighted_norm,
+    calibrate_duhamel_constant,
     duhamel_term,
     free_propagate,
     picard_iterate,
@@ -197,6 +198,10 @@ class TestDuhamelTerm:
                     res = duhamel_term(F, 0.0, delta, b)
                     assert res.l4_norm <= res.bound
                     assert res.constant == DUHAMEL_CONSTANT
+
+    def test_calibration_stays_below_pinned_constant(self):
+        worst = calibrate_duhamel_constant()
+        assert 0.0 < worst <= DUHAMEL_CONSTANT
 
 
 class TestSplitStep:

@@ -98,3 +98,48 @@ def test_shift_composes_and_inverts(m, cells):
     s = cells / 32.0
     back = grid.shift(grid.shift(f, s), -s)
     assert np.abs(back - f).max() < 1e-12
+
+
+def _grids():
+    return (SpectralGrid(64), SpectralGrid(64, kind="line", half_width=2.5),
+            SpectralGrid(64, kind="torus"))
+
+
+def test_real_derivative_matches_complex_fft_formula():
+    rng = np.random.default_rng(3)
+    for grid in _grids():
+        f = np.stack([band_limited(grid, rng, modes=12) for _ in range(2)], axis=-1)
+        f += 1e-3 * rng.normal(size=f.shape)  # populate every mode, Nyquist too
+        k = 2 * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n) / grid.period
+        for order in (1, 2, 3):
+            kk = k.copy()
+            if order % 2:
+                kk[grid.n // 2] = 0.0
+            full = np.fft.ifft(np.fft.fft(f, axis=0) * ((1j * kk) ** order)[:, None],
+                               axis=0).real
+            d = grid.derivative(f, order=order)
+            assert np.isrealobj(d)
+            assert np.abs(d - full).max() <= 1e-12 * np.abs(full).max()
+            d1, d2 = grid.derivatives(f, (1, order))
+            assert np.array_equal(d2, d)
+            assert np.array_equal(d1, grid.derivative(f))
+
+
+def test_complex_derivative_stays_complex():
+    grid = SpectralGrid(32)
+    k = 2 * np.pi * 3
+    f = np.exp(1j * k * grid.nodes)
+    d = grid.derivative(f)
+    assert np.iscomplexobj(d)
+    assert np.abs(d - 1j * k * f).max() < 1e-11
+
+
+def test_cached_wavenumbers_keep_their_values():
+    for grid in _grids():
+        expected = 2 * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n) / grid.period
+        grid.derivative(np.sin(grid.nodes))
+        assert grid.wavenumbers is grid.wavenumbers
+        assert np.array_equal(grid.wavenumbers, expected)
+        assert np.array_equal(grid.modes, np.fft.fftfreq(grid.n, d=1.0 / grid.n))
+        with pytest.raises(ValueError):
+            grid.wavenumbers[0] = 1.0
