@@ -470,7 +470,8 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         theta_gb[k] = gb_k
         theta_rate[k] = rate_k
         energy[k] = fd.energy(state)
-        grad_norm[k] = fd.gradient_norm(state)
+        # fd.gradient_norm(state), without evaluating the energy again
+        grad_norm[k] = float(np.sqrt(max(2.0 * energy[k], 0.0)))
         phi_frame[k] = phi_f
         phi_nls[k] = nls.values
         coeffs_hist[k] = coeffs.phi

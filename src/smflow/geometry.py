@@ -10,8 +10,15 @@ by 90 degrees in conformal charts; both satisfy J*J = -1 and are isometric
 for the respective metric.
 
 Parallel transport integrates the frame equation for a single tangent
-vector e1 with classical RK4 (per-step tangent re-projection and metric
-renormalization) and carries e2 = J e1 along algebraically.  Arbitrary
+vector e1 with classical RK4 and carries e2 = J e1 along algebraically.
+The frame equation is linear in e1, so one RK4 step over a sample cell is
+a d x d propagator: all of them come from one evaluation of the four
+stages on the identity rows, with the tangent projection at the end of
+the cell folded in, and a log-depth (Hillis-Steele) prefix product
+composes them.  e1 at each node is the seed times its prefix product,
+scaled once to unit metric length.  Projection is linear and a per-step
+renormalization only multiplies by a positive scalar, so this is the same
+discrete map as re-projecting and renormalizing after every step.  Arbitrary
 vectors are moved by freezing their coefficients in that frame, so
 transport commutes with J and preserves inner products to roundoff by
 construction; the integrator accuracy only enters through the frame
@@ -51,6 +58,15 @@ def _cross(a, b):
     argument handling, which dominates on the small arrays of the flow."""
     a, b = np.asarray(a), np.asarray(b)
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _dot(a, b):
+    """a . b over the last axis, kept as a trailing axis of length 1.  Two
+    single vectors take np.dot, whose lower call cost matters in the
+    per-node loops of the seed transport and the loop reconstruction."""
+    if a.ndim == b.ndim == 1:
+        return np.dot(a, b)
+    return (a * b).sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,25 +429,29 @@ def christoffel_at(surface: SurfaceModel, q: np.ndarray) -> np.ndarray:
 
 
 def _covariant_rhs(surface: SurfaceModel, u, du, v):
-    """Ambient/chart derivative of v enforcing covariant constancy along u."""
+    """Ambient/chart derivative of v enforcing covariant constancy along u.
+
+    Linear in v and broadcast over leading axes, so a stack of vectors (or
+    the identity rows, giving the generator matrix) goes through at once.
+    """
     if surface.kind == "round_sphere":
-        return -(np.dot(v, du) / surface.radius**2) * u
+        return -(_dot(v, du) / surface.radius**2) * u
     if surface.kind == "warped_sphere":
         grad = np.asarray(surface.warp_grad(u), dtype=float)
-        grad = grad - np.dot(grad, u) * u  # tangential part on the unit sphere
-        rhs = -np.dot(v, du) * u
-        rhs = rhs - np.dot(grad, du) * v - np.dot(grad, v) * du
-        rhs = rhs + np.dot(du, v) * grad
+        grad = grad - _dot(grad, u) * u  # tangential part on the unit sphere
+        rhs = -_dot(v, du) * u
+        rhs = rhs - _dot(grad, du) * v - _dot(grad, v) * du
+        rhs = rhs + _dot(du, v) * grad
         return rhs
     # chart targets: dv^k = -Gamma^k_{ij} du^i v^j
     gam = christoffel_at(surface, u)
-    return -np.einsum("kij,i,j->k", gam, du, v)
+    return -np.einsum("...kij,...i,...j->...k", gam, du, v)
 
 
 def _unit_tangent(surface: SurfaceModel, p, w):
     """w projected onto the tangent space at p and scaled to unit length."""
     w = surface.tangent_project(p, w)
-    return w / np.sqrt(surface.metric(p, w, w))
+    return w / np.sqrt(surface.metric(p, w, w))[..., None]
 
 
 def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
@@ -439,24 +459,24 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
 
     nodes: (M+1, d) points; mids: (M, d) midpoints; dnodes/dmids: path
     derivative times the step (so each step integrates over sigma in [0,1]).
-    Returns e1 at every node, renormalized to unit metric length and
-    re-projected tangentially after each step.
+    Returns e1 at every node, tangent and of unit metric length.  Row j of
+    a cell propagator is the RK4 step image of axis j; the scan composes
+    the prefix products in ceil(log2 M) batched products.
     """
-    out = np.empty_like(nodes)
-    v = _unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
-    out[0] = v
-    m = nodes.shape[0] - 1
-    for i in range(m):
-        u0, um, u1 = nodes[i], mids[i], nodes[i + 1]
-        d0, dm, d1 = dnodes[i], dmids[i], dnodes[i + 1]
-        k1 = _covariant_rhs(surface, u0, d0, v)
-        k2 = _covariant_rhs(surface, um, dm, v + 0.5 * k1)
-        k3 = _covariant_rhs(surface, um, dm, v + 0.5 * k2)
-        k4 = _covariant_rhs(surface, u1, d1, v + k3)
-        v = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        v = _unit_tangent(surface, u1, v)
-        out[i + 1] = v
-    return out
+    eye = np.eye(nodes.shape[-1])
+    u0, um, u1 = nodes[:-1, None], mids[:, None], nodes[1:, None]
+    d0, dm, d1 = dnodes[:-1, None], dmids[:, None], dnodes[1:, None]
+    k1 = _covariant_rhs(surface, u0, d0, eye)
+    k2 = _covariant_rhs(surface, um, dm, eye + 0.5 * k1)
+    k3 = _covariant_rhs(surface, um, dm, eye + 0.5 * k2)
+    k4 = _covariant_rhs(surface, u1, d1, eye + k3)
+    cells = surface.tangent_project(u1, eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    shift = 1
+    while shift < cells.shape[0]:
+        cells[shift:] = cells[:-shift] @ cells[shift:]
+        shift *= 2
+    v0 = _unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
+    return np.vstack([v0, _unit_tangent(surface, nodes[1:], v0 @ cells)])
 
 
 def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray):
@@ -638,15 +658,15 @@ def reference_connection(
         # round part: f1 = normalize(z x p), omega(v) = <D_v f1, p x f1>
         p = points / surface.radius
         v = vectors / surface.radius
-        w = np.cross(np.broadcast_to(_Z_AXIS, p.shape), p)
+        w = _cross(_Z_AXIS, p)
         norm = np.linalg.norm(w, axis=-1)
         if np.any(norm < 1e-6):
             raise SingularChartError(
                 "azimuthal reference frame is singular near the poles"
             )
-        zv = np.cross(np.broadcast_to(_Z_AXIS, v.shape), v)
+        zv = _cross(_Z_AXIS, v)
         f1 = w / norm[..., None]
-        f2 = np.cross(p, f1)
+        f2 = _cross(p, f1)
         dvf1 = zv / norm[..., None] - w * (
             np.sum(w * zv, axis=-1) / norm**3
         )[..., None]
@@ -654,7 +674,7 @@ def reference_connection(
         if surface.kind == "warped_sphere":
             grad = np.asarray(surface.warp_grad(points), dtype=float)
             grad = grad - np.sum(grad * p, axis=-1, keepdims=True) * p
-            jv = np.cross(p, vectors)
+            jv = _cross(p, vectors)
             omega = omega - np.sum(grad * jv, axis=-1) / surface.radius
         return omega
     if surface.kind == "hyperbolic_disk":

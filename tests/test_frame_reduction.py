@@ -500,6 +500,14 @@ class TestCoupledDriver:
         assert res.twist_residual_ode.max() < 1e-6
         assert abs(res.energy[-1] - res.energy[0]) < 1e-10
 
+    def test_grad_norm_is_taken_from_recorded_energy(self):
+        grid = SpectralGrid(32)
+        loop = fd.initial_loop(ROUND, grid, "perturbed_latitude",
+                               alpha=np.pi / 4, eps=0.05, m=2)
+        res = fr.coupled_evolve(loop, fd.admissible_dt(loop), 5)
+        assert np.array_equal(res.grad_norm, np.sqrt(2 * res.energy))
+        assert res.grad_norm[-1] == fd.gradient_norm(res.final_state)
+
     def test_unknown_domain(self):
         grid = SpectralGrid(32)
         loop = fd.initial_loop(ROUND, grid, "great_circle")

@@ -4,8 +4,9 @@ Expected values come from closed forms (round-sphere curvature, classical
 rotation angle 2*pi*(1-cos(alpha)) of a latitude circle) or from oracles
 built independently of the implementation: a 4th-order chart-Laplacian for
 the warped curvature, centered differences of the chart metric for the
-Christoffel symbols, and a fine-step transport integrator driven by the
-analytic path formula.
+Christoffel symbols, a fine-step transport integrator driven by the
+analytic path formula, and the per-step RK4 loop behind the batched frame
+transport.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ from smflow.errors import (
     SingularChartError,
     UnsupportedOperationError,
 )
+from smflow.flow_direct import LoopState
+from smflow.frame_reduction import parallel_frame
 from smflow.spectral import SpectralGrid
 
 
@@ -358,6 +361,114 @@ def test_product_transport_is_blockwise():
         s2, loop_b, geo.TangentVector(loop_b[0], w[3:]), closed=True
     )
     assert np.allclose(res.components, np.hstack([res_a.components, res_b.components]))
+
+
+def _stepwise_transport(surface, nodes, mids, dnodes, dmids, e1):
+    """The sequential reference for the batched transport: one RK4 step per
+    cell, re-projected and renormalized after every step."""
+    out = np.empty_like(nodes)
+    v = geo._unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
+    out[0] = v
+    for i in range(nodes.shape[0] - 1):
+        u0, um, u1 = nodes[i], mids[i], nodes[i + 1]
+        d0, dm, d1 = dnodes[i], dmids[i], dnodes[i + 1]
+        k1 = geo._covariant_rhs(surface, u0, d0, v)
+        k2 = geo._covariant_rhs(surface, um, dm, v + 0.5 * k1)
+        k3 = geo._covariant_rhs(surface, um, dm, v + 0.5 * k2)
+        k4 = geo._covariant_rhs(surface, u1, d1, v + k3)
+        v = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        v = geo._unit_tangent(surface, u1, v)
+        out[i + 1] = v
+    return out
+
+
+def _transport_target(name, bump_sphere):
+    return {
+        "round": geo.round_sphere(1.5),
+        "warped": bump_sphere,
+        "hyperbolic": geo.hyperbolic_disk(),
+        "torus": geo.flat_torus(),
+    }[name]
+
+
+def _stepwise_frame(surface, points):
+    """Oracle frame along a closed loop from the default seed."""
+    nodes, mids, dn, dm = geo._closed_loop_path_data(surface, points)
+    seed = surface.tangent_project(nodes[0], dn[0])
+    return nodes, _stepwise_transport(surface, nodes, mids, dn, dm, seed)
+
+
+def _wobbly_loop(surface, n, alpha=1.0):
+    """A generic closed loop: a wobbling latitude on spheres, an off-centre
+    curve in the chart otherwise."""
+    t = 2 * np.pi * np.arange(n) / n
+    if surface.embedded:
+        colat = alpha + 0.2 * np.sin(3 * t) * min(1.0, alpha)
+        return surface.radius * np.stack(
+            [np.sin(colat) * np.cos(t), np.sin(colat) * np.sin(t), np.cos(colat)],
+            axis=-1,
+        )
+    return np.stack(
+        [0.1 + 0.5 * np.cos(t) + 0.1 * np.cos(2 * t), -0.1 + 0.3 * np.sin(t)], axis=-1
+    )
+
+
+PARITY_TOL = 1e-13
+
+
+@pytest.mark.parametrize("target", ["round", "warped", "hyperbolic", "torus"])
+@pytest.mark.parametrize("n", [16, 128, 4096])
+def test_batched_loop_transport_matches_stepwise_oracle(target, n, bump_sphere):
+    s = _transport_target(target, bump_sphere)
+    loops = [_wobbly_loop(s, n)]
+    if s.embedded:
+        loops.append(_wobbly_loop(s, n, alpha=0.05))  # circles near the pole
+    for loop in loops:
+        e1, _, e1w, e2w = geo.loop_frame(s, loop)
+        nodes, ref = _stepwise_frame(s, loop)
+        assert np.abs(e1 - ref[:-1]).max() < PARITY_TOL
+        assert np.abs(e1w - ref[-1]).max() < PARITY_TOL
+        assert np.abs(e2w - s.apply_J(nodes[-1], ref[-1])).max() < PARITY_TOL
+
+
+@pytest.mark.parametrize("target", ["round", "warped", "hyperbolic", "torus"])
+@pytest.mark.parametrize("m", [1, 2, 3, 40])
+def test_batched_open_transport_matches_stepwise_oracle(target, m, bump_sphere):
+    s = _transport_target(target, bump_sphere)
+    path = _wobbly_loop(s, 64)[: m + 1]
+    seed = s.tangent_project(path[0], path[1] - path[0])
+    _, e1, _ = geo._path_frame(s, path, closed=False, seed=seed)
+    ref = _stepwise_transport(s, *geo._open_path_data(s, path), seed)
+    assert np.abs(e1 - ref).max() < PARITY_TOL
+
+
+@pytest.mark.parametrize("target", ["round", "warped", "hyperbolic", "torus"])
+def test_parallel_frame_with_base_index_matches_stepwise_oracle(target, bump_sphere):
+    s, base = _transport_target(target, bump_sphere), 5
+    pts = _wobbly_loop(s, 64)
+    frame = parallel_frame(s, LoopState(grid=SpectralGrid(64), surface=s, points=pts),
+                           base_index=base)
+    _, ref = _stepwise_frame(s, np.roll(pts, -base, axis=0))
+    assert np.abs(frame.e1 - np.roll(ref[:-1], base, axis=0)).max() < PARITY_TOL
+    assert np.abs(frame.e1_wrap - ref[-1]).max() < PARITY_TOL
+
+
+def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
+    """The transport evaluates the connection on whole cell stacks, so the
+    number of generator calls is fixed, not one round of stages per node."""
+    s = geo.round_sphere()
+    counts = []
+    rhs = geo._covariant_rhs
+
+    def counting(*args):
+        counts[-1] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(geo, "_covariant_rhs", counting)
+    for n in (32, 256):
+        counts.append(0)
+        geo.loop_frame(s, _wobbly_loop(s, n))
+    assert counts[0] == counts[1] == 4
 
 
 # -- reference frames -----------------------------------------------------------
