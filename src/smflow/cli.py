@@ -433,7 +433,7 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
     diag = cfg["diagnostics"]
     row_ids = _row_indices(n_steps, diag["cadence"])
     snap_ids = _snapshot_indices(n_steps, diag["snapshot_cadence"])
-    needed = sorted(set(row_ids) | set(snap_ids))
+    needed = set(row_ids) | set(snap_ids)
 
     frame = fr.parallel_frame(surface, loop)
     coeffs = fr.coefficients(loop, frame)
@@ -443,18 +443,17 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
     state = fr.AutonomousState(grid, phi0, loop.points[0].copy(),
                                frame.e1[0].copy(), theta0)
 
-    recorded = {}  # step -> (t, points, phi, theta)
-    recorded[0] = (0.0, loop.points.copy(), phi0.copy(), theta0)
-    k_done = 0
-    for k in needed:
-        if k > k_done:
-            state = fr.autonomous_evolve(surface, state, dt, k - k_done)
-            k_done = k
-        if k not in recorded:
-            pts, _, _, _ = fr.reconstruct_loop(surface, grid, state.phi,
-                                               state.base_point,
-                                               state.e1_base, state.theta)
-            recorded[k] = (state.time, pts, state.phi.copy(), state.theta)
+    # step -> (t, points, phi, theta); steps > 0 keep the evolution's loop
+    recorded = {0: (0.0, loop.points.copy(), phi0.copy(), theta0)}
+
+    def observer(k, st, pts):
+        if k > 0 and k in needed:
+            recorded[k] = (st.time, pts, st.phi.copy(), st.theta)
+
+    state = fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
+    if n_steps > 0:
+        observer(n_steps, state, fr.reconstruct_loop(
+            surface, grid, state.phi, state.base_point, state.e1_base, state.theta)[0])
 
     rows = []
     phi_hist, t_hist = [], []
@@ -485,10 +484,8 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
         _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, pts,
                         big_phi, phi)
 
-    t, pts, phi, theta = recorded[n_steps]
-    payload = _holonomy_payload(surface, grid, pts, theta,
-                                lift_to_branch(holonomy_ode(surface, grid, pts),
-                                               theta), theta_gb)
+    t, pts, _, theta = recorded[n_steps]
+    payload = _holonomy_payload(surface, grid, pts, theta, rows[-1][4], theta_gb)
     _write_json(out_dir / "holonomy.json", payload)
 
     invariants = _summary_invariants(rows, True, "autonomous", skip_cross=True)

@@ -609,7 +609,7 @@ class AutonomousState:
 
 
 def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
-                      dt: float, n_steps: int):
+                      dt: float, n_steps: int, observer=None):
     """Evolve phi without re-deriving it from a stored loop (experimental).
 
     Each step reconstructs the loop from (phi, base data, theta), builds
@@ -617,6 +617,7 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     step, and moves the base point and seed with the flow velocity read
     off the gauge field (u_t = b1 e1 + b2 e2 with b = -i Phi_x at the
     base). Second order in dt on top of the O(dx^4) reconstruction.
+    observer(k, state, points) sees each step's start state and its loop.
     """
     grid = state.grid
     x = grid.nodes
@@ -635,8 +636,10 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
         u_t = b.real * st.e1_base + b.imag * e2b
         return pts, pot, rate, u_t, closure
 
-    for _ in range(n_steps):
+    for k in range(n_steps):
         pts, pot0, rate0, ut0, _ = snapshot(state)
+        if observer is not None:
+            observer(k, state, pts)
         field = ComplexField(grid, state.phi)
         # predictor: freeze the potential and base data
         pred = split_step(field, dt, potential=lambda v, t: pot0,

@@ -9,8 +9,12 @@ Routes for the frame-rotation angle theta of a closed loop:
     theta_t = -1/2 * int (K o u)_x |u_x|^2_h dx, valid along the flow.
 
 For targets with several complex dimensions the scalar angle is replaced
-by the ordered exponential (product integral) of the connection matrix,
-computed with a 4th-order Magnus scheme plus Richardson extrapolation.
+by the ordered exponential (product integral) of the connection matrix:
+2-node Gauss Magnus cells (4th order; Blanes, Casas, Oteo & Ros, Phys.
+Rep. 2009), one Richardson step and a polar projection. A zero-padded FFT
+gives the interpolant at the Gauss nodes of all cells, one batched
+Hermitian eigendecomposition exponentiates the cell stack, and a pairwise
+reduction composes it: the discrete map of a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, InconsistentHolonomyError
@@ -165,33 +168,45 @@ def lift_to_branch(angle: float, reference: float) -> float:
 # -- matrix holonomy -------------------------------------------------------------
 
 
-def _trig_interpolate(samples: np.ndarray, xq: np.ndarray, period: float) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of equispaced samples at
-    arbitrary points. The Nyquist mode is evaluated as a cosine."""
+def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
+    """Trigonometric interpolant of (n, k, k) samples at the two Gauss nodes
+    of each of n_cells >= n equal cells, one zero-padded inverse FFT per
+    node offset; shape (2, n_cells, k, k)."""
     n = samples.shape[0]
-    coeff = np.fft.fft(samples, axis=0) / n
+    coeff = np.fft.fft(samples, axis=0) * (n_cells / n)
     modes = np.fft.fftfreq(n, d=1.0 / n)
-    basis = np.exp(2j * np.pi * np.outer(xq / period, modes))
-    basis[:, n // 2] = np.cos(np.pi * n * xq / period)
-    flat = coeff.reshape(n, -1)
-    return (basis @ flat).reshape((len(xq),) + samples.shape[1:])
+    if n % 2 == 0:  # Nyquist as a cosine: half the coefficient at each of -n/2, +n/2
+        coeff[n // 2] *= 0.5
+        coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
+        modes = np.append(modes, n // 2)
+    phase = np.exp(2j * np.pi * np.outer(_GAUSS_OFFSETS, modes) / n_cells)[..., None, None]
+    padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
+    np.add.at(padded, (slice(None), modes.astype(int) % n_cells), phase * coeff)
+    return np.fft.ifft(padded, axis=1)
 
 
-def _ordered_exponential(samples: np.ndarray, period: float, n_cells: int) -> np.ndarray:
-    """Solve Y' = -B(x)Y over one period with a 2-node Gauss Magnus scheme
-    (4th order); returns Y(period) with Y(0) = identity."""
-    k = samples.shape[1]
+def _cell_exponentials(omega: np.ndarray) -> np.ndarray:
+    """exp of a (cells, k, k) stack of anti-Hermitian matrices in one call:
+    omega = iH with H = V Lambda V^H Hermitian gives V e^{i Lambda} V^H."""
+    w, v = np.linalg.eigh(0.5j * (omega.conj().swapaxes(-1, -2) - omega))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _magnus_blocks(samples: np.ndarray, period: float, n_cells: int,
+                   n_blocks: int = 1) -> np.ndarray:
+    """Solve Y' = -B(x)Y with the 2-node Gauss Magnus scheme (4th order) on
+    n_cells equal cells: the ordered products E_last ... E_first of the cell
+    exponentials over n_blocks equal runs of consecutive cells, (n_blocks, k, k).
+    All E_j form one stack; a pairwise reduction composes every run at once in
+    ceil(log2(n_cells / n_blocks)) batched products."""
     h = period / n_cells
-    offs = np.array(_GAUSS_OFFSETS)
-    xq = ((np.arange(n_cells)[:, None] + offs[None, :]) * h).ravel()
-    Bq = _trig_interpolate(samples, xq, period).reshape(n_cells, 2, k, k)
-    Y = np.eye(k, dtype=complex)
+    B1, B2 = _gauss_node_values(samples, n_cells)
     comm_factor = np.sqrt(3.0) * h * h / 12.0
-    for j in range(n_cells):
-        B1, B2 = Bq[j, 0], Bq[j, 1]
-        omega = -(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2)
-        Y = expm(omega) @ Y
-    return Y
+    E = _cell_exponentials(-(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2))
+    Y = E.reshape((n_blocks, -1) + E.shape[1:])
+    while Y.shape[1] > 1:  # an odd run carries its last cell up a level
+        Y = np.concatenate([Y[:, 1::2] @ Y[:, :-1:2], Y[:, Y.shape[1] - Y.shape[1] % 2 :]], axis=1)
+    return Y[:, 0]
 
 
 def _as_matrix_samples(samples: np.ndarray) -> np.ndarray:
@@ -209,8 +224,9 @@ def product_integral(samples: np.ndarray, period: float = 1.0, refine: int = 1) 
     samples: anti-Hermitian matrices B at equispaced nodes (shape (n,k,k),
     or (n,) for the scalar case). refine multiplies the cell count beyond
     the sampling resolution. Richardson extrapolation of the 4th-order
-    Magnus result, followed by a polar projection back to the unitary
-    group, gives the returned matrix.
+    Magnus result (two cell stacks, each exponentiated in one call and
+    composed by a log-depth pairwise reduction), followed by a polar
+    projection back to the unitary group, gives the returned matrix.
     """
     samples = _as_matrix_samples(samples)
     skew_defect = np.abs(samples + samples.conj().transpose(0, 2, 1)).max()
@@ -219,32 +235,11 @@ def product_integral(samples: np.ndarray, period: float = 1.0, refine: int = 1) 
             [f"connection samples must be anti-Hermitian; defect {skew_defect:.3e}"]
         )
     n_cells = samples.shape[0] * int(refine)
-    coarse = _ordered_exponential(samples, period, n_cells)
-    fine = _ordered_exponential(samples, period, 2 * n_cells)
+    coarse = _magnus_blocks(samples, period, n_cells)[0]
+    fine = _magnus_blocks(samples, period, 2 * n_cells)[0]
     combined = (16.0 * fine - coarse) / 15.0
     u, _, vh = np.linalg.svd(combined)
     return u @ vh
-
-
-def _prefix_products(samples: np.ndarray, period: float) -> list:
-    """Y(x_j) for every node x_j, from the same Magnus cells (one cell per
-    sampling interval, doubled for accuracy)."""
-    samples = _as_matrix_samples(samples)
-    n, k = samples.shape[0], samples.shape[1]
-    h = period / (2 * n)
-    offs = np.array(_GAUSS_OFFSETS)
-    xq = ((np.arange(2 * n)[:, None] + offs[None, :]) * h).ravel()
-    Bq = _trig_interpolate(samples, xq, period).reshape(2 * n, 2, k, k)
-    comm_factor = np.sqrt(3.0) * h * h / 12.0
-    Y = np.eye(k, dtype=complex)
-    prefixes = [Y]
-    for j in range(2 * n):
-        B1, B2 = Bq[j, 0], Bq[j, 1]
-        omega = -(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2)
-        Y = expm(omega) @ Y
-        if j % 2 == 1:
-            prefixes.append(Y)
-    return prefixes[:-1]  # one per node
 
 
 def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int = 8):
@@ -254,6 +249,10 @@ def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int 
     nodes. Returns (spectral, aligned): the worst eigenvalue mismatch
     (conjugation invariant) and the worst deviation of the recomputed
     matrix from its prediction conjugated back to the original base frame.
+    The prediction conjugates by Y at the base node, composed from Magnus
+    products over the n_bases runs of two cells per sampling interval. Every
+    shifted base recomputes its own interpolation and exponentials, so a
+    call evaluates 2 n_bases + 1 cell stacks whatever n is.
     """
     samples = _as_matrix_samples(samples)
     n = samples.shape[0]
@@ -261,7 +260,8 @@ def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int 
         raise ConfigError([f"number of samples {n} must be divisible by n_bases {n_bases}"])
     ref = product_integral(samples, period)
     ref_eigs = np.linalg.eigvals(ref)
-    prefixes = _prefix_products(samples, period)
+    runs = _magnus_blocks(samples, period, 2 * n, n_bases)
+    Yj = np.eye(samples.shape[1])
     spectral = 0.0
     aligned = 0.0
     for b in range(1, n_bases):
@@ -271,7 +271,7 @@ def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int 
         cost = np.abs(eigs[:, None] - ref_eigs[None, :])
         rows, cols = linear_sum_assignment(cost)
         spectral = max(spectral, float(cost[rows, cols].max()))
-        Yj = prefixes[j]
+        Yj = runs[b - 1] @ Yj  # Y at node j
         predicted = Yj @ ref @ np.linalg.inv(Yj)
         aligned = max(aligned, float(np.abs(shifted - predicted).max()))
     return spectral, aligned

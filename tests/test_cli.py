@@ -76,20 +76,45 @@ class TestRunScenario:
         assert reloaded["domain"]["n"] == 32
 
     def test_deterministic_byte_identical(self, workdir):
-        cfg = write_config(workdir)
-        assert cli.main(["run", "--config", str(cfg),
-                         "--set", "output.dir=a"]) == 0
-        assert cli.main(["run", "--config", str(cfg),
-                         "--set", "output.dir=b"]) == 0
-        for name in ("timeseries.csv", "summary.json"):
-            assert ((workdir / "a" / name).read_bytes()
-                    == (workdir / "b" / name).read_bytes())
-        snaps_a = sorted(p.name for p in (workdir / "a").glob("snapshot_*"))
-        snaps_b = sorted(p.name for p in (workdir / "b").glob("snapshot_*"))
-        assert snaps_a == snaps_b
-        for name in snaps_a:
-            assert ((workdir / "a" / name).read_bytes()
-                    == (workdir / "b" / name).read_bytes())
+        coupled = write_config(workdir)
+        # autonomous at cadence 1: every step's loop comes from the evolution
+        autonomous = write_config(
+            workdir, name="autonomous.json", reduction={"mode": "autonomous"},
+            time={"t_final": 0.001},
+            diagnostics={"cadence": 1, "snapshot_cadence": 1, "l4_window": 8})
+        for cfg in (coupled, autonomous):
+            a, b = (workdir / f"{cfg.stem}-{tag}" for tag in "ab")
+            for run in (a, b):
+                assert cli.main(["run", "--config", str(cfg),
+                                 "--set", f"output.dir={run.name}"]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            assert {"timeseries.csv", "summary.json", "holonomy.json"} <= set(names)
+            snaps = [name for name in names if name.startswith("snapshot_")]
+            assert len(snaps) >= (2 if cfg is coupled else 4)
+            for name in names:
+                if name != "config.json":  # echoes output.dir
+                    assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_autonomous_reconstructs_each_state_once(self, workdir,
+                                                     monkeypatch):
+        from smflow import frame_reduction as fr
+
+        calls = []
+        rebuild = fr.reconstruct_loop
+        monkeypatch.setattr(fr, "reconstruct_loop",
+                            lambda *a, **kw: calls.append(1) or rebuild(*a, **kw))
+        cfg = write_config(workdir, reduction={"mode": "autonomous"},
+                           time={"dt": 1e-5, "t_final": 3e-5},
+                           diagnostics={"cadence": 1, "snapshot_cadence": 1,
+                                        "l4_window": 8})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        summary = json.loads((workdir / "out" / "summary.json").read_text())
+        assert summary["metrics"]["n_steps"] == 3
+        assert len(list((workdir / "out").glob("snapshot_*"))) == 4
+        # two per step inside the evolution (start and predictor states),
+        # plus one for the final state
+        assert len(calls) == 7
 
     def test_t_zero_single_row_and_snapshot(self, workdir):
         cfg = write_config(workdir, time={"t_final": 0.0})
@@ -249,6 +274,17 @@ class TestCheckCommand:
         assert report["seed"] == 3
         assert len(report["results"]) >= 4
         for item in report["results"]:
+            assert item["value"] <= item["threshold"]
+
+    def test_check_holonomy_passes(self, workdir):
+        assert cli.main(["check", "holonomy"]) == 0
+        report = json.loads((workdir / "check_holonomy.json").read_text())
+        assert report["schema"] == cli.SCHEMA_CHECKS
+        assert report["suite"] == "holonomy" and report["passed"] is True
+        names = {item["name"] for item in report["results"]}
+        assert {"matrix_unitarity", "matrix_base_independence"} <= names
+        for item in report["results"]:
+            assert item["passed"] is True
             assert item["value"] <= item["threshold"]
 
     def test_unknown_suite_is_usage_error(self):

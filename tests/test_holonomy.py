@@ -306,3 +306,146 @@ def test_product_target_connection_is_blockwise():
     P = hol.product_integral(samples)
     theta_b = hol.holonomy_ode(s2, grid, lb)
     assert abs(P[1, 1] - np.exp(1j * theta_b)) < 1e-10
+
+
+# -- batched Magnus against the cell-by-cell oracle --------------------------------
+
+
+def dense_gauss_values(samples, n_cells):
+    """Trigonometric interpolant of equispaced samples at the Gauss nodes
+    (j + c) / n_cells of every cell j, from a dense (points x modes) basis;
+    shape (n_cells, 2, k, k). The Nyquist mode of even n is a cosine. Phases
+    m (j + c) are reduced modulo n_cells in integers first: unreduced, their
+    rounding reaches 1e-13 of the samples at n = 256, n_cells = 5120."""
+    n = samples.shape[0]
+    coeff = np.fft.fft(samples, axis=0) / n
+    modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    cell = np.repeat(np.arange(n_cells), 2)
+    offs = np.tile(hol._GAUSS_OFFSETS, n_cells)
+    turns = (np.outer(cell, modes) % n_cells + np.outer(offs, modes)) / n_cells
+    basis = np.exp(2j * np.pi * turns)
+    if n % 2 == 0:
+        basis[:, n // 2] = np.cos(2 * np.pi * turns[:, n // 2])
+    values = basis @ coeff.reshape(n, -1)
+    return values.reshape((n_cells, 2) + samples.shape[1:])
+
+
+def stepwise_cells(samples, period, n_cells):
+    """Cell exponentials of the 2-node Gauss Magnus scheme, one scipy expm
+    per cell, from the dense interpolant."""
+    h = period / n_cells
+    comm_factor = np.sqrt(3.0) * h * h / 12.0
+    return [expm(-(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2))
+            for B1, B2 in dense_gauss_values(samples, n_cells)]
+
+
+def ordered(cells, k):
+    """E_last ... E_first, one cell at a time."""
+    Y = np.eye(k, dtype=complex)
+    for E in cells:
+        Y = E @ Y
+    return Y
+
+
+def oracle_product_integral(samples, period=1.0, refine=1):
+    n_cells, k = samples.shape[0] * refine, samples.shape[1]
+    coarse = ordered(stepwise_cells(samples, period, n_cells), k)
+    fine = ordered(stepwise_cells(samples, period, 2 * n_cells), k)
+    u, _, vh = np.linalg.svd((16.0 * fine - coarse) / 15.0)
+    return u @ vh
+
+
+def magnus_samples(kind, n):
+    """Connection samples with k = 1 (round, warped), 2 (su(2) family,
+    product target) and 3 (random anti-Hermitian)."""
+    grid = SpectralGrid(n)
+    if kind in ("round", "warped"):
+        s = geo.round_sphere() if kind == "round" else geo.warped_sphere(
+            *geo.bump_warp(0.3, 0.6, center=(0.55, 0.45, 0.7)))
+        loop = fd.initial_loop(s, grid, "perturbed_latitude", alpha=1.0, eps=0.1, m=2)
+        return hol.connection_matrix_samples(s, grid, loop.points)
+    if kind == "su2":
+        return noncommuting_family(n)
+    if kind == "product":
+        s2 = geo.round_sphere()
+        pts = np.hstack([latitude_loop(n, 0.8), latitude_loop(n, 1.2)])
+        return hol.connection_matrix_samples(geo.product_surface(s2, s2), grid, pts)
+    a = np.random.default_rng(n).normal(size=(n, 3, 3, 2)) @ np.array([1.0, 1j])
+    return a - a.conj().transpose(0, 2, 1)
+
+
+MAGNUS_KINDS = ("round", "warped", "su2", "product", "random3")
+
+
+@pytest.mark.parametrize("refine", (1, 2, 10))
+@pytest.mark.parametrize("n", (16, 64, 256))
+@pytest.mark.parametrize("kind", MAGNUS_KINDS)
+def test_product_integral_matches_stepwise_oracle(kind, n, refine):
+    samples = magnus_samples(kind, n)
+    assert samples.shape[1] == {"su2": 2, "product": 2, "random3": 3}.get(kind, 1)
+    P = hol.product_integral(samples, refine=refine)
+    assert np.abs(P - oracle_product_integral(samples, refine=refine)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+@pytest.mark.parametrize("kind", MAGNUS_KINDS)
+def test_magnus_runs_match_stepwise_oracle(kind, n):
+    samples = magnus_samples(kind, n)
+    k = samples.shape[1]
+    for n_cells in (n, 2 * n, 3 * n):
+        cells = stepwise_cells(samples, 1.0, n_cells)
+        for n_blocks in (1, 8, n, n_cells):  # runs of odd length at 3 * n
+            runs = hol._magnus_blocks(samples, 1.0, n_cells, n_blocks)
+            size = n_cells // n_blocks
+            oracle = [ordered(cells[i : i + size], k) for i in range(0, n_cells, size)]
+            assert runs.shape == (n_blocks, k, k)
+            assert np.abs(runs - np.array(oracle)).max() < 1e-13
+    # the node prefixes x_independence_check composes, at every node
+    cells = stepwise_cells(samples, 1.0, 2 * n)
+    Y, worst = np.eye(k), 0.0
+    for j, run in enumerate(hol._magnus_blocks(samples, 1.0, 2 * n, n), start=1):
+        Y = run @ Y
+        worst = max(worst, np.abs(Y - ordered(cells[: 2 * j], k)).max())
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("n", (16, 64, 256))
+def test_fft_gauss_nodes_match_dense_interpolant(n):
+    # a large Nyquist coefficient on top of the su(2) family
+    samples = noncommuting_family(n) + 5j * (-1.0) ** np.arange(n)[:, None, None] * pauli()[2]
+    for n_cells in (n, 2 * n, 20 * n):
+        dense = dense_gauss_values(samples, n_cells).swapaxes(0, 1)
+        fft = hol._gauss_node_values(samples, n_cells)
+        assert np.abs(fft - dense).max() < 1e-13 * np.abs(samples).max()
+
+
+@pytest.mark.parametrize("n", (15, 16))
+def test_fft_gauss_nodes_reproduce_band_limited_samples(n):
+    # highest mode of odd n (a plain mode) and the Nyquist cosine of even n
+    freq = n / 2 if n % 2 == 0 else (n - 1) / 2
+    x = np.arange(n) / n
+    samples = (1j * (0.3 + np.cos(2 * np.pi * freq * x)))[:, None, None]
+    xq = (np.arange(2 * n)[None, :] + np.array(hol._GAUSS_OFFSETS)[:, None]) / (2 * n)
+    exact = 1j * (0.3 + np.cos(2 * np.pi * freq * xq))
+    assert np.abs(hol._gauss_node_values(samples, 2 * n)[..., 0, 0] - exact).max() < 1e-13
+
+
+def test_cell_stacks_per_call_do_not_grow_with_n(monkeypatch):
+    import scipy.linalg
+
+    def no_expm(*args, **kwargs):
+        raise AssertionError("holonomy must not call scipy.linalg.expm")
+
+    stacks = []
+    batched = hol._cell_exponentials
+    monkeypatch.setattr(hol, "_cell_exponentials",
+                        lambda omega: stacks.append(omega.shape) or batched(omega))
+    monkeypatch.setattr(scipy.linalg, "expm", no_expm)
+    assert "expm" not in vars(hol)
+    for n in (16, 64, 256):
+        stacks.clear()
+        hol.product_integral(noncommuting_family(n))
+        assert stacks == [(n, 2, 2), (2 * n, 2, 2)]
+        stacks.clear()
+        hol.x_independence_check(noncommuting_family(n), n_bases=8)
+        assert len(stacks) == 17
