@@ -29,12 +29,7 @@ import numpy as np
 from . import flow_direct as fd
 from . import frame_reduction as fr
 from .checks import SUITE_NAMES, run_suite
-from .errors import (
-    BlowUpSuspectedError,
-    ConfigError,
-    NoConvergenceError,
-    SmflowError,
-)
+from .errors import ConfigError, SmflowError
 from .geometry import bump_warp, flat_torus, hyperbolic_disk, round_sphere, warped_sphere
 from .holonomy import (
     connection_matrix_samples,
@@ -268,12 +263,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path, schema, columns, rows, comments=()):
-    lines = [f"# schema={schema}"]
-    lines.extend(comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(path, schema, columns, table, comments=()):
+    """One line per row of the 2-D float table, each value as _fmt writes it
+    (repr of a Python float; NaN prints as nan)."""
+    lines = [f"# schema={schema}", *comments, ",".join(columns)]
+    lines.extend(",".join(map(repr, row))
+                 for row in np.asarray(table, dtype=float).tolist())
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -289,13 +284,12 @@ def _write_snapshot(path, t, grid, points, big_phi, small_phi):
     d = points.shape[1]
     columns = (["x"] + [f"u{j}" for j in range(d)]
                + ["Phi_re", "Phi_im", "phi_re", "phi_im", "Phi_abs"])
-    rows = []
-    for j in range(grid.n):
-        row = [grid.nodes[j], *points[j],
-               big_phi[j].real, big_phi[j].imag,
-               small_phi[j].real, small_phi[j].imag, abs(big_phi[j])]
-        rows.append(row)
-    _write_csv(path, SCHEMA_SNAPSHOT, columns, rows, comments=[f"# t={_fmt(t)}"])
+    # np.hypot is bit-equal to the scalar abs of each entry; np.abs of the
+    # complex array is not
+    table = np.column_stack([grid.nodes, points, big_phi.real, big_phi.imag,
+                             small_phi.real, small_phi.imag,
+                             np.hypot(big_phi.real, big_phi.imag)])
+    _write_csv(path, SCHEMA_SNAPSHOT, columns, table, comments=[f"# t={_fmt(t)}"])
 
 
 def _row_indices(n_steps, cadence):
@@ -512,8 +506,14 @@ def run_scenario(cfg):
 
     runner = _run_coupled if cfg["reduction"]["mode"] == "coupled" \
         else _run_autonomous
-    rows, invariants, metrics = runner(surface, grid, loop, cfg, dt, n_steps,
-                                       out_dir)
+    try:
+        rows, invariants, metrics = runner(surface, grid, loop, cfg, dt,
+                                           n_steps, out_dir)
+    except Exception as exc:
+        _write_json(out_dir / "summary.json", {
+            "schema": SCHEMA_SUMMARY, "passed": False,
+            "error": {"type": type(exc).__name__, "message": str(exc)}})
+        raise
     summary = {
         "schema": SCHEMA_SUMMARY,
         "invariants": invariants,
@@ -760,15 +760,9 @@ def main(argv=None):
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except BlowUpSuspectedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except SmflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"numerical or geometric failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

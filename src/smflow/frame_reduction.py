@@ -26,6 +26,7 @@ that Q + S - W + T = V identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -545,10 +546,16 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
     """Rebuild loop points and frame from the gauge field by x-integration.
 
     Solves u' = a1 e1 + a2 e2, nabla_x e1 = 0 from the base point with
-    Phi = e^{-i theta x} phi, using one RK4 stage per grid cell with
-    trigonometrically interpolated midpoint coefficients. Returns
-    (points, e1, e2, closure) where closure is the once-around endpoint
-    defect (O(dx^4) for smooth data).
+    Phi = e^{-i theta x} phi, using one RK4 step per grid cell with
+    trigonometrically interpolated midpoint coefficients; after each step
+    u goes back onto the sphere and e1 onto the tangent plane at unit
+    metric length.  Returns (points, e1, e2, closure) where closure is the
+    once-around endpoint defect (O(dx^4) for smooth data).
+
+    The steps stay sequential: the map is nonlinear in (u, e1), since the
+    velocity turns e1 by J = u x ., so unlike the linear frame transport
+    it has no cell propagators to compose.  Each step runs on plain floats,
+    whose operation count is far below the call cost of numpy on 3-vectors.
     """
     if surface.kind == "product" or not surface.embedded:
         raise UnsupportedOperationError(
@@ -560,38 +567,71 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
     x_fine = grid.nodes[0] + 0.5 * grid.dx * np.arange(2 * grid.n)
     fine = np.exp(-1j * theta * x_fine) * fine_phi
     Phi = fine[0::2]
-    mids = fine[1::2]
-    wrap_value = np.exp(-1j * theta * grid.period) * Phi[0]
-    dx = grid.dx
-    n = grid.n
-    pts = np.empty((n, surface.point_dim))
-    e1s = np.empty_like(pts)
+    ends = np.append(Phi[1:], np.exp(-1j * theta * grid.period) * Phi[0])
+    coeffs = np.stack([Phi, fine[1::2], ends], axis=1)
+    cells = np.concatenate([coeffs.real, coeffs.imag], axis=1).tolist()
+    dx, radius = grid.dx, surface.radius
+    r2 = radius**2
+    warp = surface.warp if surface.kind == "warped_sphere" else None
     u = surface.project_point(np.asarray(base_point, dtype=float))
     w = _unit_tangent(surface, u, np.asarray(e1_base, dtype=float))
+    u0, u1, u2 = u.tolist()
+    w0, w1, w2 = w.tolist()
 
-    def vel(point, e1v, coeff):
-        e2v = surface.apply_J(point, e1v)
-        return coeff.real * e1v + coeff.imag * e2v
+    def stage(u0, u1, u2, v0, v1, v2, a, b):
+        """dx (a v + b J v) at u and the covariant change of v along it."""
+        j0 = (u1 * v2 - u2 * v1) / radius
+        j1 = (u2 * v0 - u0 * v2) / radius
+        j2 = (u0 * v1 - u1 * v0) / radius
+        d0 = dx * (a * v0 + b * j0)
+        d1 = dx * (a * v1 + b * j1)
+        d2 = dx * (a * v2 + b * j2)
+        vd = (v0 * d0 + v1 * d1) + v2 * d2
+        s = -(vd / r2)
+        h0, h1, h2 = s * u0, s * u1, s * u2
+        if warp is not None:  # conformal terms; the warped sphere has radius 1
+            g0, g1, g2 = surface.warp_grad(np.array((u0, u1, u2))).tolist()
+            gu = (g0 * u0 + g1 * u1) + g2 * u2
+            g0, g1, g2 = g0 - gu * u0, g1 - gu * u1, g2 - gu * u2
+            gd = (g0 * d0 + g1 * d1) + g2 * d2
+            gv = (g0 * v0 + g1 * v1) + g2 * v2
+            h0 = ((h0 - gd * v0) - gv * d0) + vd * g0
+            h1 = ((h1 - gd * v1) - gv * d1) + vd * g1
+            h2 = ((h2 - gd * v2) - gv * d2) + vd * g2
+        return d0, d1, d2, h0, h1, h2
 
-    for j in range(n):
-        pts[j] = u
-        e1s[j] = w
-        c0, cm = Phi[j], mids[j]
-        c1 = Phi[j + 1] if j + 1 < n else wrap_value
-        k1 = dx * vel(u, w, c0)
-        h1 = _covariant_rhs(surface, u, k1, w)
-        um = u + 0.5 * k1
-        k2 = dx * vel(um, w + 0.5 * h1, cm)
-        h2 = _covariant_rhs(surface, um, k2, w + 0.5 * h1)
-        um2 = u + 0.5 * k2
-        k3 = dx * vel(um2, w + 0.5 * h2, cm)
-        h3 = _covariant_rhs(surface, um2, k3, w + 0.5 * h2)
-        ue = u + k3
-        k4 = dx * vel(ue, w + h3, c1)
-        h4 = _covariant_rhs(surface, ue, k4, w + h3)
-        u = surface.project_point(u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
-        w = _unit_tangent(surface, u, w + (h1 + 2 * h2 + 2 * h3 + h4) / 6.0)
-    closure = float(np.linalg.norm(u - pts[0]))
+    rows = [None] * grid.n
+    for j, (a0, am, a1, b0, bm, b1) in enumerate(cells):
+        rows[j] = (u0, u1, u2, w0, w1, w2)
+        k0, k1, k2, h0, h1, h2 = stage(u0, u1, u2, w0, w1, w2, a0, b0)
+        l0, l1, l2, i0, i1, i2 = stage(
+            u0 + 0.5 * k0, u1 + 0.5 * k1, u2 + 0.5 * k2,
+            w0 + 0.5 * h0, w1 + 0.5 * h1, w2 + 0.5 * h2, am, bm)
+        m0, m1, m2, n0, n1, n2 = stage(
+            u0 + 0.5 * l0, u1 + 0.5 * l1, u2 + 0.5 * l2,
+            w0 + 0.5 * i0, w1 + 0.5 * i1, w2 + 0.5 * i2, am, bm)
+        o0, o1, o2, q0, q1, q2 = stage(
+            u0 + m0, u1 + m1, u2 + m2, w0 + n0, w1 + n1, w2 + n2, a1, b1)
+        u0 += (((k0 + 2 * l0) + 2 * m0) + o0) / 6.0
+        u1 += (((k1 + 2 * l1) + 2 * m1) + o1) / 6.0
+        u2 += (((k2 + 2 * l2) + 2 * m2) + o2) / 6.0
+        w0 += (((h0 + 2 * i0) + 2 * n0) + q0) / 6.0
+        w1 += (((h1 + 2 * i1) + 2 * n1) + q1) / 6.0
+        w2 += (((h2 + 2 * i2) + 2 * n2) + q2) / 6.0
+        # back onto the sphere, then e1 onto its tangent plane at unit length
+        scale = radius / math.sqrt((u0 * u0 + u1 * u1) + u2 * u2)
+        u0, u1, u2 = u0 * scale, u1 * scale, u2 * scale
+        c0, c1, c2 = u0 / radius, u1 / radius, u2 / radius
+        s = (w0 * c0 + w1 * c1) + w2 * c2
+        w0, w1, w2 = w0 - s * c0, w1 - s * c1, w2 - s * c2
+        length2 = (w0 * w0 + w1 * w1) + w2 * w2
+        if warp is not None:
+            length2 *= math.exp(2.0 * float(warp(np.array((u0, u1, u2)))))
+        length = math.sqrt(length2)
+        w0, w1, w2 = w0 / length, w1 / length, w2 / length
+    table = np.array(rows)
+    pts, e1s = table[:, :3].copy(), table[:, 3:].copy()
+    closure = float(np.linalg.norm(np.array((u0, u1, u2)) - pts[0]))
     e2s = surface.apply_J(pts, e1s)
     return pts, e1s, e2s, closure
 

@@ -63,7 +63,7 @@ def _cross(a, b):
 def _dot(a, b):
     """a . b over the last axis, kept as a trailing axis of length 1.  Two
     single vectors take np.dot, whose lower call cost matters in the
-    per-node loops of the seed transport and the loop reconstruction."""
+    per-step seed transport of the coupled and autonomous drivers."""
     if a.ndim == b.ndim == 1:
         return np.dot(a, b)
     return (a * b).sum(axis=-1, keepdims=True)

@@ -82,7 +82,11 @@ class TestRunScenario:
             workdir, name="autonomous.json", reduction={"mode": "autonomous"},
             time={"t_final": 0.001},
             diagnostics={"cadence": 1, "snapshot_cadence": 1, "l4_window": 8})
-        for cfg in (coupled, autonomous):
+        warped = write_config(
+            workdir, name="warped.json", reduction={"mode": "autonomous"},
+            target={"kind": "warped_sphere"}, time={"t_final": 0.001},
+            diagnostics={"cadence": 1, "snapshot_cadence": 1, "l4_window": 8})
+        for cfg in (coupled, autonomous, warped):
             a, b = (workdir / f"{cfg.stem}-{tag}" for tag in "ab")
             for run in (a, b):
                 assert cli.main(["run", "--config", str(cfg),
@@ -95,6 +99,18 @@ class TestRunScenario:
             for name in names:
                 if name != "config.json":  # echoes output.dir
                     assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_numerical_failure_exits_3_with_summary(self, workdir, capsys):
+        # the constant preset sits on the north pole, where the azimuthal
+        # reference frame of the holonomy is singular
+        cfg = write_config(workdir, init={"kind": "constant"})
+        assert cli.main(["run", "--config", str(cfg)]) == 3
+        assert "numerical or geometric failure" in capsys.readouterr().err
+        summary = json.loads((workdir / "out" / "summary.json").read_text())
+        assert summary["schema"] == cli.SCHEMA_SUMMARY
+        assert summary["passed"] is False
+        assert summary["error"]["type"] == "SingularChartError"
+        assert "singular" in summary["error"]["message"]
 
     def test_autonomous_reconstructs_each_state_once(self, workdir,
                                                      monkeypatch):
@@ -185,6 +201,73 @@ class TestRunScenario:
         assert np.all(data[:, cols.index("theta_transport")] == 0.0)
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         assert hol["matrix"] is None
+
+
+def _rowwise_write_csv(path, schema, columns, rows, comments=()):
+    """The reference writer: every value formatted on its own."""
+    lines = [f"# schema={schema}"]
+    lines.extend(comments)
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(cli._fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rowwise_write_snapshot(path, t, grid, points, big_phi, small_phi):
+    d = points.shape[1]
+    columns = (["x"] + [f"u{j}" for j in range(d)]
+               + ["Phi_re", "Phi_im", "phi_re", "phi_im", "Phi_abs"])
+    rows = []
+    for j in range(grid.n):
+        row = [grid.nodes[j], *points[j],
+               big_phi[j].real, big_phi[j].imag,
+               small_phi[j].real, small_phi[j].imag, abs(big_phi[j])]
+        rows.append(row)
+    _rowwise_write_csv(path, cli.SCHEMA_SNAPSHOT, columns, rows,
+                       comments=[f"# t={cli._fmt(t)}"])
+
+
+class TestArtifactWriters:
+    @pytest.mark.parametrize("target", ["round_sphere", "hyperbolic_disk"])
+    def test_snapshot_matches_rowwise_writer(self, tmp_path, target):
+        from smflow import flow_direct as fd
+        from smflow.geometry import hyperbolic_disk, round_sphere
+        from smflow.spectral import SpectralGrid
+
+        grid = SpectralGrid(256)
+        if target == "round_sphere":
+            loop = fd.initial_loop(round_sphere(1.0), grid, "perturbed_latitude",
+                                   alpha=np.pi / 3, eps=0.1, m=2)
+        else:
+            loop = fd.initial_loop(hyperbolic_disk(), grid, "fourier",
+                                   coeffs=[[1, 0.1, 0.12], [2, 0.03, 0.03]])
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.uniform(-8, 3, size=(2, grid.n))
+        big_phi = scale[0] * (rng.standard_normal(grid.n)
+                              + 1j * rng.standard_normal(grid.n))
+        small_phi = scale[1] * np.exp(1j * rng.uniform(0, 2 * np.pi, grid.n))
+        t = 1.0 / 3.0
+        cli._write_snapshot(tmp_path / "a.csv", t, grid, loop.points,
+                            big_phi, small_phi)
+        _rowwise_write_snapshot(tmp_path / "b.csv", t, grid, loop.points,
+                                big_phi, small_phi)
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert len(text.splitlines()) == grid.n + 3
+        assert text.splitlines()[2].count(",") == loop.points.shape[1] + 5
+
+    def test_timeseries_with_nan_column_matches_rowwise_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        rows = [[k * 1e-5, *(10.0 ** rng.uniform(-17, 4, size=7)), np.nan]
+                for k in range(9)]
+        rows[3][2] = -0.0
+        cli._write_csv(tmp_path / "a.csv", cli.SCHEMA_TIMESERIES,
+                       cli.TIMESERIES_COLUMNS, rows)
+        _rowwise_write_csv(tmp_path / "b.csv", cli.SCHEMA_TIMESERIES,
+                           cli.TIMESERIES_COLUMNS, rows)
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert all(line.endswith(",nan") for line in text.splitlines()[2:])
 
 
 class TestConfigValidation:

@@ -17,6 +17,7 @@ from smflow.flow_direct import LoopState
 from smflow.geometry import (
     TangentVector,
     _covariant_rhs,
+    _unit_tangent,
     bump_warp,
     flat_torus,
     hyperbolic_disk,
@@ -592,22 +593,90 @@ class TestCoupledDriver:
             100.0 * grid.dx**4 + 10.0 * 1e-8)
 
 
+def _stepwise_reconstruction(surface, grid, phi, base_point, e1_base,
+                             theta=0.0):
+    """The reference for `reconstruct_loop`: the same RK4 step per cell on
+    numpy 3-vectors, through the surface's own J, covariant right-hand side,
+    projection and unit tangent."""
+    fine_phi = grid.upsample(np.asarray(phi, dtype=complex), 2)
+    x_fine = grid.nodes[0] + 0.5 * grid.dx * np.arange(2 * grid.n)
+    fine = np.exp(-1j * theta * x_fine) * fine_phi
+    Phi = fine[0::2]
+    mids = fine[1::2]
+    wrap_value = np.exp(-1j * theta * grid.period) * Phi[0]
+    dx = grid.dx
+    n = grid.n
+    pts = np.empty((n, surface.point_dim))
+    e1s = np.empty_like(pts)
+    u = surface.project_point(np.asarray(base_point, dtype=float))
+    w = _unit_tangent(surface, u, np.asarray(e1_base, dtype=float))
+
+    def vel(point, e1v, coeff):
+        e2v = surface.apply_J(point, e1v)
+        return coeff.real * e1v + coeff.imag * e2v
+
+    for j in range(n):
+        pts[j] = u
+        e1s[j] = w
+        c0, cm = Phi[j], mids[j]
+        c1 = Phi[j + 1] if j + 1 < n else wrap_value
+        k1 = dx * vel(u, w, c0)
+        h1 = _covariant_rhs(surface, u, k1, w)
+        um = u + 0.5 * k1
+        k2 = dx * vel(um, w + 0.5 * h1, cm)
+        h2 = _covariant_rhs(surface, um, k2, w + 0.5 * h1)
+        um2 = u + 0.5 * k2
+        k3 = dx * vel(um2, w + 0.5 * h2, cm)
+        h3 = _covariant_rhs(surface, um2, k3, w + 0.5 * h2)
+        ue = u + k3
+        k4 = dx * vel(ue, w + h3, c1)
+        h4 = _covariant_rhs(surface, ue, k4, w + h3)
+        u = surface.project_point(u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
+        w = _unit_tangent(surface, u, w + (h1 + 2 * h2 + 2 * h3 + h4) / 6.0)
+    closure = float(np.linalg.norm(u - pts[0]))
+    e2s = surface.apply_J(pts, e1s)
+    return pts, e1s, e2s, closure
+
+
+def _gauge_data(surface, n):
+    """A perturbed latitude at n nodes, its untwisted gauge field, the base
+    data and the transport angle."""
+    grid = SpectralGrid(n)
+    loop = fd.initial_loop(surface, grid, "perturbed_latitude",
+                           alpha=np.pi / 4, eps=0.08, m=3)
+    frame = fr.parallel_frame(surface, loop)
+    theta = frame.transport_angle()
+    phi = fr.untwist(fr.coefficients(loop, frame), theta)
+    return grid, loop, phi, frame.e1[0], theta
+
+
 class TestReconstruction:
     def test_roundtrip_and_fourth_order_closure(self):
-        closures = {}
-        for n in (64, 128):
-            grid = SpectralGrid(n)
-            loop = fd.initial_loop(ROUND, grid, "perturbed_latitude",
-                                   alpha=np.pi / 4, eps=0.08, m=3)
-            frame = fr.parallel_frame(ROUND, loop)
-            co = fr.coefficients(loop, frame)
-            theta = frame.transport_angle()
-            phi = fr.untwist(co, theta)
-            pts, e1s, _, closure = fr.reconstruct_loop(
-                ROUND, grid, phi, loop.points[0], frame.e1[0], theta)
-            closures[n] = closure
-            assert np.abs(pts - loop.points).max() < 2e-6 * (128 / n) ** 4
-        assert closures[64] / closures[128] > 10.0
+        for surface in (ROUND, bumpy_surface()):
+            closures = {}
+            for n in (64, 128):
+                grid, loop, phi, e1, theta = _gauge_data(surface, n)
+                pts, e1s, _, closure = fr.reconstruct_loop(
+                    surface, grid, phi, loop.points[0], e1, theta)
+                closures[n] = closure
+                assert np.abs(pts - loop.points).max() < 2e-6 * (128 / n) ** 4
+            assert closures[64] / closures[128] > 10.0
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("target", ["round", "round_r15", "warped"])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_matches_stepwise_oracle(self, n, target, twisted):
+        surface = {"round": ROUND, "round_r15": round_sphere(1.5),
+                   "warped": bumpy_surface()}[target]
+        grid, loop, phi, e1, theta = _gauge_data(surface, n)
+        theta = theta if twisted else 0.0
+        got = fr.reconstruct_loop(surface, grid, phi, loop.points[0], e1, theta)
+        want = _stepwise_reconstruction(surface, grid, phi, loop.points[0],
+                                        e1, theta)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() < 1e-13
+        assert abs(got[3] - want[3]) < 1e-13
 
     def test_chart_target_rejected(self):
         grid = SpectralGrid(32)
