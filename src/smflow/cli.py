@@ -53,10 +53,23 @@ SCHEMA_CHECKS = "smflow.checks.v1"
 TIMESERIES_COLUMNS = ("t", "energy", "a_l2", "theta_transport", "theta_ode",
                       "theta_gb", "theta_rate", "phi_l4", "cross_error")
 
-_TARGETS = ("round_sphere", "warped_sphere", "hyperbolic_disk", "flat_torus")
 _SPHERE_INITS = ("constant", "great_circle", "latitude", "perturbed_latitude",
                  "fourier")
 _CHART_INITS = ("constant", "fourier")
+
+
+# target.kind -> (surface built from the target section, initial-loop
+# presets); the sphere presets mark the embedded targets
+_TARGETS = {
+    "round_sphere": (lambda target: round_sphere(float(target["radius"])),
+                     _SPHERE_INITS),
+    "warped_sphere": (lambda target: warped_sphere(*bump_warp(
+        amplitude=float(target["warp"]["amplitude"]),
+        width=float(target["warp"]["width"]),
+        center=tuple(target["warp"]["center"]))), _SPHERE_INITS),
+    "hyperbolic_disk": (lambda target: hyperbolic_disk(), _CHART_INITS),
+    "flat_torus": (lambda target: flat_torus(), _CHART_INITS),
+}
 
 DEFAULT_CONFIG = {
     "target": {"kind": "round_sphere", "radius": 1.0,
@@ -151,7 +164,8 @@ def _validate_structure(cfg):
     v = []
     target = cfg["target"]
     if target["kind"] not in _TARGETS:
-        v.append(f"target.kind must be one of {_TARGETS}; got {target['kind']!r}")
+        v.append(f"target.kind must be one of {tuple(_TARGETS)}; "
+                 f"got {target['kind']!r}")
     if not isinstance(target["radius"], (int, float)) or target["radius"] <= 0:
         v.append("target.radius must be a positive number")
     warp = target["warp"]
@@ -171,8 +185,8 @@ def _validate_structure(cfg):
     if not isinstance(dom["half_width"], (int, float)) or dom["half_width"] <= 0:
         v.append("domain.half_width must be a positive number")
 
-    embedded = target["kind"] in ("round_sphere", "warped_sphere")
-    inits = _SPHERE_INITS if embedded else _CHART_INITS
+    inits = _TARGETS.get(target["kind"], (None, _CHART_INITS))[1]
+    embedded = inits is _SPHERE_INITS
     if cfg["init"].get("kind") not in inits:
         v.append(f"init.kind must be one of {inits} for target "
                  f"{target['kind']!r}; got {cfg['init'].get('kind')!r}")
@@ -209,18 +223,8 @@ def _validate_structure(cfg):
 
 
 def _build_surface(cfg):
-    target = cfg["target"]
-    kind = target["kind"]
-    if kind == "round_sphere":
-        return round_sphere(float(target["radius"]))
-    if kind == "warped_sphere":
-        warp = target["warp"]
-        return warped_sphere(*bump_warp(amplitude=float(warp["amplitude"]),
-                                        width=float(warp["width"]),
-                                        center=tuple(warp["center"])))
-    if kind == "hyperbolic_disk":
-        return hyperbolic_disk()
-    return flat_torus()
+    build, _ = _TARGETS[cfg["target"]["kind"]]
+    return build(cfg["target"])
 
 
 def _build_grid(cfg):
@@ -371,13 +375,10 @@ def _run_coupled(surface, grid, loop, cfg, dt, n_steps, out_dir):
     diag = cfg["diagnostics"]
     row_ids = _row_indices(n_steps, diag["cadence"])
     snap_ids = _snapshot_indices(n_steps, diag["snapshot_cadence"])
-    row_set, snap_set = set(row_ids), set(snap_ids)
-    ode_raw = {}
+    snap_set = set(snap_ids)
     snapshots = {}
 
     def observer(k, state, coeffs):
-        if circle and k in row_set:
-            ode_raw[k] = holonomy_ode(surface, grid, state.points)
         if k in snap_set:
             snapshots[k] = state.points.copy()
 
@@ -386,7 +387,7 @@ def _run_coupled(surface, grid, loop, cfg, dt, n_steps, out_dir):
 
     rows = []
     for k in row_ids:
-        theta_ode = (lift_to_branch(ode_raw[k], res.theta[k])
+        theta_ode = (lift_to_branch(res.theta_ode[k], res.theta[k])
                      if circle else 0.0)
         rows.append([res.times[k], res.energy[k],
                      math.sqrt(2.0 * res.energy[k]), res.theta[k], theta_ode,
@@ -402,7 +403,7 @@ def _run_coupled(surface, grid, loop, cfg, dt, n_steps, out_dir):
     if circle:
         payload = _holonomy_payload(
             surface, grid, res.final_state.points, res.theta[-1],
-            lift_to_branch(ode_raw[n_steps], res.theta[-1]), res.theta_gb[-1])
+            lift_to_branch(res.theta_ode[-1], res.theta[-1]), res.theta_gb[-1])
     else:
         payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
                    "note": "holonomy is defined for closed loops; "
@@ -751,9 +752,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowUpSuspectedError, ConfigError, RejectedStepError
-from .geometry import SurfaceModel, christoffel_at
+from .geometry import SurfaceModel
 from .spectral import SpectralGrid
 
 # RK4 on the linearized flow i phi_t = phi_xx is stable for
@@ -117,18 +117,7 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, **params)
 
 def _tension(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     ux, uxx = grid.derivatives(u, (1, 2))
-    if surface.embedded:
-        speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
-        tau = uxx + speed2 * u / surface.radius**2
-        if surface.kind == "warped_sphere":
-            # conformal change of the target metric adds first-order terms
-            grad = np.asarray(surface.warp_grad(u))
-            grad_tan = grad - np.sum(grad * u, axis=-1, keepdims=True) * u
-            dlam_ux = np.sum(grad_tan * ux, axis=-1, keepdims=True)
-            tau = tau + 2.0 * dlam_ux * ux - speed2 * grad_tan
-        return tau
-    gam = christoffel_at(surface, u)
-    return uxx + np.einsum("nkij,ni,nj->nk", gam, ux, ux)
+    return surface.tension(u, ux, uxx)
 
 
 def _velocity(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .flow_direct import LoopState
-from .geometry import SurfaceModel, _covariant_rhs, _unit_tangent, loop_frame
+from .geometry import (ProductSurface, SurfaceModel, WarpedSphere, _covariant_rhs,
+                       _frame_angle, _unit_tangent, loop_frame)
 from .holonomy import (
     holonomy_ode,
     holonomy_rate,
@@ -83,12 +84,9 @@ class FrameField:
 
     def transport_angle(self) -> float:
         """Rotation from the base frame to its once-around transport."""
-        p = self.points[self.base_index]
-        h = self.surface.metric
-        return float(
-            np.arctan2(h(p, self.e1_wrap, self.e2[self.base_index]),
-                       h(p, self.e1_wrap, self.e1[self.base_index]))
-        )
+        b = self.base_index
+        return _frame_angle(self.surface, self.points[b], self.e1_wrap,
+                            self.e1[b], self.e2[b])
 
 
 def parallel_frame(surface: SurfaceModel, loop: LoopState, seed=None,
@@ -99,7 +97,7 @@ def parallel_frame(surface: SurfaceModel, loop: LoopState, seed=None,
     The frame is smooth along the transport path; the holonomy mismatch
     sits between the wrap values and the base values.
     """
-    if surface.kind == "product":
+    if isinstance(surface, ProductSurface):
         raise UnsupportedOperationError(
             "parallel frames are scalar-gauge only; use product_integral "
             "for matrix-valued connections"
@@ -241,9 +239,14 @@ def gauge_potential(surface: SurfaceModel, loop: LoopState,
     V = S - S(base) + tail, where the tail integrates the curvature-rate
     density r = (K o u)_x |Phi|^2 / 2 along the transport path from the
     base node (wrapping past the seam for nodes before the base)."""
-    grid = loop.grid
-    S, r, R = _curvature_letters(surface, grid, loop.points, coeffs.phi)
-    b = coeffs.base_index
+    return _gauge_assembly(surface, loop.grid, loop.points, coeffs.phi,
+                           coeffs.base_index)
+
+
+def _gauge_assembly(surface: SurfaceModel, grid: SpectralGrid,
+                    points: np.ndarray, phi: np.ndarray, b: int) -> np.ndarray:
+    """V = S - S(b) + tail on plain arrays (see gauge_potential)."""
+    S, r, R = _curvature_letters(surface, grid, points, phi)
     tail = R - R[b]
     if b:
         tail[:b] += grid.integrate(r)
@@ -262,10 +265,6 @@ def nonlinear_terms(surface: SurfaceModel, loop: LoopState,
     Line: T is the raw tail integrated from the left edge and W = Q = 0;
     the coefficients must decay at the edges (relative decay_tol).
     """
-    if surface.kind == "product":
-        raise UnsupportedOperationError(
-            "curvature letters are defined for one complex direction"
-        )
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
     grid = loop.grid
@@ -390,6 +389,7 @@ class ReducedRunResult:
     theta: np.ndarray
     theta_gb: np.ndarray
     theta_rate: np.ndarray
+    theta_ode: np.ndarray  # holonomy_ode per state, unlifted; NaN on the line
     energy: np.ndarray
     grad_norm: np.ndarray
     phi_frame: np.ndarray
@@ -452,6 +452,7 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     theta = np.empty(m + 1)
     theta_gb = np.empty(m + 1)
     theta_rate = np.empty(m + 1)
+    theta_ode = np.full(m + 1, np.nan)
     energy = np.empty(m + 1)
     grad_norm = np.empty(m + 1)
     phi_frame = np.empty((m + 1, grid.n), dtype=complex)
@@ -477,8 +478,9 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         phi_nls[k] = nls.values
         coeffs_hist[k] = coeffs.phi
         if circle:
-            resid_ode[k] = twisted_residual(
-                coeffs, holonomy_ode(surface, grid, state.points))
+            ode = holonomy_ode(surface, grid, state.points)
+            theta_ode[k] = ode
+            resid_ode[k] = twisted_residual(coeffs, ode)
             closure[k] = abs(np.exp(1j * theta_k * grid.period) * coeffs.phi_wrap
                              - phi_f[0]) / max(np.abs(phi_f).max(), 1e-300)
         else:
@@ -529,8 +531,8 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
 
     return ReducedRunResult(
         times=times, theta=theta, theta_gb=theta_gb, theta_rate=theta_rate,
-        energy=energy, grad_norm=grad_norm, phi_frame=phi_frame,
-        phi_nls=phi_nls, coeffs_history=coeffs_hist,
+        theta_ode=theta_ode, energy=energy, grad_norm=grad_norm,
+        phi_frame=phi_frame, phi_nls=phi_nls, coeffs_history=coeffs_hist,
         twist_residual_ode=resid_ode, phi_closure=closure, sup_error=sup_err,
         l4_window=l4, tolerance=solver_tolerance(grid, dt),
         final_state=state, final_seed=w1,
@@ -557,7 +559,7 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
     it has no cell propagators to compose.  Each step runs on plain floats,
     whose operation count is far below the call cost of numpy on 3-vectors.
     """
-    if surface.kind == "product" or not surface.embedded:
+    if not surface.embedded:
         raise UnsupportedOperationError(
             "loop reconstruction is implemented for embedded sphere targets"
         )
@@ -572,7 +574,7 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
     cells = np.concatenate([coeffs.real, coeffs.imag], axis=1).tolist()
     dx, radius = grid.dx, surface.radius
     r2 = radius**2
-    warp = surface.warp if surface.kind == "warped_sphere" else None
+    warp = surface.warp if isinstance(surface, WarpedSphere) else None
     u = surface.project_point(np.asarray(base_point, dtype=float))
     w = _unit_tangent(surface, u, np.asarray(e1_base, dtype=float))
     u0, u1, u2 = u.tolist()
@@ -665,10 +667,9 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     def snapshot(st):
         pts, e1s, e2s, closure = reconstruct_loop(
             surface, grid, st.phi, st.base_point, st.e1_base, st.theta)
-        S, _, R = _curvature_letters(surface, grid, pts,
-                                     np.exp(-1j * st.theta * x) * st.phi)
         rate = holonomy_rate(surface, grid, pts)
-        pot = x * rate + (S - S[0] + R)
+        pot = x * rate + _gauge_assembly(surface, grid, pts,
+                                         np.exp(-1j * st.theta * x) * st.phi, 0)
         Phi_x = np.exp(-1j * st.theta * x) * (grid.derivative(st.phi)
                                               - 1j * st.theta * st.phi)
         b = -1j * Phi_x[0]

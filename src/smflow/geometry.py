@@ -1,9 +1,13 @@
 """Kahler target manifolds: metrics, curvature, charts, parallel transport.
 
-Targets come in two representations.  Spheres (round or conformally warped)
-are embedded in R^3 and points are ambient 3-vectors; the hyperbolic disk
-and the flat torus are chart-based and points are 2-vectors of chart
-coordinates.  Products concatenate the coordinates of their factors.
+Each target is one ``SurfaceModel`` subclass, built by its factory.  Points
+of ``RoundSphere`` and its conformal change ``WarpedSphere`` are ambient
+3-vectors; ``HyperbolicDisk`` and ``FlatTorus`` share a conformal-chart base
+and their points are chart coordinates; ``ProductSurface`` concatenates the
+coordinates of its factors and works factor by factor.  A target owns its
+metric, J, projections, curvature, chart Christoffel symbols, transport
+right-hand side, flow tension, reference frame, connection and winding; the
+module functions validate input and hand over to it.
 
 The complex structure J is p x v / radius on embedded spheres and rotation
 by 90 degrees in conformal charts; both satisfy J*J = -1 and are isometric
@@ -30,7 +34,7 @@ interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,132 +73,188 @@ def _dot(a, b):
     return (a * b).sum(axis=-1, keepdims=True)
 
 
+def _azimuthal_axis(p):
+    """z x p, its length and the unit azimuthal direction at points p of
+    the unit sphere; rejected near the poles, where z x p vanishes."""
+    w = _cross(_Z_AXIS, p)
+    norm = np.linalg.norm(w, axis=-1)
+    if np.any(norm < 1e-6):
+        raise SingularChartError(
+            "azimuthal reference frame is singular near the poles"
+        )
+    return w, norm, w / norm[..., None]
+
+
+def _sphere_tangent_basis(p: np.ndarray):
+    """Some orthonormal tangent basis at each point of the unit sphere."""
+    t1 = np.cross(np.broadcast_to(_Z_AXIS, p.shape), p)
+    bad = np.linalg.norm(t1, axis=-1) < 1e-8
+    if np.any(bad):
+        alt = np.cross(np.broadcast_to(_X_AXIS, p.shape), p)
+        t1 = np.where(bad[..., None], alt, t1)
+    t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
+    t2 = np.cross(p, t1)
+    return t1, t2
+
+
+def _disk_log_scale_grad(q):
+    """Chart gradient (lx, ly) of the hyperbolic conformal factor
+    log(2 / (1 - |q|^2))."""
+    r2 = np.sum(q * q, axis=-1)
+    return 2.0 * q[..., 0] / (1.0 - r2), 2.0 * q[..., 1] / (1.0 - r2)
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceModel:
-    """A target manifold; build with the factory functions below."""
+    """A target manifold; build with the factory functions below.
 
-    kind: str
-    radius: float = 1.0
-    warp: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    warp_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    factors: tuple = ()
+    Pointwise methods broadcast over leading axes of (..., point_dim) arrays.
+    The defaults are those of a target without conformal factor, curvature
+    gradient or singular frame axis.
+    """
 
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def embedded(self) -> bool:
-        return self.kind in ("round_sphere", "warped_sphere")
-
-    @property
-    def complex_dim(self) -> int:
-        if self.kind == "product":
-            return sum(f.complex_dim for f in self.factors)
-        return 1
-
-    @property
-    def point_dim(self) -> int:
-        if self.kind == "product":
-            return sum(f.point_dim for f in self.factors)
-        return 3 if self.embedded else 2
+    kind = ""
+    embedded = False  # points are ambient 3-vectors on a sphere
+    point_dim = 2
 
     def factor_slices(self):
-        out, idx = [], 0
-        for f in self.factors:
-            out.append((f, slice(idx, idx + f.point_dim)))
-            idx += f.point_dim
-        return out
+        """(factor, coordinate slice) pairs; a single target is its own factor."""
+        return [(self, slice(0, self.point_dim))]
 
-    # -- pointwise primitives (vectorized over leading axes) ----------------
-
-    def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> None:
+    def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> np.ndarray:
+        """Raise OffManifoldError unless p holds points of this target;
+        returns p as a float array."""
         p = np.asarray(p, dtype=float)
         if p.shape[-1] != self.point_dim:
             raise OffManifoldError(
                 f"expected point dimension {self.point_dim}, got {p.shape[-1]}"
             )
-        if self.kind == "product":
-            for f, sl in self.factor_slices():
-                f.validate_points(p[..., sl], tol)
-            return
-        if self.embedded:
-            err = np.abs(np.linalg.norm(p, axis=-1) - self.radius)
-            worst = float(err.max()) if err.size else 0.0
-            if worst > tol * max(1.0, self.radius):
-                raise OffManifoldError(
-                    f"point leaves the radius-{self.radius} sphere by {worst:.3e}"
-                )
-        elif self.kind == "hyperbolic_disk":
-            r = np.linalg.norm(p, axis=-1)
-            if r.size and float(r.max()) >= 1.0:
-                raise OffManifoldError("chart point outside the unit disk")
-        # flat torus: every chart point is valid
-
-    def project_point(self, p: np.ndarray) -> np.ndarray:
-        """Nearest manifold representative (renormalization for spheres)."""
-        p = np.asarray(p, dtype=float)
-        if self.kind == "product":
-            out = p.copy()
-            for f, sl in self.factor_slices():
-                out[..., sl] = f.project_point(p[..., sl])
-            return out
-        if self.embedded:
-            return p * (self.radius / np.linalg.norm(p, axis=-1, keepdims=True))
-        return p.copy()
+        return p
 
     def conformal_factor(self, p: np.ndarray) -> np.ndarray:
         """log of the conformal scale of the metric relative to the base."""
-        p = np.asarray(p, dtype=float)
-        if self.kind == "warped_sphere":
-            return np.asarray(self.warp(p), dtype=float)
-        if self.kind == "hyperbolic_disk":
-            r2 = np.sum(p * p, axis=-1)
-            return np.log(2.0 / (1.0 - r2))
-        return np.zeros(p.shape[:-1])
+        return np.zeros(np.shape(p)[:-1])
 
     def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if self.kind == "product":
-            parts = [f.metric(p[..., sl], v[..., sl], w[..., sl])
-                     for f, sl in self.factor_slices()]
-            return np.sum(parts, axis=0)
-        dot = np.sum(np.asarray(v) * np.asarray(w), axis=-1)
-        if self.kind in ("round_sphere", "flat_torus"):
-            return dot
-        return np.exp(2.0 * self.conformal_factor(p)) * dot
+        return np.sum(np.asarray(v) * np.asarray(w), axis=-1)
+
+    def curvature_gradient(self, p: np.ndarray) -> np.ndarray:
+        """Differential of K as an ambient (co)vector: dK(v) = grad . v."""
+        return np.zeros_like(np.asarray(p, dtype=float))
+
+    def azimuthal_winding(self, points: np.ndarray) -> int:
+        return 0
+
+
+@dataclass(frozen=True, eq=False)
+class RoundSphere(SurfaceModel):
+    """Sphere of the given radius in R^3 with the induced metric."""
+
+    radius: float = 1.0
+    kind = "round_sphere"
+    embedded = True
+    point_dim = 3
+
+    def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> np.ndarray:
+        p = super().validate_points(p, tol)
+        err = np.abs(np.linalg.norm(p, axis=-1) - self.radius)
+        worst = float(err.max()) if err.size else 0.0
+        if worst > tol * max(1.0, self.radius):
+            raise OffManifoldError(
+                f"point leaves the radius-{self.radius} sphere by {worst:.3e}"
+            )
+        return p
+
+    def project_point(self, p: np.ndarray) -> np.ndarray:
+        """Nearest manifold representative: radial renormalization."""
+        p = np.asarray(p, dtype=float)
+        return p * (self.radius / np.linalg.norm(p, axis=-1, keepdims=True))
 
     def apply_J(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.kind == "product":
-            out = np.empty_like(np.asarray(v, dtype=float))
-            for f, sl in self.factor_slices():
-                out[..., sl] = f.apply_J(p[..., sl], v[..., sl])
-            return out
-        if self.embedded:
-            return _cross(p, v) / self.radius
-        v = np.asarray(v)
-        return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+        return _cross(p, v) / self.radius
 
     def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if self.kind == "product":
-            out = np.empty_like(np.asarray(w, dtype=float))
-            for f, sl in self.factor_slices():
-                out[..., sl] = f.tangent_project(p[..., sl], w[..., sl])
-            return out
-        if not self.embedded:
-            return np.asarray(w, dtype=float).copy()
         n = p / self.radius
         return w - np.sum(w * n, axis=-1, keepdims=True) * n
 
-    # -- curvature ----------------------------------------------------------
+    def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(p)[:-1], 1.0 / self.radius**2)
 
-    def _sphere_tangent_basis(self, p: np.ndarray):
-        """Some orthonormal tangent basis at each point of the unit sphere."""
-        t1 = np.cross(np.broadcast_to(_Z_AXIS, p.shape), p)
-        bad = np.linalg.norm(t1, axis=-1) < 1e-8
-        if np.any(bad):
-            alt = np.cross(np.broadcast_to(_X_AXIS, p.shape), p)
-            t1 = np.where(bad[..., None], alt, t1)
-        t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
-        t2 = np.cross(p, t1)
-        return t1, t2
+    def chart_metric(self, q: np.ndarray) -> np.ndarray:
+        """Metric in (colatitude, longitude) chart coordinates."""
+        th = q[..., 0]
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0] = self.radius**2
+        g[..., 1, 1] = (self.radius * np.sin(th)) ** 2
+        return g
+
+    def christoffel(self, q: np.ndarray) -> np.ndarray:
+        th = q[..., 0]
+        s, c = np.sin(th), np.cos(th)
+        if np.any(np.abs(s) < 1e-6):
+            raise SingularChartError(
+                "colatitude-longitude chart is singular at the poles"
+            )
+        gam = np.zeros(q.shape[:-1] + (2, 2, 2))
+        gam[..., 0, 1, 1] = -s * c
+        gam[..., 1, 0, 1] = c / s
+        gam[..., 1, 1, 0] = c / s
+        return gam
+
+    def covariant_rhs(self, u, du, v):
+        return -(_dot(v, du) / self.radius**2) * u
+
+    def tension(self, u, ux, uxx):
+        speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
+        return uxx + speed2 * u / self.radius**2
+
+    def reference_frame(self, points: np.ndarray):
+        f1 = _azimuthal_axis(points / self.radius)[2] * self.radius
+        f1 = f1 * np.exp(-self.conformal_factor(points))[..., None]
+        return f1, self.apply_J(points, f1)
+
+    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        # f1 = normalize(z x p), omega(v) = <D_v f1, p x f1>
+        p = points / self.radius
+        v = vectors / self.radius
+        w, norm, f1 = _azimuthal_axis(p)
+        zv = _cross(_Z_AXIS, v)
+        f2 = _cross(p, f1)
+        dvf1 = zv / norm[..., None] - w * (
+            np.sum(w * zv, axis=-1) / norm**3
+        )[..., None]
+        return np.sum(dvf1 * f2, axis=-1)
+
+    def azimuthal_winding(self, points: np.ndarray) -> int:
+        points = np.asarray(points, dtype=float)
+        phi = np.unwrap(np.arctan2(points[:, 1], points[:, 0]))
+        closing = np.arctan2(points[0, 1], points[0, 0])
+        # wrap the closing step consistently with the unwrapped sequence
+        last = phi[-1]
+        delta = (closing - last + np.pi) % (2.0 * np.pi) - np.pi
+        total = (last + delta) - phi[0]
+        return int(np.rint(total / (2.0 * np.pi)))
+
+
+@dataclass(frozen=True, eq=False)
+class WarpedSphere(RoundSphere):
+    """Unit sphere with metric exp(2*warp) times the round one."""
+
+    radius: float = field(default=1.0, init=False)
+    warp: Callable[[np.ndarray], np.ndarray]
+    warp_grad: Callable[[np.ndarray], np.ndarray]
+    kind = "warped_sphere"
+
+    def _tangent_warp_grad(self, p):
+        """Tangential part of the warp gradient on the unit sphere."""
+        grad = np.asarray(self.warp_grad(p), dtype=float)
+        return grad - _dot(grad, p) * p
+
+    def conformal_factor(self, p: np.ndarray) -> np.ndarray:
+        return np.asarray(self.warp(np.asarray(p, dtype=float)), dtype=float)
+
+    def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.exp(2.0 * self.conformal_factor(p)) * super().metric(p, v, w)
 
     def _warp_laplacian(self, p: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami of the warp on the round unit sphere.
@@ -204,7 +264,7 @@ class SurfaceModel:
         warp are supplied analytically elsewhere, second ones are not).
         """
         eps = _LAPLACE_STEP
-        t1, t2 = self._sphere_tangent_basis(p)
+        t1, t2 = _sphere_tangent_basis(p)
         c, s = np.cos(eps), np.sin(eps)
         total = np.zeros(p.shape[:-1])
         lam0 = np.asarray(self.warp(p), dtype=float)
@@ -216,28 +276,13 @@ class SurfaceModel:
 
     def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.kind == "round_sphere":
-            return np.full(p.shape[:-1], 1.0 / self.radius**2)
-        if self.kind == "warped_sphere":
-            lam = np.asarray(self.warp(p), dtype=float)
-            return np.exp(-2.0 * lam) * (1.0 - self._warp_laplacian(p))
-        if self.kind == "hyperbolic_disk":
-            return np.full(p.shape[:-1], -1.0)
-        if self.kind == "flat_torus":
-            return np.zeros(p.shape[:-1])
-        raise UnsupportedOperationError(
-            "scalar curvature of a product is per factor; query the factors"
-        )
+        lam = np.asarray(self.warp(p), dtype=float)
+        return np.exp(-2.0 * lam) * (1.0 - self._warp_laplacian(p))
 
     def curvature_gradient(self, p: np.ndarray) -> np.ndarray:
-        """Differential of K as an ambient (co)vector: dK(v) = grad . v."""
         p = np.asarray(p, dtype=float)
-        if self.kind in ("round_sphere", "hyperbolic_disk", "flat_torus"):
-            return np.zeros_like(p)
-        if self.kind != "warped_sphere":
-            raise UnsupportedOperationError("curvature gradient is per factor")
         eps = _CURV_GRAD_STEP
-        t1, t2 = self._sphere_tangent_basis(p)
+        t1, t2 = _sphere_tangent_basis(p)
         c, s = np.cos(eps), np.sin(eps)
         out = np.zeros_like(p)
         for t in (t1, t2):
@@ -246,6 +291,201 @@ class SurfaceModel:
             out = out + ((kp - km) / (2.0 * eps))[..., None] * t
         return out
 
+    def chart_metric(self, q: np.ndarray) -> np.ndarray:
+        lam = self.warp(sphere_chart_point(q))
+        return np.exp(2.0 * np.asarray(lam))[..., None, None] * super().chart_metric(q)
+
+    def christoffel(self, q: np.ndarray) -> np.ndarray:
+        # conformal change: add d^k_i l_j + d^k_j l_i - g_ij g^kl l_l
+        gam = super().christoffel(q)
+        th, ph = q[..., 0], q[..., 1]
+        s, c = np.sin(th), np.cos(th)
+        grad = np.asarray(self.warp_grad(sphere_chart_point(q)), dtype=float)
+        e_th = np.stack([c * np.cos(ph), c * np.sin(ph), -s], axis=-1)
+        e_ph = np.stack([-s * np.sin(ph), s * np.cos(ph), np.zeros_like(s)], axis=-1)
+        l1 = np.sum(grad * e_th, axis=-1)
+        l2 = np.sum(grad * e_ph, axis=-1)
+        lam_d = np.stack([l1, l2], axis=-1)
+        g = np.stack([np.ones_like(s), s * s], axis=-1)  # diagonal, radius 1
+        eye = np.eye(2)
+        return gam + (np.einsum("ki,...j->...kij", eye, lam_d)
+                      + np.einsum("kj,...i->...kij", eye, lam_d)
+                      - np.einsum("ij,...i,...k->...kij", eye, g, lam_d)
+                      / g[..., :, None, None])
+
+    def covariant_rhs(self, u, du, v):
+        grad = self._tangent_warp_grad(u)
+        rhs = -_dot(v, du) * u
+        rhs = rhs - _dot(grad, du) * v - _dot(grad, v) * du
+        rhs = rhs + _dot(du, v) * grad
+        return rhs
+
+    def tension(self, u, ux, uxx):
+        # the conformal change of the target metric adds first-order terms
+        speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
+        grad_tan = self._tangent_warp_grad(u)
+        dlam_ux = np.sum(grad_tan * ux, axis=-1, keepdims=True)
+        return uxx + speed2 * u + 2.0 * dlam_ux * ux - speed2 * grad_tan
+
+    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        grad = self._tangent_warp_grad(points)
+        return (super().reference_connection(points, vectors)
+                - np.sum(grad * _cross(points, vectors), axis=-1))
+
+
+@dataclass(frozen=True, eq=False)
+class _ConformalChart(SurfaceModel):
+    """A target in one conformal chart: J turns by 90 degrees and the
+    reference frame is the coordinate axes scaled to unit length."""
+
+    def project_point(self, p: np.ndarray) -> np.ndarray:
+        return np.asarray(p, dtype=float).copy()
+
+    def apply_J(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v)
+        return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+    def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.asarray(w, dtype=float).copy()
+
+    def covariant_rhs(self, u, du, v):
+        # dv^k = -Gamma^k_{ij} du^i v^j
+        return -np.einsum("...kij,...i,...j->...k", christoffel_at(self, u), du, v)
+
+    def tension(self, u, ux, uxx):
+        return uxx + np.einsum("nkij,ni,nj->nk", christoffel_at(self, u), ux, ux)
+
+    def reference_frame(self, points: np.ndarray):
+        scale = np.exp(-self.conformal_factor(points))
+        f1 = np.stack([scale, np.zeros_like(scale)], axis=-1)
+        f2 = np.stack([np.zeros_like(scale), scale], axis=-1)
+        return f1, f2
+
+
+@dataclass(frozen=True, eq=False)
+class HyperbolicDisk(_ConformalChart):
+    """Poincare disk: metric (2 / (1 - |q|^2))^2 times the Euclidean one."""
+
+    kind = "hyperbolic_disk"
+
+    def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> np.ndarray:
+        p = super().validate_points(p, tol)
+        r = np.linalg.norm(p, axis=-1)
+        if r.size and float(r.max()) >= 1.0:
+            raise OffManifoldError("chart point outside the unit disk")
+        return p
+
+    def conformal_factor(self, p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        r2 = np.sum(p * p, axis=-1)
+        return np.log(2.0 / (1.0 - r2))
+
+    def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.exp(2.0 * self.conformal_factor(p)) * super().metric(p, v, w)
+
+    def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(p)[:-1], -1.0)
+
+    def chart_metric(self, q: np.ndarray) -> np.ndarray:
+        r2 = np.sum(q * q, axis=-1)
+        conf = (2.0 / (1.0 - r2)) ** 2
+        return conf[..., None, None] * np.eye(2)
+
+    def christoffel(self, q: np.ndarray) -> np.ndarray:
+        self.validate_points(q)
+        lx, ly = _disk_log_scale_grad(q)
+        gam = np.zeros(q.shape[:-1] + (2, 2, 2))
+        gam[..., 0, 0, 0] = lx
+        gam[..., 0, 0, 1] = ly
+        gam[..., 0, 1, 0] = ly
+        gam[..., 0, 1, 1] = -lx
+        gam[..., 1, 1, 1] = ly
+        gam[..., 1, 0, 1] = lx
+        gam[..., 1, 1, 0] = lx
+        gam[..., 1, 0, 0] = -ly
+        return gam
+
+    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        lx, ly = _disk_log_scale_grad(points)
+        return -ly * vectors[..., 0] + lx * vectors[..., 1]
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTorus(_ConformalChart):
+    """Flat torus in periodic chart coordinates; every chart point is valid."""
+
+    kind = "flat_torus"
+
+    def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(p)[:-1])
+
+    def chart_metric(self, q: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.eye(2), q.shape[:-1] + (2, 2)).copy()
+
+    def christoffel(self, q: np.ndarray) -> np.ndarray:
+        return np.zeros(q.shape[:-1] + (2, 2, 2))
+
+    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return np.zeros(points.shape[:-1])
+
+
+def _per_factor_only(what: str):
+    def unsupported(self, *args):
+        raise UnsupportedOperationError(
+            f"{what} of a product is per factor; query the factors"
+        )
+    return unsupported
+
+
+@dataclass(frozen=True, eq=False)
+class ProductSurface(SurfaceModel):
+    """Product of targets: points concatenate the factors' coordinates and
+    the pointwise operations act blockwise."""
+
+    factors: tuple
+    kind = "product"
+
+    @property
+    def point_dim(self) -> int:
+        return sum(f.point_dim for f in self.factors)
+
+    def factor_slices(self):
+        out, idx = [], 0
+        for f in self.factors:
+            out.append((f, slice(idx, idx + f.point_dim)))
+            idx += f.point_dim
+        return out
+
+    def _blockwise(self, method: str, *arrays, **kwargs) -> list:
+        """The named method of every factor on its slice of the arrays."""
+        return [getattr(f, method)(*(a[..., sl] for a in arrays), **kwargs)
+                for f, sl in self.factor_slices()]
+
+    def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> np.ndarray:
+        p = super().validate_points(p, tol)
+        self._blockwise("validate_points", p, tol=tol)
+        return p
+
+    def project_point(self, p: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            self._blockwise("project_point", np.asarray(p, dtype=float)), axis=-1)
+
+    def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.sum(self._blockwise("metric", p, v, w), axis=0)
+
+    def apply_J(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.concatenate(self._blockwise("apply_J", p, v), axis=-1)
+
+    def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.concatenate(self._blockwise("tangent_project", p, w), axis=-1)
+
+    gaussian_curvature = _per_factor_only("scalar curvature")
+    curvature_gradient = _per_factor_only("the curvature gradient")
+    chart_metric = christoffel = covariant_rhs = tension = _per_factor_only(
+        "the declared chart")
+    reference_frame = _per_factor_only("the reference frame")
+    reference_connection = _per_factor_only("the reference connection")
+
 
 # -- factories ---------------------------------------------------------------
 
@@ -253,7 +493,7 @@ class SurfaceModel:
 def round_sphere(radius: float = 1.0) -> SurfaceModel:
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return SurfaceModel(kind="round_sphere", radius=radius)
+    return RoundSphere(radius=radius)
 
 
 def warped_sphere(warp: Callable, warp_grad: Callable) -> SurfaceModel:
@@ -263,8 +503,7 @@ def warped_sphere(warp: Callable, warp_grad: Callable) -> SurfaceModel:
     ambient gradient (any smooth extension; it is projected tangentially
     where a tangential differential is required).
     """
-    return SurfaceModel(kind="warped_sphere", radius=1.0,
-                        warp=warp, warp_grad=warp_grad)
+    return WarpedSphere(warp=warp, warp_grad=warp_grad)
 
 
 def bump_warp(amplitude: float, width: float, center=(0.0, 0.0, 1.0)):
@@ -286,19 +525,19 @@ def bump_warp(amplitude: float, width: float, center=(0.0, 0.0, 1.0)):
 
 
 def hyperbolic_disk() -> SurfaceModel:
-    return SurfaceModel(kind="hyperbolic_disk")
+    return HyperbolicDisk()
 
 
 def flat_torus() -> SurfaceModel:
-    return SurfaceModel(kind="flat_torus")
+    return FlatTorus()
 
 
 def product_surface(*factors: SurfaceModel) -> SurfaceModel:
     if len(factors) < 2:
         raise ValueError("a product needs at least two factors")
-    if any(f.kind == "product" for f in factors):
+    if any(isinstance(f, ProductSurface) for f in factors):
         raise UnsupportedOperationError("nested products are not supported")
-    return SurfaceModel(kind="product", factors=tuple(factors))
+    return ProductSurface(factors=tuple(factors))
 
 
 # -- tangent vectors ----------------------------------------------------------
@@ -315,28 +554,22 @@ class TangentVector:
         self.point = np.asarray(self.point, dtype=float)
         self.components = np.asarray(self.components, dtype=float)
 
-    def tangency_residual(self, surface: SurfaceModel) -> float:
-        off = self.components - surface.tangent_project(self.point, self.components)
-        return float(np.linalg.norm(off))
-
 
 # -- spec-level operations -----------------------------------------------------
 
 
 def curvature_at(surface: SurfaceModel, p: np.ndarray) -> np.ndarray:
     """Gaussian curvature; validates that p lies on the manifold."""
-    surface.validate_points(p)
-    return surface.gaussian_curvature(np.asarray(p, dtype=float))
+    return surface.gaussian_curvature(surface.validate_points(p))
 
 
 def project_tangent(surface: SurfaceModel, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the tangent space (embedded targets)."""
-    if not (surface.embedded or surface.kind == "product"):
+    if isinstance(surface, _ConformalChart):
         raise UnsupportedOperationError(
             "tangent projection only applies to embedded representations"
         )
-    surface.validate_points(p)
-    return surface.tangent_project(np.asarray(p, dtype=float),
+    return surface.tangent_project(surface.validate_points(p),
                                    np.asarray(w, dtype=float))
 
 
@@ -351,23 +584,7 @@ def sphere_chart_point(q: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 def chart_metric(surface: SurfaceModel, q: np.ndarray) -> np.ndarray:
     """Metric components in the declared chart, shape (..., 2, 2)."""
-    q = np.asarray(q, dtype=float)
-    if surface.kind in ("round_sphere", "warped_sphere"):
-        th = q[..., 0]
-        g = np.zeros(q.shape[:-1] + (2, 2))
-        g[..., 0, 0] = surface.radius**2
-        g[..., 1, 1] = (surface.radius * np.sin(th)) ** 2
-        if surface.kind == "warped_sphere":
-            lam = surface.warp(sphere_chart_point(q))
-            g = np.exp(2.0 * np.asarray(lam))[..., None, None] * g
-        return g
-    if surface.kind == "hyperbolic_disk":
-        r2 = np.sum(q * q, axis=-1)
-        conf = (2.0 / (1.0 - r2)) ** 2
-        return conf[..., None, None] * np.eye(2)
-    if surface.kind == "flat_torus":
-        return np.broadcast_to(np.eye(2), q.shape[:-1] + (2, 2)).copy()
-    raise UnsupportedOperationError("no declared chart for this target")
+    return surface.chart_metric(np.asarray(q, dtype=float))
 
 
 def christoffel_at(surface: SurfaceModel, q: np.ndarray) -> np.ndarray:
@@ -376,53 +593,7 @@ def christoffel_at(surface: SurfaceModel, q: np.ndarray) -> np.ndarray:
     Layout: result[..., k, i, j].  Sphere charts are (colatitude, longitude)
     and are rejected near the poles where the chart degenerates.
     """
-    q = np.asarray(q, dtype=float)
-    if surface.kind in ("round_sphere", "warped_sphere"):
-        th = q[..., 0]
-        s, c = np.sin(th), np.cos(th)
-        if np.any(np.abs(s) < 1e-6):
-            raise SingularChartError(
-                "colatitude-longitude chart is singular at the poles"
-            )
-        gam = np.zeros(q.shape[:-1] + (2, 2, 2))
-        gam[..., 0, 1, 1] = -s * c
-        gam[..., 1, 0, 1] = c / s
-        gam[..., 1, 1, 0] = c / s
-        if surface.kind == "warped_sphere":
-            # conformal change: add d^k_i l_j + d^k_j l_i - g_ij g^kl l_l
-            p = sphere_chart_point(q)
-            grad = np.asarray(surface.warp_grad(p), dtype=float)
-            e_th = np.stack([c * np.cos(q[..., 1]), c * np.sin(q[..., 1]), -s],
-                            axis=-1)
-            e_ph = np.stack([-s * np.sin(q[..., 1]), s * np.cos(q[..., 1]),
-                             np.zeros_like(s)], axis=-1)
-            l1 = np.sum(grad * e_th, axis=-1)
-            l2 = np.sum(grad * e_ph, axis=-1)
-            lam_d = np.stack([l1, l2], axis=-1)
-            g = np.stack([np.ones_like(s), s * s], axis=-1)  # diagonal, radius 1
-            eye = np.eye(2)
-            gam = gam + (np.einsum("ki,...j->...kij", eye, lam_d)
-                         + np.einsum("kj,...i->...kij", eye, lam_d)
-                         - np.einsum("ij,...i,...k->...kij", eye, g, lam_d)
-                         / g[..., :, None, None])
-        return gam
-    if surface.kind in ("hyperbolic_disk", "flat_torus"):
-        gam = np.zeros(q.shape[:-1] + (2, 2, 2))
-        if surface.kind == "hyperbolic_disk":
-            surface.validate_points(q)
-            r2 = np.sum(q * q, axis=-1)
-            lx = 2.0 * q[..., 0] / (1.0 - r2)
-            ly = 2.0 * q[..., 1] / (1.0 - r2)
-            gam[..., 0, 0, 0] = lx
-            gam[..., 0, 0, 1] = ly
-            gam[..., 0, 1, 0] = ly
-            gam[..., 0, 1, 1] = -lx
-            gam[..., 1, 1, 1] = ly
-            gam[..., 1, 0, 1] = lx
-            gam[..., 1, 1, 0] = lx
-            gam[..., 1, 0, 0] = -ly
-        return gam
-    raise UnsupportedOperationError("no declared chart for this target")
+    return surface.christoffel(np.asarray(q, dtype=float))
 
 
 # -- parallel transport --------------------------------------------------------
@@ -434,24 +605,19 @@ def _covariant_rhs(surface: SurfaceModel, u, du, v):
     Linear in v and broadcast over leading axes, so a stack of vectors (or
     the identity rows, giving the generator matrix) goes through at once.
     """
-    if surface.kind == "round_sphere":
-        return -(_dot(v, du) / surface.radius**2) * u
-    if surface.kind == "warped_sphere":
-        grad = np.asarray(surface.warp_grad(u), dtype=float)
-        grad = grad - _dot(grad, u) * u  # tangential part on the unit sphere
-        rhs = -_dot(v, du) * u
-        rhs = rhs - _dot(grad, du) * v - _dot(grad, v) * du
-        rhs = rhs + _dot(du, v) * grad
-        return rhs
-    # chart targets: dv^k = -Gamma^k_{ij} du^i v^j
-    gam = christoffel_at(surface, u)
-    return -np.einsum("...kij,...i,...j->...k", gam, du, v)
+    return surface.covariant_rhs(u, du, v)
 
 
 def _unit_tangent(surface: SurfaceModel, p, w):
     """w projected onto the tangent space at p and scaled to unit length."""
     w = surface.tangent_project(p, w)
     return w / np.sqrt(surface.metric(p, w, w))[..., None]
+
+
+def _frame_angle(surface: SurfaceModel, p, w, e1, e2) -> float:
+    """Angle of the tangent vector w at p in the orthonormal frame (e1, e2);
+    with w the once-around transport of e1, the holonomy rotation."""
+    return float(np.arctan2(surface.metric(p, w, e2), surface.metric(p, w, e1)))
 
 
 def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
@@ -485,11 +651,9 @@ def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray):
 
     n = points.shape[0]
     grid = SpectralGrid(n, "circle")
-    fine = grid.upsample(points, 2)
+    fine = surface.project_point(grid.upsample(points, 2))
     dpath = grid.derivative(points) / n  # d(point)/d(step index)
     dfine = grid.upsample(dpath, 2)
-    if surface.embedded or surface.kind == "product":
-        fine = surface.project_point(fine)
     nodes = np.vstack([fine[0::2], points[:1]])
     mids = fine[1::2]
     dnodes = np.vstack([dfine[0::2], dfine[:1]])
@@ -504,11 +668,9 @@ def _open_path_data(surface: SurfaceModel, points: np.ndarray):
         raise ValueError("a path needs at least two samples")
     if m < 3:
         # too short for cubic stencils: linear fallback
-        mids = 0.5 * (points[:-1] + points[1:])
+        mids = surface.project_point(0.5 * (points[:-1] + points[1:]))
         dnodes = np.gradient(points, axis=0)
         dmids = points[1:] - points[:-1]
-        if surface.embedded:
-            mids = surface.project_point(mids)
         return points.copy(), mids, dnodes, dmids
 
     idx = np.arange(m)
@@ -532,21 +694,18 @@ def _open_path_data(surface: SurfaceModel, points: np.ndarray):
 
     w_mid, dw_mid = lagrange_weights(offs + 0.5)
     _, dw_node = lagrange_weights(offs.astype(float))
-    mids = np.einsum("sj,sjd->sd", w_mid, stack)
+    mids = surface.project_point(np.einsum("sj,sjd->sd", w_mid, stack))
     dmids = np.einsum("sj,sjd->sd", dw_mid, stack)
     dnode_start = np.einsum("sj,sjd->sd", dw_node, stack)
     w_end, dw_end = lagrange_weights(offs + 1.0)
     dnode_end = np.einsum("sj,sjd->sd", dw_end, stack)
     dnodes = np.vstack([dnode_start, dnode_end[-1:]])
-    if surface.embedded:
-        mids = surface.project_point(mids)
     return points.copy(), mids, dnodes, dmids
 
 
 def _path_frame(surface: SurfaceModel, points, closed, seed=None):
     """Transported J-adapted frame (e1, e2 = J e1) along a sampled path."""
-    points = np.asarray(points, dtype=float)
-    surface.validate_points(points, tol=1e-8)
+    points = surface.validate_points(points, tol=1e-8)
     if closed:
         nodes, mids, dn, dm = _closed_loop_path_data(surface, points)
     else:
@@ -574,24 +733,18 @@ def parallel_transport(
 
     ``path`` is an (M+1, d) array of manifold points; ``closed`` marks the
     samples as one full period of a smooth loop (the final point is the
-    first one again and interpolation is trigonometric).
+    first one again and interpolation is trigonometric).  Each factor of a
+    product moves its part of v0 along its part of the path.
     """
-    if surface.kind == "product":
-        comps = np.empty(surface.point_dim)
-        point = np.empty(surface.point_dim)
-        for f, sl in surface.factor_slices():
-            res = parallel_transport(
-                f, np.asarray(path, dtype=float)[:, sl],
-                TangentVector(v0.point[sl], v0.components[sl]), closed)
-            comps[sl] = res.components
-            point[sl] = res.point
-        return TangentVector(point, comps)
-
-    nodes, e1, e2 = _path_frame(surface, path, closed)
-    p0, p1 = nodes[0], nodes[-1]
-    c1 = surface.metric(p0, v0.components, e1[0])
-    c2 = surface.metric(p0, v0.components, e2[0])
-    return TangentVector(p1, c1 * e1[-1] + c2 * e2[-1])
+    path = np.asarray(path, dtype=float)
+    ends, comps = [], []
+    for f, sl in surface.factor_slices():
+        nodes, e1, e2 = _path_frame(f, path[:, sl], closed)
+        c1 = f.metric(nodes[0], v0.components[sl], e1[0])
+        c2 = f.metric(nodes[0], v0.components[sl], e2[0])
+        ends.append(nodes[-1])
+        comps.append(c1 * e1[-1] + c2 * e2[-1])
+    return TangentVector(np.concatenate(ends), np.concatenate(comps))
 
 
 def loop_frame(surface: SurfaceModel, points: np.ndarray, seed=None):
@@ -608,17 +761,6 @@ def loop_frame(surface: SurfaceModel, points: np.ndarray, seed=None):
 # -- reference frames and connection forms --------------------------------------
 
 
-def _azimuthal_frame_raw(points: np.ndarray):
-    w = np.cross(np.broadcast_to(_Z_AXIS, points.shape), points)
-    norms = np.linalg.norm(w, axis=-1)
-    if np.any(norms < 1e-6):
-        raise SingularChartError(
-            "azimuthal reference frame is singular near the poles"
-        )
-    f1 = w / norms[..., None]
-    return f1
-
-
 def reference_frame(surface: SurfaceModel, points: np.ndarray):
     """A smooth metric-orthonormal J-adapted frame along the given points.
 
@@ -626,19 +768,7 @@ def reference_frame(surface: SurfaceModel, points: np.ndarray):
     charts use the normalized coordinate axes.  The frame is single-valued
     along any loop, which makes it a valid gauge for connection integrals.
     """
-    points = np.asarray(points, dtype=float)
-    if surface.kind == "product":
-        raise UnsupportedOperationError("reference frames are per factor")
-    if surface.embedded:
-        f1 = _azimuthal_frame_raw(points / surface.radius) * surface.radius
-        scale = np.exp(-surface.conformal_factor(points))[..., None]
-        f1 = f1 * scale
-        f2 = surface.apply_J(points, f1)
-        return f1, f2
-    scale = np.exp(-surface.conformal_factor(points))
-    f1 = np.stack([scale, np.zeros_like(scale)], axis=-1)
-    f2 = np.stack([np.zeros_like(scale), scale], axis=-1)
-    return f1, f2
+    return surface.reference_frame(np.asarray(points, dtype=float))
 
 
 def reference_connection(
@@ -650,41 +780,8 @@ def reference_connection(
     derivatives or flow velocities).  The parallel-frame rotation relative
     to the reference frame integrates -beta.
     """
-    points = np.asarray(points, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    if surface.kind == "product":
-        raise UnsupportedOperationError("reference connections are per factor")
-    if surface.embedded:
-        # round part: f1 = normalize(z x p), omega(v) = <D_v f1, p x f1>
-        p = points / surface.radius
-        v = vectors / surface.radius
-        w = _cross(_Z_AXIS, p)
-        norm = np.linalg.norm(w, axis=-1)
-        if np.any(norm < 1e-6):
-            raise SingularChartError(
-                "azimuthal reference frame is singular near the poles"
-            )
-        zv = _cross(_Z_AXIS, v)
-        f1 = w / norm[..., None]
-        f2 = _cross(p, f1)
-        dvf1 = zv / norm[..., None] - w * (
-            np.sum(w * zv, axis=-1) / norm**3
-        )[..., None]
-        omega = np.sum(dvf1 * f2, axis=-1)
-        if surface.kind == "warped_sphere":
-            grad = np.asarray(surface.warp_grad(points), dtype=float)
-            grad = grad - np.sum(grad * p, axis=-1, keepdims=True) * p
-            jv = _cross(p, vectors)
-            omega = omega - np.sum(grad * jv, axis=-1) / surface.radius
-        return omega
-    if surface.kind == "hyperbolic_disk":
-        r2 = np.sum(points * points, axis=-1)
-        lx = 2.0 * points[..., 0] / (1.0 - r2)
-        ly = 2.0 * points[..., 1] / (1.0 - r2)
-        return -ly * vectors[..., 0] + lx * vectors[..., 1]
-    if surface.kind == "flat_torus":
-        return np.zeros(points.shape[:-1])
-    raise UnsupportedOperationError("no reference connection for this target")
+    return surface.reference_connection(np.asarray(points, dtype=float),
+                                        np.asarray(vectors, dtype=float))
 
 
 def azimuthal_winding(surface: SurfaceModel, points: np.ndarray) -> int:
@@ -693,13 +790,4 @@ def azimuthal_winding(surface: SurfaceModel, points: np.ndarray) -> int:
     Counts full turns of the azimuth along the sample sequence; zero for
     chart targets whose reference frame is globally smooth.
     """
-    if not surface.embedded:
-        return 0
-    points = np.asarray(points, dtype=float)
-    phi = np.unwrap(np.arctan2(points[:, 1], points[:, 0]))
-    closing = np.arctan2(points[0, 1], points[0, 0])
-    # wrap the closing step consistently with the unwrapped sequence
-    last = phi[-1]
-    delta = (closing - last + np.pi) % (2.0 * np.pi) - np.pi
-    total = (last + delta) - phi[0]
-    return int(np.rint(total / (2.0 * np.pi)))
+    return surface.azimuthal_winding(points)

@@ -28,6 +28,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ConfigError, InconsistentHolonomyError
 from .geometry import (
     SurfaceModel,
+    _frame_angle,
     azimuthal_winding,
     loop_frame,
     reference_connection,
@@ -44,10 +45,7 @@ def transport_angle(surface: SurfaceModel, points: np.ndarray, seed=None) -> flo
     """Rotation angle (mod 2*pi, in (-pi, pi]) of parallel transport
     around the closed loop, measured in the transported frame."""
     e1, e2, e1_wrap, _ = loop_frame(surface, points, seed=seed)
-    p0 = points[0]
-    return float(
-        np.arctan2(surface.metric(p0, e1_wrap, e2[0]), surface.metric(p0, e1_wrap, e1[0]))
-    )
+    return _frame_angle(surface, points[0], e1_wrap, e1[0], e2[0])
 
 
 def holonomy_ode(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray) -> float:
@@ -89,9 +87,8 @@ def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,
     cell, evaluated at the midpoint loop with centered u_t."""
     if dt == 0.0:
         return 0.0
-    mid = 0.5 * (np.asarray(points_a, float) + np.asarray(points_b, float))
-    if surface.embedded:
-        mid = surface.project_point(mid)
+    mid = surface.project_point(0.5 * (np.asarray(points_a, float)
+                                       + np.asarray(points_b, float)))
     ut = (points_b - points_a) / dt
     ux = grid.derivative(mid)
     dens = surface.gaussian_curvature(mid) * surface.metric(mid, surface.apply_J(mid, ux), ut)
@@ -283,12 +280,9 @@ def connection_matrix_samples(surface: SurfaceModel, grid: SpectralGrid, points:
     connection form per factor)."""
     points = np.asarray(points, dtype=float)
     ux = grid.derivative(points)
-    if surface.kind != "product":
-        beta = reference_connection(surface, points, ux)
-        return (1j * beta)[:, None, None]
-    n_factors = len(surface.factors)
-    out = np.zeros((grid.n, n_factors, n_factors), dtype=complex)
-    for idx, (factor, sl) in enumerate(surface.factor_slices()):
+    factors = surface.factor_slices()
+    out = np.zeros((grid.n, len(factors), len(factors)), dtype=complex)
+    for idx, (factor, sl) in enumerate(factors):
         beta = reference_connection(factor, points[:, sl], ux[:, sl])
         out[:, idx, idx] = 1j * beta
     return out

@@ -132,6 +132,37 @@ class TestRunScenario:
         # plus one for the final state
         assert len(calls) == 7
 
+    def test_coupled_run_computes_theta_ode_once_per_state(self, workdir,
+                                                            monkeypatch):
+        """The timeseries and the holonomy payload read holonomy_ode from
+        the coupled result: one call for the initial lift and one per state,
+        none in the command line layer."""
+        from smflow import frame_reduction as fr
+
+        ode = fr.holonomy_ode
+        calls = {"fr": 0, "cli": 0}
+
+        def counting(layer):
+            def wrapped(*args):
+                calls[layer] += 1
+                return ode(*args)
+            return wrapped
+
+        monkeypatch.setattr(fr, "holonomy_ode", counting("fr"))
+        monkeypatch.setattr(cli, "holonomy_ode", counting("cli"))
+        cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 3e-4})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert calls == {"fr": 3 + 2, "cli": 0}
+        cols, data = read_csv(workdir / "out" / "timeseries.csv")
+        surface, grid, loop, dt, n_steps = cli._materialize(cli.load_config(str(cfg)))
+        res = fr.coupled_evolve(loop, dt, n_steps)
+        final = ode(surface, grid, res.final_state.points)
+        assert res.theta_ode[-1] == final
+        theta_ode = data[-1, cols.index("theta_ode")]
+        assert theta_ode == fr.lift_to_branch(final, res.theta[-1])
+        hol = json.loads((workdir / "out" / "holonomy.json").read_text())
+        assert hol["theta_ode"] == theta_ode
+
     def test_t_zero_single_row_and_snapshot(self, workdir):
         cfg = write_config(workdir, time={"t_final": 0.0})
         assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -299,6 +330,19 @@ class TestConfigValidation:
         assert parsed["domain"]["n"] == 128
         assert parsed["init"]["eps"] == 0.01
         assert parsed["init"]["kind"] == "latitude"
+
+    def test_parser_is_built_once_and_overrides_do_not_leak(self, workdir,
+                                                             monkeypatch):
+        cfg = write_config(workdir, time={"t_final": 0.0})
+        monkeypatch.setattr(cli, "build_parser", None)  # main must not rebuild
+        assert cli.main(["run", "--config", str(cfg), "--set", "output.dir=a",
+                         "--set", "domain.n=64"]) == 0
+        assert cli.main(["run", "--config", str(cfg), "--set", "output.dir=b"]) == 0
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        for name, n in (("a", 64), ("b", 32), ("out", 32)):
+            echo = json.loads((workdir / name / "config.json").read_text())
+            assert echo["domain"]["n"] == n
+            assert echo["output"]["dir"] == name
 
     def test_float_formatting_round_trips(self):
         for v in (1 / 3, 0.1, 2e-17, 123456.789012345, np.pi):

@@ -36,14 +36,15 @@ def test_great_circle_energy():
 
 def test_latitude_energy_and_tension_magnitude():
     alpha = 1.0
-    state = make_state("latitude", n=128, alpha=alpha)
-    assert fd.energy(state) == pytest.approx(
-        2 * np.pi**2 * np.sin(alpha) ** 2, rel=1e-11
-    )
-    tau = fd.tension(state)
-    mag = np.linalg.norm(tau, axis=-1)
-    expected = 4 * np.pi**2 * np.sin(alpha) * abs(np.cos(alpha))
-    assert np.abs(mag - expected).max() < 1e-8 * expected
+    for r in (1.0, 2.0):
+        state = make_state("latitude", n=128, alpha=alpha, surface=geo.round_sphere(r))
+        assert fd.energy(state) == pytest.approx(
+            2 * np.pi**2 * r**2 * np.sin(alpha) ** 2, rel=1e-11
+        )
+        tau = fd.tension(state)
+        mag = np.linalg.norm(tau, axis=-1)
+        expected = 4 * np.pi**2 * r * np.sin(alpha) * abs(np.cos(alpha))
+        assert np.abs(mag - expected).max() < 1e-8 * expected
 
 
 def test_radius_scales_energy():

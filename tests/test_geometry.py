@@ -155,6 +155,27 @@ def test_J_is_isometric_and_squares_to_minus_one(bump_sphere):
         assert np.abs(s.apply_J(p, jv) + v).max() < 1e-12
 
 
+def test_mixed_product_acts_factor_by_factor():
+    a, b = geo.round_sphere(2.0), geo.hyperbolic_disk()
+    prod = geo.product_surface(a, b)
+    rng = np.random.default_rng(5)
+    pa = a.project_point(rng.normal(size=(10, 3)))
+    pb = rng.uniform(-0.5, 0.5, size=(10, 2))
+    p = np.hstack([pa, pb])
+    v, w = rng.normal(size=(2, 10, 5))
+    prod.validate_points(p)
+    assert np.array_equal(prod.project_point(p),
+                          np.hstack([a.project_point(pa), b.project_point(pb)]))
+    for op in ("apply_J", "tangent_project"):
+        expected = np.hstack([getattr(a, op)(pa, v[:, :3]), getattr(b, op)(pb, v[:, 3:])])
+        assert np.array_equal(getattr(prod, op)(p, v), expected)
+    assert np.array_equal(prod.metric(p, v, w),
+                          a.metric(pa, v[:, :3], w[:, :3]) + b.metric(pb, v[:, 3:], w[:, 3:]))
+    p[0, 3] = 1.5  # outside the disk factor
+    with pytest.raises(OffManifoldError):
+        prod.validate_points(p)
+
+
 def test_tangent_projection_is_idempotent_orthogonal():
     s = geo.round_sphere()
     rng = np.random.default_rng(3)

@@ -1,0 +1,69 @@
+"""Run a fixed matrix of ``smflow run`` scenarios into one directory.
+
+Every target of the command line runs coupled, the round and the warped
+sphere also run autonomous, and one run uses the line domain; all at N=32
+over three steps with a snapshot after every step. Each scenario writes its
+artifacts to ``OUT/<name>/`` and ``OUT/exit_codes.json`` records the exit
+codes. Every input is fixed and the output root is passed through
+``SMFLOW_OUT``, so the config echo holds no path: two versions of the
+package that compute the same numbers write byte-identical trees. Compare
+two checkouts with::
+
+    PYTHONPATH=src python3 tools/artifact_matrix.py /tmp/matrix-new
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/artifact_matrix.py /tmp/matrix-old
+    diff -r /tmp/matrix-old /tmp/matrix-new
+
+The script imports whichever ``smflow`` is first on the path and prints its
+location.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from pathlib import Path
+
+COMMON = ("domain.n=32", "time.dt=1e-4", "time.t_final=3e-4",
+          "diagnostics.snapshot_cadence=1")
+SPHERE = ("init.kind=perturbed_latitude", "init.alpha=1.0", "init.eps=0.05")
+CHART = ("init.kind=fourier", "init.offset=[0.1,-0.05]")
+AUTONOMOUS = ("reduction.mode=autonomous",)
+SCENARIOS = {
+    "coupled_round_sphere": ("target.kind=round_sphere", *SPHERE),
+    "coupled_warped_sphere": ("target.kind=warped_sphere", *SPHERE),
+    "coupled_hyperbolic_disk": ("target.kind=hyperbolic_disk", *CHART),
+    "coupled_flat_torus": ("target.kind=flat_torus", *CHART),
+    "autonomous_round_sphere": ("target.kind=round_sphere", *SPHERE, *AUTONOMOUS),
+    "autonomous_warped_sphere": ("target.kind=warped_sphere", *SPHERE, *AUTONOMOUS),
+    "line_hyperbolic_disk": ("target.kind=hyperbolic_disk", "domain.kind=line",
+                             "init.kind=fourier",
+                             "init.coeffs=[[2,0.1,0.0],[1,0.0,0.08]]",
+                             "init.offset=[0.1,0.2]", "init.envelope_sigma=0.8"),
+}
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[1]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    os.environ["SMFLOW_OUT"] = str(out)
+    from smflow import cli
+
+    print(f"smflow from {Path(cli.__file__).parent}")
+    codes = {}
+    for name, sets in SCENARIOS.items():
+        args = ["run"]
+        for item in (*COMMON, *sets, f"output.dir={name}"):
+            args += ["--set", item]
+        codes[name] = cli.main(args)
+    (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    for name, code in codes.items():
+        print(f"{code}  {name}")
+    return 0 if not any(codes.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
