@@ -17,12 +17,11 @@ from . import frame_reduction as fr
 from .errors import ConfigError
 from .geometry import bump_warp, round_sphere, warped_sphere
 from .holonomy import (
+    _x_independence,
     connection_matrix_samples,
     holonomy_ode,
     holonomy_rate,
     lift_to_branch,
-    product_integral,
-    x_independence_check,
 )
 from .nls_solver import (
     ComplexField,
@@ -142,11 +141,10 @@ def _check_holonomy(rng):
                        "centered difference of the transport angle"))
 
     samples = connection_matrix_samples(warped, wg, wl.points)
-    H = product_integral(samples)
+    H, spectral, _ = _x_independence(samples, 1.0, 8)
     out.append(_result("holonomy", "matrix_unitarity",
                        np.abs(H @ H.conj().T - np.eye(H.shape[0])).max(),
                        1e-10))
-    spectral, _ = x_independence_check(samples, n_bases=8)
     out.append(_result("holonomy", "matrix_base_independence",
                        spectral, 1e-7, "8 base points"))
     return out

@@ -32,13 +32,12 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
 from .geometry import bump_warp, flat_torus, hyperbolic_disk, round_sphere, warped_sphere
 from .holonomy import (
+    _x_independence,
     connection_matrix_samples,
     holonomy_ode,
     holonomy_rate,
     lift_to_branch,
-    product_integral,
     swept_angle_increment,
-    x_independence_check,
 )
 from .spectral import SpectralGrid
 
@@ -313,10 +312,8 @@ def _snapshot_indices(n_steps, snapshot_cadence):
 
 def _holonomy_payload(surface, grid, points, theta, theta_ode, theta_gb):
     samples = connection_matrix_samples(surface, grid, points)
-    H = product_integral(samples, period=grid.period)
+    H, spectral, aligned = _x_independence(samples, grid.period, 8)
     eye = np.eye(H.shape[0])
-    spectral, aligned = x_independence_check(samples, period=grid.period,
-                                             n_bases=8)
     return {
         "schema": SCHEMA_HOLONOMY,
         "matrix": _complex_matrix_json(H),

@@ -41,9 +41,10 @@ from .errors import (
 )
 from .flow_direct import LoopState
 from .geometry import (ProductSurface, SurfaceModel, WarpedSphere, _covariant_rhs,
-                       _frame_angle, _unit_tangent, loop_frame)
+                       _frame_angle, _path_frame, _unit_tangent)
 from .holonomy import (
-    holonomy_ode,
+    _holonomy_ode,
+    _holonomy_rate,
     holonomy_rate,
     lift_to_branch,
     swept_angle_increment,
@@ -97,6 +98,12 @@ def parallel_frame(surface: SurfaceModel, loop: LoopState, seed=None,
     The frame is smooth along the transport path; the holonomy mismatch
     sits between the wrap values and the base values.
     """
+    return _parallel_frame(surface, loop, seed, base_index)
+
+
+def _parallel_frame(surface: SurfaceModel, loop: LoopState, seed, base_index: int,
+                    dpath=None) -> FrameField:
+    """parallel_frame given the loop's d(point)/d(index), if known."""
     if isinstance(surface, ProductSurface):
         raise UnsupportedOperationError(
             "parallel frames are scalar-gauge only; use product_integral "
@@ -107,7 +114,9 @@ def parallel_frame(surface: SurfaceModel, loop: LoopState, seed=None,
     pts = loop.points
     if base_index % loop.grid.n:
         pts = np.roll(pts, -base_index, axis=0)
-    e1, e2, e1w, e2w = loop_frame(surface, pts, seed=seed)
+        dpath = None if dpath is None else np.roll(dpath, -base_index, axis=0)
+    e1, e2 = _path_frame(surface, pts, True, seed, dpath)[1:]
+    e1, e2, e1w, e2w = e1[:-1], e2[:-1], e1[-1], e2[-1]
     if base_index % loop.grid.n:
         e1 = np.roll(e1, base_index, axis=0)
         e2 = np.roll(e2, base_index, axis=0)
@@ -163,15 +172,21 @@ class FrameCoefficients:
 
 def coefficients(loop: LoopState, frame: FrameField) -> FrameCoefficients:
     """Frame coefficients of u_x, including the wrap continuation value."""
+    return _coefficients(loop.grid, loop.points, frame,
+                         loop.grid.derivative(loop.points))
+
+
+def _coefficients(grid: SpectralGrid, points: np.ndarray, frame: FrameField,
+                  ux: np.ndarray) -> FrameCoefficients:
+    """coefficients with the loop derivative u_x supplied."""
     h = frame.surface.metric
-    ux = loop.grid.derivative(loop.points)
-    a1 = h(loop.points, ux, frame.e1)
-    a2 = h(loop.points, ux, frame.e2)
+    a1 = h(points, ux, frame.e1)
+    a2 = h(points, ux, frame.e2)
     a = np.stack([a1, a2], axis=-1)
     b = frame.base_index
     pw = frame.points[b]
     phi_wrap = complex(h(pw, ux[b], frame.e1_wrap), h(pw, ux[b], frame.e2_wrap))
-    return FrameCoefficients(loop.grid, a, a1 + 1j * a2, phi_wrap, base_index=b)
+    return FrameCoefficients(grid, a, a1 + 1j * a2, phi_wrap, base_index=b)
 
 
 def twisted_residual(coeffs: FrameCoefficients, theta: float) -> float:
@@ -222,14 +237,16 @@ class NonlinearTerms:
         return self.Q + self.S - self.W + self.T
 
 
-def _curvature_letters(surface: SurfaceModel, grid: SpectralGrid,
-                       points: np.ndarray, phi: np.ndarray):
+def _curvature_letters(grid: SpectralGrid, K: np.ndarray, phi: np.ndarray, dK=None):
     """S = -K |Phi|^2 / 2, the curvature-rate density r = (K o u)_x |Phi|^2 / 2
-    and its primitive R from node 0."""
-    K = surface.gaussian_curvature(points)
+    and its primitive R from node 0, from K along the loop and, unless it is
+    supplied, its derivative dK; r = R = 0 when K is constant."""
     amp2 = np.abs(phi) ** 2
-    r = grid.derivative(K) * amp2 * 0.5
-    return -0.5 * K * amp2, r, grid.cumulative_integral(r)
+    S = -0.5 * K * amp2
+    if np.ptp(K) == 0.0:
+        return S, np.zeros_like(K), np.zeros_like(K)
+    r = (grid.derivative(K) if dK is None else dK) * amp2 * 0.5
+    return S, r, grid.cumulative_integral(r)
 
 
 def gauge_potential(surface: SurfaceModel, loop: LoopState,
@@ -246,7 +263,7 @@ def gauge_potential(surface: SurfaceModel, loop: LoopState,
 def _gauge_assembly(surface: SurfaceModel, grid: SpectralGrid,
                     points: np.ndarray, phi: np.ndarray, b: int) -> np.ndarray:
     """V = S - S(b) + tail on plain arrays (see gauge_potential)."""
-    S, r, R = _curvature_letters(surface, grid, points, phi)
+    S, r, R = _curvature_letters(grid, surface.gaussian_curvature(points), phi)
     tail = R - R[b]
     if b:
         tail[:b] += grid.integrate(r)
@@ -267,8 +284,14 @@ def nonlinear_terms(surface: SurfaceModel, loop: LoopState,
     """
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
-    grid = loop.grid
-    S, r, R = _curvature_letters(surface, grid, loop.points, coeffs.phi)
+    return _nonlinear_terms(loop.grid, coeffs, domain,
+                            surface.gaussian_curvature(loop.points), decay_tol=decay_tol)
+
+
+def _nonlinear_terms(grid: SpectralGrid, coeffs: FrameCoefficients, domain: str,
+                     K: np.ndarray, dK=None, decay_tol: float = 1e-6) -> NonlinearTerms:
+    """nonlinear_terms from K along the loop and, if known, its derivative."""
+    S, r, R = _curvature_letters(grid, K, coeffs.phi, dK)
     if domain == "line":
         edge = max(2, grid.n // 16)
         scale = np.abs(coeffs.phi).max()
@@ -428,24 +451,39 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     the assembled equation with the same dt. Records both routes to phi,
     holonomy angles by transport/sweep/rate, and the cross-formulation
     error.
+
+    Each state's u_x feeds the frame's path data (as u_x / n, on the
+    period-1 circle grid only), the coefficients, the energy and the
+    holonomy_ode angle; its K and, unless constant, dK feed the potential
+    letters and the rate. Each is computed once.
     """
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
     surface, grid = state0.surface, state0.grid
     circle = domain == "circle"
 
-    frame = parallel_frame(surface, state0, seed=seed)
+    def reduce(state, seed, theta_ref=None):
+        """Frame, coefficients, theta (lifted next to theta_ref, by default
+        holonomy_ode), rate, phi, potential, u_x and |u_x|^2_h of a state."""
+        ux = grid.derivative(state.points)
+        dpath = ux / grid.n if grid.kind == "circle" else None
+        frame = _parallel_frame(surface, state, seed, 0, dpath)
+        coeffs = _coefficients(grid, state.points, frame, ux)
+        K = surface.gaussian_curvature(state.points)
+        dK = None if np.ptp(K) == 0.0 else grid.derivative(K)
+        terms = _nonlinear_terms(grid, coeffs, domain, K, dK)
+        speed2 = surface.metric(state.points, ux, ux)
+        if not circle:
+            return frame, coeffs, 0.0, 0.0, coeffs.phi.copy(), terms.S + terms.T, ux, speed2
+        if theta_ref is None:
+            theta_ref = _holonomy_ode(surface, grid, state.points, ux)
+        theta_k = lift_to_branch(frame.transport_angle(), theta_ref)
+        rate = _holonomy_rate(grid, dK, speed2)
+        return (frame, coeffs, theta_k, rate, untwist(coeffs, theta_k),
+                grid.nodes * rate + terms.potential(), ux, speed2)
+
+    frame, coeffs, theta_now, rate_now, phi_now, pot_now, ux, speed2 = reduce(state0, seed)
     w1 = frame.e1[0]
-    coeffs = coefficients(state0, frame)
-    terms = nonlinear_terms(surface, state0, coeffs, domain=domain)
-    if circle:
-        theta_now = lift_to_branch(frame.transport_angle(),
-                                   holonomy_ode(surface, grid, state0.points))
-        rate_now = holonomy_rate(surface, grid, state0.points)
-        phi_now = untwist(coeffs, theta_now)
-    else:
-        theta_now, rate_now = 0.0, 0.0
-        phi_now = coeffs.phi.copy()
 
     m = n_steps
     times = np.empty(m + 1)
@@ -466,19 +504,19 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     state = state0
     nls = ComplexField(grid, phi_now)
 
-    def record(k, state, coeffs, phi_f, theta_k, rate_k, gb_k):
+    def record(k, state, coeffs, phi_f, theta_k, rate_k, gb_k, ux, speed2):
         times[k] = state.time
         theta[k] = theta_k
         theta_gb[k] = gb_k
         theta_rate[k] = rate_k
-        energy[k] = fd.energy(state)
+        energy[k] = 0.5 * grid.integrate(speed2)  # fd.energy(state) from the shared |u_x|^2_h
         # fd.gradient_norm(state), without evaluating the energy again
         grad_norm[k] = float(np.sqrt(max(2.0 * energy[k], 0.0)))
         phi_frame[k] = phi_f
         phi_nls[k] = nls.values
         coeffs_hist[k] = coeffs.phi
         if circle:
-            ode = holonomy_ode(surface, grid, state.points)
+            ode = _holonomy_ode(surface, grid, state.points, ux)
             theta_ode[k] = ode
             resid_ode[k] = twisted_residual(coeffs, ode)
             closure[k] = abs(np.exp(1j * theta_k * grid.period) * coeffs.phi_wrap
@@ -494,40 +532,27 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         if observer is not None:
             observer(k, state, coeffs)
 
-    record(0, state, coeffs, phi_now, theta_now, rate_now, theta_now)
+    record(0, state, coeffs, phi_now, theta_now, rate_now, theta_now, ux, speed2)
     gb = theta_now
 
     for k in range(1, m + 1):
-        pot_now = (grid.nodes * rate_now + terms.potential()) if circle \
-            else (terms.S + terms.T)
         prev_points = state.points
         state, w1 = _step_with_seed(state, dt, w1)
-        frame = parallel_frame(surface, state, seed=w1)
+        frame, coeffs, theta_next, rate_next, phi_next, pot_next, ux, speed2 = \
+            reduce(state, w1, theta_now)
         w1 = frame.e1[0]
-        coeffs = coefficients(state, frame)
-        terms = nonlinear_terms(surface, state, coeffs, domain=domain)
         if circle:
-            theta_next = lift_to_branch(frame.transport_angle(), theta_now)
-            rate_next = holonomy_rate(surface, grid, state.points)
-            phi_next = untwist(coeffs, theta_next)
             gb = gb + swept_angle_increment(surface, grid, prev_points,
                                             state.points, dt)
-            pot_next = grid.nodes * rate_next + terms.potential()
-            theta_mid = 0.5 * (theta_now + theta_next)
-        else:
-            theta_next, rate_next = 0.0, 0.0
-            phi_next = coeffs.phi.copy()
-            pot_next = terms.S + terms.T
-            theta_mid = 0.0
-
         t_now = state.time - dt
 
         def potential(vals, t, a=pot_now, b_=pot_next, tm=t_now):
             return a if abs(t - tm) < 0.25 * abs(dt) else b_
 
-        nls = split_step(nls, dt, potential=potential, theta=theta_mid, t0=t_now)
-        theta_now, rate_now = theta_next, rate_next
-        record(k, state, coeffs, phi_next, theta_now, rate_now, gb)
+        nls = split_step(nls, dt, potential=potential,
+                         theta=0.5 * (theta_now + theta_next), t0=t_now)
+        theta_now, rate_now, pot_now = theta_next, rate_next, pot_next
+        record(k, state, coeffs, phi_next, theta_now, rate_now, gb, ux, speed2)
 
     return ReducedRunResult(
         times=times, theta=theta, theta_gb=theta_gb, theta_rate=theta_rate,

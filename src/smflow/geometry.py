@@ -226,14 +226,10 @@ class RoundSphere(SurfaceModel):
         return np.sum(dvf1 * f2, axis=-1)
 
     def azimuthal_winding(self, points: np.ndarray) -> int:
-        points = np.asarray(points, dtype=float)
-        phi = np.unwrap(np.arctan2(points[:, 1], points[:, 0]))
-        closing = np.arctan2(points[0, 1], points[0, 0])
-        # wrap the closing step consistently with the unwrapped sequence
-        last = phi[-1]
-        delta = (closing - last + np.pi) % (2.0 * np.pi) - np.pi
-        total = (last + delta) - phi[0]
-        return int(np.rint(total / (2.0 * np.pi)))
+        # each azimuth step of the closed sequence, wrapped into [-pi, pi],
+        # sheds rint(step / 2 pi) turns; the raw steps sum to zero
+        phi = np.arctan2(points[:, 1], points[:, 0])
+        return -int(np.rint(np.diff(phi, append=phi[:1]) / (2.0 * np.pi)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -645,15 +641,17 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
     return np.vstack([v0, _unit_tangent(surface, nodes[1:], v0 @ cells)])
 
 
-def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray):
-    """Node/midpoint samples of a closed loop via trigonometric interpolation."""
+def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray, dpath=None):
+    """Node/midpoint samples of a closed loop via trigonometric interpolation;
+    dpath, d(point)/d(step index), is taken spectrally unless supplied."""
     from .spectral import SpectralGrid
 
     n = points.shape[0]
     grid = SpectralGrid(n, "circle")
-    fine = surface.project_point(grid.upsample(points, 2))
-    dpath = grid.derivative(points) / n  # d(point)/d(step index)
-    dfine = grid.upsample(dpath, 2)
+    if dpath is None:
+        dpath = grid.derivative(points) / n
+    both = grid.upsample(np.stack([points, dpath], axis=1), 2)
+    fine, dfine = surface.project_point(both[:, 0]), both[:, 1]
     nodes = np.vstack([fine[0::2], points[:1]])
     mids = fine[1::2]
     dnodes = np.vstack([dfine[0::2], dfine[:1]])
@@ -703,11 +701,11 @@ def _open_path_data(surface: SurfaceModel, points: np.ndarray):
     return points.copy(), mids, dnodes, dmids
 
 
-def _path_frame(surface: SurfaceModel, points, closed, seed=None):
+def _path_frame(surface: SurfaceModel, points, closed, seed=None, dpath=None):
     """Transported J-adapted frame (e1, e2 = J e1) along a sampled path."""
     points = surface.validate_points(points, tol=1e-8)
     if closed:
-        nodes, mids, dn, dm = _closed_loop_path_data(surface, points)
+        nodes, mids, dn, dm = _closed_loop_path_data(surface, points, dpath)
     else:
         nodes, mids, dn, dm = _open_path_data(surface, points)
     if seed is None:
@@ -790,4 +788,4 @@ def azimuthal_winding(surface: SurfaceModel, points: np.ndarray) -> int:
     Counts full turns of the azimuth along the sample sequence; zero for
     chart targets whose reference frame is globally smooth.
     """
-    return surface.azimuthal_winding(points)
+    return surface.azimuthal_winding(np.asarray(points, dtype=float))

@@ -14,7 +14,9 @@ by the ordered exponential (product integral) of the connection matrix:
 Rep. 2009), one Richardson step and a polar projection. A zero-padded FFT
 gives the interpolant at the Gauss nodes of all cells, one batched
 Hermitian eigendecomposition exponentiates the cell stack, and a pairwise
-reduction composes it: the discrete map of a cell-by-cell loop.
+reduction composes it: the discrete map of a cell-by-cell loop. The
+base-point independence check stacks its shifted loops on a base axis, so
+it also exponentiates just two cell stacks per call.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ def holonomy_ode(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray) 
     the value a continuous lift rather than a mod-2*pi representative: an
     equatorial great circle gives exactly 2*pi.
     """
-    ux = grid.derivative(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    return _holonomy_ode(surface, grid, points, grid.derivative(points))
+
+
+def _holonomy_ode(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray,
+                  ux: np.ndarray) -> float:
+    """holonomy_ode with the loop derivative u_x supplied."""
     beta = reference_connection(surface, points, ux)
     return float(-grid.integrate(beta) + 2.0 * np.pi * azimuthal_winding(surface, points))
 
@@ -72,13 +80,17 @@ def holonomy_rate(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray,
     K = surface.gaussian_curvature(points)
     if np.ptp(K) == 0.0:
         return 0.0
-    dK = grid.derivative(K)
     if coeffs is not None:
         speed2 = np.abs(np.asarray(coeffs.phi)) ** 2
     else:
         ux = grid.derivative(points)
         speed2 = surface.metric(points, ux, ux)
-    return float(-0.5 * grid.integrate(dK * speed2))
+    return _holonomy_rate(grid, grid.derivative(K), speed2)
+
+
+def _holonomy_rate(grid: SpectralGrid, dK, speed2: np.ndarray) -> float:
+    """holonomy_rate from (K o u)_x, None for constant K, and |u_x|^2_h."""
+    return 0.0 if dK is None else float(-0.5 * grid.integrate(dK * speed2))
 
 
 def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,
@@ -166,9 +178,9 @@ def lift_to_branch(angle: float, reference: float) -> float:
 
 
 def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
-    """Trigonometric interpolant of (n, k, k) samples at the two Gauss nodes
-    of each of n_cells >= n equal cells, one zero-padded inverse FFT per
-    node offset; shape (2, n_cells, k, k)."""
+    """Trigonometric interpolant of (n, ..., k, k) samples (middle axes:
+    independent loops) at the two Gauss nodes of each of n_cells >= n equal
+    cells, one zero-padded inverse FFT per node offset; (2, n_cells, ..., k, k)."""
     n = samples.shape[0]
     coeff = np.fft.fft(samples, axis=0) * (n_cells / n)
     modes = np.fft.fftfreq(n, d=1.0 / n)
@@ -176,43 +188,64 @@ def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
         coeff[n // 2] *= 0.5
         coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
         modes = np.append(modes, n // 2)
-    phase = np.exp(2j * np.pi * np.outer(_GAUSS_OFFSETS, modes) / n_cells)[..., None, None]
+    phase = np.exp(2j * np.pi * np.outer(_GAUSS_OFFSETS, modes) / n_cells)
+    phase = phase.reshape(phase.shape + (1,) * (samples.ndim - 1))
     padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
     np.add.at(padded, (slice(None), modes.astype(int) % n_cells), phase * coeff)
     return np.fft.ifft(padded, axis=1)
 
 
 def _cell_exponentials(omega: np.ndarray) -> np.ndarray:
-    """exp of a (cells, k, k) stack of anti-Hermitian matrices in one call:
-    omega = iH with H = V Lambda V^H Hermitian gives V e^{i Lambda} V^H."""
+    """exp of a (cells, ..., k, k) stack of anti-Hermitian matrices in one
+    call: omega = iH with H = V Lambda V^H Hermitian gives V e^{i Lambda} V^H."""
     w, v = np.linalg.eigh(0.5j * (omega.conj().swapaxes(-1, -2) - omega))
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _magnus_blocks(samples: np.ndarray, period: float, n_cells: int,
-                   n_blocks: int = 1) -> np.ndarray:
-    """Solve Y' = -B(x)Y with the 2-node Gauss Magnus scheme (4th order) on
-    n_cells equal cells: the ordered products E_last ... E_first of the cell
-    exponentials over n_blocks equal runs of consecutive cells, (n_blocks, k, k).
-    All E_j form one stack; a pairwise reduction composes every run at once in
-    ceil(log2(n_cells / n_blocks)) batched products."""
+def _magnus_cells(samples: np.ndarray, period: float, n_cells: int) -> np.ndarray:
+    """Cell exponentials E_j of Y' = -B(x)Y in the 2-node Gauss Magnus scheme
+    (4th order) on n_cells equal cells, as one stack (n_cells, ..., k, k)."""
     h = period / n_cells
     B1, B2 = _gauss_node_values(samples, n_cells)
     comm_factor = np.sqrt(3.0) * h * h / 12.0
-    E = _cell_exponentials(-(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2))
+    return _cell_exponentials(-(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2))
+
+
+def _ordered_runs(E: np.ndarray, n_blocks: int = 1) -> np.ndarray:
+    """Ordered products E_last ... E_first over n_blocks equal runs of
+    consecutive cells, (n_blocks, ..., k, k): a pairwise reduction composes
+    every run at once in ceil(log2(cells / n_blocks)) batched products."""
     Y = E.reshape((n_blocks, -1) + E.shape[1:])
     while Y.shape[1] > 1:  # an odd run carries its last cell up a level
         Y = np.concatenate([Y[:, 1::2] @ Y[:, :-1:2], Y[:, Y.shape[1] - Y.shape[1] % 2 :]], axis=1)
     return Y[:, 0]
 
 
-def _as_matrix_samples(samples: np.ndarray) -> np.ndarray:
+def _as_matrix_samples(samples: np.ndarray, n_bases: int = 1) -> np.ndarray:
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[:, None, None]
     if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
         raise ConfigError(["connection samples must have shape (n, k, k) or (n,)"])
+    if samples.shape[0] % n_bases:
+        raise ConfigError([f"number of samples {samples.shape[0]} must be "
+                           f"divisible by n_bases {n_bases}"])
+    skew_defect = np.abs(samples + samples.conj().transpose(0, 2, 1)).max()
+    if skew_defect > 1e-10:
+        raise ConfigError(
+            [f"connection samples must be anti-Hermitian; defect {skew_defect:.3e}"]
+        )
     return samples
+
+
+def _richardson_product(samples: np.ndarray, period: float, n_cells: int):
+    """product_integral of every loop of (n, ..., k, k) samples on n_cells
+    cells, and the fine cell stack."""
+    coarse = _ordered_runs(_magnus_cells(samples, period, n_cells))[0]
+    fine_cells = _magnus_cells(samples, period, 2 * n_cells)
+    combined = (16.0 * _ordered_runs(fine_cells)[0] - coarse) / 15.0
+    u, _, vh = np.linalg.svd(combined)
+    return u @ vh, fine_cells
 
 
 def product_integral(samples: np.ndarray, period: float = 1.0, refine: int = 1) -> np.ndarray:
@@ -226,17 +259,28 @@ def product_integral(samples: np.ndarray, period: float = 1.0, refine: int = 1) 
     projection back to the unitary group, gives the returned matrix.
     """
     samples = _as_matrix_samples(samples)
-    skew_defect = np.abs(samples + samples.conj().transpose(0, 2, 1)).max()
-    if skew_defect > 1e-10:
-        raise ConfigError(
-            [f"connection samples must be anti-Hermitian; defect {skew_defect:.3e}"]
-        )
-    n_cells = samples.shape[0] * int(refine)
-    coarse = _magnus_blocks(samples, period, n_cells)[0]
-    fine = _magnus_blocks(samples, period, 2 * n_cells)[0]
-    combined = (16.0 * fine - coarse) / 15.0
-    u, _, vh = np.linalg.svd(combined)
-    return u @ vh
+    return _richardson_product(samples, period, samples.shape[0] * int(refine))[0]
+
+
+def _x_independence(samples: np.ndarray, period: float, n_bases: int):
+    """(product_integral, spectral, aligned) of x_independence_check from
+    one stacked pass over the n_bases shifted bases."""
+    samples = _as_matrix_samples(samples, n_bases)
+    n = samples.shape[0]
+    shifted = np.stack([np.roll(samples, -b * (n // n_bases), axis=0)
+                        for b in range(n_bases)], axis=1)
+    H, fine_cells = _richardson_product(shifted, period, n)
+    ref = H[0]
+    eigs = np.linalg.eigvals(H)
+    costs = np.abs(eigs[1:, :, None] - eigs[0][None, None, :])
+    spectral = max((float(c[linear_sum_assignment(c)].max()) for c in costs), default=0.0)
+    runs = _ordered_runs(fine_cells[:, 0], n_bases)  # the base-0 cells
+    Yj = np.empty_like(H[1:])
+    Y = np.eye(samples.shape[1])
+    for b in range(1, n_bases):
+        Y = Yj[b - 1] = runs[b - 1] @ Y  # Y at base node b
+    predicted = Yj @ ref @ np.linalg.inv(Yj)
+    return ref, spectral, float(np.abs(H[1:] - predicted).max(initial=0.0))
 
 
 def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int = 8):
@@ -246,32 +290,12 @@ def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int 
     nodes. Returns (spectral, aligned): the worst eigenvalue mismatch
     (conjugation invariant) and the worst deviation of the recomputed
     matrix from its prediction conjugated back to the original base frame.
-    The prediction conjugates by Y at the base node, composed from Magnus
-    products over the n_bases runs of two cells per sampling interval. Every
-    shifted base recomputes its own interpolation and exponentials, so a
-    call evaluates 2 n_bases + 1 cell stacks whatever n is.
+    The prediction conjugates by Y at the base node, composed from the
+    base-0 loop's fine Magnus cells in n_bases runs. Each shifted base keeps
+    its own interpolation and exponentials, stacked on a base axis: 2 cell
+    stacks per call, (n, n_bases, k, k) and (2 n, n_bases, k, k).
     """
-    samples = _as_matrix_samples(samples)
-    n = samples.shape[0]
-    if n % n_bases:
-        raise ConfigError([f"number of samples {n} must be divisible by n_bases {n_bases}"])
-    ref = product_integral(samples, period)
-    ref_eigs = np.linalg.eigvals(ref)
-    runs = _magnus_blocks(samples, period, 2 * n, n_bases)
-    Yj = np.eye(samples.shape[1])
-    spectral = 0.0
-    aligned = 0.0
-    for b in range(1, n_bases):
-        j = b * (n // n_bases)
-        shifted = product_integral(np.roll(samples, -j, axis=0), period)
-        eigs = np.linalg.eigvals(shifted)
-        cost = np.abs(eigs[:, None] - ref_eigs[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        spectral = max(spectral, float(cost[rows, cols].max()))
-        Yj = runs[b - 1] @ Yj  # Y at node j
-        predicted = Yj @ ref @ np.linalg.inv(Yj)
-        aligned = max(aligned, float(np.abs(shifted - predicted).max()))
-    return spectral, aligned
+    return _x_independence(samples, period, n_bases)[1:]
 
 
 def connection_matrix_samples(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray) -> np.ndarray:

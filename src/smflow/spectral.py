@@ -72,12 +72,11 @@ class SpectralGrid:
     def dx(self) -> float:
         return self.period / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
+        """Grid nodes (cached, read-only)."""
         x = np.arange(self.n) * self.dx
-        if self.kind == "line":
-            return x - self.half_width
-        return x
+        return _read_only(x - self.half_width if self.kind == "line" else x)
 
     @cached_property
     def modes(self) -> np.ndarray:

@@ -136,20 +136,21 @@ class TestRunScenario:
                                                             monkeypatch):
         """The timeseries and the holonomy payload read holonomy_ode from
         the coupled result: one call for the initial lift and one per state,
-        none in the command line layer."""
+        none in the command line layer. The driver takes the angle through
+        the private route that reuses the state's u_x."""
         from smflow import frame_reduction as fr
+        from smflow.holonomy import holonomy_ode as ode
 
-        ode = fr.holonomy_ode
         calls = {"fr": 0, "cli": 0}
 
-        def counting(layer):
+        def counting(layer, route):
             def wrapped(*args):
                 calls[layer] += 1
-                return ode(*args)
+                return route(*args)
             return wrapped
 
-        monkeypatch.setattr(fr, "holonomy_ode", counting("fr"))
-        monkeypatch.setattr(cli, "holonomy_ode", counting("cli"))
+        monkeypatch.setattr(fr, "_holonomy_ode", counting("fr", fr._holonomy_ode))
+        monkeypatch.setattr(cli, "holonomy_ode", counting("cli", ode))
         cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 3e-4})
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert calls == {"fr": 3 + 2, "cli": 0}
@@ -162,6 +163,15 @@ class TestRunScenario:
         assert theta_ode == fr.lift_to_branch(final, res.theta[-1])
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         assert hol["theta_ode"] == theta_ode
+        # the payload's matrix comes out of the stacked base-independence
+        # pass; it is the product integral to the bit
+        from smflow import holonomy
+
+        samples = holonomy.connection_matrix_samples(surface, grid, res.final_state.points)
+        mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
+        assert np.array_equal(mat, holonomy.product_integral(samples, grid.period))
+        assert (hol["base_independence_spectral"], hol["base_independence_aligned"]
+                ) == holonomy.x_independence_check(samples, grid.period, 8)
 
     def test_t_zero_single_row_and_snapshot(self, workdir):
         cfg = write_config(workdir, time={"t_final": 0.0})

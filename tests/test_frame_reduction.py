@@ -26,7 +26,8 @@ from smflow.geometry import (
     round_sphere,
     warped_sphere,
 )
-from smflow.holonomy import holonomy_ode, holonomy_rate, lift_to_branch
+from smflow.holonomy import (holonomy_ode, holonomy_rate, lift_to_branch,
+                             swept_angle_increment)
 from smflow.nls_solver import ComplexField, free_propagate, split_step
 from smflow.spectral import SpectralGrid
 
@@ -443,6 +444,89 @@ class TestSpacetimeShift:
             fr.spacetime_shift(grid, np.zeros((3, 64)), np.zeros(4), np.zeros(4))
 
 
+COUPLED_CASES = ("round", "warped", "hyperbolic", "line")
+
+
+def coupled_case(case):
+    """(initial loop, reduction domain) of the coupled-driver cases."""
+    if case == "line":
+        return line_profile(n=64)[2], "line"
+    grid = SpectralGrid(32)
+    if case == "hyperbolic":
+        return fd.initial_loop(hyperbolic_disk(), grid, "fourier",
+                               offset=[0.1, -0.05]), "circle"
+    surf = ROUND if case == "round" else bumpy_surface()
+    return fd.initial_loop(surf, grid, "perturbed_latitude", alpha=1.0,
+                           eps=0.05, m=2), "circle"
+
+
+def reference_coupled(state0, dt, n_steps, domain, l4_window):
+    """The reference for `coupled_evolve`: the same step loop, with every
+    state reduced through the public functions, each of which takes its
+    own u_x and K. Returns the recorded series by result field name, the
+    final state and the final seed."""
+    surface, grid = state0.surface, state0.grid
+    circle = domain == "circle"
+    rec = {name: [] for name in (
+        "times", "theta", "theta_gb", "theta_rate", "theta_ode", "energy",
+        "grad_norm", "phi_frame", "phi_nls", "coeffs_history",
+        "twist_residual_ode", "phi_closure", "sup_error", "l4_window")}
+    state, seed, theta, gb, pot, nls = state0, None, 0.0, 0.0, None, None
+    for k in range(n_steps + 1):
+        prev = state.points
+        if k:
+            state, seed = fr._step_with_seed(state, dt, seed)
+        frame = fr.parallel_frame(surface, state, seed=seed)
+        seed = frame.e1[0]
+        coeffs = fr.coefficients(state, frame)
+        terms = fr.nonlinear_terms(surface, state, coeffs, domain=domain)
+        if circle:
+            ode = holonomy_ode(surface, grid, state.points)
+            theta_new = lift_to_branch(frame.transport_angle(), theta if k else ode)
+            rate = holonomy_rate(surface, grid, state.points)
+            phi_f = fr.untwist(coeffs, theta_new)
+            pot_new = grid.nodes * rate + terms.potential()
+            gb = (gb + swept_angle_increment(surface, grid, prev, state.points, dt)
+                  if k else theta_new)
+        else:
+            ode, theta_new, rate = np.nan, 0.0, 0.0
+            phi_f = coeffs.phi.copy()
+            pot_new = terms.S + terms.T
+        if k:
+            t0 = state.time - dt
+
+            def potential(vals, t, a=pot, b=pot_new, t0=t0):
+                return a if abs(t - t0) < 0.25 * abs(dt) else b
+
+            nls = split_step(nls, dt, potential=potential,
+                             theta=0.5 * (theta + theta_new), t0=t0)
+        else:
+            nls = ComplexField(grid, phi_f)
+        theta, pot = theta_new, pot_new
+        energy = fd.energy(state)
+        if circle:
+            twist = fr.twisted_residual(coeffs, ode)
+            closure = abs(np.exp(1j * theta * grid.period) * coeffs.phi_wrap
+                          - phi_f[0]) / max(np.abs(phi_f).max(), 1e-300)
+        else:
+            edge = max(2, grid.n // 16)
+            twist = closure = max(np.abs(coeffs.phi[:edge]).max(),
+                                  np.abs(coeffs.phi[-edge:]).max()) / max(
+                np.abs(coeffs.phi).max(), 1e-300)
+        for name, value in (
+                ("times", state.time), ("theta", theta), ("theta_gb", gb),
+                ("theta_rate", rate), ("theta_ode", ode), ("energy", energy),
+                ("grad_norm", np.sqrt(max(2.0 * energy, 0.0))),
+                ("phi_frame", phi_f), ("phi_nls", nls.values),
+                ("coeffs_history", coeffs.phi), ("twist_residual_ode", twist),
+                ("phi_closure", closure),
+                ("sup_error", np.abs(nls.values - phi_f).max())):
+            rec[name].append(value)
+        rec["l4_window"].append(fr._windowed_l4(
+            grid, np.array(rec["phi_nls"]), np.array(rec["times"]), k, l4_window))
+    return {name: np.array(v) for name, v in rec.items()}, state, seed
+
+
 class TestCoupledDriver:
     def test_round_sphere_run_is_consistent(self):
         grid = SpectralGrid(32)
@@ -586,6 +670,40 @@ class TestCoupledDriver:
         assert len(calls) == 4
         assert np.abs(res.final_seed - expected_seed).max() < 1e-13
         assert np.abs(res.final_state.points - state.points).max() < 1e-13
+
+    @pytest.mark.parametrize("case", COUPLED_CASES)
+    def test_matches_public_function_step_loop(self, case):
+        loop, domain = coupled_case(case)
+        dt = 0.8 * fd.admissible_dt(loop)
+        res = fr.coupled_evolve(loop, dt, 3, domain=domain, l4_window=2)
+        expected, final_state, final_seed = reference_coupled(loop, dt, 3, domain, 2)
+        for name, values in expected.items():
+            assert np.array_equal(getattr(res, name), values, equal_nan=True), name
+        assert np.array_equal(res.final_state.points, final_state.points)
+        assert np.array_equal(res.final_seed, final_seed)
+
+    @pytest.mark.parametrize("case,per_step", [("round", 6), ("warped", 8),
+                                               ("hyperbolic", 6)])
+    def test_derivatives_per_coupled_step(self, monkeypatch, case, per_step):
+        """Per step: 4 flow stages, u_x of the new state and u_x of the
+        swept midpoint loop; a varying K adds its derivative and the
+        primitive of the curvature-rate density."""
+        loop, domain = coupled_case(case)
+        dt = fd.admissible_dt(loop)
+        calls = []
+        derivatives = SpectralGrid.derivatives
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return derivatives(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralGrid, "derivatives", counting)
+        counts = []
+        for n_steps in (1, 3):
+            calls.clear()
+            fr.coupled_evolve(loop, dt, n_steps, domain=domain)
+            counts.append(len(calls))
+        assert (counts[1] - counts[0]) / 2 == per_step
 
     def test_solver_tolerance_model(self):
         grid = SpectralGrid(64)

@@ -531,3 +531,35 @@ def test_azimuthal_winding_counts_turns():
     assert geo.azimuthal_winding(s, latitude_loop(128, 0.7)) == 1
     assert geo.azimuthal_winding(s, double) == 2
     assert geo.azimuthal_winding(s, latitude_loop(128, 0.7)[:, :]) == 1
+
+
+def unwrap_winding(points):
+    """The reference for `azimuthal_winding`: unwrap the whole azimuth
+    sequence, then close it with one wrapped step."""
+    phi = np.unwrap(np.arctan2(points[:, 1], points[:, 0]))
+    closing = np.arctan2(points[0, 1], points[0, 0])
+    last = phi[-1]
+    delta = (closing - last + np.pi) % (2.0 * np.pi) - np.pi
+    return int(np.rint(((last + delta) - phi[0]) / (2.0 * np.pi)))
+
+
+@pytest.mark.parametrize("n", (16, 64, 256, 1024, 4096))
+def test_azimuthal_winding_matches_unwrap_oracle(n):
+    s = geo.round_sphere()
+    x = np.arange(n) / n
+
+    def loop(azim, colat=1.0):
+        return np.stack([np.sin(colat) * np.cos(azim), np.sin(colat) * np.sin(azim),
+                         np.full(n, np.cos(colat))], axis=-1)
+
+    loops = [latitude_loop(n, a) for a in (0.3, 1.0, 2.8)]
+    loops += [loop(2 * np.pi * w * x) for w in (-3, -1, 0, 2, 5)]
+    loops += [loop(2 * np.pi * x + 0.4 * np.sin(6 * np.pi * x), 1.0 + 0.2 * np.cos(2 * np.pi * x))]
+    # steps that come within 1e-9 .. 1e-3 of +pi or -pi
+    rng = np.random.default_rng(n)
+    near_pi = np.pi - 10.0 ** rng.uniform(-9, -3, n)
+    loops += [loop(np.cumsum(rng.choice([-1.0, 1.0], n) * near_pi)), loop(np.cumsum(near_pi)),
+              loop(-np.cumsum(near_pi))]
+    got = [geo.azimuthal_winding(s, p) for p in loops]
+    assert got == [unwrap_winding(p) for p in loops]
+    assert got[:9] == [1, 1, 1, -3, -1, 0, 2, 5, 1]

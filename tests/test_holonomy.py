@@ -10,6 +10,7 @@ difference of the connection-route angle along the actual flow.
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from smflow import flow_direct as fd
 from smflow import geometry as geo
@@ -395,7 +396,7 @@ def test_magnus_runs_match_stepwise_oracle(kind, n):
     for n_cells in (n, 2 * n, 3 * n):
         cells = stepwise_cells(samples, 1.0, n_cells)
         for n_blocks in (1, 8, n, n_cells):  # runs of odd length at 3 * n
-            runs = hol._magnus_blocks(samples, 1.0, n_cells, n_blocks)
+            runs = hol._ordered_runs(hol._magnus_cells(samples, 1.0, n_cells), n_blocks)
             size = n_cells // n_blocks
             oracle = [ordered(cells[i : i + size], k) for i in range(0, n_cells, size)]
             assert runs.shape == (n_blocks, k, k)
@@ -403,7 +404,7 @@ def test_magnus_runs_match_stepwise_oracle(kind, n):
     # the node prefixes x_independence_check composes, at every node
     cells = stepwise_cells(samples, 1.0, 2 * n)
     Y, worst = np.eye(k), 0.0
-    for j, run in enumerate(hol._magnus_blocks(samples, 1.0, 2 * n, n), start=1):
+    for j, run in enumerate(hol._ordered_runs(hol._magnus_cells(samples, 1.0, 2 * n), n), start=1):
         Y = run @ Y
         worst = max(worst, np.abs(Y - ordered(cells[: 2 * j], k)).max())
     assert worst < 1e-13
@@ -448,4 +449,46 @@ def test_cell_stacks_per_call_do_not_grow_with_n(monkeypatch):
         assert stacks == [(n, 2, 2), (2 * n, 2, 2)]
         stacks.clear()
         hol.x_independence_check(noncommuting_family(n), n_bases=8)
-        assert len(stacks) == 17
+        # every shifted base rides one stack per cell count
+        assert stacks == [(n, 8, 2, 2), (2 * n, 8, 2, 2)]
+
+
+def per_base_x_independence(samples, period=1.0, n_bases=8):
+    """The reference for `x_independence_check`: one product_integral per
+    shifted base, compared with the base-0 matrix conjugated by Y at the
+    base node."""
+    n = samples.shape[0]
+    ref = hol.product_integral(samples, period)
+    ref_eigs = np.linalg.eigvals(ref)
+    runs = hol._ordered_runs(hol._magnus_cells(samples, period, 2 * n), n_bases)
+    Yj = np.eye(samples.shape[1])
+    spectral = aligned = 0.0
+    for b in range(1, n_bases):
+        shifted = hol.product_integral(np.roll(samples, -b * (n // n_bases), axis=0), period)
+        cost = np.abs(np.linalg.eigvals(shifted)[:, None] - ref_eigs[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        spectral = max(spectral, float(cost[rows, cols].max()))
+        Yj = runs[b - 1] @ Yj
+        predicted = Yj @ ref @ np.linalg.inv(Yj)
+        aligned = max(aligned, float(np.abs(shifted - predicted).max()))
+    return spectral, aligned
+
+
+@pytest.mark.parametrize("n_bases", (1, 2, 8))
+@pytest.mark.parametrize("kind,n", [("su2", 16), ("su2", 64), ("su2", 256),
+                                    ("product", 64), ("random3", 32)])
+def test_stacked_x_independence_matches_per_base_loop(kind, n, n_bases):
+    samples = magnus_samples(kind, n)
+    expected = per_base_x_independence(samples, 0.7, n_bases)
+    assert hol.x_independence_check(samples, 0.7, n_bases) == expected
+    H, spectral, aligned = hol._x_independence(samples, 0.7, n_bases)
+    assert np.array_equal(H, hol.product_integral(samples, 0.7))
+    assert (spectral, aligned) == expected
+
+
+def test_x_independence_validates_before_any_work(monkeypatch):
+    monkeypatch.setattr(hol, "_magnus_cells", None)
+    with pytest.raises(ConfigError, match="divisible"):
+        hol.x_independence_check(noncommuting_family(30), n_bases=8)
+    with pytest.raises(ConfigError, match="anti-Hermitian"):
+        hol.x_independence_check(np.ones((16, 2, 2)), n_bases=8)

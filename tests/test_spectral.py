@@ -143,3 +143,14 @@ def test_cached_wavenumbers_keep_their_values():
         assert np.array_equal(grid.modes, np.fft.fftfreq(grid.n, d=1.0 / grid.n))
         with pytest.raises(ValueError):
             grid.wavenumbers[0] = 1.0
+
+
+def test_cached_nodes_keep_their_values():
+    for grid in _grids():
+        expected = np.arange(grid.n) * grid.dx
+        if grid.kind == "line":
+            expected = expected - grid.half_width
+        assert grid.nodes is grid.nodes
+        assert np.array_equal(grid.nodes, expected)
+        with pytest.raises(ValueError):
+            grid.nodes[0] = 1.0

@@ -6,23 +6,30 @@ over three steps with a snapshot after every step. Each scenario writes its
 artifacts to ``OUT/<name>/`` and ``OUT/exit_codes.json`` records the exit
 codes. Every input is fixed and the output root is passed through
 ``SMFLOW_OUT``, so the config echo holds no path: two versions of the
-package that compute the same numbers write byte-identical trees. Compare
-two checkouts with::
+package that compute the same numbers write byte-identical trees.
 
-    PYTHONPATH=src python3 tools/artifact_matrix.py /tmp/matrix-new
-    PYTHONPATH=/path/to/other/checkout/src python3 tools/artifact_matrix.py /tmp/matrix-old
-    diff -r /tmp/matrix-old /tmp/matrix-new
+    PYTHONPATH=src python3 tools/artifact_matrix.py OUT
+    python3 tools/artifact_matrix.py --against OTHER_SRC OUT
 
-The script imports whichever ``smflow`` is first on the path and prints its
-location.
+The first form imports whichever ``smflow`` is first on the path, prints
+its location and exits 1 if any scenario fails. The second runs the matrix
+in child processes, once for this checkout's ``src`` into ``OUT/this`` and
+once for the package under ``OTHER_SRC`` (the ``src`` directory of another
+checkout) into ``OUT/against``, both emptied first; it lists every file
+whose bytes differ, or that only one tree has, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
 import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 COMMON = ("domain.n=32", "time.dt=1e-4", "time.t_final=3e-4",
           "diagnostics.snapshot_cadence=1")
@@ -43,7 +50,33 @@ SCENARIOS = {
 }
 
 
+def differing_files(a: Path, b: Path) -> list:
+    """Relative paths of the files whose bytes differ between two trees, or
+    that only one of them has."""
+    files = {tree: {p.relative_to(tree) for p in tree.rglob("*") if p.is_file()}
+             for tree in (a, b)}
+    return sorted(str(rel) for rel in files[a] ^ files[b]) + sorted(
+        str(rel) for rel in files[a] & files[b]
+        if not filecmp.cmp(a / rel, b / rel, shallow=False))
+
+
+def against(other_src: Path, out: Path) -> int:
+    trees = {"this": SRC, "against": other_src.resolve()}
+    for name, src in trees.items():
+        shutil.rmtree(out / name, ignore_errors=True)
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = subprocess.run([sys.executable, __file__, str(out / name)], env=env).returncode
+        print(f"{name}: matrix exit {code}")
+    diff = differing_files(out / "this", out / "against")
+    for rel in diff:
+        print(f"differs: {rel}")
+    print(f"{len(diff)} differing files")
+    return 1 if diff else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--against":
+        return against(Path(argv[2]), Path(argv[3]).resolve())
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
