@@ -32,10 +32,10 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
 from .geometry import bump_warp, flat_torus, hyperbolic_disk, round_sphere, warped_sphere
 from .holonomy import (
+    _holonomy_ode,
+    _holonomy_rate,
     _x_independence,
     connection_matrix_samples,
-    holonomy_ode,
-    holonomy_rate,
     lift_to_branch,
     swept_angle_increment,
 )
@@ -429,8 +429,9 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
 
     frame = fr.parallel_frame(surface, loop)
     coeffs = fr.coefficients(loop, frame)
-    theta0 = lift_to_branch(frame.transport_angle(),
-                            holonomy_ode(surface, grid, loop.points))
+    ux0 = grid.derivative(loop.points)
+    ode0 = _holonomy_ode(surface, grid, loop.points, ux0)
+    theta0 = lift_to_branch(frame.transport_angle(), ode0)
     phi0 = fr.untwist(coeffs, theta0)
     state = fr.AutonomousState(grid, phi0, loop.points[0].copy(),
                                frame.e1[0].copy(), theta0)
@@ -459,10 +460,14 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
         prev = (t, pts)
         phi_hist.append(phi)
         t_hist.append(t)
-        st = fd.LoopState(grid=grid, surface=surface, points=pts, time=t)
-        energy = fd.energy(st)
-        theta_ode = lift_to_branch(holonomy_ode(surface, grid, pts), theta)
-        rate = holonomy_rate(surface, grid, pts)
+        # u_x once per row: fd.energy, holonomy_ode and holonomy_rate of pts
+        ux = ux0 if k == 0 else grid.derivative(pts)
+        speed2 = surface.metric(pts, ux, ux)
+        energy = 0.5 * grid.integrate(speed2)
+        ode = ode0 if k == 0 else _holonomy_ode(surface, grid, pts, ux)
+        theta_ode = lift_to_branch(ode, theta)
+        K = surface.gaussian_curvature(pts)
+        rate = _holonomy_rate(grid, None if np.ptp(K) == 0.0 else grid.derivative(K), speed2)
         l4 = fr._windowed_l4(grid, np.asarray(phi_hist), np.asarray(t_hist),
                              len(phi_hist) - 1, diag["l4_window"])
         rows.append([t, energy, math.sqrt(2.0 * energy), theta, theta_ode,

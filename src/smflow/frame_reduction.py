@@ -454,8 +454,9 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
 
     Each state's u_x feeds the frame's path data (as u_x / n, on the
     period-1 circle grid only), the coefficients, the energy and the
-    holonomy_ode angle; its K and, unless constant, dK feed the potential
-    letters and the rate. Each is computed once.
+    holonomy_ode angle (which also lifts the initial theta); its K and,
+    unless constant, dK feed the potential letters and the rate. Each is
+    computed once.
     """
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
@@ -463,8 +464,9 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     circle = domain == "circle"
 
     def reduce(state, seed, theta_ref=None):
-        """Frame, coefficients, theta (lifted next to theta_ref, by default
-        holonomy_ode), rate, phi, potential, u_x and |u_x|^2_h of a state."""
+        """Frame, coefficients, holonomy_ode (NaN on the line), theta (lifted
+        next to theta_ref, by default holonomy_ode), rate, phi, potential
+        and |u_x|^2_h of a state."""
         ux = grid.derivative(state.points)
         dpath = ux / grid.n if grid.kind == "circle" else None
         frame = _parallel_frame(surface, state, seed, 0, dpath)
@@ -474,15 +476,15 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         terms = _nonlinear_terms(grid, coeffs, domain, K, dK)
         speed2 = surface.metric(state.points, ux, ux)
         if not circle:
-            return frame, coeffs, 0.0, 0.0, coeffs.phi.copy(), terms.S + terms.T, ux, speed2
-        if theta_ref is None:
-            theta_ref = _holonomy_ode(surface, grid, state.points, ux)
-        theta_k = lift_to_branch(frame.transport_angle(), theta_ref)
+            return (frame, coeffs, np.nan, 0.0, 0.0, coeffs.phi.copy(),
+                    terms.S + terms.T, speed2)
+        ode = _holonomy_ode(surface, grid, state.points, ux)
+        theta_k = lift_to_branch(frame.transport_angle(), ode if theta_ref is None else theta_ref)
         rate = _holonomy_rate(grid, dK, speed2)
-        return (frame, coeffs, theta_k, rate, untwist(coeffs, theta_k),
-                grid.nodes * rate + terms.potential(), ux, speed2)
+        return (frame, coeffs, ode, theta_k, rate, untwist(coeffs, theta_k),
+                grid.nodes * rate + terms.potential(), speed2)
 
-    frame, coeffs, theta_now, rate_now, phi_now, pot_now, ux, speed2 = reduce(state0, seed)
+    frame, coeffs, ode, theta_now, rate_now, phi_now, pot_now, speed2 = reduce(state0, seed)
     w1 = frame.e1[0]
 
     m = n_steps
@@ -504,7 +506,7 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     state = state0
     nls = ComplexField(grid, phi_now)
 
-    def record(k, state, coeffs, phi_f, theta_k, rate_k, gb_k, ux, speed2):
+    def record(k, state, coeffs, phi_f, ode, theta_k, rate_k, gb_k, speed2):
         times[k] = state.time
         theta[k] = theta_k
         theta_gb[k] = gb_k
@@ -516,7 +518,6 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         phi_nls[k] = nls.values
         coeffs_hist[k] = coeffs.phi
         if circle:
-            ode = _holonomy_ode(surface, grid, state.points, ux)
             theta_ode[k] = ode
             resid_ode[k] = twisted_residual(coeffs, ode)
             closure[k] = abs(np.exp(1j * theta_k * grid.period) * coeffs.phi_wrap
@@ -532,13 +533,13 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         if observer is not None:
             observer(k, state, coeffs)
 
-    record(0, state, coeffs, phi_now, theta_now, rate_now, theta_now, ux, speed2)
+    record(0, state, coeffs, phi_now, ode, theta_now, rate_now, theta_now, speed2)
     gb = theta_now
 
     for k in range(1, m + 1):
         prev_points = state.points
         state, w1 = _step_with_seed(state, dt, w1)
-        frame, coeffs, theta_next, rate_next, phi_next, pot_next, ux, speed2 = \
+        frame, coeffs, ode, theta_next, rate_next, phi_next, pot_next, speed2 = \
             reduce(state, w1, theta_now)
         w1 = frame.e1[0]
         if circle:
@@ -552,7 +553,7 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         nls = split_step(nls, dt, potential=potential,
                          theta=0.5 * (theta_now + theta_next), t0=t_now)
         theta_now, rate_now, pot_now = theta_next, rate_next, pot_next
-        record(k, state, coeffs, phi_next, theta_now, rate_now, gb, ux, speed2)
+        record(k, state, coeffs, phi_next, ode, theta_now, rate_now, gb, speed2)
 
     return ReducedRunResult(
         times=times, theta=theta, theta_gb=theta_gb, theta_rate=theta_rate,

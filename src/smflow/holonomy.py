@@ -16,16 +16,19 @@ gives the interpolant at the Gauss nodes of all cells, one batched
 Hermitian eigendecomposition exponentiates the cell stack, and a pairwise
 reduction composes it: the discrete map of a cell-by-cell loop. The
 base-point independence check stacks its shifted loops on a base axis, so
-it also exponentiates just two cell stacks per call.
+it also exponentiates just two cell stacks per call, and pairs the
+eigenvalues of each shifted matrix with the base-0 ones by an exact
+minimum-sum assignment: the O(k^3) shortest-augmenting-path Hungarian
+method (Crouse, IEEE TAES 2016), written out on plain floats.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, InconsistentHolonomyError
 from .geometry import (
@@ -230,6 +233,8 @@ def _as_matrix_samples(samples: np.ndarray, n_bases: int = 1) -> np.ndarray:
     if samples.shape[0] % n_bases:
         raise ConfigError([f"number of samples {samples.shape[0]} must be "
                            f"divisible by n_bases {n_bases}"])
+    if not np.isfinite(samples).all():
+        raise ConfigError(["connection samples must be finite"])
     skew_defect = np.abs(samples + samples.conj().transpose(0, 2, 1)).max()
     if skew_defect > 1e-10:
         raise ConfigError(
@@ -262,6 +267,55 @@ def product_integral(samples: np.ndarray, period: float = 1.0, refine: int = 1) 
     return _richardson_product(samples, period, samples.shape[0] * int(refine))[0]
 
 
+def _min_sum_assignment(cost: np.ndarray) -> list:
+    """Column assigned to each row of a square cost matrix in a minimum-sum
+    assignment: one shortest augmenting path per row over reduced costs,
+    with dual potentials u, v (Hungarian method, O(k^3); Crouse, IEEE TAES
+    2016). The column scan order and the tie rule (an unassigned column
+    first among equal distances) are those of
+    scipy.optimize.linear_sum_assignment, so ties resolve the same way and
+    a constant matrix gets the identity."""
+    c = cost.tolist()
+    k = len(c)
+    u, v = [0.0] * k, [0.0] * k
+    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
+    for row in range(k):
+        dist = [math.inf] * k
+        rows, cols = [], []  # rows and columns the search has reached
+        remaining = list(range(k - 1, -1, -1))
+        i, low, sink = row, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = low + c[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest, index = dist[j], it
+            low = lowest
+            remaining[index], remaining[-1] = remaining[-1], remaining[index]
+            j = remaining.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[row] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for j in cols:
+            v[j] -= low - dist[j]
+        j = sink
+        while True:  # augment along the path back to the new row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return col4row
+
+
 def _x_independence(samples: np.ndarray, period: float, n_bases: int):
     """(product_integral, spectral, aligned) of x_independence_check from
     one stacked pass over the n_bases shifted bases."""
@@ -273,7 +327,8 @@ def _x_independence(samples: np.ndarray, period: float, n_bases: int):
     ref = H[0]
     eigs = np.linalg.eigvals(H)
     costs = np.abs(eigs[1:, :, None] - eigs[0][None, None, :])
-    spectral = max((float(c[linear_sum_assignment(c)].max()) for c in costs), default=0.0)
+    rows = np.arange(samples.shape[1])
+    spectral = max((float(c[rows, _min_sum_assignment(c)].max()) for c in costs), default=0.0)
     runs = _ordered_runs(fine_cells[:, 0], n_bases)  # the base-0 cells
     Yj = np.empty_like(H[1:])
     Y = np.eye(samples.shape[1])
@@ -288,8 +343,10 @@ def x_independence_check(samples: np.ndarray, period: float = 1.0, n_bases: int 
 
     Recomputes the ordered exponential starting at n_bases equispaced
     nodes. Returns (spectral, aligned): the worst eigenvalue mismatch
-    (conjugation invariant) and the worst deviation of the recomputed
-    matrix from its prediction conjugated back to the original base frame.
+    (conjugation invariant), i.e. the largest matched distance of a
+    minimum-sum matching of each base's eigenvalues to base 0's, and the
+    worst deviation of the recomputed matrix from its prediction
+    conjugated back to the original base frame.
     The prediction conjugates by Y at the base node, composed from the
     base-0 loop's fine Magnus cells in n_bases runs. Each shifted base keeps
     its own interpolation and exponentials, stacked on a base axis: 2 cell

@@ -1,6 +1,10 @@
 """Command line scenarios, artifact contracts, and studies."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,12 +136,54 @@ class TestRunScenario:
         # plus one for the final state
         assert len(calls) == 7
 
+    @pytest.mark.parametrize("target,expected", [("warped_sphere", 44),
+                                                 ("round_sphere", 16)])
+    def test_autonomous_derivatives_per_run(self, workdir, monkeypatch,
+                                            target, expected):
+        """A 3-step autonomous run with a row per step takes u_x of each
+        row's loop once, for its energy, holonomy_ode and rate, reusing the
+        initial lift's u_x and angle in row 0; a varying K adds its
+        derivative per row. Each row equals the public routes on the loop
+        of its snapshot, to the bit."""
+        from smflow import flow_direct as fd
+        from smflow.holonomy import holonomy_ode, holonomy_rate
+        from smflow.spectral import SpectralGrid
+
+        calls = []
+        derivatives = SpectralGrid.derivatives
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return derivatives(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralGrid, "derivatives", counting)
+        cfg = write_config(workdir, target={"kind": target},
+                           reduction={"mode": "autonomous"},
+                           time={"dt": 1e-5, "t_final": 3e-5},
+                           diagnostics={"cadence": 1, "snapshot_cadence": 1,
+                                        "l4_window": 8})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert len(calls) == expected
+        surface, grid = cli._materialize(cli.load_config(str(cfg)))[:2]
+        cols, data = read_csv(workdir / "out" / "timeseries.csv")
+        assert data.shape[0] == 4
+        for k, row in enumerate(data):
+            _, snap = read_csv(workdir / "out" / f"snapshot_{k:06d}.csv")
+            pts = snap[:, 1:1 + surface.point_dim]
+            state = fd.LoopState(grid=grid, surface=surface, points=pts)
+            theta = row[cols.index("theta_transport")]
+            assert row[cols.index("energy")] == fd.energy(state)
+            assert row[cols.index("theta_ode")] == cli.lift_to_branch(
+                holonomy_ode(surface, grid, pts), theta)
+            assert row[cols.index("theta_rate")] == holonomy_rate(surface, grid, pts)
+
     def test_coupled_run_computes_theta_ode_once_per_state(self, workdir,
                                                             monkeypatch):
         """The timeseries and the holonomy payload read holonomy_ode from
-        the coupled result: one call for the initial lift and one per state,
-        none in the command line layer. The driver takes the angle through
-        the private route that reuses the state's u_x."""
+        the coupled result: one call per state, which also lifts the initial
+        transport angle, and none in the command line layer. The coupled
+        driver takes the angle through the private route that reuses the
+        state's u_x."""
         from smflow import frame_reduction as fr
         from smflow.holonomy import holonomy_ode as ode
 
@@ -150,10 +196,10 @@ class TestRunScenario:
             return wrapped
 
         monkeypatch.setattr(fr, "_holonomy_ode", counting("fr", fr._holonomy_ode))
-        monkeypatch.setattr(cli, "holonomy_ode", counting("cli", ode))
+        monkeypatch.setattr(cli, "_holonomy_ode", counting("cli", cli._holonomy_ode))
         cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 3e-4})
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        assert calls == {"fr": 3 + 2, "cli": 0}
+        assert calls == {"fr": 4, "cli": 0}  # 3 steps, 4 states
         cols, data = read_csv(workdir / "out" / "timeseries.csv")
         surface, grid, loop, dt, n_steps = cli._materialize(cli.load_config(str(cfg)))
         res = fr.coupled_evolve(loop, dt, n_steps)
@@ -428,3 +474,17 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "bogus"])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test oracle only: importing the package, its command line
+    and its check suites loads no scipy module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, smflow, smflow.cli, smflow.checks\n"
+            "assert smflow.__file__.startswith(sys.argv[1]), smflow.__file__\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

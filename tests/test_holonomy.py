@@ -7,6 +7,8 @@ closed form on synthetic sweeps; the rate route against a centered finite
 difference of the connection-route angle along the actual flow.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -492,3 +494,53 @@ def test_x_independence_validates_before_any_work(monkeypatch):
         hol.x_independence_check(noncommuting_family(30), n_bases=8)
     with pytest.raises(ConfigError, match="anti-Hermitian"):
         hol.x_independence_check(np.ones((16, 2, 2)), n_bases=8)
+    # NaN passes a "defect > tolerance" test; an imaginary inf on the
+    # diagonal gives a NaN defect
+    for bad in (np.nan, complex(0.0, np.inf), np.inf):
+        samples = np.zeros((16, 2, 2), dtype=complex)
+        samples[5, 1, 1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            hol.x_independence_check(samples, n_bases=8)
+
+
+def assignment_cases():
+    """200 seeded square cost matrices, k = 1 to 7: uniform floats, small
+    integers with ties, and constant matrices (1x1 among them)."""
+    rng = np.random.default_rng(8)
+    cases = [("constant", np.full((k, k), 0.25 * k)) for k in range(1, 8)]
+    cases.append(("integer", np.zeros((1, 1))))
+    for _ in range(96):
+        k = int(rng.integers(1, 8))
+        cases.append(("float", rng.random((k, k))))
+        cases.append(("integer", rng.integers(0, 3, (k, k)).astype(float)))
+    return cases
+
+
+def test_min_sum_assignment_matches_scipy():
+    """The matcher against scipy's linear_sum_assignment and, for the
+    optimum and its uniqueness, against every permutation."""
+    cases = assignment_cases()
+    assert len(cases) == 200
+    for kind, cost in cases:
+        k = cost.shape[0]
+        rows = np.arange(k)
+        cols = hol._min_sum_assignment(cost)
+        assert sorted(cols) == list(rows)
+        ref = linear_sum_assignment(cost)[1]
+        perms = np.array(list(itertools.permutations(range(k))))
+        totals = cost[rows, perms].sum(axis=1)
+        total = cost[rows, cols].sum()
+        if kind == "float":
+            assert total == pytest.approx(cost[rows, ref].sum(), rel=1e-14)
+            assert total == pytest.approx(totals.min(), rel=1e-14)
+            optimal = np.flatnonzero(totals < totals.min() + 1e-9)
+        else:
+            assert total == cost[rows, ref].sum() == totals.min()
+            optimal = np.flatnonzero(totals == totals.min())
+        if optimal.size == 1:
+            assert cols == list(perms[optimal[0]])
+        # ties resolve as in scipy, so the largest matched cost (the spectral
+        # figure) is the same where the optimum is not unique
+        assert cols == list(ref)
+        if kind == "constant":
+            assert cols == list(rows)
