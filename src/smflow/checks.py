@@ -92,7 +92,7 @@ def _check_conservation(rng):
     frame = fr.parallel_frame(sphere, loop)
     co = fr.coefficients(loop, frame)
     out.append(_result("conservation", "frame_norm_identity",
-                       co.norm_identity_defect(sphere, loop), 1e-10))
+                       co.norm_identity_defect(loop), 1e-10))
 
     field = _random_loop_field(SpectralGrid(64), rng)
     out.append(_result("conservation", "free_flow_unitarity",
@@ -227,7 +227,7 @@ def _check_reduction(rng):
     th0 = lift_to_branch(trio[0][1].transport_angle(), th1)
     th2 = lift_to_branch(trio[2][1].transport_angle(), th1)
     phis = [fr.untwist(c, t) for (_, _, c), t in zip(trio, (th0, th1, th2))]
-    terms = fr.nonlinear_terms(warped, trio[1][0], trio[1][2])
+    terms = fr.nonlinear_terms(trio[1][0], trio[1][2])
     rate = holonomy_rate(warped, wgrid, trio[1][0].points)
     F = fr.assemble_nls_rhs(wgrid, phis[1], terms, theta=th1, theta_rate=rate)
     lhs = 1j * (phis[2] - phis[0]) / (2 * dt)

@@ -429,45 +429,40 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
 
     frame = fr.parallel_frame(surface, loop)
     coeffs = fr.coefficients(loop, frame)
-    ux0 = grid.derivative(loop.points)
-    ode0 = _holonomy_ode(surface, grid, loop.points, ux0)
+    ode0 = _holonomy_ode(loop)
     theta0 = lift_to_branch(frame.transport_angle(), ode0)
     phi0 = fr.untwist(coeffs, theta0)
     state = fr.AutonomousState(grid, phi0, loop.points[0].copy(),
                                frame.e1[0].copy(), theta0)
 
-    # step -> (t, points, phi, theta); steps > 0 keep the evolution's loop
-    recorded = {0: (0.0, loop.points.copy(), phi0.copy(), theta0)}
+    # step -> (t, loop state, phi, theta); steps > 0 keep the evolution's state
+    recorded = {0: (0.0, loop, phi0.copy(), theta0)}
 
-    def observer(k, st, pts):
+    def observer(k, st, lp):
         if k > 0 and k in needed:
-            recorded[k] = (st.time, pts, st.phi.copy(), st.theta)
+            recorded[k] = (st.time, lp, st.phi.copy(), st.theta)
 
     state = fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
     if n_steps > 0:
-        observer(n_steps, state, fr.reconstruct_loop(
-            surface, grid, state.phi, state.base_point, state.e1_base, state.theta)[0])
+        pts = fr.reconstruct_loop(surface, grid, state.phi, state.base_point,
+                                  state.e1_base, state.theta)[0]
+        observer(n_steps, state, fd.LoopState(grid, surface, pts, state.time))
 
     rows = []
     phi_hist, t_hist = [], []
     theta_gb = theta0
     prev = None
     for k in row_ids:
-        t, pts, phi, theta = recorded[k]
+        t, lp, phi, theta = recorded[k]
         if prev is not None:
             gap = t - prev[0]
-            theta_gb += swept_angle_increment(surface, grid, prev[1], pts, gap)
-        prev = (t, pts)
+            theta_gb += swept_angle_increment(surface, grid, prev[1], lp.points, gap)
+        prev = (t, lp.points)
         phi_hist.append(phi)
         t_hist.append(t)
-        # u_x once per row: fd.energy, holonomy_ode and holonomy_rate of pts
-        ux = ux0 if k == 0 else grid.derivative(pts)
-        speed2 = surface.metric(pts, ux, ux)
-        energy = 0.5 * grid.integrate(speed2)
-        ode = ode0 if k == 0 else _holonomy_ode(surface, grid, pts, ux)
-        theta_ode = lift_to_branch(ode, theta)
-        K = surface.gaussian_curvature(pts)
-        rate = _holonomy_rate(grid, None if np.ptp(K) == 0.0 else grid.derivative(K), speed2)
+        energy = fd.energy(lp)
+        theta_ode = lift_to_branch(ode0 if k == 0 else _holonomy_ode(lp), theta)
+        rate = _holonomy_rate(lp)
         l4 = fr._windowed_l4(grid, np.asarray(phi_hist), np.asarray(t_hist),
                              len(phi_hist) - 1, diag["l4_window"])
         rows.append([t, energy, math.sqrt(2.0 * energy), theta, theta_ode,
@@ -476,13 +471,13 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
                TIMESERIES_COLUMNS, rows)
 
     for k in snap_ids:
-        t, pts, phi, theta = recorded[k]
+        t, lp, phi, theta = recorded[k]
         big_phi = np.exp(-1j * theta * grid.nodes) * phi
-        _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, pts,
+        _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, lp.points,
                         big_phi, phi)
 
-    t, pts, _, theta = recorded[n_steps]
-    payload = _holonomy_payload(surface, grid, pts, theta, rows[-1][4], theta_gb)
+    t, lp, _, theta = recorded[n_steps]
+    payload = _holonomy_payload(surface, grid, lp.points, theta, rows[-1][4], theta_gb)
     _write_json(out_dir / "holonomy.json", payload)
 
     invariants = _summary_invariants(rows, True, "autonomous", skip_cross=True)

@@ -11,6 +11,7 @@ the scheme stays 4th order).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,12 @@ CFL_CONSTANT = 0.2
 
 @dataclass(frozen=True)
 class LoopState:
-    """A closed loop (or periodic line profile) in the target at one time."""
+    """A closed loop (or periodic line profile) in the target at one time.
+
+    Holds a read-only copy of its points and computes each per-state
+    quantity at most once, on first use: ``ux`` (u_x), ``speed2``
+    (|u_x|^2_h), ``curvature`` (K along the loop) and ``curvature_x``
+    ((K o u)_x, None when K is constant along the loop)."""
 
     grid: SpectralGrid
     surface: SurfaceModel
@@ -33,7 +39,7 @@ class LoopState:
     time: float = 0.0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.shape != (self.grid.n, self.surface.point_dim):
             raise ConfigError(
                 [
@@ -41,11 +47,25 @@ class LoopState:
                     f"{self.grid.n} and target dimension {self.surface.point_dim}"
                 ]
             )
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return flow_rhs(self)
+    @cached_property
+    def ux(self) -> np.ndarray:
+        return self.grid.derivative(self.points)
+
+    @cached_property
+    def speed2(self) -> np.ndarray:
+        return self.surface.metric(self.points, self.ux, self.ux)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        return self.surface.gaussian_curvature(self.points)
+
+    @cached_property
+    def curvature_x(self) -> np.ndarray | None:
+        K = self.curvature
+        return None if np.ptp(K) == 0.0 else self.grid.derivative(K)
 
 
 # -- initial data ---------------------------------------------------------------
@@ -137,10 +157,7 @@ def flow_rhs(state: LoopState) -> np.ndarray:
 
 def energy(state: LoopState) -> float:
     """Dirichlet energy E = 1/2 * integral of |u_x|^2 in the target metric."""
-    ux = state.grid.derivative(state.points)
-    return 0.5 * state.grid.integrate(
-        state.surface.metric(state.points, ux, ux)
-    )
+    return 0.5 * state.grid.integrate(state.speed2)
 
 
 def gradient_norm(state: LoopState) -> float:
@@ -161,7 +178,7 @@ def _rk4_step(state: LoopState, dt: float, rhs, y: np.ndarray):
     ride on the same stages. Returns the new LoopState and carried rows."""
     n = state.grid.n
     if dt == 0.0:
-        return replace(state, points=state.points.copy()), y[n:].copy()
+        return replace(state), y[n:].copy()
     limit = admissible_dt(state)
     if abs(dt) > limit * (1 + 1e-12):
         raise RejectedStepError(dt, limit)

@@ -42,13 +42,7 @@ from .errors import (
 from .flow_direct import LoopState
 from .geometry import (ProductSurface, SurfaceModel, WarpedSphere, _covariant_rhs,
                        _frame_angle, _path_frame, _unit_tangent)
-from .holonomy import (
-    _holonomy_ode,
-    _holonomy_rate,
-    holonomy_rate,
-    lift_to_branch,
-    swept_angle_increment,
-)
+from .holonomy import _holonomy_ode, _holonomy_rate, lift_to_branch, swept_angle_increment
 from .nls_solver import ComplexField, split_step
 from .spectral import SpectralGrid
 
@@ -96,14 +90,9 @@ def parallel_frame(surface: SurfaceModel, loop: LoopState, seed=None,
 
     The default seed is the normalized loop direction at the base node.
     The frame is smooth along the transport path; the holonomy mismatch
-    sits between the wrap values and the base values.
+    sits between the wrap values and the base values. From base 0 on a
+    circle grid the path data reuse the loop's u_x (over n).
     """
-    return _parallel_frame(surface, loop, seed, base_index)
-
-
-def _parallel_frame(surface: SurfaceModel, loop: LoopState, seed, base_index: int,
-                    dpath=None) -> FrameField:
-    """parallel_frame given the loop's d(point)/d(index), if known."""
     if isinstance(surface, ProductSurface):
         raise UnsupportedOperationError(
             "parallel frames are scalar-gauge only; use product_integral "
@@ -111,10 +100,11 @@ def _parallel_frame(surface: SurfaceModel, loop: LoopState, seed, base_index: in
         )
     if loop.grid.n < 16:
         raise ResolutionError("frame transport needs at least 16 loop samples")
-    pts = loop.points
+    pts, dpath = loop.points, None
     if base_index % loop.grid.n:
         pts = np.roll(pts, -base_index, axis=0)
-        dpath = None if dpath is None else np.roll(dpath, -base_index, axis=0)
+    elif loop.grid.kind == "circle":
+        dpath = loop.ux / loop.grid.n
     e1, e2 = _path_frame(surface, pts, True, seed, dpath)[1:]
     e1, e2, e1w, e2w = e1[:-1], e2[:-1], e1[-1], e2[-1]
     if base_index % loop.grid.n:
@@ -164,21 +154,13 @@ class FrameCoefficients:
         )
         return -1j * dphi
 
-    def norm_identity_defect(self, surface: SurfaceModel, loop: LoopState) -> float:
-        ux = loop.grid.derivative(loop.points)
-        speed2 = surface.metric(loop.points, ux, ux)
-        return float(np.abs(np.sum(self.a**2, axis=-1) - speed2).max())
+    def norm_identity_defect(self, loop: LoopState) -> float:
+        return float(np.abs(np.sum(self.a**2, axis=-1) - loop.speed2).max())
 
 
 def coefficients(loop: LoopState, frame: FrameField) -> FrameCoefficients:
     """Frame coefficients of u_x, including the wrap continuation value."""
-    return _coefficients(loop.grid, loop.points, frame,
-                         loop.grid.derivative(loop.points))
-
-
-def _coefficients(grid: SpectralGrid, points: np.ndarray, frame: FrameField,
-                  ux: np.ndarray) -> FrameCoefficients:
-    """coefficients with the loop derivative u_x supplied."""
+    points, ux = loop.points, loop.ux
     h = frame.surface.metric
     a1 = h(points, ux, frame.e1)
     a2 = h(points, ux, frame.e2)
@@ -186,7 +168,7 @@ def _coefficients(grid: SpectralGrid, points: np.ndarray, frame: FrameField,
     b = frame.base_index
     pw = frame.points[b]
     phi_wrap = complex(h(pw, ux[b], frame.e1_wrap), h(pw, ux[b], frame.e2_wrap))
-    return FrameCoefficients(grid, a, a1 + 1j * a2, phi_wrap, base_index=b)
+    return FrameCoefficients(loop.grid, a, a1 + 1j * a2, phi_wrap, base_index=b)
 
 
 def twisted_residual(coeffs: FrameCoefficients, theta: float) -> float:
@@ -199,17 +181,16 @@ def twisted_residual(coeffs: FrameCoefficients, theta: float) -> float:
     return float(abs(coeffs.phi_wrap - predicted) / scale)
 
 
-def untwist(coeffs: FrameCoefficients, theta: float,
-            residual_tol: float = 1e-6) -> np.ndarray:
+def untwist(coeffs: FrameCoefficients, theta: float) -> np.ndarray:
     """phi = e^{i theta x} Phi, periodic when theta matches the twist.
 
     Records the angle used on the coefficients and rejects angles whose
-    twist relation fails by more than residual_tol (relative).
+    twist relation fails by more than 1e-6 (relative).
     """
     res = twisted_residual(coeffs, theta)
-    if res > residual_tol:
+    if res > 1e-6:
         raise InconsistentHolonomyError(
-            f"twist angle residual {res:.3e} exceeds {residual_tol:.1e}; "
+            f"twist angle residual {res:.3e} exceeds 1.0e-06; "
             "the supplied theta does not match the frame holonomy"
         )
     out = np.exp(1j * theta * coeffs.grid.nodes) * coeffs.phi
@@ -237,42 +218,43 @@ class NonlinearTerms:
         return self.Q + self.S - self.W + self.T
 
 
-def _curvature_letters(grid: SpectralGrid, K: np.ndarray, phi: np.ndarray, dK=None):
+def _curvature_letters(loop: LoopState, phi: np.ndarray):
     """S = -K |Phi|^2 / 2, the curvature-rate density r = (K o u)_x |Phi|^2 / 2
-    and its primitive R from node 0, from K along the loop and, unless it is
-    supplied, its derivative dK; r = R = 0 when K is constant."""
+    and its primitive R from node 0, from K along the loop and its
+    derivative; r = R = 0 when K is constant."""
     amp2 = np.abs(phi) ** 2
+    K, dK = loop.curvature, loop.curvature_x
     S = -0.5 * K * amp2
-    if np.ptp(K) == 0.0:
+    if dK is None:
         return S, np.zeros_like(K), np.zeros_like(K)
-    r = (grid.derivative(K) if dK is None else dK) * amp2 * 0.5
-    return S, r, grid.cumulative_integral(r)
+    r = dK * amp2 * 0.5
+    return S, r, loop.grid.cumulative_integral(r)
 
 
-def gauge_potential(surface: SurfaceModel, loop: LoopState,
-                    coeffs: FrameCoefficients) -> np.ndarray:
+def _edge_decay(phi: np.ndarray) -> float:
+    """max(|Phi| on the e = max(2, n // 16) nodes at either edge) / max|Phi|,
+    the decay a line-domain reduction needs; 0 when Phi vanishes."""
+    edge = max(2, phi.shape[0] // 16)
+    scale = max(np.abs(phi).max(), 1e-300)
+    return max(np.abs(phi[:edge]).max(), np.abs(phi[-edge:]).max()) / scale
+
+
+def gauge_potential(loop: LoopState, coeffs: FrameCoefficients) -> np.ndarray:
     """V with i Phi_t = Phi_xx - V Phi in the base-node parallel gauge.
 
     V = S - S(base) + tail, where the tail integrates the curvature-rate
     density r = (K o u)_x |Phi|^2 / 2 along the transport path from the
     base node (wrapping past the seam for nodes before the base)."""
-    return _gauge_assembly(surface, loop.grid, loop.points, coeffs.phi,
-                           coeffs.base_index)
-
-
-def _gauge_assembly(surface: SurfaceModel, grid: SpectralGrid,
-                    points: np.ndarray, phi: np.ndarray, b: int) -> np.ndarray:
-    """V = S - S(b) + tail on plain arrays (see gauge_potential)."""
-    S, r, R = _curvature_letters(grid, surface.gaussian_curvature(points), phi)
+    S, r, R = _curvature_letters(loop, coeffs.phi)
+    b = coeffs.base_index
     tail = R - R[b]
     if b:
-        tail[:b] += grid.integrate(r)
+        tail[:b] += loop.grid.integrate(r)
     return S - S[b] + tail
 
 
-def nonlinear_terms(surface: SurfaceModel, loop: LoopState,
-                    coeffs: FrameCoefficients, domain: str = "circle",
-                    decay_tol: float = 1e-6) -> NonlinearTerms:
+def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients,
+                    domain: str = "circle") -> NonlinearTerms:
     """Curvature potential letters for the reduced equation.
 
     Circle: S(x) = -K|Phi|^2/2, W = mean(S), T = R - mean(R) + (oint r)/2
@@ -280,33 +262,23 @@ def nonlinear_terms(surface: SurfaceModel, loop: LoopState,
     making Q + S - W + T the base-node gauge potential.
 
     Line: T is the raw tail integrated from the left edge and W = Q = 0;
-    the coefficients must decay at the edges (relative decay_tol).
+    the coefficients must decay at the edges (relative 1e-6).
     """
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
-    return _nonlinear_terms(loop.grid, coeffs, domain,
-                            surface.gaussian_curvature(loop.points), decay_tol=decay_tol)
-
-
-def _nonlinear_terms(grid: SpectralGrid, coeffs: FrameCoefficients, domain: str,
-                     K: np.ndarray, dK=None, decay_tol: float = 1e-6) -> NonlinearTerms:
-    """nonlinear_terms from K along the loop and, if known, its derivative."""
-    S, r, R = _curvature_letters(grid, K, coeffs.phi, dK)
+    S, r, R = _curvature_letters(loop, coeffs.phi)
     if domain == "line":
-        edge = max(2, grid.n // 16)
-        scale = np.abs(coeffs.phi).max()
-        edge_amp = max(np.abs(coeffs.phi[:edge]).max(),
-                       np.abs(coeffs.phi[-edge:]).max())
-        if scale > 0 and edge_amp > decay_tol * scale:
+        decay = _edge_decay(coeffs.phi)
+        if decay > 1e-6:
             raise ConfigError(
                 [
                     "line-domain reduction requires the coefficients to decay "
-                    f"at the edges: relative edge amplitude {edge_amp / scale:.3e} "
-                    f"exceeds {decay_tol:.1e}"
+                    f"at the edges: relative edge amplitude {decay:.3e} "
+                    "exceeds 1.0e-06"
                 ]
             )
         return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0, domain="line")
-    total = grid.integrate(r)
+    total = loop.grid.integrate(r)
     mean_R = float(np.mean(R))
     b = coeffs.base_index
     T = R - mean_R + 0.5 * total
@@ -441,7 +413,7 @@ def _windowed_l4(grid: SpectralGrid, history, times, k, window: int) -> float:
 
 
 def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
-                   domain: str = "circle", seed=None,
+                   domain: str = "circle",
                    l4_window: int = 32, observer=None) -> ReducedRunResult:
     """March the map flow and the reduced NLS side by side.
 
@@ -452,11 +424,10 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     holonomy angles by transport/sweep/rate, and the cross-formulation
     error.
 
-    Each state's u_x feeds the frame's path data (as u_x / n, on the
-    period-1 circle grid only), the coefficients, the energy and the
-    holonomy_ode angle (which also lifts the initial theta); its K and,
-    unless constant, dK feed the potential letters and the rate. Each is
-    computed once.
+    Each state is reduced by the public routes, which share the u_x,
+    |u_x|^2_h, K and K_x its LoopState computes once: the frame, the
+    coefficients, the letters, the energy, holonomy_ode (which also lifts
+    the initial theta) and the rate.
     """
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
@@ -465,26 +436,20 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
 
     def reduce(state, seed, theta_ref=None):
         """Frame, coefficients, holonomy_ode (NaN on the line), theta (lifted
-        next to theta_ref, by default holonomy_ode), rate, phi, potential
-        and |u_x|^2_h of a state."""
-        ux = grid.derivative(state.points)
-        dpath = ux / grid.n if grid.kind == "circle" else None
-        frame = _parallel_frame(surface, state, seed, 0, dpath)
-        coeffs = _coefficients(grid, state.points, frame, ux)
-        K = surface.gaussian_curvature(state.points)
-        dK = None if np.ptp(K) == 0.0 else grid.derivative(K)
-        terms = _nonlinear_terms(grid, coeffs, domain, K, dK)
-        speed2 = surface.metric(state.points, ux, ux)
+        next to theta_ref, by default holonomy_ode), rate, phi and potential
+        of a state."""
+        frame = parallel_frame(surface, state, seed)
+        coeffs = coefficients(state, frame)
+        terms = nonlinear_terms(state, coeffs, domain)
         if not circle:
-            return (frame, coeffs, np.nan, 0.0, 0.0, coeffs.phi.copy(),
-                    terms.S + terms.T, speed2)
-        ode = _holonomy_ode(surface, grid, state.points, ux)
+            return frame, coeffs, np.nan, 0.0, 0.0, coeffs.phi.copy(), terms.S + terms.T
+        ode = _holonomy_ode(state)
         theta_k = lift_to_branch(frame.transport_angle(), ode if theta_ref is None else theta_ref)
-        rate = _holonomy_rate(grid, dK, speed2)
+        rate = _holonomy_rate(state)
         return (frame, coeffs, ode, theta_k, rate, untwist(coeffs, theta_k),
-                grid.nodes * rate + terms.potential(), speed2)
+                grid.nodes * rate + terms.potential())
 
-    frame, coeffs, ode, theta_now, rate_now, phi_now, pot_now, speed2 = reduce(state0, seed)
+    frame, coeffs, ode, theta_now, rate_now, phi_now, pot_now = reduce(state0, None)
     w1 = frame.e1[0]
 
     m = n_steps
@@ -506,14 +471,13 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     state = state0
     nls = ComplexField(grid, phi_now)
 
-    def record(k, state, coeffs, phi_f, ode, theta_k, rate_k, gb_k, speed2):
+    def record(k, state, coeffs, phi_f, ode, theta_k, rate_k, gb_k):
         times[k] = state.time
         theta[k] = theta_k
         theta_gb[k] = gb_k
         theta_rate[k] = rate_k
-        energy[k] = 0.5 * grid.integrate(speed2)  # fd.energy(state) from the shared |u_x|^2_h
-        # fd.gradient_norm(state), without evaluating the energy again
-        grad_norm[k] = float(np.sqrt(max(2.0 * energy[k], 0.0)))
+        energy[k] = fd.energy(state)
+        grad_norm[k] = fd.gradient_norm(state)
         phi_frame[k] = phi_f
         phi_nls[k] = nls.values
         coeffs_hist[k] = coeffs.phi
@@ -523,23 +487,19 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
             closure[k] = abs(np.exp(1j * theta_k * grid.period) * coeffs.phi_wrap
                              - phi_f[0]) / max(np.abs(phi_f).max(), 1e-300)
         else:
-            edge = max(2, grid.n // 16)
-            scale = max(np.abs(coeffs.phi).max(), 1e-300)
-            resid_ode[k] = max(np.abs(coeffs.phi[:edge]).max(),
-                               np.abs(coeffs.phi[-edge:]).max()) / scale
-            closure[k] = resid_ode[k]
+            resid_ode[k] = closure[k] = _edge_decay(coeffs.phi)
         sup_err[k] = np.abs(nls.values - phi_f).max()
         l4[k] = _windowed_l4(grid, phi_nls[:k + 1], times[:k + 1], k, l4_window)
         if observer is not None:
             observer(k, state, coeffs)
 
-    record(0, state, coeffs, phi_now, ode, theta_now, rate_now, theta_now, speed2)
+    record(0, state, coeffs, phi_now, ode, theta_now, rate_now, theta_now)
     gb = theta_now
 
     for k in range(1, m + 1):
         prev_points = state.points
         state, w1 = _step_with_seed(state, dt, w1)
-        frame, coeffs, ode, theta_next, rate_next, phi_next, pot_next, speed2 = \
+        frame, coeffs, ode, theta_next, rate_next, phi_next, pot_next = \
             reduce(state, w1, theta_now)
         w1 = frame.e1[0]
         if circle:
@@ -553,7 +513,7 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         nls = split_step(nls, dt, potential=potential,
                          theta=0.5 * (theta_now + theta_next), t0=t_now)
         theta_now, rate_now, pot_now = theta_next, rate_next, pot_next
-        record(k, state, coeffs, phi_next, ode, theta_now, rate_now, gb, speed2)
+        record(k, state, coeffs, phi_next, ode, theta_now, rate_now, gb)
 
     return ReducedRunResult(
         times=times, theta=theta, theta_gb=theta_gb, theta_rate=theta_rate,
@@ -685,28 +645,32 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     step, and moves the base point and seed with the flow velocity read
     off the gauge field (u_t = b1 e1 + b2 e2 with b = -i Phi_x at the
     base). Second order in dt on top of the O(dx^4) reconstruction.
-    observer(k, state, points) sees each step's start state and its loop.
+    observer(k, state, loop) sees each step's start state and the LoopState
+    of its reconstructed loop, whose u_x, K and K_x the snapshot has
+    already computed as far as its rate and potential needed them.
     """
     grid = state.grid
     x = grid.nodes
 
     def snapshot(st):
-        pts, e1s, e2s, closure = reconstruct_loop(
-            surface, grid, st.phi, st.base_point, st.e1_base, st.theta)
-        rate = holonomy_rate(surface, grid, pts)
-        pot = x * rate + _gauge_assembly(surface, grid, pts,
-                                         np.exp(-1j * st.theta * x) * st.phi, 0)
+        pts = reconstruct_loop(surface, grid, st.phi, st.base_point,
+                               st.e1_base, st.theta)[0]
+        loop = LoopState(grid, surface, pts, st.time)
+        rate = _holonomy_rate(loop)
+        # gauge_potential from base 0: S - S(0) + R
+        S, _, R = _curvature_letters(loop, np.exp(-1j * st.theta * x) * st.phi)
+        pot = x * rate + (S - S[0] + R)
         Phi_x = np.exp(-1j * st.theta * x) * (grid.derivative(st.phi)
                                               - 1j * st.theta * st.phi)
         b = -1j * Phi_x[0]
         e2b = surface.apply_J(st.base_point, st.e1_base)
         u_t = b.real * st.e1_base + b.imag * e2b
-        return pts, pot, rate, u_t, closure
+        return loop, pot, rate, u_t
 
     for k in range(n_steps):
-        pts, pot0, rate0, ut0, _ = snapshot(state)
+        loop, pot0, rate0, ut0 = snapshot(state)
         if observer is not None:
-            observer(k, state, pts)
+            observer(k, state, loop)
         field = ComplexField(grid, state.phi)
         # predictor: freeze the potential and base data
         pred = split_step(field, dt, potential=lambda v, t: pot0,
@@ -716,7 +680,7 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
         seed_pred = _unit_tangent(surface, base_pred, state.e1_base + h1)
         st_pred = AutonomousState(grid, pred.values, base_pred, seed_pred,
                                   state.theta + dt * rate0, state.time + dt)
-        _, pot1, rate1, ut1, _ = snapshot(st_pred)
+        _, pot1, rate1, ut1 = snapshot(st_pred)
         # corrector: trapezoid in the potential, base velocity, and rate
         theta_mid = state.theta + 0.25 * dt * (rate0 + rate1)
 

@@ -745,14 +745,14 @@ def parallel_transport(
     return TangentVector(np.concatenate(ends), np.concatenate(comps))
 
 
-def loop_frame(surface: SurfaceModel, points: np.ndarray, seed=None):
+def loop_frame(surface: SurfaceModel, points: np.ndarray):
     """Frame (e1, e2) at every sample of a closed loop plus the wrap value.
 
     Returns (e1, e2, e1_wrap, e2_wrap): arrays over the N loop samples and
     the once-around transported frame at the start point, from which the
     loop holonomy can be read off.
     """
-    nodes, e1, e2 = _path_frame(surface, points, closed=True, seed=seed)
+    nodes, e1, e2 = _path_frame(surface, points, closed=True)
     return e1[:-1], e2[:-1], e1[-1], e2[-1]
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InconsistentHolonomyError
+from .flow_direct import LoopState
 from .geometry import (
     SurfaceModel,
     _frame_angle,
@@ -46,10 +47,10 @@ _GAUSS_OFFSETS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 # -- scalar holonomy -------------------------------------------------------------
 
 
-def transport_angle(surface: SurfaceModel, points: np.ndarray, seed=None) -> float:
+def transport_angle(surface: SurfaceModel, points: np.ndarray) -> float:
     """Rotation angle (mod 2*pi, in (-pi, pi]) of parallel transport
     around the closed loop, measured in the transported frame."""
-    e1, e2, e1_wrap, _ = loop_frame(surface, points, seed=seed)
+    e1, e2, e1_wrap, _ = loop_frame(surface, points)
     return _frame_angle(surface, points[0], e1_wrap, e1[0], e2[0])
 
 
@@ -60,40 +61,30 @@ def holonomy_ode(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray) 
     the value a continuous lift rather than a mod-2*pi representative: an
     equatorial great circle gives exactly 2*pi.
     """
-    points = np.asarray(points, dtype=float)
-    return _holonomy_ode(surface, grid, points, grid.derivative(points))
+    return _holonomy_ode(LoopState(grid, surface, points))
 
 
-def _holonomy_ode(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray,
-                  ux: np.ndarray) -> float:
-    """holonomy_ode with the loop derivative u_x supplied."""
-    beta = reference_connection(surface, points, ux)
-    return float(-grid.integrate(beta) + 2.0 * np.pi * azimuthal_winding(surface, points))
+def _holonomy_ode(loop: LoopState) -> float:
+    """holonomy_ode of a loop state, from its u_x."""
+    beta = reference_connection(loop.surface, loop.points, loop.ux)
+    return float(-loop.grid.integrate(beta)
+                 + 2.0 * np.pi * azimuthal_winding(loop.surface, loop.points))
 
 
-def holonomy_rate(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray, coeffs=None) -> float:
+def holonomy_rate(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray) -> float:
     """d theta / dt along the flow: -1/2 * int (K o u)_x |u_x|^2_h dx.
 
-    The squared gradient may be supplied through precomputed frame
-    coefficients (their pointwise norm equals |u_x|_h); otherwise it is
-    computed from the loop directly. Exactly zero on constant-curvature
-    targets, where the integrand is a total derivative.
+    Exactly zero on constant-curvature targets, where the integrand is a
+    total derivative.
     """
-    points = np.asarray(points, dtype=float)
-    K = surface.gaussian_curvature(points)
-    if np.ptp(K) == 0.0:
-        return 0.0
-    if coeffs is not None:
-        speed2 = np.abs(np.asarray(coeffs.phi)) ** 2
-    else:
-        ux = grid.derivative(points)
-        speed2 = surface.metric(points, ux, ux)
-    return _holonomy_rate(grid, grid.derivative(K), speed2)
+    return _holonomy_rate(LoopState(grid, surface, points))
 
 
-def _holonomy_rate(grid: SpectralGrid, dK, speed2: np.ndarray) -> float:
-    """holonomy_rate from (K o u)_x, None for constant K, and |u_x|^2_h."""
-    return 0.0 if dK is None else float(-0.5 * grid.integrate(dK * speed2))
+def _holonomy_rate(loop: LoopState) -> float:
+    """holonomy_rate of a loop state, from its (K o u)_x and |u_x|^2_h; u_x
+    is not needed when K is constant."""
+    dK = loop.curvature_x
+    return 0.0 if dK is None else float(-0.5 * loop.grid.integrate(dK * loop.speed2))
 
 
 def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,

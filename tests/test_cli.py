@@ -136,34 +136,42 @@ class TestRunScenario:
         # plus one for the final state
         assert len(calls) == 7
 
-    @pytest.mark.parametrize("target,expected", [("warped_sphere", 44),
-                                                 ("round_sphere", 16)])
+    @pytest.mark.parametrize("target,expected,curvatures",
+                             [("warped_sphere", 32, 11), ("round_sphere", 14, 0)])
     def test_autonomous_derivatives_per_run(self, workdir, monkeypatch,
-                                            target, expected):
-        """A 3-step autonomous run with a row per step takes u_x of each
-        row's loop once, for its energy, holonomy_ode and rate, reusing the
-        initial lift's u_x and angle in row 0; a varying K adds its
-        derivative per row. Each row equals the public routes on the loop
-        of its snapshot, to the bit."""
+                                            target, expected, curvatures):
+        """A 3-step autonomous run with a row per step reads the energy,
+        holonomy_ode and rate of each row from the loop state the
+        evolution's snapshot rated (row 0: the initial loop, the final row:
+        one fresh reconstruction), so u_x, K and K_x of a loop are taken
+        once. Each row equals the public routes on the loop of its
+        snapshot, to the bit."""
         from smflow import flow_direct as fd
+        from smflow.geometry import WarpedSphere
         from smflow.holonomy import holonomy_ode, holonomy_rate
         from smflow.spectral import SpectralGrid
 
-        calls = []
+        calls, k_calls = [], []
         derivatives = SpectralGrid.derivatives
+        curvature = WarpedSphere.gaussian_curvature
 
         def counting(self, *args, **kwargs):
             calls.append(1)
             return derivatives(self, *args, **kwargs)
 
+        def counting_k(self, *args):
+            k_calls.append(1)
+            return curvature(self, *args)
+
         monkeypatch.setattr(SpectralGrid, "derivatives", counting)
+        monkeypatch.setattr(WarpedSphere, "gaussian_curvature", counting_k)
         cfg = write_config(workdir, target={"kind": target},
                            reduction={"mode": "autonomous"},
                            time={"dt": 1e-5, "t_final": 3e-5},
                            diagnostics={"cadence": 1, "snapshot_cadence": 1,
                                         "l4_window": 8})
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        assert len(calls) == expected
+        assert (len(calls), len(k_calls)) == (expected, curvatures)
         surface, grid = cli._materialize(cli.load_config(str(cfg)))[:2]
         cols, data = read_csv(workdir / "out" / "timeseries.csv")
         assert data.shape[0] == 4

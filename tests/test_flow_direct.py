@@ -156,6 +156,35 @@ def test_state_shape_validation():
         fd.initial_loop(geo.round_sphere(), SpectralGrid(8), "no_such_kind")
 
 
+def test_loop_state_caches_match_public_routes():
+    """u_x, |u_x|^2_h, K and K_x are computed once per state and equal the
+    routes they replace to the bit; K_x is None for constant K. The state
+    keeps a read-only copy of its points."""
+    warped = geo.warped_sphere(*geo.bump_warp(amplitude=0.12, width=0.55,
+                                              center=(0.55, 0.45, 0.7)))
+    grid = SpectralGrid(32)
+    pts = make_state("perturbed_latitude", n=32, surface=warped,
+                     alpha=1.0, eps=0.05, m=2).points.copy()
+    state = fd.LoopState(grid, warped, pts)
+    ux = grid.derivative(pts)
+    K = warped.gaussian_curvature(pts)
+    assert np.array_equal(state.ux, ux)
+    assert np.array_equal(state.speed2, warped.metric(pts, ux, ux))
+    assert np.array_equal(state.curvature, K)
+    assert np.array_equal(state.curvature_x, grid.derivative(K))
+    assert state.ux is state.ux and state.curvature_x is state.curvature_x
+
+    round_state = make_state("perturbed_latitude", n=32, alpha=1.0, eps=0.05)
+    assert np.ptp(round_state.curvature) == 0.0
+    assert round_state.curvature_x is None
+
+    with pytest.raises(ValueError):
+        state.points[0, 0] = 0.5
+    assert pts.flags.writeable
+    pts[0, 0] = 0.5
+    assert state.points[0, 0] != 0.5
+
+
 # -- chart targets ------------------------------------------------------------------
 
 

@@ -96,7 +96,7 @@ class TestFrames:
         surf, grid, loop = bumpy_loop()
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        assert co.norm_identity_defect(surf, loop) < 1e-10
+        assert co.norm_identity_defect(loop) < 1e-10
 
     def test_gauge_covariance_of_coefficients(self):
         # rotating the seed rotates phi by a constant phase; discrete
@@ -188,7 +188,7 @@ class TestLetters:
                                alpha=np.pi / 4, eps=0.05, m=2)
         frame = fr.parallel_frame(ROUND, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(ROUND, loop, co)
+        terms = fr.nonlinear_terms(loop, co)
         assert np.abs(terms.S + 0.5 * np.abs(co.phi) ** 2).max() < 1e-12
         assert np.abs(terms.T).max() < 1e-12
         assert terms.W == pytest.approx(np.mean(terms.S))
@@ -202,8 +202,8 @@ class TestLetters:
         surf, grid, loop = bumpy_loop()
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(surf, loop, co)
-        V = fr.gauge_potential(surf, loop, co)
+        terms = fr.nonlinear_terms(loop, co)
+        V = fr.gauge_potential(loop, co)
         assert np.abs(terms.potential() - V).max() < 1e-12
 
     def test_gauge_potential_base_dependence_is_seam_jump(self):
@@ -213,8 +213,8 @@ class TestLetters:
         b = 23
         fb = fr.parallel_frame(surf, loop, base_index=b)
         cb = fr.coefficients(loop, fb)
-        v0 = fr.gauge_potential(surf, loop, c0)
-        vb = fr.gauge_potential(surf, loop, cb)
+        v0 = fr.gauge_potential(loop, c0)
+        vb = fr.gauge_potential(loop, cb)
         diff = vb - v0
         # constant on each arc, jumping by oint r across the base
         assert np.ptp(diff[b:]) < 1e-12
@@ -229,7 +229,7 @@ class TestLetters:
         def combined(lp):
             frame = fr.parallel_frame(surf, lp)
             co = fr.coefficients(lp, frame)
-            terms = fr.nonlinear_terms(surf, lp, co)
+            terms = fr.nonlinear_terms(lp, co)
             rate = holonomy_rate(surf, grid, lp.points)
             return grid.nodes * rate + terms.potential()
 
@@ -241,16 +241,16 @@ class TestLetters:
         d0, d1 = p0 - p0.mean(), p1 - p1.mean()
         assert np.abs(d1 - np.roll(d0, -j)).max() < 1e-10
         f0 = fr.parallel_frame(surf, loop)
-        t0 = fr.nonlinear_terms(surf, loop, fr.coefficients(loop, f0))
+        t0 = fr.nonlinear_terms(loop, fr.coefficients(loop, f0))
         f1 = fr.parallel_frame(surf, rolled)
-        t1 = fr.nonlinear_terms(surf, rolled, fr.coefficients(rolled, f1))
+        t1 = fr.nonlinear_terms(rolled, fr.coefficients(rolled, f1))
         assert abs(t0.W - t1.W) < 1e-12
 
     def test_line_terms_and_decay_gate(self):
         surf, grid, loop = line_profile()
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(surf, loop, co, domain="line")
+        terms = fr.nonlinear_terms(loop, co, domain="line")
         assert terms.W == 0.0 and terms.Q == 0.0
         assert abs(terms.T[0]) < 1e-12  # tail starts at the left edge
         # cross-check the tail against a trapezoid primitive
@@ -270,7 +270,7 @@ class TestLetters:
         bframe = fr.parallel_frame(surf, bad)
         bco = fr.coefficients(bad, bframe)
         with pytest.raises(ConfigError, match="decay"):
-            fr.nonlinear_terms(surf, bad, bco, domain="line")
+            fr.nonlinear_terms(bad, bco, domain="line")
 
     def test_product_target_rejected(self):
         surf = product_surface(round_sphere(1.0), flat_torus())
@@ -281,14 +281,14 @@ class TestLetters:
         pts[:, 2] = 1.0
         loop = LoopState(grid=grid, surface=surf, points=pts)
         with pytest.raises(UnsupportedOperationError):
-            fr.nonlinear_terms(surf, loop, co)
+            fr.nonlinear_terms(loop, co)
 
     def test_unknown_domain(self):
         surf, grid, loop = bumpy_loop(32)
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
         with pytest.raises(ConfigError):
-            fr.nonlinear_terms(surf, loop, co, domain="plane")
+            fr.nonlinear_terms(loop, co, domain="plane")
 
 
 class TestReducedEquation:
@@ -324,7 +324,7 @@ class TestReducedEquation:
         phi3 = fr.untwist(c3, theta3)
         rate2 = holonomy_rate(surf, grid, s2.points)
         assert abs(rate2 - (theta3 - theta1) / (2 * dt)) < 1e-3 * abs(rate2)
-        terms2 = fr.nonlinear_terms(surf, s2, c2)
+        terms2 = fr.nonlinear_terms(s2, c2)
         F = fr.assemble_nls_rhs(grid, phi2, terms2, theta=theta2, theta_rate=rate2)
         lhs = 1j * (phi3 - phi1) / (2 * dt)
         rhs = grid.derivative(phi2, order=2) + F
@@ -339,7 +339,7 @@ class TestReducedEquation:
         # representation with a fixed reference angle
         theta = f2.transport_angle()
         tw = np.exp(1j * theta * grid.nodes)
-        V = fr.gauge_potential(surf, s2, c2)
+        V = fr.gauge_potential(s2, c2)
         lhs = 1j * (c3.phi - c1.phi) / (2 * dt)
         periodic = tw * c2.phi
         phixx = np.exp(-1j * theta * grid.nodes) * (
@@ -356,7 +356,7 @@ class TestReducedEquation:
         dt = 2e-5
         (s1, f1, c1), (s2, f2, c2), (s3, f3, c3) = self.fd_stencil(
             surf, loop0, dt, domain="line")
-        terms = fr.nonlinear_terms(surf, s2, c2, domain="line")
+        terms = fr.nonlinear_terms(s2, c2, domain="line")
         F = fr.assemble_nls_rhs(grid, c2.phi, terms, domain="line")
         lhs = 1j * (c3.phi - c1.phi) / (2 * dt)
         rhs = grid.derivative(c2.phi, order=2) + F
@@ -367,7 +367,7 @@ class TestReducedEquation:
         surf, grid, loop = bumpy_loop(32)
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(surf, loop, co)
+        terms = fr.nonlinear_terms(loop, co)
         with pytest.raises(UnsupportedCombinationError):
             fr.assemble_nls_rhs(grid, co.phi, terms, variable_metric=np.ones(32))
 
@@ -375,7 +375,7 @@ class TestReducedEquation:
         surf, grid, loop = line_profile()
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(surf, loop, co, domain="line")
+        terms = fr.nonlinear_terms(loop, co, domain="line")
         base = fr.assemble_nls_rhs(grid, co.phi, terms, domain="line")
         same = fr.assemble_nls_rhs(grid, co.phi, terms, domain="line",
                                    variable_metric=np.ones(grid.n))
@@ -462,8 +462,8 @@ def coupled_case(case):
 
 def reference_coupled(state0, dt, n_steps, domain, l4_window):
     """The reference for `coupled_evolve`: the same step loop, with every
-    state reduced through the public functions, each of which takes its
-    own u_x and K. Returns the recorded series by result field name, the
+    state reduced through the public functions one by one, and holonomy_ode
+    and holonomy_rate taken from the bare points. Returns the recorded series by result field name, the
     final state and the final seed."""
     surface, grid = state0.surface, state0.grid
     circle = domain == "circle"
@@ -479,7 +479,7 @@ def reference_coupled(state0, dt, n_steps, domain, l4_window):
         frame = fr.parallel_frame(surface, state, seed=seed)
         seed = frame.e1[0]
         coeffs = fr.coefficients(state, frame)
-        terms = fr.nonlinear_terms(surface, state, coeffs, domain=domain)
+        terms = fr.nonlinear_terms(state, coeffs, domain=domain)
         if circle:
             ode = holonomy_ode(surface, grid, state.points)
             theta_new = lift_to_branch(frame.transport_angle(), theta if k else ode)
@@ -687,7 +687,8 @@ class TestCoupledDriver:
     def test_derivatives_per_coupled_step(self, monkeypatch, case, per_step):
         """Per step: 4 flow stages, u_x of the new state and u_x of the
         swept midpoint loop; a varying K adds its derivative and the
-        primitive of the curvature-rate density."""
+        primitive of the curvature-rate density. Each run starts from a
+        fresh loop, since a loop state keeps the u_x it has computed."""
         loop, domain = coupled_case(case)
         dt = fd.admissible_dt(loop)
         calls = []
@@ -701,7 +702,7 @@ class TestCoupledDriver:
         counts = []
         for n_steps in (1, 3):
             calls.clear()
-            fr.coupled_evolve(loop, dt, n_steps, domain=domain)
+            fr.coupled_evolve(coupled_case(case)[0], dt, n_steps, domain=domain)
             counts.append(len(calls))
         assert (counts[1] - counts[0]) / 2 == per_step
 

@@ -1,12 +1,15 @@
-"""Run a fixed matrix of ``smflow run`` scenarios into one directory.
+"""Run a fixed matrix of ``smflow`` commands into one directory.
 
 Every target of the command line runs coupled, the round and the warped
 sphere also run autonomous, and one run uses the line domain; all at N=32
 over three steps with a snapshot after every step. Each scenario writes its
-artifacts to ``OUT/<name>/`` and ``OUT/exit_codes.json`` records the exit
-codes. Every input is fixed and the output root is passed through
-``SMFLOW_OUT``, so the config echo holds no path: two versions of the
-package that compute the same numbers write byte-identical trees.
+artifacts to ``OUT/<name>/``. The matrix also runs ``smflow check all``
+(``OUT/check_all.json``) and a cross-formulation ``smflow converge`` at
+N = 16, 32, 64 (``OUT/converge_cross/``), so it covers all three commands;
+``OUT/exit_codes.json`` records the exit codes. Every input is fixed and
+the output root is passed through ``SMFLOW_OUT``, so the config echo holds
+no path: two versions of the package that compute the same numbers write
+byte-identical trees.
 
     PYTHONPATH=src python3 tools/artifact_matrix.py OUT
     python3 tools/artifact_matrix.py --against OTHER_SRC OUT
@@ -47,6 +50,13 @@ SCENARIOS = {
                              "init.kind=fourier",
                              "init.coeffs=[[2,0.1,0.0],[1,0.0,0.08]]",
                              "init.offset=[0.1,0.2]", "init.envelope_sigma=0.8"),
+}
+COMMANDS = {
+    "check_all": ["check", "all", "--seed", "0"],
+    "converge_cross": ["converge", "--set", "study.error=cross",
+                       "--set", "time.t_final=1e-3",
+                       "--set", "output.dir=converge_cross",
+                       "--levels", "16,32,64"],
 }
 
 
@@ -91,6 +101,8 @@ def main(argv) -> int:
         args = ["run"]
         for item in (*COMMON, *sets, f"output.dir={name}"):
             args += ["--set", item]
+        codes[name] = cli.main(args)
+    for name, args in COMMANDS.items():
         codes[name] = cli.main(args)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
     for name, code in codes.items():
