@@ -17,8 +17,8 @@ from . import frame_reduction as fr
 from .errors import ConfigError
 from .geometry import bump_warp, round_sphere, warped_sphere
 from .holonomy import (
+    _connection_matrix_samples,
     _x_independence,
-    connection_matrix_samples,
     holonomy_ode,
     holonomy_rate,
     lift_to_branch,
@@ -140,8 +140,7 @@ def _check_holonomy(rng):
                        abs(rate - fd_rate) / abs(fd_rate), 1e-3,
                        "centered difference of the transport angle"))
 
-    samples = connection_matrix_samples(warped, wg, wl.points)
-    H, spectral, _ = _x_independence(samples, 1.0, 8)
+    H, spectral, _ = _x_independence(_connection_matrix_samples(wl), 1.0, 8)
     out.append(_result("holonomy", "matrix_unitarity",
                        np.abs(H @ H.conj().T - np.eye(H.shape[0])).max(),
                        1e-10))

@@ -32,10 +32,10 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
 from .geometry import bump_warp, flat_torus, hyperbolic_disk, round_sphere, warped_sphere
 from .holonomy import (
+    _connection_matrix_samples,
     _holonomy_ode,
     _holonomy_rate,
     _x_independence,
-    connection_matrix_samples,
     lift_to_branch,
     swept_angle_increment,
 )
@@ -310,9 +310,10 @@ def _snapshot_indices(n_steps, snapshot_cadence):
     return sorted(out)
 
 
-def _holonomy_payload(surface, grid, points, theta, theta_ode, theta_gb):
-    samples = connection_matrix_samples(surface, grid, points)
-    H, spectral, aligned = _x_independence(samples, grid.period, 8)
+def _holonomy_payload(loop, theta, theta_ode, theta_gb):
+    """holonomy.json of the final loop state, from its u_x."""
+    H, spectral, aligned = _x_independence(_connection_matrix_samples(loop),
+                                           loop.grid.period, 8)
     eye = np.eye(H.shape[0])
     return {
         "schema": SCHEMA_HOLONOMY,
@@ -399,7 +400,7 @@ def _run_coupled(surface, grid, loop, cfg, dt, n_steps, out_dir):
 
     if circle:
         payload = _holonomy_payload(
-            surface, grid, res.final_state.points, res.theta[-1],
+            res.final_state, res.theta[-1],
             lift_to_branch(res.theta_ode[-1], res.theta[-1]), res.theta_gb[-1])
     else:
         payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
@@ -477,7 +478,7 @@ def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
                         big_phi, phi)
 
     t, lp, _, theta = recorded[n_steps]
-    payload = _holonomy_payload(surface, grid, lp.points, theta, rows[-1][4], theta_gb)
+    payload = _holonomy_payload(lp, theta, rows[-1][4], theta_gb)
     _write_json(out_dir / "holonomy.json", payload)
 
     invariants = _summary_invariants(rows, True, "autonomous", skip_cross=True)

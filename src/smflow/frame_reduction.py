@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .geometry import (ProductSurface, SurfaceModel, WarpedSphere, _covariant_rh
                        _frame_angle, _path_frame, _unit_tangent)
 from .holonomy import _holonomy_ode, _holonomy_rate, lift_to_branch, swept_angle_increment
 from .nls_solver import ComplexField, split_step
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, _read_only
 
 
 # -- frames ----------------------------------------------------------------------
@@ -624,6 +625,16 @@ def reconstruct_loop(surface: SurfaceModel, grid: SpectralGrid,
     return pts, e1s, e2s, closure
 
 
+@lru_cache(maxsize=16)
+def _node0_derivative_row(grid: SpectralGrid) -> np.ndarray:
+    """Row 0 of the spectral first-derivative matrix, 0 and then
+    (pi / period) (-1)^(j+1) cot(pi j / n) (Trefethen, Spectral Methods in
+    MATLAB, 2000, ch. 3): f_x at node 0 is this row dotted with f."""
+    j = np.arange(1, grid.n)
+    return _read_only(np.append(
+        0.0, (np.pi / grid.period) * (-1.0) ** (j + 1) / np.tan(np.pi * j / grid.n)))
+
+
 @dataclass
 class AutonomousState:
     """State of the self-contained gauge-field evolution (experimental)."""
@@ -660,9 +671,9 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
         # gauge_potential from base 0: S - S(0) + R
         S, _, R = _curvature_letters(loop, np.exp(-1j * st.theta * x) * st.phi)
         pot = x * rate + (S - S[0] + R)
-        Phi_x = np.exp(-1j * st.theta * x) * (grid.derivative(st.phi)
-                                              - 1j * st.theta * st.phi)
-        b = -1j * Phi_x[0]
+        # Phi_x at the base node only: an O(n) dot with the derivative row
+        phi_x0 = _node0_derivative_row(grid) @ st.phi
+        b = -1j * np.exp(-1j * st.theta * x[0]) * (phi_x0 - 1j * st.theta * st.phi[0])
         e2b = surface.apply_J(st.base_point, st.e1_base)
         u_t = b.real * st.e1_base + b.imag * e2b
         return loop, pot, rate, u_t

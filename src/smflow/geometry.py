@@ -45,11 +45,8 @@ from .errors import (
 )
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
-_X_AXIS = np.array([1.0, 0.0, 0.0])
 
-# spacing for the centered second differences behind warped curvature
-_LAPLACE_STEP = 1e-4
-# spacing for centered first differences of the curvature itself
+# spacing for centered first differences of the curvature
 _CURV_GRAD_STEP = 1e-3
 # ambient distance from the manifold at which points are rejected
 MANIFOLD_TOL = 1e-10
@@ -83,18 +80,6 @@ def _azimuthal_axis(p):
             "azimuthal reference frame is singular near the poles"
         )
     return w, norm, w / norm[..., None]
-
-
-def _sphere_tangent_basis(p: np.ndarray):
-    """Some orthonormal tangent basis at each point of the unit sphere."""
-    t1 = np.cross(np.broadcast_to(_Z_AXIS, p.shape), p)
-    bad = np.linalg.norm(t1, axis=-1) < 1e-8
-    if np.any(bad):
-        alt = np.cross(np.broadcast_to(_X_AXIS, p.shape), p)
-        t1 = np.where(bad[..., None], alt, t1)
-    t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(p, t1)
-    return t1, t2
 
 
 def _disk_log_scale_grad(q):
@@ -234,11 +219,13 @@ class RoundSphere(SurfaceModel):
 
 @dataclass(frozen=True, eq=False)
 class WarpedSphere(RoundSphere):
-    """Unit sphere with metric exp(2*warp) times the round one."""
+    """Unit sphere with metric exp(2*warp) times the round one; the warp's
+    ambient gradient and Hessian give its curvature in closed form."""
 
     radius: float = field(default=1.0, init=False)
     warp: Callable[[np.ndarray], np.ndarray]
     warp_grad: Callable[[np.ndarray], np.ndarray]
+    warp_hess: Callable[[np.ndarray], np.ndarray]
     kind = "warped_sphere"
 
     def _tangent_warp_grad(self, p):
@@ -252,40 +239,24 @@ class WarpedSphere(RoundSphere):
     def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.exp(2.0 * self.conformal_factor(p)) * super().metric(p, v, w)
 
-    def _warp_laplacian(self, p: np.ndarray) -> np.ndarray:
-        """Laplace-Beltrami of the warp on the round unit sphere.
-
-        Centered geodesic second differences along an orthonormal tangent
-        pair; the warp callable only needs values (first derivatives of the
-        warp are supplied analytically elsewhere, second ones are not).
-        """
-        eps = _LAPLACE_STEP
-        t1, t2 = _sphere_tangent_basis(p)
-        c, s = np.cos(eps), np.sin(eps)
-        total = np.zeros(p.shape[:-1])
-        lam0 = np.asarray(self.warp(p), dtype=float)
-        for t in (t1, t2):
-            plus = self.warp(c * p + s * t)
-            minus = self.warp(c * p - s * t)
-            total = total + (np.asarray(plus) + np.asarray(minus) - 2.0 * lam0)
-        return total / eps**2
-
     def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
+        # K = e^{-2 warp} (1 - lap), lap the Laplace-Beltrami of the warp on
+        # the unit sphere: tr H - p.H p - 2 p.grad in ambient derivatives
         p = np.asarray(p, dtype=float)
-        lam = np.asarray(self.warp(p), dtype=float)
-        return np.exp(-2.0 * lam) * (1.0 - self._warp_laplacian(p))
+        hess = np.asarray(self.warp_hess(p), dtype=float)
+        lap = (np.einsum("...ii->...", hess)
+               - np.einsum("...i,...ij,...j->...", p, hess, p)
+               - 2.0 * np.sum(p * np.asarray(self.warp_grad(p), dtype=float), axis=-1))
+        return np.exp(-2.0 * self.conformal_factor(p)) * (1.0 - lap)
 
     def curvature_gradient(self, p: np.ndarray) -> np.ndarray:
+        # K through the radial projection is constant along rays, so centered
+        # differences along the ambient axes give its tangential gradient
         p = np.asarray(p, dtype=float)
-        eps = _CURV_GRAD_STEP
-        t1, t2 = _sphere_tangent_basis(p)
-        c, s = np.cos(eps), np.sin(eps)
-        out = np.zeros_like(p)
-        for t in (t1, t2):
-            kp = self.gaussian_curvature(self.project_point(c * p + s * t))
-            km = self.gaussian_curvature(self.project_point(c * p - s * t))
-            out = out + ((kp - km) / (2.0 * eps))[..., None] * t
-        return out
+        step = _CURV_GRAD_STEP * np.eye(3)
+        k = self.gaussian_curvature(
+            self.project_point(p[..., None, None, :] + np.stack([step, -step])))
+        return (k[..., 0, :] - k[..., 1, :]) / (2.0 * _CURV_GRAD_STEP)
 
     def chart_metric(self, q: np.ndarray) -> np.ndarray:
         lam = self.warp(sphere_chart_point(q))
@@ -492,21 +463,26 @@ def round_sphere(radius: float = 1.0) -> SurfaceModel:
     return RoundSphere(radius=radius)
 
 
-def warped_sphere(warp: Callable, warp_grad: Callable) -> SurfaceModel:
+def warped_sphere(warp: Callable, warp_grad: Callable,
+                  warp_hess: Callable) -> SurfaceModel:
     """Unit sphere with metric exp(2*warp) times the round one.
 
-    ``warp`` maps points (..., 3) to scalars; ``warp_grad`` returns an
-    ambient gradient (any smooth extension; it is projected tangentially
-    where a tangential differential is required).
+    ``warp`` maps points (..., 3) to scalars; ``warp_grad`` (..., 3) and
+    ``warp_hess`` (..., 3, 3) are the gradient and Hessian of the same
+    smooth ambient extension, as ``bump_warp`` returns them; the gradient is
+    projected tangentially where a tangential differential is required.
     """
-    return WarpedSphere(warp=warp, warp_grad=warp_grad)
+    return WarpedSphere(warp=warp, warp_grad=warp_grad, warp_hess=warp_hess)
 
 
 def bump_warp(amplitude: float, width: float, center=(0.0, 0.0, 1.0)):
-    """Gaussian bump conformal factor with an analytic gradient."""
+    """Gaussian bump conformal factor A exp(-|p - c|^2 / (2 w^2)) around the
+    unit vector c: returns (warp, warp_grad, warp_hess), the values and
+    their analytic ambient gradient and Hessian, for ``warped_sphere``."""
     c = np.asarray(center, dtype=float)
     c = c / np.linalg.norm(c)
     w2 = float(width) ** 2
+    eye = np.eye(3)
 
     def warp(p):
         d = np.asarray(p, dtype=float) - c
@@ -517,7 +493,12 @@ def bump_warp(amplitude: float, width: float, center=(0.0, 0.0, 1.0)):
         val = amplitude * np.exp(-np.sum(d * d, axis=-1) / (2.0 * w2))
         return -val[..., None] * d / w2
 
-    return warp, warp_grad
+    def warp_hess(p):
+        d = np.asarray(p, dtype=float) - c
+        val = amplitude * np.exp(-np.sum(d * d, axis=-1) / (2.0 * w2)) / w2
+        return val[..., None, None] * (d[..., :, None] * (d[..., None, :] / w2) - eye)
+
+    return warp, warp_grad, warp_hess
 
 
 def hyperbolic_disk() -> SurfaceModel:

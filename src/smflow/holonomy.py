@@ -350,11 +350,14 @@ def connection_matrix_samples(surface: SurfaceModel, grid: SpectralGrid, points:
     """u(n)-valued connection B(x) of the reference frame along a loop,
     diagonal over the factors of a product target (i times the scalar
     connection form per factor)."""
-    points = np.asarray(points, dtype=float)
-    ux = grid.derivative(points)
-    factors = surface.factor_slices()
-    out = np.zeros((grid.n, len(factors), len(factors)), dtype=complex)
+    return _connection_matrix_samples(LoopState(grid, surface, points))
+
+
+def _connection_matrix_samples(loop: LoopState) -> np.ndarray:
+    """connection_matrix_samples of a loop state, from its u_x."""
+    factors = loop.surface.factor_slices()
+    out = np.zeros((loop.grid.n, len(factors), len(factors)), dtype=complex)
     for idx, (factor, sl) in enumerate(factors):
-        beta = reference_connection(factor, points[:, sl], ux[:, sl])
+        beta = reference_connection(factor, loop.points[:, sl], loop.ux[:, sl])
         out[:, idx, idx] = 1j * beta
     return out

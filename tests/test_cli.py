@@ -137,18 +137,22 @@ class TestRunScenario:
         assert len(calls) == 7
 
     @pytest.mark.parametrize("target,expected,curvatures",
-                             [("warped_sphere", 32, 11), ("round_sphere", 14, 0)])
+                             [("warped_sphere", 25, 11), ("round_sphere", 7, 0)],
+                             ids=["warped_sphere", "round_sphere"])
     def test_autonomous_derivatives_per_run(self, workdir, monkeypatch,
                                             target, expected, curvatures):
         """A 3-step autonomous run with a row per step reads the energy,
         holonomy_ode and rate of each row from the loop state the
         evolution's snapshot rated (row 0: the initial loop, the final row:
         one fresh reconstruction), so u_x, K and K_x of a loop are taken
-        once. Each row equals the public routes on the loop of its
-        snapshot, to the bit."""
+        once; the holonomy payload reads u_x from the final state too, and
+        each snapshot takes Phi_x at the base node alone, without a full
+        derivative of phi. Each row and the payload equal the public routes
+        on the loop of its snapshot, to the bit."""
         from smflow import flow_direct as fd
         from smflow.geometry import WarpedSphere
-        from smflow.holonomy import holonomy_ode, holonomy_rate
+        from smflow.holonomy import (connection_matrix_samples, holonomy_ode,
+                                     holonomy_rate, product_integral)
         from smflow.spectral import SpectralGrid
 
         calls, k_calls = [], []
@@ -184,6 +188,34 @@ class TestRunScenario:
             assert row[cols.index("theta_ode")] == cli.lift_to_branch(
                 holonomy_ode(surface, grid, pts), theta)
             assert row[cols.index("theta_rate")] == holonomy_rate(surface, grid, pts)
+        hol = json.loads((workdir / "out" / "holonomy.json").read_text())
+        mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
+        assert np.array_equal(mat, product_integral(
+            connection_matrix_samples(surface, grid, pts), grid.period))
+
+    @pytest.mark.parametrize("target,expected",
+                             [("warped_sphere", 27), ("round_sphere", 19)],
+                             ids=["warped_sphere", "round_sphere"])
+    def test_coupled_derivatives_per_run(self, workdir, monkeypatch, target,
+                                         expected):
+        """A 3-step coupled run makes only the evolution's derivative
+        calls: the holonomy payload reads u_x from the final state."""
+        from smflow.spectral import SpectralGrid
+
+        calls = []
+        derivatives = SpectralGrid.derivatives
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return derivatives(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralGrid, "derivatives", counting)
+        cfg = write_config(workdir, target={"kind": target},
+                           time={"dt": 1e-5, "t_final": 3e-5},
+                           diagnostics={"cadence": 1, "snapshot_cadence": 1,
+                                        "l4_window": 8})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert len(calls) == expected
 
     def test_coupled_run_computes_theta_ode_once_per_state(self, workdir,
                                                             monkeypatch):

@@ -2,11 +2,11 @@
 
 Expected values come from closed forms (round-sphere curvature, classical
 rotation angle 2*pi*(1-cos(alpha)) of a latitude circle) or from oracles
-built independently of the implementation: a 4th-order chart-Laplacian for
-the warped curvature, centered differences of the chart metric for the
-Christoffel symbols, a fine-step transport integrator driven by the
-analytic path formula, and the per-step RK4 loop behind the batched frame
-transport.
+built independently of the implementation: a 4th-order chart-Laplacian and
+40-digit great-circle second derivatives (mpmath) for the warped curvature,
+centered differences of the chart metric for the Christoffel symbols, a
+fine-step transport integrator driven by the analytic path formula, and the
+per-step RK4 loop behind the batched frame transport.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from smflow.errors import (
     SingularChartError,
     UnsupportedOperationError,
 )
-from smflow.flow_direct import LoopState
+from smflow.flow_direct import LoopState, initial_loop
 from smflow.frame_reduction import parallel_frame
 from smflow.spectral import SpectralGrid
 
@@ -54,8 +54,8 @@ def latitude_tangent(n, alpha, radius=1.0):
 
 @pytest.fixture(scope="module")
 def bump_sphere():
-    warp, grad = geo.bump_warp(0.3, 0.6, center=(0.6, 0.0, 0.8))
-    return geo.warped_sphere(warp, grad)
+    warp, grad, hess = geo.bump_warp(0.3, 0.6, center=(0.6, 0.0, 0.8))
+    return geo.warped_sphere(warp, grad, hess)
 
 
 # -- curvature ----------------------------------------------------------------
@@ -115,6 +115,63 @@ def test_warped_curvature_matches_chart_laplacian_oracle(bump_sphere):
     sl = slice(4, -4)
     rel = np.abs(K_impl[sl] - K_oracle[sl]) / np.abs(K_oracle[sl])
     assert np.nanmax(rel) < 1e-6
+
+
+# the bump warps of the command line default, of the holonomy and reduction
+# checks (and the acceptance tests), and of the fixture above
+_BUMPS = [(0.1, 0.5, (0.0, 0.0, 1.0)), (0.12, 0.55, (0.55, 0.45, 0.7)),
+          (0.3, 0.6, (0.6, 0.0, 0.8))]
+
+
+@pytest.mark.parametrize("amplitude,width,center", _BUMPS)
+def test_warped_curvature_matches_mpmath(amplitude, width, center):
+    """K against 40-digit arithmetic: the Laplace-Beltrami of the warp on
+    the unit sphere as the sum of its second derivatives along two
+    orthogonal great circles through the point, from mpmath.diff."""
+    mp = pytest.importorskip("mpmath")
+
+    def warp(q):
+        c = [mp.mpf(x) for x in center]
+        c = [x / mp.sqrt(sum(y * y for y in c)) for x in c]
+        return amplitude * mp.exp(-sum((a - b) ** 2 for a, b in zip(q, c))
+                                  / (2 * mp.mpf(width) ** 2))
+
+    def oracle(p):
+        p = [mp.mpf(x) for x in p]
+        axis = [1, 0, 0] if abs(p[0]) < 0.5 else [0, 1, 0]
+        t1 = [axis[1] * p[2] - axis[2] * p[1], axis[2] * p[0] - axis[0] * p[2],
+              axis[0] * p[1] - axis[1] * p[0]]
+        t1 = [x / mp.sqrt(sum(y * y for y in t1)) for x in t1]
+        t2 = [p[1] * t1[2] - p[2] * t1[1], p[2] * t1[0] - p[0] * t1[2],
+              p[0] * t1[1] - p[1] * t1[0]]
+        lap = sum(mp.diff(lambda s: warp([mp.cos(s) * a + mp.sin(s) * b
+                                          for a, b in zip(p, t)]), 0, 2)
+                  for t in (t1, t2))
+        return mp.exp(-2 * warp(p)) * (1 - lap)
+
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(10, 3))
+    cu = np.asarray(center) / np.linalg.norm(center)
+    # the bump's centre and points on its flank, where K varies most
+    pts = np.vstack([pts, cu, cu + 0.4 * width * pts[:3]])
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    surface = geo.warped_sphere(*geo.bump_warp(amplitude, width, center=center))
+    K = surface.gaussian_curvature(pts)
+    with mp.workdps(40):
+        ref = np.array([float(oracle(p)) for p in pts])
+    assert np.abs(K - ref).max() < 1e-14 * np.abs(ref).min()
+
+
+def test_warped_curvature_does_not_amplify_rounding():
+    """A relative move of the points by one rounding unit moves K by about
+    as much, not by the 1e7-fold of a second-difference stencil."""
+    surface = geo.warped_sphere(*geo.bump_warp(*_BUMPS[0]))
+    grid = SpectralGrid(64)
+    pts = initial_loop(surface, grid, "perturbed_latitude", alpha=0.6,
+                       eps=0.05, m=3).points
+    moved = pts * (1.0 + 2.2e-16)
+    assert np.abs(surface.gaussian_curvature(moved)
+                  - surface.gaussian_curvature(pts)).max() < 1e-14
 
 
 def test_curvature_gradient_consistent_with_chain_rule(bump_sphere):

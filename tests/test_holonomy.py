@@ -177,6 +177,24 @@ def test_rate_matches_fd_of_ode_angle(bump_sphere):
     assert abs(rate - fd_rate) < 1e-3 * abs(fd_rate)
 
 
+def test_rate_matches_fourth_order_difference_of_ode_angle():
+    """With K in closed form the rate agrees with a fourth-order centered
+    difference of the connection-route angle (which never reads K) to
+    about 1e-11, far below the second-order difference's own O(dt^2) error
+    of about 1e-6; a second-difference stencil for K stops at about 3e-9."""
+    warped = geo.warped_sphere(*geo.bump_warp(0.12, 0.55, center=(0.55, 0.45, 0.7)))
+    grid = SpectralGrid(96)
+    state = fd.initial_loop(warped, grid, "fourier",
+                            colat_coeffs=[(2, 0.06, -0.04), (3, 0.0, 0.05)])
+    dt = 1e-5
+    theta = {s: hol.holonomy_ode(warped, grid, fd.step(state, s * dt).points)
+             for s in (-2, -1, 1, 2)}
+    fd4 = (8.0 * (theta[1] - theta[-1]) - (theta[2] - theta[-2])) / (12.0 * dt)
+    rate = hol.holonomy_rate(warped, grid, state.points)
+    assert abs(rate) > 0.01
+    assert abs(rate - fd4) < 1e-9 * abs(rate)
+
+
 def test_record_lift_guard():
     rec = hol.HolonomyRecord()
     rec.append(0.0, 1.0, 1.0, 0.0)

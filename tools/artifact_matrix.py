@@ -20,12 +20,16 @@ in child processes, once for this checkout's ``src`` into ``OUT/this`` and
 once for the package under ``OTHER_SRC`` (the ``src`` directory of another
 checkout) into ``OUT/against``, both emptied first; it lists every file
 whose bytes differ, or that only one tree has, and exits 1 if there is any.
+Under each differing CSV or JSON file it prints, per column or key whose
+numbers differ, the largest absolute and relative difference (relative to
+the larger magnitude of the pair).
 """
 
 from __future__ import annotations
 
 import filecmp
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -70,6 +74,65 @@ def differing_files(a: Path, b: Path) -> list:
         if not filecmp.cmp(a / rel, b / rel, shallow=False))
 
 
+def _json_leaves(node, key=""):
+    """(key, number) pairs of a JSON tree: dict keys join with dots, list
+    items that are dicts with a "name" go by it, and the other items of a
+    list share the list's key."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(node, list):
+        for item in node:
+            named = isinstance(item, dict) and "name" in item
+            yield from _json_leaves(item, f"{key}[{item['name']}]" if named else key)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield key, float(node)
+
+
+def _csv_leaves(path: Path):
+    """(column, number) pairs of an artifact CSV: '#' lines are comments,
+    the first other line is the header."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    for line in lines[1:]:
+        for name, field in zip(header, line.split(",")):
+            try:
+                yield name, float(field)
+            except ValueError:
+                pass
+
+
+def numeric_differences(a: Path, b: Path) -> dict:
+    """column or key -> (largest absolute, largest relative difference) over
+    the numbers two CSV or JSON files hold under it, for the columns and keys
+    whose numbers differ; (nan, nan) where their counts differ. NaN equals
+    NaN; a NaN or infinity against anything else is an infinite difference."""
+    leaves = _csv_leaves if a.suffix == ".csv" else (
+        lambda p: _json_leaves(json.loads(p.read_text())))
+    values = {}
+    for side, path in enumerate((a, b)):
+        for key, x in leaves(path):
+            values.setdefault(key, ([], []))[side].append(x)
+    out = {}
+    for key, (xs, ys) in values.items():
+        if len(xs) != len(ys):
+            out[key] = (math.nan, math.nan)
+            continue
+        big_abs = big_rel = 0.0
+        for x, y in zip(xs, ys):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            d = abs(x - y)
+            if not math.isfinite(d):
+                big_abs = big_rel = math.inf
+                continue
+            big_abs = max(big_abs, d)
+            big_rel = max(big_rel, d / max(abs(x), abs(y)))
+        if big_abs:
+            out[key] = (big_abs, big_rel)
+    return out
+
+
 def against(other_src: Path, out: Path) -> int:
     trees = {"this": SRC, "against": other_src.resolve()}
     for name, src in trees.items():
@@ -80,6 +143,10 @@ def against(other_src: Path, out: Path) -> int:
     diff = differing_files(out / "this", out / "against")
     for rel in diff:
         print(f"differs: {rel}")
+        paths = (out / "this" / rel, out / "against" / rel)
+        if Path(rel).suffix in (".csv", ".json") and all(p.exists() for p in paths):
+            for key, (d_abs, d_rel) in numeric_differences(*paths).items():
+                print(f"    {key}: abs {d_abs:.3e} rel {d_rel:.3e}")
     print(f"{len(diff)} differing files")
     return 1 if diff else 0
 
