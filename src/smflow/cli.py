@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -268,11 +269,13 @@ def _fmt(value) -> str:
 
 def _write_csv(path, schema, columns, table, comments=()):
     """One line per row of the 2-D float table, each value as _fmt writes it
-    (repr of a Python float; NaN prints as nan)."""
-    lines = [f"# schema={schema}", *comments, ",".join(columns)]
-    lines.extend(",".join(map(repr, row))
-                 for row in np.asarray(table, dtype=float).tolist())
-    path.write_text("\n".join(lines) + "\n")
+    (repr of a Python float; NaN prints as nan), written in blocks of rows."""
+    table = np.asarray(table, dtype=float)
+    with path.open("w") as f:
+        f.write("\n".join([f"# schema={schema}", *comments, ",".join(columns)]) + "\n")
+        for lo in range(0, len(table), 64):  # bounds the text held at once
+            f.write("\n".join(",".join(map(repr, row))
+                              for row in table[lo:lo + 64].tolist()) + "\n")
 
 
 def _write_json(path, payload):
@@ -295,19 +298,10 @@ def _write_snapshot(path, t, grid, points, big_phi, small_phi):
     _write_csv(path, SCHEMA_SNAPSHOT, columns, table, comments=[f"# t={_fmt(t)}"])
 
 
-def _row_indices(n_steps, cadence):
-    rows = list(range(0, n_steps + 1, cadence))
-    if rows[-1] != n_steps:
-        rows.append(n_steps)
-    return rows
-
-
-def _snapshot_indices(n_steps, snapshot_cadence):
-    if snapshot_cadence == 0:
-        return sorted({0, n_steps})
-    out = set(range(0, n_steps + 1, snapshot_cadence))
-    out.add(n_steps)
-    return sorted(out)
+def _on_cadence(k, n_steps, cadence):
+    """Whether step k of an n_steps run is recorded at this cadence: every
+    cadence-th step and the last; cadence 0 keeps the first and the last."""
+    return k == n_steps or (k % cadence == 0 if cadence else k == 0)
 
 
 def _holonomy_payload(loop, theta, theta_ode, theta_gb):
@@ -330,7 +324,9 @@ def _holonomy_payload(loop, theta, theta_ode, theta_gb):
 # -- scenario runner ------------------------------------------------------------
 
 
-def _summary_invariants(rows, circle, mode, res=None, skip_cross=False):
+def _summary_invariants(rows, circle, res):
+    """Invariants of the timeseries rows and, for a coupled run, of its
+    ReducedRunResult res (None for an autonomous run)."""
     inv = {}
 
     def add(name, value, threshold):
@@ -338,18 +334,16 @@ def _summary_invariants(rows, circle, mode, res=None, skip_cross=False):
         inv[name] = {"value": value, "threshold": float(threshold),
                      "passed": bool(value <= threshold)}
 
-    arr = np.asarray([[r[c] for c in range(len(TIMESERIES_COLUMNS))]
-                      for r in rows], dtype=float)
+    arr = np.asarray(rows, dtype=float)
     t = arr[:, 0]
     add("nonmonotone_time_count", int(np.sum(np.diff(t) <= 0)), 0)
-    finite_cols = list(range(len(TIMESERIES_COLUMNS)))
-    if skip_cross:
-        finite_cols.remove(TIMESERIES_COLUMNS.index("cross_error"))
-    add("nonfinite_count",
-        int(np.sum(~np.isfinite(arr[:, finite_cols]))), 0)
+    finite = np.isfinite(arr)
+    if res is None:  # no cross error without a second formulation
+        finite[:, TIMESERIES_COLUMNS.index("cross_error")] = True
+    add("nonfinite_count", int(np.sum(~finite)), 0)
     e = arr[:, 1]
     scale = max(abs(e[0]), 1e-300)
-    drift_tol = 1e-6 if mode == "coupled" else 1e-4
+    drift_tol = 1e-4 if res is None else 1e-6
     add("energy_drift_rel", np.abs(e - e[0]).max() / scale, drift_tol)
     a = arr[:, 2]
     add("a_norm_drift_rel",
@@ -368,133 +362,75 @@ def _summary_invariants(rows, circle, mode, res=None, skip_cross=False):
     return inv
 
 
-def _run_coupled(surface, grid, loop, cfg, dt, n_steps, out_dir):
+def _run_coupled(loop, cfg, dt, n_steps, keep):
+    """Coupled run: hands keep(k, row, snapshot) each step's timeseries row
+    and snapshot (t, points, Phi, phi) as thunks; returns the final loop
+    (None on the line) and the ReducedRunResult."""
     circle = cfg["domain"]["kind"] == "circle"
-    diag = cfg["diagnostics"]
-    row_ids = _row_indices(n_steps, diag["cadence"])
-    snap_ids = _snapshot_indices(n_steps, diag["snapshot_cadence"])
-    snap_set = set(snap_ids)
-    snapshots = {}
 
-    def observer(k, state, coeffs):
-        if k in snap_set:
-            snapshots[k] = state.points.copy()
+    def observer(k, state, s):
+        keep(k, lambda: [s.time, s.energy, math.sqrt(2.0 * s.energy), s.theta,
+                         lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
+                         s.theta_gb, s.theta_rate, s.l4_window, s.sup_error],
+             lambda: (s.time, state.points, s.coeffs, s.phi_nls))
 
     res = fr.coupled_evolve(loop, dt, n_steps, domain=cfg["domain"]["kind"],
-                            l4_window=diag["l4_window"], observer=observer)
-
-    rows = []
-    for k in row_ids:
-        theta_ode = (lift_to_branch(res.theta_ode[k], res.theta[k])
-                     if circle else 0.0)
-        rows.append([res.times[k], res.energy[k],
-                     math.sqrt(2.0 * res.energy[k]), res.theta[k], theta_ode,
-                     res.theta_gb[k], res.theta_rate[k], res.l4_window[k],
-                     res.sup_error[k]])
-    _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES,
-               TIMESERIES_COLUMNS, rows)
-
-    for k in snap_ids:
-        _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", res.times[k], grid,
-                        snapshots[k], res.coeffs_history[k], res.phi_nls[k])
-
-    if circle:
-        payload = _holonomy_payload(
-            res.final_state, res.theta[-1],
-            lift_to_branch(res.theta_ode[-1], res.theta[-1]), res.theta_gb[-1])
-    else:
-        payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
-                   "note": "holonomy is defined for closed loops; "
-                           "line-domain runs carry none"}
-    _write_json(out_dir / "holonomy.json", payload)
-
-    invariants = _summary_invariants(rows, circle, "coupled", res=res)
-    metrics = {
-        "n_steps": n_steps, "dt": dt, "t_final": float(res.times[-1]),
-        "solver_tolerance": res.tolerance,
-        "cross_error_max": res.max_sup_error,
-        "energy_initial": float(res.energy[0]),
-        "energy_final": float(res.energy[-1]),
-        "theta_final": float(res.theta[-1]),
-        "theta_gauss_bonnet_final": float(res.theta_gb[-1]),
-        "phi_l4_final": float(res.l4_window[-1]),
-    }
-    return rows, invariants, metrics
+                            l4_window=cfg["diagnostics"]["l4_window"],
+                            observer=observer)
+    return (res.final_state if circle else None), res
 
 
-def _run_autonomous(surface, grid, loop, cfg, dt, n_steps, out_dir):
-    diag = cfg["diagnostics"]
-    row_ids = _row_indices(n_steps, diag["cadence"])
-    snap_ids = _snapshot_indices(n_steps, diag["snapshot_cadence"])
-    needed = set(row_ids) | set(snap_ids)
-
+def _run_autonomous(loop, cfg, dt, n_steps, keep):
+    """Autonomous run, fed to keep like the coupled one; each row is computed
+    as its observer sees it, from the loop the evolution reconstructed (row
+    0: the initial loop), and the swept angle and L4 window run over rows.
+    Returns the final loop and no result."""
+    surface, grid = loop.surface, loop.grid
     frame = fr.parallel_frame(surface, loop)
     coeffs = fr.coefficients(loop, frame)
     ode0 = _holonomy_ode(loop)
     theta0 = lift_to_branch(frame.transport_angle(), ode0)
-    phi0 = fr.untwist(coeffs, theta0)
-    state = fr.AutonomousState(grid, phi0, loop.points[0].copy(),
-                               frame.e1[0].copy(), theta0)
+    state = fr.AutonomousState(grid, fr.untwist(coeffs, theta0),
+                               loop.points[0].copy(), frame.e1[0].copy(), theta0)
+    l4 = fr._windowed_l4(grid, cfg["diagnostics"]["l4_window"])
+    prev, theta_gb = None, theta0  # the previous row's (t, points)
 
-    # step -> (t, loop state, phi, theta); steps > 0 keep the evolution's state
-    recorded = {0: (0.0, loop, phi0.copy(), theta0)}
+    def row(k, st, lp):
+        nonlocal prev, theta_gb
+        if prev is not None:
+            theta_gb += swept_angle_increment(surface, grid, prev[1], lp.points,
+                                              st.time - prev[0])
+        prev = (st.time, lp.points)
+        energy = fd.energy(lp)
+        theta_ode = lift_to_branch(ode0 if k == 0 else _holonomy_ode(lp), st.theta)
+        return [st.time, energy, math.sqrt(2.0 * energy), st.theta, theta_ode,
+                theta_gb, _holonomy_rate(lp), l4(st.time, st.phi), np.nan]
 
     def observer(k, st, lp):
-        if k > 0 and k in needed:
-            recorded[k] = (st.time, lp, st.phi.copy(), st.theta)
+        lp = loop if k == 0 else lp
+        keep(k, lambda: row(k, st, lp),
+             lambda: (st.time, lp.points,
+                      np.exp(-1j * st.theta * grid.nodes) * st.phi, st.phi))
 
     state = fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
-    if n_steps > 0:
+    final = loop
+    if n_steps:
         pts = fr.reconstruct_loop(surface, grid, state.phi, state.base_point,
                                   state.e1_base, state.theta)[0]
-        observer(n_steps, state, fd.LoopState(grid, surface, pts, state.time))
-
-    rows = []
-    phi_hist, t_hist = [], []
-    theta_gb = theta0
-    prev = None
-    for k in row_ids:
-        t, lp, phi, theta = recorded[k]
-        if prev is not None:
-            gap = t - prev[0]
-            theta_gb += swept_angle_increment(surface, grid, prev[1], lp.points, gap)
-        prev = (t, lp.points)
-        phi_hist.append(phi)
-        t_hist.append(t)
-        energy = fd.energy(lp)
-        theta_ode = lift_to_branch(ode0 if k == 0 else _holonomy_ode(lp), theta)
-        rate = _holonomy_rate(lp)
-        l4 = fr._windowed_l4(grid, np.asarray(phi_hist), np.asarray(t_hist),
-                             len(phi_hist) - 1, diag["l4_window"])
-        rows.append([t, energy, math.sqrt(2.0 * energy), theta, theta_ode,
-                     theta_gb, rate, l4, np.nan])
-    _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES,
-               TIMESERIES_COLUMNS, rows)
-
-    for k in snap_ids:
-        t, lp, phi, theta = recorded[k]
-        big_phi = np.exp(-1j * theta * grid.nodes) * phi
-        _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, lp.points,
-                        big_phi, phi)
-
-    t, lp, _, theta = recorded[n_steps]
-    payload = _holonomy_payload(lp, theta, rows[-1][4], theta_gb)
-    _write_json(out_dir / "holonomy.json", payload)
-
-    invariants = _summary_invariants(rows, True, "autonomous", skip_cross=True)
-    metrics = {
-        "n_steps": n_steps, "dt": dt, "t_final": float(t),
-        "theta_final": float(theta),
-        "theta_gauss_bonnet_final": float(theta_gb),
-        "energy_initial": float(rows[0][1]), "energy_final": float(rows[-1][1]),
-        "phi_l4_final": float(rows[-1][7]),
-    }
-    return rows, invariants, metrics
+        final = fd.LoopState(grid, surface, pts, state.time)
+    observer(n_steps, state, final)
+    return final, None
 
 
 def run_scenario(cfg):
-    """Run one configured scenario; returns (artifact dir, summary dict)."""
-    surface, grid, loop, dt, n_steps = _materialize(cfg)
+    """Run one configured scenario; returns (artifact dir, summary dict).
+
+    The runner hands over the timeseries row and the snapshot of each
+    recorded step; rows go into one packed float buffer. After the run this
+    one path writes the snapshots (written mid-run they slowed a three-step
+    N=64 run by about 5%), the timeseries and the holonomy payload of the
+    final loop, and builds the invariants and metrics of both modes."""
+    _, grid, loop, dt, n_steps = _materialize(cfg)
     out_dir = output_root() / cfg["output"]["dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -503,16 +439,49 @@ def run_scenario(cfg):
     echo["derived"] = {"dt": dt, "n_steps": n_steps}
     _write_json(out_dir / "config.json", echo)
 
-    runner = _run_coupled if cfg["reduction"]["mode"] == "coupled" \
-        else _run_autonomous
+    diag, mode = cfg["diagnostics"], cfg["reduction"]["mode"]
+    circle = cfg["domain"]["kind"] == "circle"
+    rows, snapshots = array("d"), {}
+
+    def keep(k, row, snapshot):
+        if _on_cadence(k, n_steps, diag["cadence"]):
+            rows.extend(row())
+        if _on_cadence(k, n_steps, diag["snapshot_cadence"]):
+            snapshots[k] = snapshot()
+
+    runner = _run_coupled if mode == "coupled" else _run_autonomous
     try:
-        rows, invariants, metrics = runner(surface, grid, loop, cfg, dt,
-                                           n_steps, out_dir)
+        final, res = runner(loop, cfg, dt, n_steps, keep)
+        for k, (t, points, big_phi, small_phi) in snapshots.items():
+            _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, points,
+                            big_phi, small_phi)
+        table = np.frombuffer(rows).reshape(-1, len(TIMESERIES_COLUMNS))
+        _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES,
+                   TIMESERIES_COLUMNS, table)
+        if circle:  # theta_transport, theta_ode, theta_gb of the last row
+            payload = _holonomy_payload(final, *table[-1, 3:6])
+        else:
+            payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
+                       "note": "holonomy is defined for closed loops; "
+                               "line-domain runs carry none"}
+        _write_json(out_dir / "holonomy.json", payload)
+        invariants = _summary_invariants(table, circle, res)
     except Exception as exc:
         _write_json(out_dir / "summary.json", {
             "schema": SCHEMA_SUMMARY, "passed": False,
             "error": {"type": type(exc).__name__, "message": str(exc)}})
         raise
+    first, last = table[0], table[-1]
+    metrics = {
+        "n_steps": n_steps, "dt": dt, "t_final": float(last[0]),
+        "energy_initial": float(first[1]), "energy_final": float(last[1]),
+        "theta_final": float(last[3]),
+        "theta_gauss_bonnet_final": float(last[5]),
+        "phi_l4_final": float(last[7]),
+    }
+    if res is not None:
+        metrics.update(solver_tolerance=res.tolerance,
+                       cross_error_max=res.max_sup_error)
     summary = {
         "schema": SCHEMA_SUMMARY,
         "invariants": invariants,

@@ -27,8 +27,10 @@ that Q + S - W + T = V identically.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -379,7 +381,9 @@ def solver_tolerance(grid: SpectralGrid, dt: float) -> float:
 
 @dataclass
 class ReducedRunResult:
-    """Time series of a coupled flow/NLS run."""
+    """Per-step scalar series of a coupled flow/NLS run, one entry per state
+    from the initial one, plus the final state and frame seed. The per-step
+    fields are not kept: they reach the run's observer in each CoupledStep."""
 
     times: np.ndarray
     theta: np.ndarray
@@ -388,9 +392,6 @@ class ReducedRunResult:
     theta_ode: np.ndarray  # holonomy_ode per state, unlifted; NaN on the line
     energy: np.ndarray
     grad_norm: np.ndarray
-    phi_frame: np.ndarray
-    phi_nls: np.ndarray
-    coeffs_history: np.ndarray
     twist_residual_ode: np.ndarray
     phi_closure: np.ndarray
     sup_error: np.ndarray
@@ -404,13 +405,43 @@ class ReducedRunResult:
         return float(self.sup_error.max())
 
 
-def _windowed_l4(grid: SpectralGrid, history, times, k, window: int) -> float:
-    lo = max(0, k + 1 - window)
-    block = np.abs(history[lo:k + 1]) ** 4
-    duration = times[k] - times[lo]
-    if duration <= 0.0:
-        duration = 1.0
-    return float((duration * grid.period * np.mean(block)) ** 0.25)
+class CoupledStep(NamedTuple):
+    """One state of a coupled run as its observer sees it: each result series
+    at that state (``time`` for ``times``), then read-only views of its frame
+    coefficients Phi and of the frame and split-step gauge fields phi."""
+
+    time: float
+    theta: float
+    theta_gb: float
+    theta_rate: float
+    theta_ode: float
+    energy: float
+    grad_norm: float
+    twist_residual_ode: float
+    phi_closure: float
+    sup_error: float
+    l4_window: float
+    coeffs: np.ndarray
+    phi_frame: np.ndarray
+    phi_nls: np.ndarray
+
+
+def _windowed_l4(grid: SpectralGrid, window: int):
+    """Trailing-window space-time L4 norm of a sequence of fields. Each call
+    l4(t, phi) appends phi at time t and returns (duration * period *
+    mean |phi|^4)^(1/4) over the last `window` fields, with duration the span
+    of their times, or 1 while it is zero. Only the window is kept, each
+    field raised to the fourth power once."""
+    powers, times = deque(maxlen=window), deque(maxlen=window)
+
+    def l4(t, phi) -> float:
+        powers.append(np.abs(phi) ** 4)
+        times.append(t)
+        duration = times[-1] - times[0]
+        return float(((duration if duration > 0.0 else 1.0) * grid.period
+                      * np.mean(powers)) ** 0.25)
+
+    return l4
 
 
 def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
@@ -429,6 +460,9 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     |u_x|^2_h, K and K_x its LoopState computes once: the frame, the
     coefficients, the letters, the energy, holonomy_ode (which also lifts
     the initial theta) and the rate.
+
+    observer(k, state, step) sees each state k = 0..n_steps and its
+    CoupledStep; the result keeps only the scalar series of the steps.
     """
     if domain not in ("circle", "line"):
         raise ConfigError([f"unknown reduction domain {domain!r}"])
@@ -450,80 +484,46 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         return (frame, coeffs, ode, theta_k, rate, untwist(coeffs, theta_k),
                 grid.nodes * rate + terms.potential())
 
-    frame, coeffs, ode, theta_now, rate_now, phi_now, pot_now = reduce(state0, None)
-    w1 = frame.e1[0]
-
-    m = n_steps
-    times = np.empty(m + 1)
-    theta = np.empty(m + 1)
-    theta_gb = np.empty(m + 1)
-    theta_rate = np.empty(m + 1)
-    theta_ode = np.full(m + 1, np.nan)
-    energy = np.empty(m + 1)
-    grad_norm = np.empty(m + 1)
-    phi_frame = np.empty((m + 1, grid.n), dtype=complex)
-    phi_nls = np.empty((m + 1, grid.n), dtype=complex)
-    coeffs_hist = np.empty((m + 1, grid.n), dtype=complex)
-    resid_ode = np.empty(m + 1)
-    closure = np.empty(m + 1)
-    sup_err = np.empty(m + 1)
-    l4 = np.empty(m + 1)
-
-    state = state0
-    nls = ComplexField(grid, phi_now)
-
-    def record(k, state, coeffs, phi_f, ode, theta_k, rate_k, gb_k):
-        times[k] = state.time
-        theta[k] = theta_k
-        theta_gb[k] = gb_k
-        theta_rate[k] = rate_k
-        energy[k] = fd.energy(state)
-        grad_norm[k] = fd.gradient_norm(state)
-        phi_frame[k] = phi_f
-        phi_nls[k] = nls.values
-        coeffs_hist[k] = coeffs.phi
-        if circle:
-            theta_ode[k] = ode
-            resid_ode[k] = twisted_residual(coeffs, ode)
-            closure[k] = abs(np.exp(1j * theta_k * grid.period) * coeffs.phi_wrap
-                             - phi_f[0]) / max(np.abs(phi_f).max(), 1e-300)
+    series = np.empty((len(CoupledStep._fields) - 3, n_steps + 1))
+    l4 = _windowed_l4(grid, l4_window)
+    state, seed, theta, pot = state0, None, None, None
+    for k in range(n_steps + 1):
+        if k:
+            prev_points = state.points
+            state, seed = _step_with_seed(state, dt, seed)
+        frame, coeffs, ode, theta_k, rate, phi_f, pot_k = reduce(state, seed, theta)
+        seed = frame.e1[0]
+        if not k:
+            gb, nls = theta_k, ComplexField(grid, phi_f)
         else:
-            resid_ode[k] = closure[k] = _edge_decay(coeffs.phi)
-        sup_err[k] = np.abs(nls.values - phi_f).max()
-        l4[k] = _windowed_l4(grid, phi_nls[:k + 1], times[:k + 1], k, l4_window)
-        if observer is not None:
-            observer(k, state, coeffs)
+            if circle:
+                gb = gb + swept_angle_increment(surface, grid, prev_points,
+                                                state.points, dt)
+            t_prev = state.time - dt
 
-    record(0, state, coeffs, phi_now, ode, theta_now, rate_now, theta_now)
-    gb = theta_now
+            def potential(vals, t, a=pot, b_=pot_k, tm=t_prev):
+                return a if abs(t - tm) < 0.25 * abs(dt) else b_
 
-    for k in range(1, m + 1):
-        prev_points = state.points
-        state, w1 = _step_with_seed(state, dt, w1)
-        frame, coeffs, ode, theta_next, rate_next, phi_next, pot_next = \
-            reduce(state, w1, theta_now)
-        w1 = frame.e1[0]
+            nls = split_step(nls, dt, potential=potential,
+                             theta=0.5 * (theta + theta_k), t0=t_prev)
+        theta, pot = theta_k, pot_k
         if circle:
-            gb = gb + swept_angle_increment(surface, grid, prev_points,
-                                            state.points, dt)
-        t_now = state.time - dt
+            resid = twisted_residual(coeffs, ode)
+            closure = abs(np.exp(1j * theta * grid.period) * coeffs.phi_wrap
+                          - phi_f[0]) / max(np.abs(phi_f).max(), 1e-300)
+        else:
+            resid = closure = _edge_decay(coeffs.phi)
+        step = CoupledStep(
+            state.time, theta, gb, rate, ode, fd.energy(state),
+            fd.gradient_norm(state), resid, closure,
+            np.abs(nls.values - phi_f).max(), l4(state.time, nls.values),
+            *(_read_only(a.view()) for a in (coeffs.phi, phi_f, nls.values)))
+        series[:, k] = step[:-3]
+        if observer is not None:
+            observer(k, state, step)
 
-        def potential(vals, t, a=pot_now, b_=pot_next, tm=t_now):
-            return a if abs(t - tm) < 0.25 * abs(dt) else b_
-
-        nls = split_step(nls, dt, potential=potential,
-                         theta=0.5 * (theta_now + theta_next), t0=t_now)
-        theta_now, rate_now, pot_now = theta_next, rate_next, pot_next
-        record(k, state, coeffs, phi_next, ode, theta_now, rate_now, gb)
-
-    return ReducedRunResult(
-        times=times, theta=theta, theta_gb=theta_gb, theta_rate=theta_rate,
-        theta_ode=theta_ode, energy=energy, grad_norm=grad_norm,
-        phi_frame=phi_frame, phi_nls=phi_nls, coeffs_history=coeffs_hist,
-        twist_residual_ode=resid_ode, phi_closure=closure, sup_error=sup_err,
-        l4_window=l4, tolerance=solver_tolerance(grid, dt),
-        final_state=state, final_seed=w1,
-    )
+    return ReducedRunResult(*series, tolerance=solver_tolerance(grid, dt),
+                            final_state=state, final_seed=seed)
 
 
 # -- reconstruction and the autonomous driver ----------------------------------------

@@ -522,8 +522,11 @@ def reference_coupled(state0, dt, n_steps, domain, l4_window):
                 ("phi_closure", closure),
                 ("sup_error", np.abs(nls.values - phi_f).max())):
             rec[name].append(value)
-        rec["l4_window"].append(fr._windowed_l4(
-            grid, np.array(rec["phi_nls"]), np.array(rec["times"]), k, l4_window))
+        lo = max(0, k + 1 - l4_window)
+        duration = rec["times"][k] - rec["times"][lo]
+        rec["l4_window"].append(float(
+            ((duration if duration > 0.0 else 1.0) * grid.period
+             * np.mean(np.abs(np.array(rec["phi_nls"][lo:])) ** 4)) ** 0.25))
     return {name: np.array(v) for name, v in rec.items()}, state, seed
 
 
@@ -675,10 +678,17 @@ class TestCoupledDriver:
     def test_matches_public_function_step_loop(self, case):
         loop, domain = coupled_case(case)
         dt = 0.8 * fd.admissible_dt(loop)
-        res = fr.coupled_evolve(loop, dt, 3, domain=domain, l4_window=2)
+        steps = []
+        res = fr.coupled_evolve(loop, dt, 3, domain=domain, l4_window=2,
+                                observer=lambda k, state, step: steps.append(step))
         expected, final_state, final_seed = reference_coupled(loop, dt, 3, domain, 2)
+        fields = {"phi_frame": "phi_frame", "phi_nls": "phi_nls",
+                  "coeffs_history": "coeffs"}
+        assert len(steps) == 4
         for name, values in expected.items():
-            assert np.array_equal(getattr(res, name), values, equal_nan=True), name
+            got = (np.array([getattr(s, fields[name]) for s in steps])
+                   if name in fields else getattr(res, name))
+            assert np.array_equal(got, values, equal_nan=True), name
         assert np.array_equal(res.final_state.points, final_state.points)
         assert np.array_equal(res.final_seed, final_seed)
 
@@ -826,14 +836,16 @@ class TestReconstruction:
                                alpha=np.pi / 4, eps=0.05, m=2)
         dt = fd.admissible_dt(loop)
         n = 120
-        res = fr.coupled_evolve(loop, dt, n)
+        final = {}
+        res = fr.coupled_evolve(loop, dt, n, observer=lambda k, state, step:
+                                final.update(phi=step.phi_frame))
         frame = fr.parallel_frame(ROUND, loop)
         co = fr.coefficients(loop, frame)
         phi0 = fr.untwist(co, res.theta[0])
         state = fr.AutonomousState(grid, phi0, loop.points[0].copy(),
                                    frame.e1[0].copy(), res.theta[0])
         out = fr.autonomous_evolve(ROUND, state, dt, n)
-        assert np.abs(out.phi - res.phi_frame[-1]).max() < 1e-5
+        assert np.abs(out.phi - final["phi"]).max() < 1e-5
         assert abs(out.theta - res.theta[-1]) < 1e-6
         pts, _, _, closure = fr.reconstruct_loop(
             ROUND, grid, out.phi, out.base_point, out.e1_base, out.theta)

@@ -2,7 +2,10 @@
 
 Every target of the command line runs coupled, the round and the warped
 sphere also run autonomous, and one run uses the line domain; all at N=32
-over three steps with a snapshot after every step. Each scenario writes its
+over three steps with a snapshot after every step. Two more round-sphere
+runs, one coupled and one autonomous, take nine steps with a timeseries row
+every second step, a snapshot every third and a two-row L4 window, so rows
+differ from steps and the window truncates. Each scenario writes its
 artifacts to ``OUT/<name>/``. The matrix also runs ``smflow check all``
 (``OUT/check_all.json``) and a cross-formulation ``smflow converge`` at
 N = 16, 32, 64 (``OUT/converge_cross/``), so it covers all three commands;
@@ -43,6 +46,10 @@ COMMON = ("domain.n=32", "time.dt=1e-4", "time.t_final=3e-4",
 SPHERE = ("init.kind=perturbed_latitude", "init.alpha=1.0", "init.eps=0.05")
 CHART = ("init.kind=fourier", "init.offset=[0.1,-0.05]")
 AUTONOMOUS = ("reduction.mode=autonomous",)
+# nine steps with a row every second step, a snapshot every third and a
+# two-row L4 window: rows differ from steps and the window truncates
+SPARSE = ("time.t_final=9e-4", "diagnostics.cadence=2",
+          "diagnostics.snapshot_cadence=3", "diagnostics.l4_window=2")
 SCENARIOS = {
     "coupled_round_sphere": ("target.kind=round_sphere", *SPHERE),
     "coupled_warped_sphere": ("target.kind=warped_sphere", *SPHERE),
@@ -50,6 +57,9 @@ SCENARIOS = {
     "coupled_flat_torus": ("target.kind=flat_torus", *CHART),
     "autonomous_round_sphere": ("target.kind=round_sphere", *SPHERE, *AUTONOMOUS),
     "autonomous_warped_sphere": ("target.kind=warped_sphere", *SPHERE, *AUTONOMOUS),
+    "sparse_coupled_round_sphere": ("target.kind=round_sphere", *SPHERE, *SPARSE),
+    "sparse_autonomous_round_sphere": ("target.kind=round_sphere", *SPHERE,
+                                       *SPARSE, *AUTONOMOUS),
     "line_hyperbolic_disk": ("target.kind=hyperbolic_disk", "domain.kind=line",
                              "init.kind=fourier",
                              "init.coeffs=[[2,0.1,0.0],[1,0.0,0.08]]",
