@@ -129,16 +129,20 @@ def _check_holonomy(rng):
     wl = fd.initial_loop(warped, wg, "fourier",
                          colat_coeffs=[(2, 0.06, -0.04), (3, 0.0, 0.05)])
     dt = 1e-5
-    minus = fd.step(wl, -dt)
-    plus = fd.step(wl, dt)
     ref = holonomy_ode(warped, wg, wl.points)
-    fd_rate = (lift_to_branch(holonomy_ode(warped, wg, plus.points), ref)
-               - lift_to_branch(holonomy_ode(warped, wg, minus.points), ref)
-               ) / (2 * dt)
+    theta = {}  # theta_ode after k steps of dt
+    for k in (1, 2, -1, -2):
+        state = fd.step(wl if abs(k) == 1 else state, np.sign(k) * dt)
+        theta[k] = lift_to_branch(holonomy_ode(warped, wg, state.points), ref)
+    fd_rate = (theta[1] - theta[-1]) / (2 * dt)
+    fd_rate4 = (theta[-2] - 8.0 * theta[-1] + 8.0 * theta[1] - theta[2]) / (12 * dt)
     rate = holonomy_rate(warped, wg, wl.points)
     out.append(_result("holonomy", "rate_matches_angle_derivative",
                        abs(rate - fd_rate) / abs(fd_rate), 1e-3,
                        "centered difference of the transport angle"))
+    out.append(_result("holonomy", "rate_matches_angle_derivative_4th",
+                       abs(rate - fd_rate4) / abs(fd_rate4), 1e-9,
+                       "fourth-order centered difference of the transport angle"))
 
     H, spectral, _ = _x_independence(_connection_matrix_samples(wl), 1.0, 8)
     out.append(_result("holonomy", "matrix_unitarity",

@@ -31,7 +31,7 @@ class LoopState:
     Holds a read-only copy of its points and computes each per-state
     quantity at most once, on first use: ``ux`` (u_x), ``speed2``
     (|u_x|^2_h), ``curvature`` (K along the loop) and ``curvature_x``
-    ((K o u)_x, None when K is constant along the loop)."""
+    ((K o u)_x, None when K is constant along the loop); u_x factor by factor."""
 
     grid: SpectralGrid
     surface: SurfaceModel
@@ -52,7 +52,8 @@ class LoopState:
 
     @cached_property
     def ux(self) -> np.ndarray:
-        return self.grid.derivative(self.points)
+        return np.hstack([self.grid.derivative(self.points[:, sl])
+                          for _, sl in self.surface.factor_slices()])
 
     @cached_property
     def speed2(self) -> np.ndarray:

@@ -16,11 +16,13 @@ for the respective metric.
 Parallel transport integrates the frame equation for a single tangent
 vector e1 with classical RK4 and carries e2 = J e1 along algebraically.
 The frame equation is linear in e1, so one RK4 step over a sample cell is
-a d x d propagator: all of them come from one evaluation of the four
-stages on the identity rows, with the tangent projection at the end of
-the cell folded in, and a log-depth (Hillis-Steele) prefix product
-composes them.  e1 at each node is the seed times its prefix product,
-scaled once to unit metric length.  Projection is linear and a per-step
+a d x d propagator.  The generator, the right-hand side on the identity
+rows, is evaluated once at the nodes and once at the midpoints; every
+cell's four stages are batched products of those (k2 = G_m + k1 G_m / 2
+and so on), with the tangent projection at the end of the cell folded in,
+and a log-depth (Hillis-Steele) prefix product composes the cells.  e1 at
+each node is the seed times its prefix product, scaled once to unit
+metric length.  Projection is linear and a per-step
 renormalization only multiplies by a positive scalar, so this is the same
 discrete map as re-projecting and renormalizing after every step.  Arbitrary
 vectors are moved by freezing their coefficients in that frame, so
@@ -70,16 +72,14 @@ def _dot(a, b):
     return (a * b).sum(axis=-1, keepdims=True)
 
 
-def _azimuthal_axis(p):
-    """z x p, its length and the unit azimuthal direction at points p of
-    the unit sphere; rejected near the poles, where z x p vanishes."""
-    w = _cross(_Z_AXIS, p)
-    norm = np.linalg.norm(w, axis=-1)
-    if np.any(norm < 1e-6):
+def _off_pole(p):
+    """|z x p|^2 at points p of the unit sphere, rejected near the poles."""
+    rho2 = p[..., 0] ** 2 + p[..., 1] ** 2
+    if np.any(rho2 < 1e-12):
         raise SingularChartError(
             "azimuthal reference frame is singular near the poles"
         )
-    return w, norm, w / norm[..., None]
+    return rho2
 
 
 def _disk_log_scale_grad(q):
@@ -194,21 +194,15 @@ class RoundSphere(SurfaceModel):
         return uxx + speed2 * u / self.radius**2
 
     def reference_frame(self, points: np.ndarray):
-        f1 = _azimuthal_axis(points / self.radius)[2] * self.radius
+        p = points / self.radius
+        f1 = _cross(_Z_AXIS, p) / np.sqrt(_off_pole(p))[..., None] * self.radius
         f1 = f1 * np.exp(-self.conformal_factor(points))[..., None]
         return f1, self.apply_J(points, f1)
 
     def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        # f1 = normalize(z x p), omega(v) = <D_v f1, p x f1>
-        p = points / self.radius
-        v = vectors / self.radius
-        w, norm, f1 = _azimuthal_axis(p)
-        zv = _cross(_Z_AXIS, v)
-        f2 = _cross(p, f1)
-        dvf1 = zv / norm[..., None] - w * (
-            np.sum(w * zv, axis=-1) / norm**3
-        )[..., None]
-        return np.sum(dvf1 * f2, axis=-1)
+        # f1 = normalize(z x p), beta(v) = <D_v f1, p x f1> in closed form
+        p, v = points / self.radius, vectors / self.radius
+        return p[..., 2] * (p[..., 0] * v[..., 1] - p[..., 1] * v[..., 0]) / _off_pole(p)
 
     def azimuthal_winding(self, points: np.ndarray) -> int:
         # each azimuth step of the closed sequence, wrapped into [-pi, pi],
@@ -603,17 +597,19 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
     nodes: (M+1, d) points; mids: (M, d) midpoints; dnodes/dmids: path
     derivative times the step (so each step integrates over sigma in [0,1]).
     Returns e1 at every node, tangent and of unit metric length.  Row j of
-    a cell propagator is the RK4 step image of axis j; the scan composes
-    the prefix products in ceil(log2 M) batched products.
+    a cell propagator is the RK4 step image of axis j; a stage on rows V is
+    V @ G, G the generator at its point.  The scan composes the prefix
+    products in ceil(log2 M) batched products.
     """
     eye = np.eye(nodes.shape[-1])
-    u0, um, u1 = nodes[:-1, None], mids[:, None], nodes[1:, None]
-    d0, dm, d1 = dnodes[:-1, None], dmids[:, None], dnodes[1:, None]
-    k1 = _covariant_rhs(surface, u0, d0, eye)
-    k2 = _covariant_rhs(surface, um, dm, eye + 0.5 * k1)
-    k3 = _covariant_rhs(surface, um, dm, eye + 0.5 * k2)
-    k4 = _covariant_rhs(surface, u1, d1, eye + k3)
-    cells = surface.tangent_project(u1, eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    g_nodes = _covariant_rhs(surface, nodes[:, None], dnodes[:, None], eye)
+    g_mid = _covariant_rhs(surface, mids[:, None], dmids[:, None], eye)
+    k1 = g_nodes[:-1]
+    k2 = g_mid + 0.5 * (k1 @ g_mid)
+    k3 = g_mid + 0.5 * (k2 @ g_mid)
+    k4 = g_nodes[1:] + k3 @ g_nodes[1:]
+    cells = surface.tangent_project(nodes[1:, None],
+                                    eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
     shift = 1
     while shift < cells.shape[0]:
         cells[shift:] = cells[:-shift] @ cells[shift:]
@@ -691,8 +687,8 @@ def _path_frame(surface: SurfaceModel, points, closed, seed=None, dpath=None):
         nodes, mids, dn, dm = _open_path_data(surface, points)
     if seed is None:
         seed = surface.tangent_project(nodes[0], dn[0])
-        if np.linalg.norm(seed) < 1e-12:
-            # degenerate start direction: fall back to any tangent axis
+        if np.linalg.norm(seed) <= 1e-6 * np.linalg.norm(dn, axis=-1).max():
+            # rounding, not the data, sets so small a start direction
             for axis in np.eye(points.shape[-1]):
                 seed = surface.tangent_project(nodes[0], axis)
                 if np.linalg.norm(seed) > 1e-6:

@@ -121,20 +121,17 @@ def _active_mode_bound(modes: np.ndarray, rel_tol: float = 1e-13) -> int:
 
 
 def _l4_of_free_evolution(modes: np.ndarray, n_x: int) -> float:
-    """L^4(T^2) norm of sum_m a_m e^{i(m x + m^2 t)} by alias-free tensor
-    quadrature (exact for band-limited data)."""
+    """L^4(T^2) norm of sum_m a_m e^{i(m x + m^2 t)} by tensor quadrature,
+    exact once n_t exceeds 2 mmax^2, the top time frequency of |u|^4."""
     n = modes.shape[0]
     m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     mmax = _active_mode_bound(modes)
-    n_t = 1 << max(6, int(np.ceil(np.log2(max(1, 4 * mmax * mmax + 4)))))
+    n_t = max(64, 2 * mmax * mmax + 1)
     nq = 1 << int(np.ceil(np.log2(max(n_x, 4 * (mmax + 1), 8))))
     pad = np.zeros((n_t, nq), dtype=complex)
     ts = 2.0 * np.pi * np.arange(n_t) / n_t
-    phases = np.exp(1j * np.outer(ts, m.astype(float) ** 2)) * modes[None, :]
-    cols = np.fft.fftfreq(nq, d=1.0 / nq).astype(int)
-    idx = np.searchsorted(np.sort(cols), m)
-    order = np.argsort(cols)
-    pad[:, order[idx]] = phases
+    # mode m sits at column m mod nq of the FFT layout; nq >= n_x >= n
+    pad[:, m % nq] = np.exp(1j * np.outer(ts, m.astype(float) ** 2)) * modes[None, :]
     samples = np.fft.ifft(pad, axis=1) * nq
     mean4 = np.mean(np.abs(samples) ** 4)
     return float((4.0 * np.pi**2 * mean4) ** 0.25)

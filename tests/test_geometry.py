@@ -531,9 +531,22 @@ def test_parallel_frame_with_base_index_matches_stepwise_oracle(target, bump_sph
     assert np.abs(frame.e1_wrap - ref[-1]).max() < PARITY_TOL
 
 
+def test_default_seed_ignores_a_start_direction_set_by_rounding():
+    """A base-node u_x of at most 1e-6 of the loop's largest, as on a line
+    profile that has decayed at the base, or none at all, gives the first
+    tangent axis as the seed, not the direction of the leftover."""
+    s = geo.hyperbolic_disk()
+    x = np.linspace(-1.0, 1.0, 64, endpoint=False)
+    bump = np.exp(-(((x - 0.1) / 0.2) ** 2))  # |u_x| at the base ~2e-8 of its peak
+    for pts in (np.stack([0.3 * bump, 0.2 * bump], axis=-1), np.full((64, 2), 0.1)):
+        e1 = geo.loop_frame(s, pts)[0]
+        assert e1[0, 1] == 0.0 and e1[0, 0] > 0.0
+
+
 def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
-    """The transport evaluates the connection on whole cell stacks, so the
-    number of generator calls is fixed, not one round of stages per node."""
+    """The transport evaluates the connection on whole cell stacks, once at
+    the nodes and once at the midpoints, so the number of generator calls
+    is fixed, not one round of stages per node."""
     s = geo.round_sphere()
     counts = []
     rhs = geo._covariant_rhs
@@ -546,7 +559,7 @@ def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
     for n in (32, 256):
         counts.append(0)
         geo.loop_frame(s, _wobbly_loop(s, n))
-    assert counts[0] == counts[1] == 4
+    assert counts[0] == counts[1] == 2
 
 
 # -- reference frames -----------------------------------------------------------
@@ -565,6 +578,51 @@ def test_reference_connection_reproduces_latitude_holonomy(bump_sphere):
         )
         diff = (theta - ang + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 1e-8
+
+
+def vector_reference_connection(surface, points, vectors):
+    """The oracle of the closed-form connection: with f1 = (z x p) / |z x p|
+    on the unit sphere, beta(v) = <D_v f1, p x f1> from the cross products,
+    minus grad(warp) . (p x v) on a warped sphere."""
+    p, v = points / surface.radius, vectors / surface.radius
+    z = np.array([0.0, 0.0, 1.0])
+    w = np.cross(z, p)
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    zv = np.cross(z, v)
+    dvf1 = zv / norm - w * np.sum(w * zv, axis=-1, keepdims=True) / norm**3
+    beta = np.sum(dvf1 * np.cross(p, w / norm), axis=-1)
+    if isinstance(surface, geo.WarpedSphere):
+        beta -= np.sum(surface._tangent_warp_grad(p) * np.cross(p, v), axis=-1)
+    return beta
+
+
+def test_closed_form_connection_matches_vector_formula(bump_sphere):
+    grid = SpectralGrid(128)
+    for s in (geo.round_sphere(), geo.round_sphere(1.5), bump_sphere):
+        for alpha in (0.05, 1.0, 2.5):
+            pts = _wobbly_loop(s, 128, alpha)
+            ux = grid.derivative(pts)
+            ref = vector_reference_connection(s, pts, ux)
+            got = geo.reference_connection(s, pts, ux)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        with pytest.raises(SingularChartError, match="singular near the poles"):
+            geo.reference_connection(s, latitude_loop(64, 1e-8, s.radius),
+                                     latitude_tangent(64, 1e-8, s.radius))
+
+
+def test_warped_transport_evaluates_warp_gradient_twice(bump_sphere):
+    """Once at the nodes and once at the midpoints, not once per stage."""
+    calls = []
+
+    def counting(p):
+        calls.append(1)
+        return bump_sphere.warp_grad(p)
+
+    s = geo.warped_sphere(bump_sphere.warp, counting, bump_sphere.warp_hess)
+    for n in (32, 256):
+        calls.clear()
+        geo.loop_frame(s, _wobbly_loop(s, n))
+        assert len(calls) == 2
 
 
 def test_reference_frame_rejects_polar_loops():

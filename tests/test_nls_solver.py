@@ -11,6 +11,7 @@ from smflow.nls_solver import (
     DUHAMEL_CONSTANT,
     ComplexField,
     SpaceTimeField,
+    _l4_of_free_evolution,
     bourgain_weighted_norm,
     calibrate_duhamel_constant,
     duhamel_term,
@@ -115,6 +116,32 @@ class TestStrichartzRatio:
     def test_zero_field_rejected(self):
         with pytest.raises(ConfigError):
             strichartz_ratio(torus_field(np.zeros(64)))
+
+    def test_time_grid_of_two_mmax_squared_is_exact(self):
+        """|u|^4 has time frequencies of at most 2 mmax^2, so the grid of
+        2 mmax^2 + 1 samples gives the closed form of the ratio and the
+        L4 norm of the former grid of at least 4 mmax^2 + 4 samples."""
+        rng = np.random.default_rng(7)
+        for n_modes, mode_range in ((1, 3), (2, 5), (6, 4), (12, 9), (33, 16)):
+            f = random_mode_field(rng, n_modes=n_modes, mode_range=mode_range)
+            a = f.as_torus().modes
+            closed = (2.0 - np.sum(np.abs(a) ** 4) / np.sum(np.abs(a) ** 2) ** 2) ** 0.25
+            assert abs(strichartz_ratio(f) - closed) <= 1e-12
+            l4 = _l4_of_free_evolution(a, a.size)
+            assert abs(l4 - l4_on_former_time_grid(a)) <= 1e-14 * l4
+
+
+def l4_on_former_time_grid(modes):
+    """L^4(T^2) norm of sum_m a_m e^{i(m x + m^2 t)} by direct summation on
+    the former time grid, a power of two of at least 4 mmax^2 + 4 samples."""
+    n = modes.size
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    mmax = int(np.abs(m[np.abs(modes) > 1e-13 * np.abs(modes).max()]).max())
+    n_t = 1 << max(6, int(np.ceil(np.log2(4 * mmax**2 + 4))))
+    t = 2 * np.pi * np.arange(n_t) / n_t
+    x = 2 * np.pi * np.arange(4 * mmax + 4) / (4 * mmax + 4)
+    u = (np.exp(1j * np.outer(t, m**2)) * modes) @ np.exp(1j * np.outer(m, x))
+    return (4 * np.pi**2 * np.mean(np.abs(u) ** 4)) ** 0.25
 
 
 def uniform_times(n_t):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smflow.errors import ResolutionError
-from smflow.spectral import SpectralGrid
+from smflow.spectral import DENSE_MAX_N, SpectralGrid
 
 
 def band_limited(grid, rng, modes=5):
@@ -154,3 +154,51 @@ def test_cached_nodes_keep_their_values():
         assert np.array_equal(grid.nodes, expected)
         with pytest.raises(ValueError):
             grid.nodes[0] = 1.0
+
+
+def _real_or_complex(rng, shape, cplx):
+    f = rng.normal(size=shape)
+    return f + 1j * rng.normal(size=shape) if cplx else f
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_dense_route_matches_fft_route(n):
+    """Up to DENSE_MAX_N samples derivatives and upsampling take the dense
+    matrices; the FFT route is their oracle. Random data fills every mode,
+    the Nyquist mode too."""
+    assert n <= DENSE_MAX_N
+    rng = np.random.default_rng(n)
+    for grid in (SpectralGrid(n), SpectralGrid(n, kind="line", half_width=2.5),
+                 SpectralGrid(n, kind="torus")):
+        for shape in ((n,), (n, 3), (n, 2, 3)):
+            for cplx in (False, True):
+                f = _real_or_complex(rng, shape, cplx)
+                for orders in ((1,), (2,), (3,), (-1,), (1, 2)):
+                    got = grid.derivatives(f, orders)
+                    ref = grid._fft_derivatives(f, orders)
+                    for d, r in zip(got, ref):
+                        assert d.shape == r.shape and d.dtype == r.dtype
+                        assert np.abs(d - r).max() <= 1e-13 * np.abs(r).max()
+                for factor in (2, 3):
+                    fine = grid.upsample(f, factor)
+                    ref = grid._fft_upsample(f, factor)
+                    assert fine.shape == ref.shape and fine.dtype == ref.dtype
+                    assert np.abs(fine - ref).max() <= 1e-13 * np.abs(ref).max()
+                    assert np.array_equal(fine[::factor], f)
+
+
+def test_fft_route_above_the_crossover():
+    grid = SpectralGrid(2 * DENSE_MAX_N)
+    f = np.random.default_rng(0).normal(size=(grid.n, 3))
+    for got, ref in zip(grid.derivatives(f), grid._fft_derivatives(f, (1, 2))):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(grid.upsample(f), grid._fft_upsample(f, 2))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_dense_derivatives_of_constants_are_zero(n):
+    for grid in (SpectralGrid(n), SpectralGrid(n, kind="line", half_width=2.5),
+                 SpectralGrid(n, kind="torus")):
+        for c in (np.full((grid.n, 3), 0.7), np.full(grid.n, -2.5 + 1.25j)):
+            for d in grid.derivatives(c, (1, 2, 3, -1)):
+                assert not d.any()

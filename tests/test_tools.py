@@ -1,15 +1,17 @@
-"""The artifact-matrix tool's tree and number comparison."""
+"""The artifact-matrix tool's tree and number comparison, and the
+benchmark's stored fingerprints read from tier-1."""
 
 import importlib.util
 import json
 import math
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_matrix.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "artifact_matrix.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("artifact_matrix", TOOL)
+def load_tool(path=TOOL, name="artifact_matrix"):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -53,3 +55,35 @@ def test_numeric_differences_per_column_and_key(tmp_path):
     assert tool.numeric_differences(a, b) == {
         "metrics.e": (0.5, 0.2), "matrix": (0.25, 1.0),
         "results[r2].value": (1e-9, 1.0)}
+
+
+def test_benchmark_fingerprints_hold():
+    """Three coupled_sphere128 units (10 steps at N=128) and one
+    flow_sphere256 unit (50 steps at N=256), fingerprinted as the benchmark
+    does and compared with perfbench/fingerprints.json at its own rtol and
+    atol, so a change that moves a fingerprint fails here before a
+    benchmark run. The file is only read."""
+    from smflow import flow_direct as fd
+    from smflow import frame_reduction as fr
+    from smflow.geometry import round_sphere
+    from smflow.holonomy import holonomy_ode
+    from smflow.spectral import SpectralGrid
+
+    wl = load_tool(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    stored = wl.Fingerprints(ROOT / "perfbench" / "fingerprints.json")
+    sphere = round_sphere(1.0)
+    grid = SpectralGrid(128)
+    for params in (wl._SPHERE_POOL[0], wl._SPHERE_POOL[13], wl._SPHERE_POOL[29]):
+        state, dt = wl._sphere_loop(sphere, grid, params)
+        res = fr.coupled_evolve(state, dt, 10)
+        assert stored.check(wl._key("coupled_sphere128", *params, 10), {
+            "max_norm": wl._max_norm(res.final_state.points),
+            "energy": float(res.energy[-1]), "theta": float(res.theta[-1])})
+    grid = SpectralGrid(256)
+    params = wl._SPHERE_POOL[17]
+    state, dt = wl._sphere_loop(sphere, grid, params)
+    for _ in range(50):
+        state = fd.step(state, dt)
+    assert stored.check(wl._key("flow_sphere256", *params, 50), {
+        "max_norm": wl._max_norm(state.points), "energy": fd.energy(state),
+        "theta": holonomy_ode(sphere, grid, state.points)})
