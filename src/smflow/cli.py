@@ -89,19 +89,21 @@ DEFAULT_CONFIG = {
 
 
 def _merge(base, override, path=""):
+    """Overlay override onto base in place; returns the violations. Keys
+    under init are free-form; elsewhere an object replaces only an object
+    and a value only a value."""
     violations = []
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            if path in ("init",):
+            if path.partition(".")[0] == "init":
                 base[key] = value
                 continue
             violations.append(f"unknown configuration key {where!r}")
-            continue
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                violations.append(f"{where} must be an object")
-                continue
+        elif isinstance(base[key], dict) is not isinstance(value, dict):
+            violations.append(f"{where} must be an object" if isinstance(base[key], dict)
+                              else f"{where} must not be an object")
+        elif isinstance(value, dict):
             violations.extend(_merge(base[key], value, where))
         else:
             base[key] = value
@@ -109,6 +111,7 @@ def _merge(base, override, path=""):
 
 
 def _apply_override(cfg, item):
+    """Merge one --set key=value (dotted key, JSON or bare-string value)."""
     key, sep, raw = item.partition("=")
     if not sep or not key:
         return [f"override {item!r} is not of the form key=value"]
@@ -116,20 +119,9 @@ def _apply_override(cfg, item):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    parts = key.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            if isinstance(node, dict) and p not in node and parts[0] == "init":
-                node[p] = {}
-            else:
-                return [f"override {key!r} does not match a configuration section"]
-        node = node[p]
-    leaf = parts[-1]
-    if leaf not in node and parts[0] != "init":
-        return [f"unknown configuration key {key!r}"]
-    node[leaf] = value
-    return []
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return _merge(cfg, value)
 
 
 def load_config(path=None, overrides=()):
@@ -364,9 +356,9 @@ def _summary_invariants(rows, circle, res):
 
 def _run_coupled(loop, cfg, dt, n_steps, keep):
     """Coupled run: hands keep(k, row, snapshot) each step's timeseries row
-    and snapshot (t, points, Phi, phi) as thunks; returns the final loop
-    (None on the line) and the ReducedRunResult."""
-    circle = cfg["domain"]["kind"] == "circle"
+    and snapshot (t, points, Phi, phi) as thunks; returns the final loop and
+    the ReducedRunResult."""
+    circle = loop.grid.kind == "circle"
 
     def observer(k, state, s):
         keep(k, lambda: [s.time, s.energy, math.sqrt(2.0 * s.energy), s.theta,
@@ -374,10 +366,10 @@ def _run_coupled(loop, cfg, dt, n_steps, keep):
                          s.theta_gb, s.theta_rate, s.l4_window, s.sup_error],
              lambda: (s.time, state.points, s.coeffs, s.phi_nls))
 
-    res = fr.coupled_evolve(loop, dt, n_steps, domain=cfg["domain"]["kind"],
+    res = fr.coupled_evolve(loop, dt, n_steps,
                             l4_window=cfg["diagnostics"]["l4_window"],
                             observer=observer)
-    return (res.final_state if circle else None), res
+    return res.final_state, res
 
 
 def _run_autonomous(loop, cfg, dt, n_steps, keep):
@@ -440,7 +432,7 @@ def run_scenario(cfg):
     _write_json(out_dir / "config.json", echo)
 
     diag, mode = cfg["diagnostics"], cfg["reduction"]["mode"]
-    circle = cfg["domain"]["kind"] == "circle"
+    circle = grid.kind == "circle"
     rows, snapshots = array("d"), {}
 
     def keep(k, row, snapshot):
@@ -598,8 +590,7 @@ def convergence_study(cfg, levels):
     finals = []
     for n, dt_run, n_steps, surface, grid, loop in resolved:
         if kind == "cross":
-            res = fr.coupled_evolve(loop, dt_run, n_steps,
-                                    domain=cfg["domain"]["kind"])
+            res = fr.coupled_evolve(loop, dt_run, n_steps)
             errors.append(res.max_sup_error)
             finals.append(None)
         else:

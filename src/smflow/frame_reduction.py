@@ -215,7 +215,6 @@ class NonlinearTerms:
     T: np.ndarray
     W: float
     Q: float
-    domain: str = "circle"
 
     def potential(self) -> np.ndarray:
         return self.Q + self.S - self.W + self.T
@@ -256,21 +255,20 @@ def gauge_potential(loop: LoopState, coeffs: FrameCoefficients) -> np.ndarray:
     return S - S[b] + tail
 
 
-def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients,
-                    domain: str = "circle") -> NonlinearTerms:
-    """Curvature potential letters for the reduced equation.
+def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerms:
+    """Curvature potential letters for the reduced equation; the loop's grid
+    decides the reduction.
 
-    Circle: S(x) = -K|Phi|^2/2, W = mean(S), T = R - mean(R) + (oint r)/2
-    with R the primitive of r = (K o u)_x |Phi|^2 / 2, and Q the constant
-    making Q + S - W + T the base-node gauge potential.
-
-    Line: T is the raw tail integrated from the left edge and W = Q = 0;
+    Line grid: T is the raw tail integrated from the left edge and W = Q = 0;
     the coefficients must decay at the edges (relative 1e-6).
+
+    Any other grid (the circle): S(x) = -K|Phi|^2/2, W = mean(S),
+    T = R - mean(R) + (oint r)/2 with R the primitive of
+    r = (K o u)_x |Phi|^2 / 2, and Q the constant making Q + S - W + T the
+    base-node gauge potential.
     """
-    if domain not in ("circle", "line"):
-        raise ConfigError([f"unknown reduction domain {domain!r}"])
     S, r, R = _curvature_letters(loop, coeffs.phi)
-    if domain == "line":
+    if loop.grid.kind == "line":
         decay = _edge_decay(coeffs.phi)
         if decay > 1e-6:
             raise ConfigError(
@@ -280,7 +278,7 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients,
                     "exceeds 1.0e-06"
                 ]
             )
-        return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0, domain="line")
+        return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0)
     total = loop.grid.integrate(r)
     mean_R = float(np.mean(R))
     b = coeffs.base_index
@@ -291,36 +289,28 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients,
     # constant oint r on the pre-base arc, the same multivaluedness the
     # twist tracks.
     Q = float(W - S[b] + mean_R - R[b] - 0.5 * total)
-    return NonlinearTerms(S=S, T=T, W=W, Q=Q, domain="circle")
+    return NonlinearTerms(S=S, T=T, W=W, Q=Q)
 
 
 def assemble_nls_rhs(grid: SpectralGrid, values: np.ndarray,
                      terms: NonlinearTerms, theta: float = 0.0,
-                     theta_rate: float = 0.0, domain: str = "circle",
-                     variable_metric=None) -> np.ndarray:
-    """Right side F of i phi_t = phi_xx + F for the reduced equation.
+                     theta_rate: float = 0.0, variable_metric=None) -> np.ndarray:
+    """Right side F of i phi_t = phi_xx + F for the reduced equation; the
+    grid decides the reduction.
 
-    Circle (periodic gauge field phi): F = -2 i theta phi_x
-    - (theta^2 + x theta_rate + Q + S - W + T) phi, with variable metrics
-    unsupported (the change of variables that removes the first-order term
-    is specific to the flat circle).
-
-    Line (coefficients Phi): F = -(S + T) Phi; with variable_metric alpha
-    (an array of metric values on the nodes) the dispersive part becomes
-    alpha Phi_xx + (3 alpha_x / 2) Phi_x + (alpha_xx / 2) Phi, reported
-    relative to the constant-coefficient left side:
+    Line grid (coefficients Phi): F = -(S + T) Phi; with variable_metric
+    alpha (an array of metric values on the nodes) the dispersive part
+    becomes alpha Phi_xx + (3 alpha_x / 2) Phi_x + (alpha_xx / 2) Phi,
+    reported relative to the constant-coefficient left side:
     F = (alpha - 1) Phi_xx + (3 alpha_x / 2) Phi_x + (alpha_xx / 2) Phi
     - (S + T) Phi.
+
+    Any other grid (the circle; periodic gauge field phi): F = -2 i theta
+    phi_x - (theta^2 + x theta_rate + Q + S - W + T) phi, with variable
+    metrics unsupported (the change of variables that removes the
+    first-order term is specific to the flat circle).
     """
-    if domain == "circle":
-        if variable_metric is not None:
-            raise UnsupportedCombinationError(
-                "variable metrics are only reduced on the line; the twisted "
-                "circle change of variables requires a constant metric"
-            )
-        pot = theta**2 + grid.nodes * theta_rate + terms.potential()
-        return -2j * theta * grid.derivative(values) - pot * values
-    if domain == "line":
+    if grid.kind == "line":
         out = -(terms.S + terms.T) * values
         if variable_metric is not None:
             alpha = np.asarray(variable_metric, dtype=float)
@@ -328,7 +318,13 @@ def assemble_nls_rhs(grid: SpectralGrid, values: np.ndarray,
             vx, vxx = grid.derivatives(values)
             out = out + (alpha - 1.0) * vxx + 1.5 * ax * vx + 0.5 * axx * values
         return out
-    raise ConfigError([f"unknown reduction domain {domain!r}"])
+    if variable_metric is not None:
+        raise UnsupportedCombinationError(
+            "variable metrics are only reduced on the line; the twisted "
+            "circle change of variables requires a constant metric"
+        )
+    pot = theta**2 + grid.nodes * theta_rate + terms.potential()
+    return -2j * theta * grid.derivative(values) - pot * values
 
 
 def spacetime_shift(grid: SpectralGrid, history: np.ndarray,
@@ -371,6 +367,14 @@ def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
     y = np.vstack([state.points, np.asarray(seed, dtype=float)])
     new_state, carried = fd._rk4_step(state, dt, rhs, y)
     return new_state, _unit_tangent(s, new_state.points[0], carried[0])
+
+
+def _two_point_step(field: ComplexField, dt: float, pot0: np.ndarray,
+                    pot1: np.ndarray, theta: float, t0: float) -> ComplexField:
+    """One Strang split step over [t0, t0 + dt] whose potential is pot0 at
+    its first half step and pot1 at its second."""
+    return split_step(field, dt, theta=theta, t0=t0, potential=lambda vals, t:
+                      pot0 if abs(t - t0) < 0.25 * abs(dt) else pot1)
 
 
 def solver_tolerance(grid: SpectralGrid, dt: float) -> float:
@@ -445,7 +449,6 @@ def _windowed_l4(grid: SpectralGrid, window: int):
 
 
 def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
-                   domain: str = "circle",
                    l4_window: int = 32, observer=None) -> ReducedRunResult:
     """March the map flow and the reduced NLS side by side.
 
@@ -461,13 +464,16 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     coefficients, the letters, the energy, holonomy_ode (which also lifts
     the initial theta) and the rate.
 
+    The loop's grid decides the reduction: a line grid runs the line
+    reduction (theta = 0, theta_ode NaN, no swept angle, the edge decay in
+    place of the twist residual and the closure); any other grid runs the
+    twisted circle reduction.
+
     observer(k, state, step) sees each state k = 0..n_steps and its
     CoupledStep; the result keeps only the scalar series of the steps.
     """
-    if domain not in ("circle", "line"):
-        raise ConfigError([f"unknown reduction domain {domain!r}"])
     surface, grid = state0.surface, state0.grid
-    circle = domain == "circle"
+    circle = grid.kind != "line"
 
     def reduce(state, seed, theta_ref=None):
         """Frame, coefficients, holonomy_ode (NaN on the line), theta (lifted
@@ -475,7 +481,7 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         of a state."""
         frame = parallel_frame(surface, state, seed)
         coeffs = coefficients(state, frame)
-        terms = nonlinear_terms(state, coeffs, domain)
+        terms = nonlinear_terms(state, coeffs)
         if not circle:
             return frame, coeffs, np.nan, 0.0, 0.0, coeffs.phi.copy(), terms.S + terms.T
         ode = _holonomy_ode(state)
@@ -499,13 +505,8 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
             if circle:
                 gb = gb + swept_angle_increment(surface, grid, prev_points,
                                                 state.points, dt)
-            t_prev = state.time - dt
-
-            def potential(vals, t, a=pot, b_=pot_k, tm=t_prev):
-                return a if abs(t - tm) < 0.25 * abs(dt) else b_
-
-            nls = split_step(nls, dt, potential=potential,
-                             theta=0.5 * (theta + theta_k), t0=t_prev)
+            nls = _two_point_step(nls, dt, pot, pot_k, 0.5 * (theta + theta_k),
+                                  state.time - dt)
         theta, pot = theta_k, pot_k
         if circle:
             resid = twisted_residual(coeffs, ode)
@@ -678,34 +679,27 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
         u_t = b.real * st.e1_base + b.imag * e2b
         return loop, pot, rate, u_t
 
+    def carry(st, displacement):
+        """The base point moved by displacement and the seed carried along."""
+        base = surface.project_point(st.base_point + displacement)
+        h = _covariant_rhs(surface, st.base_point, displacement, st.e1_base)
+        return base, _unit_tangent(surface, base, st.e1_base + h)
+
     for k in range(n_steps):
         loop, pot0, rate0, ut0 = snapshot(state)
         if observer is not None:
             observer(k, state, loop)
         field = ComplexField(grid, state.phi)
         # predictor: freeze the potential and base data
-        pred = split_step(field, dt, potential=lambda v, t: pot0,
-                          theta=state.theta, t0=state.time)
-        base_pred = surface.project_point(state.base_point + dt * ut0)
-        h1 = _covariant_rhs(surface, state.base_point, dt * ut0, state.e1_base)
-        seed_pred = _unit_tangent(surface, base_pred, state.e1_base + h1)
-        st_pred = AutonomousState(grid, pred.values, base_pred, seed_pred,
+        pred = _two_point_step(field, dt, pot0, pot0, state.theta, state.time)
+        st_pred = AutonomousState(grid, pred.values, *carry(state, dt * ut0),
                                   state.theta + dt * rate0, state.time + dt)
         _, pot1, rate1, ut1 = snapshot(st_pred)
         # corrector: trapezoid in the potential, base velocity, and rate
-        theta_mid = state.theta + 0.25 * dt * (rate0 + rate1)
-
-        def potential(vals, t, a=pot0, b_=pot1, tm=state.time):
-            return a if abs(t - tm) < 0.25 * abs(dt) else b_
-
-        corr = split_step(field, dt, potential=potential, theta=theta_mid,
-                          t0=state.time)
-        base_new = surface.project_point(
-            state.base_point + 0.5 * dt * (ut0 + ut1))
-        g1 = _covariant_rhs(surface, state.base_point,
-                            0.5 * dt * (ut0 + ut1), state.e1_base)
-        seed_new = _unit_tangent(surface, base_new, state.e1_base + g1)
-        state = AutonomousState(grid, corr.values, base_new, seed_new,
+        corr = _two_point_step(field, dt, pot0, pot1,
+                               state.theta + 0.25 * dt * (rate0 + rate1), state.time)
+        state = AutonomousState(grid, corr.values,
+                                *carry(state, 0.5 * dt * (ut0 + ut1)),
                                 state.theta + 0.5 * dt * (rate0 + rate1),
                                 state.time + dt)
     return state

@@ -120,37 +120,35 @@ def _active_mode_bound(modes: np.ndarray, rel_tol: float = 1e-13) -> int:
     return int(np.abs(m[active]).max(initial=0))
 
 
-def _l4_of_free_evolution(modes: np.ndarray, n_x: int) -> float:
+def _l4_of_free_evolution(modes: np.ndarray) -> float:
     """L^4(T^2) norm of sum_m a_m e^{i(m x + m^2 t)} by tensor quadrature,
     exact once n_t exceeds 2 mmax^2, the top time frequency of |u|^4."""
     n = modes.shape[0]
     m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     mmax = _active_mode_bound(modes)
     n_t = max(64, 2 * mmax * mmax + 1)
-    nq = 1 << int(np.ceil(np.log2(max(n_x, 4 * (mmax + 1), 8))))
+    nq = 1 << int(np.ceil(np.log2(max(n, 4 * (mmax + 1), 8))))
     pad = np.zeros((n_t, nq), dtype=complex)
     ts = 2.0 * np.pi * np.arange(n_t) / n_t
-    # mode m sits at column m mod nq of the FFT layout; nq >= n_x >= n
+    # mode m sits at column m mod nq of the FFT layout; nq >= n
     pad[:, m % nq] = np.exp(1j * np.outer(ts, m.astype(float) ** 2)) * modes[None, :]
     samples = np.fft.ifft(pad, axis=1) * nq
     mean4 = np.mean(np.abs(samples) ** 4)
     return float((4.0 * np.pi**2 * mean4) ** 0.25)
 
 
-def strichartz_ratio(field: ComplexField, n_time: int | None = None) -> float:
+def strichartz_ratio(field: ComplexField) -> float:
     """||free evolution||_{L^4(T_t x T_x)} / ||data||_{L^2(T_x)}.
 
     Quadrature uses alias-free sample counts derived from the active mode
-    content (or at least n_time samples if given); exact for band-limited
-    data since |phi|^4 is a trigonometric polynomial.
+    content; exact for band-limited data since |phi|^4 is a trigonometric
+    polynomial.
     """
     tor = field.as_torus()
     l2 = tor.l2_norm()
     if l2 == 0.0:
         raise ConfigError(["strichartz_ratio requires nonzero data"])
-    modes = tor.modes
-    l4 = _l4_of_free_evolution(modes, max(tor.grid.n, n_time or 0))
-    return l4 / l2
+    return _l4_of_free_evolution(tor.modes) / l2
 
 
 def bourgain_weighted_norm(field: SpaceTimeField) -> float:
@@ -212,7 +210,7 @@ def duhamel_term(F: SpaceTimeField, t: float, delta: float, B: float) -> Duhamel
         g0 = g0 + rem * 0.5 * (f_a + f_b)
     profile = ComplexField(F.grid, np.fft.ifft(g0 * n_x), convention="torus")
     out = free_propagate(profile, t)
-    l4 = _l4_of_free_evolution(profile.modes, F.grid.n)
+    l4 = _l4_of_free_evolution(profile.modes)
     bound = DUHAMEL_CONSTANT * (B ** (-0.25) + delta * B) * F.lp_norm(4.0 / 3.0)
     return DuhamelResult(out, l4, bound, DUHAMEL_CONSTANT)
 

@@ -473,13 +473,27 @@ class TestArtifactWriters:
 class TestConfigValidation:
     def test_all_violations_listed(self, workdir, capsys):
         cfg = write_config(workdir, target={"kind": "donut"},
-                           domain={"kind": "circle", "n": 20},
+                           domain={"kind": "strip", "n": 20},
                            time={"t_final": -1.0})
         assert cli.main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "target.kind" in err
+        assert "domain.kind" in err
         assert "domain.n" in err
         assert "t_final" in err
+
+    @pytest.mark.parametrize("override,message", [
+        ("domain=5", "domain must be an object"),
+        ("init=7", "init must be an object"),
+        ("target.warp=3", "target.warp must be an object"),
+        ("target.kind.x=1", "target.kind must not be an object")])
+    def test_set_cannot_change_a_section_into_a_value(self, workdir, capsys,
+                                                      override, message):
+        """An override goes through the config-file merge: a usage error
+        (exit 2) that names the key, not an exception."""
+        cfg = write_config(workdir)
+        assert cli.main(["run", "--config", str(cfg), "--set", override]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})

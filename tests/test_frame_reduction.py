@@ -250,7 +250,7 @@ class TestLetters:
         surf, grid, loop = line_profile()
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(loop, co, domain="line")
+        terms = fr.nonlinear_terms(loop, co)
         assert terms.W == 0.0 and terms.Q == 0.0
         assert abs(terms.T[0]) < 1e-12  # tail starts at the left edge
         # cross-check the tail against a trapezoid primitive
@@ -270,7 +270,7 @@ class TestLetters:
         bframe = fr.parallel_frame(surf, bad)
         bco = fr.coefficients(bad, bframe)
         with pytest.raises(ConfigError, match="decay"):
-            fr.nonlinear_terms(bad, bco, domain="line")
+            fr.nonlinear_terms(bad, bco)
 
     def test_product_target_rejected(self):
         surf = product_surface(round_sphere(1.0), flat_torus())
@@ -283,19 +283,13 @@ class TestLetters:
         with pytest.raises(UnsupportedOperationError):
             fr.nonlinear_terms(loop, co)
 
-    def test_unknown_domain(self):
-        surf, grid, loop = bumpy_loop(32)
-        frame = fr.parallel_frame(surf, loop)
-        co = fr.coefficients(loop, frame)
-        with pytest.raises(ConfigError):
-            fr.nonlinear_terms(loop, co, domain="plane")
 
 
 class TestReducedEquation:
     """Finite differences in time of the actual coupled frames are the
     oracle for every sign in the assembled equation."""
 
-    def fd_stencil(self, surf, loop0, dt, domain="circle"):
+    def fd_stencil(self, surf, loop0, dt):
         states = [loop0]
         frame0 = fr.parallel_frame(surf, loop0)
         w = frame0.e1[0]
@@ -354,10 +348,9 @@ class TestReducedEquation:
     def test_line_equation(self):
         surf, grid, loop0 = line_profile()
         dt = 2e-5
-        (s1, f1, c1), (s2, f2, c2), (s3, f3, c3) = self.fd_stencil(
-            surf, loop0, dt, domain="line")
-        terms = fr.nonlinear_terms(s2, c2, domain="line")
-        F = fr.assemble_nls_rhs(grid, c2.phi, terms, domain="line")
+        (s1, f1, c1), (s2, f2, c2), (s3, f3, c3) = self.fd_stencil(surf, loop0, dt)
+        terms = fr.nonlinear_terms(s2, c2)
+        F = fr.assemble_nls_rhs(grid, c2.phi, terms)
         lhs = 1j * (c3.phi - c1.phi) / (2 * dt)
         rhs = grid.derivative(c2.phi, order=2) + F
         rel = np.abs(lhs - rhs).max() / np.abs(rhs).max()
@@ -375,14 +368,13 @@ class TestReducedEquation:
         surf, grid, loop = line_profile()
         frame = fr.parallel_frame(surf, loop)
         co = fr.coefficients(loop, frame)
-        terms = fr.nonlinear_terms(loop, co, domain="line")
-        base = fr.assemble_nls_rhs(grid, co.phi, terms, domain="line")
-        same = fr.assemble_nls_rhs(grid, co.phi, terms, domain="line",
+        terms = fr.nonlinear_terms(loop, co)
+        base = fr.assemble_nls_rhs(grid, co.phi, terms)
+        same = fr.assemble_nls_rhs(grid, co.phi, terms,
                                    variable_metric=np.ones(grid.n))
         assert np.abs(base - same).max() < 1e-14
         alpha = 1.0 + 0.2 * np.exp(-(grid.nodes**2))
-        out = fr.assemble_nls_rhs(grid, co.phi, terms, domain="line",
-                                  variable_metric=alpha)
+        out = fr.assemble_nls_rhs(grid, co.phi, terms, variable_metric=alpha)
         ax = grid.derivative(alpha)
         axx = grid.derivative(alpha, order=2)
         extra = ((alpha - 1.0) * grid.derivative(co.phi, order=2)
@@ -448,25 +440,25 @@ COUPLED_CASES = ("round", "warped", "hyperbolic", "line")
 
 
 def coupled_case(case):
-    """(initial loop, reduction domain) of the coupled-driver cases."""
+    """Initial loop of a coupled-driver case; its grid picks the reduction."""
     if case == "line":
-        return line_profile(n=64)[2], "line"
+        return line_profile(n=64)[2]
     grid = SpectralGrid(32)
     if case == "hyperbolic":
         return fd.initial_loop(hyperbolic_disk(), grid, "fourier",
-                               offset=[0.1, -0.05]), "circle"
+                               offset=[0.1, -0.05])
     surf = ROUND if case == "round" else bumpy_surface()
     return fd.initial_loop(surf, grid, "perturbed_latitude", alpha=1.0,
-                           eps=0.05, m=2), "circle"
+                           eps=0.05, m=2)
 
 
-def reference_coupled(state0, dt, n_steps, domain, l4_window):
+def reference_coupled(state0, dt, n_steps, l4_window):
     """The reference for `coupled_evolve`: the same step loop, with every
     state reduced through the public functions one by one, and holonomy_ode
     and holonomy_rate taken from the bare points. Returns the recorded series by result field name, the
     final state and the final seed."""
     surface, grid = state0.surface, state0.grid
-    circle = domain == "circle"
+    circle = grid.kind != "line"
     rec = {name: [] for name in (
         "times", "theta", "theta_gb", "theta_rate", "theta_ode", "energy",
         "grad_norm", "phi_frame", "phi_nls", "coeffs_history",
@@ -479,7 +471,7 @@ def reference_coupled(state0, dt, n_steps, domain, l4_window):
         frame = fr.parallel_frame(surface, state, seed=seed)
         seed = frame.e1[0]
         coeffs = fr.coefficients(state, frame)
-        terms = fr.nonlinear_terms(state, coeffs, domain=domain)
+        terms = fr.nonlinear_terms(state, coeffs)
         if circle:
             ode = holonomy_ode(surface, grid, state.points)
             theta_new = lift_to_branch(frame.transport_angle(), theta if k else ode)
@@ -582,7 +574,7 @@ class TestCoupledDriver:
     def test_line_domain_run(self):
         surf, grid, loop = line_profile()
         dt = 0.8 * fd.admissible_dt(loop)
-        res = fr.coupled_evolve(loop, dt, 60, domain="line")
+        res = fr.coupled_evolve(loop, dt, 60)
         assert res.max_sup_error <= res.tolerance
         assert np.all(res.theta == 0.0)
         assert res.twist_residual_ode.max() < 1e-6
@@ -596,11 +588,20 @@ class TestCoupledDriver:
         assert np.array_equal(res.grad_norm, np.sqrt(2 * res.energy))
         assert res.grad_norm[-1] == fd.gradient_norm(res.final_state)
 
-    def test_unknown_domain(self):
-        grid = SpectralGrid(32)
-        loop = fd.initial_loop(ROUND, grid, "great_circle")
-        with pytest.raises(ConfigError):
-            fr.coupled_evolve(loop, 1e-5, 1, domain="strip")
+    def test_line_grid_alone_selects_the_line_reduction(self):
+        """A line-grid loop gets the line reduction with no further argument:
+        no holonomy, and the edge-decay gate on data that does not decay."""
+        loop = line_profile(n=64)[2]
+        res = fr.coupled_evolve(loop, 0.8 * fd.admissible_dt(loop), 3)
+        assert np.all(res.theta == 0.0)
+        assert np.all(np.isnan(res.theta_ode))
+        grid, surf = loop.grid, loop.surface
+        phase = 2 * np.pi * grid.nodes / grid.period
+        bad = LoopState(grid=grid, surface=surf,
+                        points=np.stack([0.1 + 0.1 * np.cos(phase),
+                                         0.2 + 0.1 * np.sin(phase)], axis=-1))
+        with pytest.raises(ConfigError, match="decay"):
+            fr.coupled_evolve(bad, 1e-6, 1)
 
     def test_seed_time_transport_against_path_transport(self):
         alpha = np.pi / 3
@@ -676,12 +677,12 @@ class TestCoupledDriver:
 
     @pytest.mark.parametrize("case", COUPLED_CASES)
     def test_matches_public_function_step_loop(self, case):
-        loop, domain = coupled_case(case)
+        loop = coupled_case(case)
         dt = 0.8 * fd.admissible_dt(loop)
         steps = []
-        res = fr.coupled_evolve(loop, dt, 3, domain=domain, l4_window=2,
+        res = fr.coupled_evolve(loop, dt, 3, l4_window=2,
                                 observer=lambda k, state, step: steps.append(step))
-        expected, final_state, final_seed = reference_coupled(loop, dt, 3, domain, 2)
+        expected, final_state, final_seed = reference_coupled(loop, dt, 3, 2)
         fields = {"phi_frame": "phi_frame", "phi_nls": "phi_nls",
                   "coeffs_history": "coeffs"}
         assert len(steps) == 4
@@ -699,7 +700,7 @@ class TestCoupledDriver:
         swept midpoint loop; a varying K adds its derivative and the
         primitive of the curvature-rate density. Each run starts from a
         fresh loop, since a loop state keeps the u_x it has computed."""
-        loop, domain = coupled_case(case)
+        loop = coupled_case(case)
         dt = fd.admissible_dt(loop)
         calls = []
         derivatives = SpectralGrid.derivatives
@@ -712,7 +713,7 @@ class TestCoupledDriver:
         counts = []
         for n_steps in (1, 3):
             calls.clear()
-            fr.coupled_evolve(coupled_case(case)[0], dt, n_steps, domain=domain)
+            fr.coupled_evolve(coupled_case(case), dt, n_steps)
             counts.append(len(calls))
         assert (counts[1] - counts[0]) / 2 == per_step
 

@@ -7,12 +7,14 @@ runs, one coupled and one autonomous, take nine steps with a timeseries row
 every second step, a snapshot every third and a two-row L4 window, so rows
 differ from steps and the window truncates. Each scenario writes its
 artifacts to ``OUT/<name>/``. The matrix also runs ``smflow check all``
-(``OUT/check_all.json``) and a cross-formulation ``smflow converge`` at
-N = 16, 32, 64 (``OUT/converge_cross/``), so it covers all three commands;
-``OUT/exit_codes.json`` records the exit codes. Every input is fixed and
-the output root is passed through ``SMFLOW_OUT``, so the config echo holds
-no path: two versions of the package that compute the same numbers write
-byte-identical trees.
+(``OUT/check_all.json``) and two cross-formulation ``smflow converge``
+studies, the default circle run at N = 16, 32, 64 (``OUT/converge_cross/``)
+and the line run's settings at N = 32, 64, 128
+(``OUT/converge_cross_line/``), so it covers all three commands and both
+reductions; ``OUT/exit_codes.json`` records the exit codes. Every input is
+fixed and the output root is passed through ``SMFLOW_OUT``, so the config
+echo holds no path: two versions of the package that compute the same
+numbers write byte-identical trees.
 
     PYTHONPATH=src python3 tools/artifact_matrix.py OUT
     python3 tools/artifact_matrix.py --against OTHER_SRC OUT
@@ -46,6 +48,10 @@ COMMON = ("domain.n=32", "time.dt=1e-4", "time.t_final=3e-4",
 SPHERE = ("init.kind=perturbed_latitude", "init.alpha=1.0", "init.eps=0.05")
 CHART = ("init.kind=fourier", "init.offset=[0.1,-0.05]")
 AUTONOMOUS = ("reduction.mode=autonomous",)
+LINE = ("target.kind=hyperbolic_disk", "domain.kind=line", "init.kind=fourier",
+        "init.coeffs=[[2,0.1,0.0],[1,0.0,0.08]]", "init.offset=[0.1,0.2]",
+        "init.envelope_sigma=0.8")
+CROSS = ("study.error=cross", "time.t_final=1e-3")
 # nine steps with a row every second step, a snapshot every third and a
 # two-row L4 window: rows differ from steps and the window truncates
 SPARSE = ("time.t_final=9e-4", "diagnostics.cadence=2",
@@ -60,17 +66,22 @@ SCENARIOS = {
     "sparse_coupled_round_sphere": ("target.kind=round_sphere", *SPHERE, *SPARSE),
     "sparse_autonomous_round_sphere": ("target.kind=round_sphere", *SPHERE,
                                        *SPARSE, *AUTONOMOUS),
-    "line_hyperbolic_disk": ("target.kind=hyperbolic_disk", "domain.kind=line",
-                             "init.kind=fourier",
-                             "init.coeffs=[[2,0.1,0.0],[1,0.0,0.08]]",
-                             "init.offset=[0.1,0.2]", "init.envelope_sigma=0.8"),
+    "line_hyperbolic_disk": LINE,
 }
+
+
+def _set(*items) -> list:
+    """--set arguments for the given key=value items."""
+    return [arg for item in items for arg in ("--set", item)]
+
+
 COMMANDS = {
     "check_all": ["check", "all", "--seed", "0"],
-    "converge_cross": ["converge", "--set", "study.error=cross",
-                       "--set", "time.t_final=1e-3",
-                       "--set", "output.dir=converge_cross",
+    "converge_cross": ["converge", *_set(*CROSS, "output.dir=converge_cross"),
                        "--levels", "16,32,64"],
+    "converge_cross_line": ["converge", *_set(*LINE, *CROSS,
+                                              "output.dir=converge_cross_line"),
+                            "--levels", "32,64,128"],
 }
 
 
@@ -175,10 +186,7 @@ def main(argv) -> int:
     print(f"smflow from {Path(cli.__file__).parent}")
     codes = {}
     for name, sets in SCENARIOS.items():
-        args = ["run"]
-        for item in (*COMMON, *sets, f"output.dir={name}"):
-            args += ["--set", item]
-        codes[name] = cli.main(args)
+        codes[name] = cli.main(["run", *_set(*COMMON, *sets, f"output.dir={name}")])
     for name, args in COMMANDS.items():
         codes[name] = cli.main(args)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
