@@ -90,8 +90,9 @@ DEFAULT_CONFIG = {
 
 def _merge(base, override, path=""):
     """Overlay override onto base in place; returns the violations. Keys
-    under init are free-form; elsewhere an object replaces only an object
-    and a value only a value."""
+    under init are added here and checked against the presets' parameters
+    in _validate_structure; elsewhere an object replaces only an object and
+    a value only a value."""
     violations = []
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -155,7 +156,9 @@ def load_config(path=None, overrides=()):
 def _validate_structure(cfg):
     v = []
     target = cfg["target"]
-    if target["kind"] not in _TARGETS:
+    # a list or other unhashable kind is reported, not raised by the lookup
+    known = isinstance(target["kind"], str) and target["kind"] in _TARGETS
+    if not known:
         v.append(f"target.kind must be one of {tuple(_TARGETS)}; "
                  f"got {target['kind']!r}")
     if not isinstance(target["radius"], (int, float)) or target["radius"] <= 0:
@@ -177,11 +180,14 @@ def _validate_structure(cfg):
     if not isinstance(dom["half_width"], (int, float)) or dom["half_width"] <= 0:
         v.append("domain.half_width must be a positive number")
 
-    inits = _TARGETS.get(target["kind"], (None, _CHART_INITS))[1]
+    inits = _TARGETS[target["kind"]][1] if known else _CHART_INITS
     embedded = inits is _SPHERE_INITS
     if cfg["init"].get("kind") not in inits:
         v.append(f"init.kind must be one of {inits} for target "
                  f"{target['kind']!r}; got {cfg['init'].get('kind')!r}")
+    for key in sorted(set(cfg["init"]) - {"kind", *fd.INIT_PARAMS}):
+        v.append(f"unknown configuration key 'init.{key}': no initial loop "
+                 f"reads it (parameters: {', '.join(fd.INIT_PARAMS)})")
 
     tm = cfg["time"]
     if not isinstance(tm["t_final"], (int, float)) or tm["t_final"] < 0:

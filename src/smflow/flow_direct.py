@@ -1,8 +1,12 @@
 """Direct integration of the Schrodinger map flow u_t = -J tau(u).
 
 The map u sends a periodic 1-D domain into a surface with compatible
-complex structure J. The tension field tau is computed spectrally in x;
-time stepping is classical RK4 with a CFL-style guard and, for embedded
+complex structure J. The tension field tau is computed spectrally in x.
+Each RK4 stage takes u_t from the target's ``flow_velocity``: the round
+sphere of radius r uses the Landau-Lifshitz form u_t = u_xx x u / r, which
+needs only the second derivative (J removes the normal part of tau), and
+every other target -J tau(u) from the first and second derivatives. Time
+stepping is classical RK4 with a CFL-style guard and, for embedded
 targets, a pointwise renormalization after each full step (the flow
 preserves |u| exactly, so the projection only removes O(dt^5) drift and
 the scheme stays 4th order).
@@ -79,12 +83,19 @@ def _sphere_angles_to_points(surface, colat, azim):
     )
 
 
+# every parameter that some preset of initial_loop reads; the CLI rejects
+# any other init key
+INIT_PARAMS = ("point", "alpha", "eps", "m", "colat_coeffs", "azimuth_coeffs",
+               "coeffs", "envelope_sigma", "offset")
+
+
 def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, **params) -> LoopState:
     """Build a named initial loop.
 
     Sphere-like targets support 'constant', 'great_circle', 'latitude',
     'perturbed_latitude' and 'fourier'; chart targets support 'constant'
-    and 'fourier' (coefficients feed the two chart coordinates).
+    and 'fourier' (coefficients feed the two chart coordinates). A preset
+    ignores the parameters of ``INIT_PARAMS`` it does not read.
     """
     x = grid.nodes
     phase = 2 * np.pi * x / grid.period
@@ -136,19 +147,15 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, **params)
 # -- spatial operators ----------------------------------------------------------
 
 
-def _tension(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    ux, uxx = grid.derivatives(u, (1, 2))
-    return surface.tension(u, ux, uxx)
-
-
 def _velocity(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     """u_t = -J tau(u) on plain arrays: the stage function of every RK4 step."""
-    return -surface.apply_J(u, _tension(surface, grid, u))
+    return surface.flow_velocity(grid, u)
 
 
 def tension(state: LoopState) -> np.ndarray:
     """Tension field tau(u) at the grid nodes (tangent to the target)."""
-    return _tension(state.surface, state.grid, state.points)
+    ux, uxx = state.grid.derivatives(state.points, (1, 2))
+    return state.surface.tension(state.points, ux, uxx)
 
 
 def flow_rhs(state: LoopState) -> np.ndarray:

@@ -11,7 +11,10 @@ module functions validate input and hand over to it.
 
 The complex structure J is p x v / radius on embedded spheres and rotation
 by 90 degrees in conformal charts; both satisfy J*J = -1 and are isometric
-for the respective metric.
+for the respective metric.  ``flow_velocity`` gives the Schrodinger map
+velocity -J tau(u) from a loop's samples; ``RoundSphere`` writes it in
+Landau-Lifshitz form u_xx x u / radius from one second derivative, and every
+other target, ``WarpedSphere`` included, applies J to its tension.
 
 Parallel transport integrates the frame equation for a single tangent
 vector e1 with classical RK4 and carries e2 = J e1 along algebraically.
@@ -130,6 +133,11 @@ class SurfaceModel:
     def azimuthal_winding(self, points: np.ndarray) -> int:
         return 0
 
+    def flow_velocity(self, grid, u: np.ndarray) -> np.ndarray:
+        """u_t = -J tau(u) from the samples u of a loop on ``grid``."""
+        ux, uxx = grid.derivatives(u, (1, 2))
+        return -self.apply_J(u, self.tension(u, ux, uxx))
+
 
 @dataclass(frozen=True, eq=False)
 class RoundSphere(SurfaceModel):
@@ -192,6 +200,11 @@ class RoundSphere(SurfaceModel):
     def tension(self, u, ux, uxx):
         speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
         return uxx + speed2 * u / self.radius**2
+
+    def flow_velocity(self, grid, u: np.ndarray) -> np.ndarray:
+        # Landau-Lifshitz form: J drops the normal part |u_x|^2 u / r^2 of
+        # tau, so -J tau = u_xx x u / r for any u, on the sphere or not
+        return _cross(grid.derivative(u, 2), u) / self.radius
 
     def reference_frame(self, points: np.ndarray):
         p = points / self.radius
@@ -287,6 +300,9 @@ class WarpedSphere(RoundSphere):
         grad_tan = self._tangent_warp_grad(u)
         dlam_ux = np.sum(grad_tan * ux, axis=-1, keepdims=True)
         return uxx + speed2 * u + 2.0 * dlam_ux * ux - speed2 * grad_tan
+
+    # the first-order conformal terms of tau survive J
+    flow_velocity = SurfaceModel.flow_velocity
 
     def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         grad = self._tangent_warp_grad(points)

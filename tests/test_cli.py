@@ -1,7 +1,9 @@
 """Command line scenarios, artifact contracts, and studies."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from smflow import cli
+from smflow import flow_direct as fd
 
 
 def write_config(tmp_path, name="config.json", **sections):
@@ -494,6 +497,48 @@ class TestConfigValidation:
         cfg = write_config(workdir)
         assert cli.main(["run", "--config", str(cfg), "--set", override]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["set", "file"])
+    def test_unhashable_target_kind_is_a_config_error(self, workdir, capsys,
+                                                      route):
+        if route == "set":
+            argv = ["--config", str(write_config(workdir)),
+                    "--set", "target.kind=[1]"]
+        else:
+            argv = ["--config", str(write_config(workdir, target={"kind": [1]}))]
+        assert cli.main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error: target.kind must be one of" in err
+        assert "got [1]" in err
+
+    @pytest.mark.parametrize("route", ["set", "file"])
+    def test_misspelt_init_key_is_named(self, workdir, capsys, route):
+        if route == "set":
+            argv = ["--set", "init.alpah=0.3"]
+        else:
+            argv = ["--config", str(write_config(workdir, init={
+                "kind": "latitude", "alpah": 0.3}))]
+        assert cli.main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "unknown configuration key 'init.alpah'" in err
+
+    @pytest.mark.parametrize("sets", [
+        ["init.kind=constant"],
+        ["init.kind=fourier", "init.colat_coeffs=[[2,0.1,0.0]]"],
+        ["target.kind=hyperbolic_disk", "init.kind=fourier",
+         "init.coeffs=[[1,0.1,0.1]]", "init.offset=[0.1,0.0]"],
+        ["init.kind=perturbed_latitude", "init.alpha=0.8", "init.eps=0.05",
+         "init.m=3"]])
+    def test_every_preset_parameter_is_accepted(self, workdir, sets):
+        """The default alpha rides into presets that ignore it."""
+        cfg = cli.load_config(None, sets)  # raises on a rejected key
+        assert "alpha" in cfg["init"]
+
+    def test_init_parameter_table_matches_the_presets(self):
+        """fd.INIT_PARAMS lists exactly the keys initial_loop reads."""
+        read = set(re.findall(r'params\.get\("(\w+)"',
+                              inspect.getsource(fd.initial_loop)))
+        assert read == set(fd.INIT_PARAMS)
 
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})

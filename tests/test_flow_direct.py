@@ -59,6 +59,56 @@ def test_flow_velocity_is_tangent():
         assert np.abs(np.sum(vel * state.points, axis=-1)).max() < 1e-10
 
 
+def _round_sphere_loops():
+    """Perturbed latitudes on spheres of radius 1 and 2.5 at N = 64 and 256,
+    once on the sphere and once pushed off it by a smooth radial factor."""
+    for r, n in ((1.0, 64), (1.0, 256), (2.5, 64), (2.5, 256)):
+        surface = geo.round_sphere(r)
+        state = make_state("perturbed_latitude", n=n, surface=surface,
+                           alpha=1.0, eps=0.1, m=3)
+        phase = 2 * np.pi * state.grid.nodes
+        off = state.points * (1.0 + 0.2 * np.sin(2 * phase) + 0.1 * np.cos(5 * phase))[:, None]
+        yield surface, state.grid, state.points
+        yield surface, state.grid, off
+
+
+def test_round_sphere_velocity_is_landau_lifshitz_form():
+    """u_xx x u / r equals -J tau(u) of the general route: J removes the
+    normal part |u_x|^2 u / r^2 of tau algebraically, so the identity also
+    holds off the sphere."""
+    for surface, grid, u in _round_sphere_loops():
+        fast = surface.flow_velocity(grid, u)
+        general = geo.SurfaceModel.flow_velocity(surface, grid, u)
+        assert np.abs(fast - general).max() <= 1e-15 * np.abs(general).max()
+
+
+def test_warped_sphere_keeps_the_general_velocity():
+    """The warped sphere subclasses the round one but its tension has
+    first-order conformal terms, so it must not take the u_xx x u shortcut."""
+    surface = geo.warped_sphere(*geo.bump_warp(0.2, 0.5, center=(0.6, 0.0, 0.8)))
+    state = make_state("perturbed_latitude", n=64, surface=surface, alpha=1.0, eps=0.1, m=2)
+    grid, u = state.grid, state.points
+    expected = -surface.apply_J(u, fd.tension(state))
+    assert np.array_equal(surface.flow_velocity(grid, u), expected)
+    assert np.array_equal(fd.flow_rhs(state), expected)
+
+
+def test_round_sphere_stage_takes_only_the_second_derivative(monkeypatch):
+    orders = []
+    derivatives = SpectralGrid.derivatives
+
+    def counting(self, values, orders_=(1, 2)):
+        orders.append(tuple(orders_))
+        return derivatives(self, values, orders_)
+
+    monkeypatch.setattr(SpectralGrid, "derivatives", counting)
+    for n in (64, 256):
+        state = make_state("perturbed_latitude", n=n, alpha=1.0, eps=0.1, m=2)
+        orders.clear()
+        fd.step(state, fd.admissible_dt(state))
+        assert orders == [(2,)] * 4
+
+
 # -- stationary solutions ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
-"""The artifact-matrix tool's tree and number comparison, and the
-benchmark's stored fingerprints read from tier-1."""
+"""The artifact-matrix tool's tree and number comparison, the paired
+benchmark tool's parse and summary step, and the benchmark's stored
+fingerprints read from tier-1."""
 
 import importlib.util
 import json
@@ -87,3 +88,37 @@ def test_benchmark_fingerprints_hold():
     assert stored.check(wl._key("flow_sphere256", *params, 50), {
         "max_norm": wl._max_norm(state.points), "energy": fd.energy(state),
         "theta": holonomy_ode(sphere, grid, state.points)})
+
+
+def _bench_output(throughput, p50, correct=True):
+    """Canned output of one perfbench/run.py run: a table, then the JSON line."""
+    metrics = {"throughput": {"value": throughput, "unit": "op/s"},
+               "op_ms.p50": {"value": p50, "unit": "ms"},
+               "ok_frac": {"value": 1.0, "unit": "ratio"}}
+    return (f"workload w seed 1 trace 0: 10 ops\n  throughput {throughput} op/s\n"
+            + json.dumps({"correct": correct, "attempted": 10, "failed": 0,
+                          "metrics": metrics}) + "\n\n")
+
+
+def test_bench_pair_parses_runs_and_summarizes_pairs():
+    """Medians, quartiles, median ratios and per-round wins of canned runs;
+    no benchmark runs."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    this = [tool.last_json(_bench_output(t, p)) for t, p in
+            ((130.0, 7.0), (120.0, 8.0), (140.0, 6.0), (100.0, 9.5))]
+    against = [tool.last_json(_bench_output(t, p)) for t, p in
+               ((100.0, 10.0), (110.0, 9.0), (90.0, 11.0), (105.0, 9.0))]
+    against[2]["correct"] = False
+    out = tool.summarize({"this": this, "against": against},
+                         {"throughput": "higher", "op_ms.p50": "lower",
+                          "ok_frac": "higher", "setup_s": "lower"})
+    thr = out["this"]["metrics"]["throughput"]
+    assert thr["values"] == [130.0, 120.0, 140.0, 100.0]
+    assert (thr["q1"], thr["median"], thr["q3"]) == (115.0, 125.0, 132.5)
+    assert thr["unit"] == "op/s"
+    assert out["against"]["metrics"]["op_ms.p50"]["median"] == 9.5
+    assert out["this"]["correct"] and not out["against"]["correct"]
+    assert out["ratio"]["throughput"] == 125.0 / 102.5
+    assert out["ratio"]["ok_frac"] == 1.0
+    assert out["this_better_in"] == {"throughput": 3, "op_ms.p50": 3, "ok_frac": 0}
+    assert tool.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0}
