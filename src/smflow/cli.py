@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
@@ -56,6 +57,9 @@ TIMESERIES_COLUMNS = ("t", "energy", "a_l2", "theta_transport", "theta_ode",
 _SPHERE_INITS = ("constant", "great_circle", "latitude", "perturbed_latitude",
                  "fourier")
 _CHART_INITS = ("constant", "fourier")
+# the init keys a preset may read: the keyword-only parameters of initial_loop
+_INIT_PARAMS = tuple(name for name, p in inspect.signature(fd.initial_loop).parameters.items()
+                     if p.kind is p.KEYWORD_ONLY)
 
 
 # target.kind -> (surface built from the target section, initial-loop
@@ -185,9 +189,9 @@ def _validate_structure(cfg):
     if cfg["init"].get("kind") not in inits:
         v.append(f"init.kind must be one of {inits} for target "
                  f"{target['kind']!r}; got {cfg['init'].get('kind')!r}")
-    for key in sorted(set(cfg["init"]) - {"kind", *fd.INIT_PARAMS}):
+    for key in sorted(set(cfg["init"]) - {"kind", *_INIT_PARAMS}):
         v.append(f"unknown configuration key 'init.{key}': no initial loop "
-                 f"reads it (parameters: {', '.join(fd.INIT_PARAMS)})")
+                 f"reads it (parameters: {', '.join(_INIT_PARAMS)})")
 
     tm = cfg["time"]
     if not isinstance(tm["t_final"], (int, float)) or tm["t_final"] < 0:

@@ -83,61 +83,56 @@ def _sphere_angles_to_points(surface, colat, azim):
     )
 
 
-# every parameter that some preset of initial_loop reads; the CLI rejects
-# any other init key
-INIT_PARAMS = ("point", "alpha", "eps", "m", "colat_coeffs", "azimuth_coeffs",
-               "coeffs", "envelope_sigma", "offset")
-
-
-def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, **params) -> LoopState:
+def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
+                 point=None, alpha=np.pi / 3, eps=0.01, m=2, colat_coeffs=(),
+                 azimuth_coeffs=(), coeffs=((1, 0.1, 0.1),), envelope_sigma=None,
+                 offset=(0.0, 0.0)) -> LoopState:
     """Build a named initial loop.
 
     Sphere-like targets support 'constant', 'great_circle', 'latitude',
     'perturbed_latitude' and 'fourier'; chart targets support 'constant'
-    and 'fourier' (coefficients feed the two chart coordinates). A preset
-    ignores the parameters of ``INIT_PARAMS`` it does not read.
+    and 'fourier' (coefficients feed the two chart coordinates). The
+    keyword-only parameters are every parameter some preset reads, and the
+    CLI takes its allowed ``init`` keys from them; a preset ignores those it
+    does not read. ``point`` defaults to the north pole on a sphere and to
+    the chart origin otherwise.
     """
     x = grid.nodes
     phase = 2 * np.pi * x / grid.period
     if surface.embedded:
         if kind == "constant":
-            base = np.asarray(params.get("point", [0.0, 0.0, 1.0]), dtype=float)
+            base = np.asarray([0.0, 0.0, 1.0] if point is None else point, dtype=float)
             pts = np.tile(surface.project_point(base), (grid.n, 1))
         elif kind == "great_circle":
             pts = _sphere_angles_to_points(surface, np.full(grid.n, np.pi / 2), phase)
         elif kind == "latitude":
-            alpha = float(params.get("alpha", np.pi / 3))
-            pts = _sphere_angles_to_points(surface, np.full(grid.n, alpha), phase)
+            pts = _sphere_angles_to_points(surface, np.full(grid.n, float(alpha)), phase)
         elif kind == "perturbed_latitude":
-            alpha = float(params.get("alpha", np.pi / 3))
-            eps = float(params.get("eps", 0.01))
-            m = int(params.get("m", 2))
-            colat = alpha + eps * np.cos(m * phase)
+            colat = float(alpha) + float(eps) * np.cos(int(m) * phase)
             pts = _sphere_angles_to_points(surface, colat, phase)
         elif kind == "fourier":
             colat = np.full(grid.n, np.pi / 2)
             azim = phase.copy()
-            for m, ac, asn in params.get("colat_coeffs", []):
-                colat += ac * np.cos(m * phase) + asn * np.sin(m * phase)
-            for m, ac, asn in params.get("azimuth_coeffs", []):
-                azim += ac * np.cos(m * phase) + asn * np.sin(m * phase)
+            for k, ac, asn in colat_coeffs:
+                colat += ac * np.cos(k * phase) + asn * np.sin(k * phase)
+            for k, ac, asn in azimuth_coeffs:
+                azim += ac * np.cos(k * phase) + asn * np.sin(k * phase)
             pts = _sphere_angles_to_points(surface, colat, azim)
         else:
             raise ConfigError([f"unknown initial loop kind {kind!r} for sphere target"])
     else:
         if kind == "constant":
-            base = np.asarray(params.get("point", [0.0, 0.0]), dtype=float)
+            base = np.asarray([0.0, 0.0] if point is None else point, dtype=float)
             pts = np.tile(base, (grid.n, 1))
         elif kind == "fourier":
             q = np.zeros((grid.n, 2))
-            for m, c1, c2 in params.get("coeffs", [(1, 0.1, 0.1)]):
-                q[:, 0] += c1 * np.cos(m * phase)
-                q[:, 1] += c2 * np.sin(m * phase)
-            sigma = params.get("envelope_sigma")
-            if sigma is not None:
+            for k, c1, c2 in coeffs:
+                q[:, 0] += c1 * np.cos(k * phase)
+                q[:, 1] += c2 * np.sin(k * phase)
+            if envelope_sigma is not None:
                 # Gaussian envelope so line-domain data decays at the edges
-                q *= np.exp(-(x**2) / (2.0 * float(sigma) ** 2))[:, None]
-            pts = q + np.asarray(params.get("offset", [0.0, 0.0]), dtype=float)
+                q *= np.exp(-(x**2) / (2.0 * float(envelope_sigma) ** 2))[:, None]
+            pts = q + np.asarray(offset, dtype=float)
         else:
             raise ConfigError([f"unknown initial loop kind {kind!r} for chart target"])
         surface.validate_points(pts)

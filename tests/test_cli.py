@@ -1,9 +1,7 @@
 """Command line scenarios, artifact contracts, and studies."""
 
-import inspect
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -534,11 +532,17 @@ class TestConfigValidation:
         cfg = cli.load_config(None, sets)  # raises on a rejected key
         assert "alpha" in cfg["init"]
 
-    def test_init_parameter_table_matches_the_presets(self):
-        """fd.INIT_PARAMS lists exactly the keys initial_loop reads."""
-        read = set(re.findall(r'params\.get\("(\w+)"',
-                              inspect.getsource(fd.initial_loop)))
-        assert read == set(fd.INIT_PARAMS)
+    def test_init_keys_are_the_initial_loop_keywords(self):
+        """The CLI accepts the keyword-only parameters of initial_loop, and
+        initial_loop itself refuses any other keyword."""
+        from smflow.geometry import round_sphere
+        from smflow.spectral import SpectralGrid
+
+        assert cli._INIT_PARAMS == ("point", "alpha", "eps", "m", "colat_coeffs",
+                                    "azimuth_coeffs", "coeffs", "envelope_sigma",
+                                    "offset")
+        with pytest.raises(TypeError, match="alpah"):
+            fd.initial_loop(round_sphere(), SpectralGrid(16), "latitude", alpah=0.3)
 
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})

@@ -122,3 +122,18 @@ def test_bench_pair_parses_runs_and_summarizes_pairs():
     assert out["ratio"]["ok_frac"] == 1.0
     assert out["this_better_in"] == {"throughput": 3, "op_ms.p50": 3, "ok_frac": 0}
     assert tool.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+
+
+def test_bench_pair_reads_the_acceptance_fixture_time():
+    """The fixture's time is the acceptance-1 setup duration pytest reports,
+    and its drift the acceptance line; canned output, no test run."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    name = tool.FIXTURE_TEST
+    out = ("=== acceptance criteria ===\n"
+           "[PASS] 1. energy level-set containment: relative energy drift "
+           "2.138e-15 <= 1e-06 and gradient-norm drift 9.946e-16 <= 1e-06\n"
+           "=== slowest durations ===\n"
+           f"20.38s setup    {name}\n0.01s call     {name}\n1 passed in 20.55s\n")
+    assert tool.fixture_result(out) == {"wall_s": 20.38, "passed": True,
+                                        "energy_drift": 2.138e-15}
+    assert name.split("::")[1] in (ROOT / name.split("::")[0]).read_text()

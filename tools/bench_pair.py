@@ -1,36 +1,39 @@
 """Paired benchmark runs of two checkouts, recorded as ``BENCH_<label>.json``.
 
 Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``)
-once per workload and round in each of two checkouts: this one and the one
-given by ``--against`` (the root of another checkout, for example a
-``git worktree`` or ``git clone`` of the parent commit). Round i uses seed
-``--seed + i`` on both sides, and the side that runs first alternates from
-round to round, so a drift of the host speed falls on both sides alike.
-Each run's last standard-output line is the benchmark's JSON result.
+for every workload it lists, for its ``run_seconds``, once per round in
+each of two checkouts: this one and the one given by ``--against`` (the
+root of another checkout, for example a ``git worktree`` or ``git clone``
+of the parent commit). Round i uses seed i + 1 on both sides, and the side
+that runs first alternates from round to round, so a drift of the host
+speed falls on both sides alike. Each run's last standard-output line is
+the benchmark's JSON result.
 
     python3 tools/bench_pair.py --against ../parent --label pr14 \\
-        --rounds 10 --seconds 20 [--workloads flow_sphere256,...] \\
-        [--fixture 3] [--tier1 3]
+        --rounds 10 [--fixture 3] [--tier1 3]
 
-``--fixture k`` also times the acceptance-1 fixture (round sphere, N=256,
-RK4 at the stability limit to T=0.5, energy read every 256 steps) in k
-alternating fresh processes per side, and ``--tier1 k`` the tier-1 suite
-(``python -m pytest -q --continue-on-collection-errors`` with that side's
-``src`` on the path). Both pin the BLAS and OpenMP pools to one thread, as
-the benchmark does.
+``--fixture k`` also times the acceptance-1 fixture in k alternating fresh
+processes per side: each runs that side's ``tests/test_acceptance.py``
+acceptance-1 test under pytest and reads the fixture's time from the setup
+duration pytest reports, and its energy drift from the acceptance line.
+``--tier1 k`` times the tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors`` with that side's ``src`` on the path).
+Both pin the BLAS and OpenMP pools to one thread, as the benchmark does.
 
 ``BENCH_<label>.json`` is written at the root of this checkout. For each
 workload and side it holds every end-to-end metric's per-round values,
 median and quartiles, whether every run was correct, and for each metric
 the ratio of the medians (this / against) and the number of rounds in which
 this side was better (by the ``better`` direction of ``BENCHMARK.json``).
-It also records the seeds, both commits (and whether their trees had
-uncommitted changes) and the host.
+It also records the seeds, the host, and both checkouts: the commit, whether
+tracked files had uncommitted changes, and the sha256 of ``git diff HEAD``,
+so two trees on the same commit can be told apart.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,31 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PINS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                              "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
-FIXTURE = """
-import json, time
-import numpy as np
-from smflow import flow_direct as fd
-from smflow.geometry import round_sphere
-from smflow.spectral import SpectralGrid
-loop = fd.initial_loop(round_sphere(1.0), SpectralGrid(256), "perturbed_latitude",
-                       alpha=np.pi / 4, eps=0.05, m=2)
-dt = fd.admissible_dt(loop)
-n_steps = int(np.ceil(0.5 / dt))
-energies = [fd.energy(loop)]
-seen = 0
-def watch(state):
-    global seen
-    seen += 1
-    if seen % 256 == 0:
-        energies.append(fd.energy(state))
-t0 = time.perf_counter()
-final = fd.evolve(loop, dt, n_steps, observer=watch)
-wall = time.perf_counter() - t0
-energies.append(fd.energy(final))
-e = np.asarray(energies)
-print(json.dumps({"wall_s": wall, "steps": n_steps,
-                  "energy_drift": float(np.abs(e - e[0]).max() / e[0])}))
-"""
+FIXTURE_TEST = "tests/test_acceptance.py::test_1_energy_level_set_containment"
 
 
 def last_json(stdout: str) -> dict:
@@ -86,6 +65,17 @@ def quartiles(values: list) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
+
+
+def fixture_result(stdout: str) -> dict:
+    """Setup time and energy drift of the acceptance-1 test from the output
+    of ``pytest --durations=0``; the setup runs the module's fixture."""
+    wall = re.search(rf"([\d.]+)s setup\s+{re.escape(FIXTURE_TEST)}", stdout)
+    drift = re.search(r"\[(PASS|FAIL)\] 1\..*relative energy drift (\S+)", stdout)
+    if not (wall and drift):
+        raise ValueError("no acceptance-1 setup duration or drift in the output")
+    return {"wall_s": float(wall.group(1)), "passed": drift.group(1) == "PASS",
+            "energy_drift": float(drift.group(2))}
 
 
 def summarize(results: dict, better: dict) -> dict:
@@ -122,8 +112,11 @@ def _git(root: Path, *args: str) -> str:
 
 
 def checkout_info(root: Path) -> dict:
+    diff = subprocess.run(["git", "-C", str(root), "diff", "--no-ext-diff", "--binary",
+                           "HEAD"], capture_output=True, check=True).stdout
     return {"commit": _git(root, "rev-parse", "HEAD"),
-            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no"))}
+            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
+            "diff_sha256": hashlib.sha256(diff).hexdigest()}
 
 
 def _run(cmd: list, cwd: Path, env=None) -> subprocess.CompletedProcess:
@@ -143,10 +136,12 @@ def bench_run(root: Path, command: list, workload: str, seed: int,
 
 
 def fixture_run(root: Path) -> dict:
-    done = _run([sys.executable, "-c", FIXTURE], root, {"PYTHONPATH": str(root / "src")})
+    done = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "--durations=0", FIXTURE_TEST], root, {"PYTHONPATH": str(root / "src")})
     if done.returncode != 0:
-        raise RuntimeError(f"fixture in {root} failed:\n{done.stderr}")
-    return last_json(done.stdout)
+        raise RuntimeError(f"acceptance-1 in {root} exited {done.returncode}:\n"
+                           f"{done.stdout}{done.stderr}")
+    return fixture_result(done.stdout)
 
 
 def tier1_run(root: Path) -> dict:
@@ -183,32 +178,28 @@ def main(argv=None) -> int:
                    help="root of the other checkout")
     p.add_argument("--label", required=True)
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=1, help="seed of round 0")
-    p.add_argument("--workloads", default="", help="comma-separated; default all")
     p.add_argument("--fixture", type=int, default=0, metavar="K")
     p.add_argument("--tier1", type=int, default=0, metavar="K")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
     roots = {"this": ROOT, "against": args.against.resolve()}
-    seeds = [args.seed + i for i in range(args.rounds)]
+    seeds = list(range(1, args.rounds + 1))
 
     record = {
         "label": args.label,
         "checkouts": {side: checkout_info(root) for side, root in roots.items()},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "thread_pins": PINS},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": seeds,
         "workloads": {},
     }
-    for name in workloads:
+    for name in (w["name"] for w in spec["workloads"]):
         results = alternate(args.rounds, roots, lambda root, i: bench_run(
-            root, spec["command"], name, seeds[i], args.seconds))
+            root, spec["command"], name, seeds[i], seconds))
         record["workloads"][name] = summarize(results, better)
     if args.fixture:
         record["acceptance1_fixture"] = timing_summary(
