@@ -184,9 +184,10 @@ def _validate_structure(cfg):
     if not isinstance(dom["half_width"], (int, float)) or dom["half_width"] <= 0:
         v.append("domain.half_width must be a positive number")
 
-    inits = _TARGETS[target["kind"]][1] if known else _CHART_INITS
+    # checks that depend on the target kind need a known one
+    inits = _TARGETS[target["kind"]][1] if known else None
     embedded = inits is _SPHERE_INITS
-    if cfg["init"].get("kind") not in inits:
+    if known and cfg["init"].get("kind") not in inits:
         v.append(f"init.kind must be one of {inits} for target "
                  f"{target['kind']!r}; got {cfg['init'].get('kind')!r}")
     for key in sorted(set(cfg["init"]) - {"kind", *_INIT_PARAMS}):
@@ -202,7 +203,7 @@ def _validate_structure(cfg):
     mode = cfg["reduction"]["mode"]
     if mode not in ("coupled", "autonomous"):
         v.append(f"reduction.mode must be 'coupled' or 'autonomous'; got {mode!r}")
-    if mode == "autonomous" and (not embedded or dom["kind"] != "circle"):
+    if mode == "autonomous" and known and (not embedded or dom["kind"] != "circle"):
         v.append("reduction.mode 'autonomous' requires an embedded sphere "
                  "target on the circle domain")
 

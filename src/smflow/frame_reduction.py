@@ -358,11 +358,9 @@ def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
     the RK4 state, so both share the four flow stages."""
     s, grid, n = state.surface, state.grid, state.grid.n
 
-    def rhs(y):
-        rate = np.empty_like(y)
-        rate[:n] = fd._velocity(s, grid, y[:n])
+    def rhs(y, rate):
+        fd._velocity(s, grid, y[:n], rate[:n])
         rate[n] = _covariant_rhs(s, y[0], rate[0], y[n])
-        return rate
 
     y = np.vstack([state.points, np.asarray(seed, dtype=float)])
     new_state, carried = fd._rk4_step(state, dt, rhs, y)

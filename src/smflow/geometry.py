@@ -59,11 +59,20 @@ MANIFOLD_TOL = 1e-10
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _cross(a, b):
-    """a x b over the last axis, bit-equal to np.cross without its
-    argument handling, which dominates on the small arrays of the flow."""
+def _cross(a, b, out=None):
+    """a x b over the last axis, bit-equal to np.cross without its argument
+    handling, which dominates on the small arrays of the flow. Into ``out``
+    (never a or b) the components are written column by column, which beats
+    the gathers of the allocating form on the (n, 3) stages of a step; the
+    gathers win on single and broadcast vectors."""
     a, b = np.asarray(a), np.asarray(b)
-    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+    if out is None:
+        return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        col = out[..., i]
+        np.multiply(a[..., j], b[..., k], out=col)
+        col -= a[..., k] * b[..., j]
+    return out
 
 
 def _dot(a, b):
@@ -133,10 +142,11 @@ class SurfaceModel:
     def azimuthal_winding(self, points: np.ndarray) -> int:
         return 0
 
-    def flow_velocity(self, grid, u: np.ndarray) -> np.ndarray:
-        """u_t = -J tau(u) from the samples u of a loop on ``grid``."""
+    def flow_velocity(self, grid, u: np.ndarray, out=None) -> np.ndarray:
+        """u_t = -J tau(u) from the samples u of a loop on ``grid``, written
+        into ``out`` when given (a new array otherwise)."""
         ux, uxx = grid.derivatives(u, (1, 2))
-        return -self.apply_J(u, self.tension(u, ux, uxx))
+        return np.negative(self.apply_J(u, self.tension(u, ux, uxx)), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +171,7 @@ class RoundSphere(SurfaceModel):
     def project_point(self, p: np.ndarray) -> np.ndarray:
         """Nearest manifold representative: radial renormalization."""
         p = np.asarray(p, dtype=float)
-        return p * (self.radius / np.linalg.norm(p, axis=-1, keepdims=True))
+        return p * (self.radius / np.sqrt((p * p).sum(axis=-1, keepdims=True)))
 
     def apply_J(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _cross(p, v) / self.radius
@@ -201,10 +211,13 @@ class RoundSphere(SurfaceModel):
         speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
         return uxx + speed2 * u / self.radius**2
 
-    def flow_velocity(self, grid, u: np.ndarray) -> np.ndarray:
+    def flow_velocity(self, grid, u: np.ndarray, out=None) -> np.ndarray:
         # Landau-Lifshitz form: J drops the normal part |u_x|^2 u / r^2 of
         # tau, so -J tau = u_xx x u / r for any u, on the sphere or not
-        return _cross(grid.derivative(u, 2), u) / self.radius
+        out = _cross(grid.derivatives(u, (2,))[0], u, out)
+        if self.radius != 1.0:  # a division by 1 changes no bit
+            out /= self.radius
+        return out
 
     def reference_frame(self, points: np.ndarray):
         p = points / self.radius

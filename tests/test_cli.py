@@ -510,6 +510,25 @@ class TestConfigValidation:
         assert "got [1]" in err
 
     @pytest.mark.parametrize("route", ["set", "file"])
+    @pytest.mark.parametrize("text, kind", [("[1]", [1]), ("cube", "cube")],
+                             ids=["list", "name"])
+    def test_unknown_target_kind_is_the_only_error(self, workdir, capsys,
+                                                   route, text, kind):
+        """The init presets depend on the target, so an unknown target
+        skips their check instead of rejecting the valid sphere preset."""
+        if route == "set":
+            argv = ["--config", str(write_config(workdir)),
+                    "--set", f"target.kind={text}"]
+        else:
+            argv = ["--config", str(write_config(workdir, target={"kind": kind}))]
+        assert cli.main(["run", *argv]) == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("config error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("config error: target.kind must be one of")
+        assert errors[0].endswith(f"got {kind!r}")
+
+    @pytest.mark.parametrize("route", ["set", "file"])
     def test_misspelt_init_key_is_named(self, workdir, capsys, route):
         if route == "set":
             argv = ["--set", "init.alpah=0.3"]

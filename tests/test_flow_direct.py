@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from smflow import flow_direct as fd
+from smflow import frame_reduction as fr
 from smflow import geometry as geo
+from smflow.geometry import _covariant_rhs, _unit_tangent
 from smflow.errors import ConfigError, RejectedStepError
 from smflow.spectral import SpectralGrid
 
@@ -284,18 +286,23 @@ def test_chart_tension_matches_per_node_christoffel_loop():
 # -- kernel parity ------------------------------------------------------------------
 
 
+def allocating_rk4(rhs, y, dt):
+    """Classical RK4 of y_t = rhs(y) with a new array for every stage state,
+    rate and weighted term, as fd.step computed it before its workspace."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def reference_step(state, dt):
     """RK4 through the public LoopState interface, accepted as fd.step does."""
 
     def rhs(pts):
         return fd.flow_rhs(fd.LoopState(state.grid, state.surface, pts, state.time))
 
-    u = state.points
-    k1 = rhs(u)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    new = allocating_rk4(rhs, state.points, dt)
     if state.surface.embedded:
         new = state.surface.project_point(new)
     else:
@@ -303,24 +310,82 @@ def reference_step(state, dt):
     return fd.LoopState(state.grid, state.surface, new, state.time + dt)
 
 
+def parity_state(target, n):
+    grid = SpectralGrid(n)
+    if target in ("round", "round_r2.5", "warped"):
+        surface = {"round": geo.round_sphere(), "round_r2.5": geo.round_sphere(2.5),
+                   "warped": geo.warped_sphere(
+                       *geo.bump_warp(0.3, 0.6, center=(0.6, 0.0, 0.8)))}[target]
+        return fd.initial_loop(surface, grid, "perturbed_latitude",
+                               alpha=1.0, eps=0.05, m=2)
+    surface = geo.hyperbolic_disk() if target == "hyperbolic" else geo.flat_torus()
+    return fd.initial_loop(surface, grid, "fourier",
+                           coeffs=[(1, 0.15, 0.1)], offset=[0.05, 0.0])
+
+
 @pytest.mark.parametrize("target", ["round", "warped", "hyperbolic", "torus"])
 def test_step_matches_reference_rk4(target):
-    grid = SpectralGrid(32)
-    if target in ("round", "warped"):
-        surface = geo.round_sphere() if target == "round" else \
-            geo.warped_sphere(*geo.bump_warp(0.3, 0.6, center=(0.6, 0.0, 0.8)))
-        state = fd.initial_loop(surface, grid, "perturbed_latitude",
-                                alpha=1.0, eps=0.05, m=2)
-    else:
-        surface = geo.hyperbolic_disk() if target == "hyperbolic" else geo.flat_torus()
-        state = fd.initial_loop(surface, grid, "fourier",
-                                coeffs=[(1, 0.15, 0.1)], offset=[0.05, 0.0])
+    state = parity_state(target, 32)
     dt = fd.admissible_dt(state)
     fast, ref = state, state
     for _ in range(50):
         fast, ref = fd.step(fast, dt), reference_step(ref, dt)
     assert np.abs(fast.points - ref.points).max() < 1e-13
     assert fast.time == ref.time
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("target", ["round", "round_r2.5", "warped", "hyperbolic", "torus"])
+def test_workspace_step_matches_the_allocating_rk4(target, n):
+    """Stage states, rates and the weighted sum live in one workspace per
+    step; 20 steps equal the allocating RK4 on the dense (N=64) and FFT
+    (N=256) spectral routes."""
+    state = parity_state(target, n)
+    dt = fd.admissible_dt(state)
+    fast, ref = state, state
+    for _ in range(20):
+        fast, ref = fd.step(fast, dt), reference_step(ref, dt)
+    assert np.abs(fast.points - ref.points).max() <= 1e-14 * np.abs(ref.points).max()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_seed_row_rides_the_workspace_step(n):
+    """The coupled step's frame seed is one more row of the same workspace;
+    one step equals the allocating RK4 on the stacked rows."""
+    state = parity_state("warped", n)
+    s, grid, dt = state.surface, state.grid, fd.admissible_dt(state)
+    seed = fr.parallel_frame(s, state).e1[0]
+
+    def rhs(y):
+        rate = np.empty_like(y)
+        rate[:n] = s.flow_velocity(grid, y[:n])
+        rate[n] = _covariant_rhs(s, y[0], rate[0], y[n])
+        return rate
+
+    y = allocating_rk4(rhs, np.vstack([state.points, seed]), dt)
+    ref_points = s.project_point(y[:n])
+    ref_seed = _unit_tangent(s, ref_points[0], y[n])
+    new, new_seed = fr._step_with_seed(state, dt, seed)
+    assert np.abs(new.points - ref_points).max() <= 1e-14
+    assert np.abs(new_seed - ref_seed).max() <= 1e-14
+    assert new.time == state.time + dt
+
+
+def test_step_is_reentrant():
+    """A step reads its input state only and keeps no buffer between calls:
+    two interleaved trajectories equal the same two run one after the other."""
+    a0 = make_state("perturbed_latitude", n=256, alpha=1.0, eps=0.1, m=2)
+    b0 = make_state("perturbed_latitude", n=256, alpha=0.7, eps=0.05, m=3)
+    before = a0.points.copy()
+    dt = fd.admissible_dt(a0)
+    fd.step(a0, dt)
+    assert np.array_equal(a0.points, before)
+    a, b = a0, b0
+    for _ in range(5):
+        a, b = fd.step(a, dt), fd.step(b, dt)
+    a_alone, b_alone = fd.evolve(a0, dt, 5), fd.evolve(b0, dt, 5)
+    assert np.array_equal(a.points, a_alone.points)
+    assert np.array_equal(b.points, b_alone.points)
 
 
 def test_evolve_rejects_oversized_step_with_admissible_value():

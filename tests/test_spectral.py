@@ -195,6 +195,21 @@ def test_fft_route_above_the_crossover():
     assert np.array_equal(grid.upsample(f), grid._fft_upsample(f, 2))
 
 
+def test_single_order_fft_route_matches_the_two_order_route():
+    """One order above the crossover takes its own FFT pair, bit-equal to
+    that order's slice of the two-order route."""
+    grid = SpectralGrid(2 * DENSE_MAX_N)
+    rng = np.random.default_rng(5)
+    for shape in ((grid.n,), (grid.n, 3), (grid.n, 2, 3)):
+        for cplx in (False, True):
+            f = _real_or_complex(rng, shape, cplx)
+            for order in (1, 2, -1):
+                (single,) = grid.derivatives(f, (order,))
+                pair = grid._fft_derivatives(f, (order, 3))[0]
+                assert single.shape == pair.shape and single.dtype == pair.dtype
+                assert np.array_equal(single, pair)
+
+
 @pytest.mark.parametrize("n", [4, 16, 64, 128])
 def test_dense_derivatives_of_constants_are_zero(n):
     for grid in (SpectralGrid(n), SpectralGrid(n, kind="line", half_width=2.5),

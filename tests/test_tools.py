@@ -137,3 +137,20 @@ def test_bench_pair_reads_the_acceptance_fixture_time():
     assert tool.fixture_result(out) == {"wall_s": 20.38, "passed": True,
                                         "energy_drift": 2.138e-15}
     assert name.split("::")[1] in (ROOT / name.split("::")[0]).read_text()
+
+
+def test_bench_pair_reads_a_reaped_cli_process():
+    """Exit code and peak RSS of one CLI process from canned os.wait4
+    results, and the summary of both timed keys; no CLI run."""
+    from types import SimpleNamespace
+
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    assert tool.CLI_COMMANDS == {"run": ["run"], "check_all": ["check", "all"]}
+    ok = tool.cli_result(0.6, 0, SimpleNamespace(ru_maxrss=51200))
+    assert ok == {"wall_s": 0.6, "exit": 0, "max_rss_mb": 50.0}
+    assert tool.cli_result(0.1, 2 << 8, SimpleNamespace(ru_maxrss=1024))["exit"] == 2
+    runs = [ok, tool.cli_result(0.8, 0, SimpleNamespace(ru_maxrss=56320))]
+    out = tool.timing_summary({"this": runs}, ("wall_s", "max_rss_mb"))["this"]
+    assert out["runs"] == runs
+    assert out["wall_s"]["median"] == 0.7
+    assert out["max_rss_mb"] == {"median": 52.5, "q1": 51.25, "q3": 53.75}

@@ -9,8 +9,8 @@ that runs first alternates from round to round, so a drift of the host
 speed falls on both sides alike. Each run's last standard-output line is
 the benchmark's JSON result.
 
-    python3 tools/bench_pair.py --against ../parent --label pr14 \\
-        --rounds 10 [--fixture 3] [--tier1 3]
+    python3 tools/bench_pair.py --against ../parent --label pr15 \\
+        --rounds 10 [--fixture 3] [--tier1 3] [--cli 3]
 
 ``--fixture k`` also times the acceptance-1 fixture in k alternating fresh
 processes per side: each runs that side's ``tests/test_acceptance.py``
@@ -18,7 +18,10 @@ acceptance-1 test under pytest and reads the fixture's time from the setup
 duration pytest reports, and its energy drift from the acceptance line.
 ``--tier1 k`` times the tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with that side's ``src`` on the path).
-Both pin the BLAS and OpenMP pools to one thread, as the benchmark does.
+``--cli k`` times the default ``smflow run`` and ``smflow check all``, each
+in k alternating fresh processes per side writing into a temporary
+directory, with the process's maximum resident set size from ``os.wait4``.
+All three pin the BLAS and OpenMP pools to one thread, as the benchmark does.
 
 ``BENCH_<label>.json`` is written at the root of this checkout. For each
 workload and side it holds every end-to-end metric's per-round values,
@@ -41,6 +44,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -49,6 +53,7 @@ PINS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                              "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
 FIXTURE_TEST = "tests/test_acceptance.py::test_1_energy_level_set_containment"
+CLI_COMMANDS = {"run": ["run"], "check_all": ["check", "all"]}
 
 
 def last_json(stdout: str) -> dict:
@@ -76,6 +81,13 @@ def fixture_result(stdout: str) -> dict:
         raise ValueError("no acceptance-1 setup duration or drift in the output")
     return {"wall_s": float(wall.group(1)), "passed": drift.group(1) == "PASS",
             "energy_drift": float(drift.group(2))}
+
+
+def cli_result(wall_s: float, status: int, rusage) -> dict:
+    """Wall time, exit code and peak memory of one reaped CLI process, from
+    its ``os.wait4`` status and resource usage (ru_maxrss is in KiB)."""
+    return {"wall_s": wall_s, "exit": os.waitstatus_to_exitcode(status),
+            "max_rss_mb": rusage.ru_maxrss / 1024.0}
 
 
 def summarize(results: dict, better: dict) -> dict:
@@ -154,6 +166,21 @@ def tier1_run(root: Path) -> dict:
     return {"wall_s": wall, "exit": done.returncode, **counts}
 
 
+def cli_run(root: Path, args: list) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "smflow.cli", *args], cwd=tmp,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                env=dict(os.environ, **PINS, PYTHONPATH=str(root / "src"),
+                                         SMFLOW_OUT=tmp))
+        _, status, rusage = os.wait4(proc.pid, 0)
+        result = cli_result(perf_counter() - t0, status, rusage)
+    proc.returncode = result["exit"]  # reaped here, not by Popen
+    if result["exit"] != 0:
+        raise RuntimeError(f"smflow {' '.join(args)} in {root} exited {result['exit']}")
+    return result
+
+
 def alternate(rounds: int, roots: dict, run) -> dict:
     """run(root, i) for both sides in every round, the first side alternating;
     returns side -> list of results in round order."""
@@ -166,9 +193,8 @@ def alternate(rounds: int, roots: dict, run) -> dict:
     return out
 
 
-def timing_summary(results: dict) -> dict:
-    return {side: {"runs": runs,
-                   "wall_s": quartiles([r["wall_s"] for r in runs])}
+def timing_summary(results: dict, keys=("wall_s",)) -> dict:
+    return {side: {"runs": runs, **{key: quartiles([r[key] for r in runs]) for key in keys}}
             for side, runs in results.items()}
 
 
@@ -180,6 +206,7 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--fixture", type=int, default=0, metavar="K")
     p.add_argument("--tier1", type=int, default=0, metavar="K")
+    p.add_argument("--cli", type=int, default=0, metavar="K")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -207,6 +234,11 @@ def main(argv=None) -> int:
     if args.tier1:
         record["tier1"] = timing_summary(
             alternate(args.tier1, roots, lambda root, i: tier1_run(root)))
+    if args.cli:
+        for name, cli_args in CLI_COMMANDS.items():
+            record[f"cli_{name}"] = timing_summary(
+                alternate(args.cli, roots, lambda root, i: cli_run(root, cli_args)),
+                ("wall_s", "max_rss_mb"))
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
