@@ -9,7 +9,7 @@ that runs first alternates from round to round, so a drift of the host
 speed falls on both sides alike. Each run's last standard-output line is
 the benchmark's JSON result.
 
-    python3 tools/bench_pair.py --against ../parent --label pr15 \\
+    python3 tools/bench_pair.py --against ../parent --label NAME \\
         --rounds 10 [--fixture 3] [--tier1 3] [--cli 3]
 
 ``--fixture k`` also times the acceptance-1 fixture in k alternating fresh
