@@ -59,20 +59,11 @@ MANIFOLD_TOL = 1e-10
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _cross(a, b, out=None):
-    """a x b over the last axis, bit-equal to np.cross without its argument
-    handling, which dominates on the small arrays of the flow. Into ``out``
-    (never a or b) the components are written column by column, which beats
-    the gathers of the allocating form on the (n, 3) stages of a step; the
-    gathers win on single and broadcast vectors."""
+def _cross(a, b):
+    """a x b over the last axis, bit-equal to np.cross without its
+    argument handling, which dominates on the small arrays of the flow."""
     a, b = np.asarray(a), np.asarray(b)
-    if out is None:
-        return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        col = out[..., i]
-        np.multiply(a[..., j], b[..., k], out=col)
-        col -= a[..., k] * b[..., j]
-    return out
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _dot(a, b):
@@ -213,8 +204,19 @@ class RoundSphere(SurfaceModel):
 
     def flow_velocity(self, grid, u: np.ndarray, out=None) -> np.ndarray:
         # Landau-Lifshitz form: J drops the normal part |u_x|^2 u / r^2 of
-        # tau, so -J tau = u_xx x u / r for any u, on the sphere or not
-        out = _cross(grid.derivatives(u, (2,))[0], u, out)
+        # tau, so -J tau = u_xx x u / r for any u, on the sphere or not. The
+        # cross product goes into out column by column, bit-equal to _cross
+        # and faster than its gathers on (n, 3) loops.
+        u = np.asarray(u)
+        if out is None:
+            out = np.empty(u.shape)
+        elif np.may_share_memory(out, u):
+            raise ValueError("flow_velocity cannot write over its input loop")
+        uxx = grid.derivatives(u, (2,))[0]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            col = out[..., i]
+            np.multiply(uxx[..., j], u[..., k], out=col)
+            col -= uxx[..., k] * u[..., j]
         if self.radius != 1.0:  # a division by 1 changes no bit
             out /= self.radius
         return out

@@ -58,7 +58,7 @@ def _dense_operator(grid: "SpectralGrid", order: int, factor: int = 1) -> np.nda
     matrix, as the circulant of the FFT route's response to a unit impulse."""
     impulse = np.eye(1, grid.n)[0]
     if factor == 1:
-        col = grid._fft_derivative(impulse, order)
+        col = grid._fft_derivatives(impulse, (order,))[0]
     else:
         col = grid._fft_upsample(impulse, factor)
         col[::factor] = impulse  # so node values pass through exactly
@@ -124,34 +124,24 @@ class SpectralGrid:
         per order up to DENSE_MAX_N; order -1 is the periodic antiderivative."""
         values = np.asarray(values)
         if self.n > DENSE_MAX_N:
-            if len(orders) == 1:
-                return (self._fft_derivative(values, orders[0]),)
             return self._fft_derivatives(values, orders)
         shifted = values - values[:1]  # maps like values, constants to exactly 0
         return tuple(_dense_apply(_dense_operator(self, k), shifted) for k in orders)
 
     def _fft_derivatives(self, values: np.ndarray, orders) -> tuple:
-        """derivatives by one rfft/irfft (real data) or fft/ifft pair."""
+        """derivatives by one forward rfft (real data) or fft, then one inverse
+        transform per order of the spectrum times that order's cached
+        multiplier column; the last order scales the spectrum in place."""
         real = np.isrealobj(values)
         vhat = np.fft.rfft(values, axis=0) if real else np.fft.fft(values, axis=0)
         fac = _multipliers(self, tuple(orders), real)
-        scaled = vhat[:, None] * fac.reshape(fac.shape + (1,) * (values.ndim - 1))
-        out = np.fft.irfft(scaled, n=self.n, axis=0) if real else np.fft.ifft(scaled, axis=0)
-        return tuple(out[:, i] for i in range(len(orders)))
-
-    def _fft_derivative(self, values: np.ndarray, order: int) -> np.ndarray:
-        """One derivative by one FFT pair. The spectrum is held column-major,
-        so its transpose is contiguous and broadcasts the cached multiplier
-        column along its last axis in one in-place multiply."""
-        real = values.dtype.kind != "c"
-        m = self.n // 2 + 1 if real else self.n
-        vhat = np.empty((m,) + values.shape[1:], complex, order="F")
-        (np.fft.rfft if real else np.fft.fft)(values, axis=0, out=vhat)
-        spectrum = vhat.T
-        spectrum *= _multipliers(self, (order,), real)[:, 0]
+        fac = fac.reshape(fac.shape + (1,) * (values.ndim - 1))
+        last = len(orders) - 1
+        scaled = (np.multiply(vhat, fac[:, i], out=vhat if i == last else None)
+                  for i in range(len(orders)))
         if real:
-            return np.fft.irfft(vhat, n=self.n, axis=0, out=np.empty(values.shape))
-        return np.fft.ifft(vhat, axis=0, out=np.empty(values.shape, complex))
+            return tuple(np.fft.irfft(s, n=self.n, axis=0) for s in scaled)
+        return tuple(np.fft.ifft(s, axis=0) for s in scaled)
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Spectral d^order/dx^order along axis 0."""
