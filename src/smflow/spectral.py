@@ -41,14 +41,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _multipliers(grid: "SpectralGrid", orders: tuple, real: bool) -> np.ndarray:
-    """(i k)^order for each order as the columns of one array in FFT layout,
+    """(i k)^order for each order as the rows of one array in FFT layout,
     on the rfft half spectrum for real data."""
     k = grid.wavenumbers[: grid.n // 2 + 1] if real else grid.wavenumbers
     orders = np.array(orders)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fac = (1j * k[:, None]) ** orders
-    fac[grid.n // 2, orders % 2 == 1] = 0.0  # drop the unpaired Nyquist mode
-    fac[0, orders < 0] = 0.0  # the mean has no periodic antiderivative
+        fac = (1j * k) ** orders[:, None]
+    fac[orders % 2 == 1, grid.n // 2] = 0.0  # drop the unpaired Nyquist mode
+    fac[orders < 0, 0] = 0.0  # the mean has no periodic antiderivative
     return _read_only(fac)
 
 
@@ -130,18 +130,23 @@ class SpectralGrid:
 
     def _fft_derivatives(self, values: np.ndarray, orders) -> tuple:
         """derivatives by one forward rfft (real data) or fft, then one inverse
-        transform per order of the spectrum times that order's cached
-        multiplier column; the last order scales the spectrum in place."""
-        real = np.isrealobj(values)
-        vhat = np.fft.rfft(values, axis=0) if real else np.fft.fft(values, axis=0)
+        transform per order. The spectrum is held column-major, so its
+        transpose is contiguous and takes each order's cached multiplier row
+        in one multiply, in place for the last order; results are row-major,
+        as the values are."""
+        real = values.dtype.kind != "c"
+        m = self.n // 2 + 1 if real else self.n
+        vhat = np.empty((m,) + values.shape[1:], complex, order="F")
+        (np.fft.rfft if real else np.fft.fft)(values, axis=0, out=vhat)
+        inverse, dtype = (np.fft.irfft, float) if real else (np.fft.ifft, complex)
         fac = _multipliers(self, tuple(orders), real)
-        fac = fac.reshape(fac.shape + (1,) * (values.ndim - 1))
-        last = len(orders) - 1
-        scaled = (np.multiply(vhat, fac[:, i], out=vhat if i == last else None)
-                  for i in range(len(orders)))
-        if real:
-            return tuple(np.fft.irfft(s, n=self.n, axis=0) for s in scaled)
-        return tuple(np.fft.ifft(s, axis=0) for s in scaled)
+        spectrum, out = vhat.T, []
+        for i in range(len(fac) - 1):
+            out.append(inverse((spectrum * fac[i]).T, self.n, axis=0,
+                               out=np.empty(values.shape, dtype)))
+        spectrum *= fac[-1]
+        out.append(inverse(vhat, self.n, axis=0, out=np.empty(values.shape, dtype)))
+        return tuple(out)
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Spectral d^order/dx^order along axis 0."""
