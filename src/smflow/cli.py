@@ -115,15 +115,36 @@ def _merge(base, override, path=""):
     return violations
 
 
+class _NonFinite(str):
+    """A NaN or +-Infinity token of JSON input, kept to name its key: Python's
+    json accepts them, and every range check passes NaN."""
+
+
+def _non_finite(value, where):
+    """One violation for each NaN or +-Infinity leaf of parsed JSON."""
+    if isinstance(value, _NonFinite):
+        return [f"{where} must be a finite number; got {value}"]
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}" if where else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return []
+    return [bad for path, v in items for bad in _non_finite(v, path)]
+
+
 def _apply_override(cfg, item):
     """Merge one --set key=value (dotted key, JSON or bare-string value)."""
     key, sep, raw = item.partition("=")
     if not sep or not key:
         return [f"override {item!r} is not of the form key=value"]
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, parse_constant=_NonFinite)
     except json.JSONDecodeError:
         value = raw
+    violations = _non_finite(value, key)
+    if violations:
+        return violations
     for part in reversed(key.split(".")):
         value = {part: value}
     return _merge(cfg, value)
@@ -135,7 +156,7 @@ def load_config(path=None, overrides=()):
     violations = []
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text())
+            user = json.loads(Path(path).read_text(), parse_constant=_NonFinite)
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {path}"])
         except json.JSONDecodeError as exc:
@@ -144,6 +165,9 @@ def load_config(path=None, overrides=()):
             raise ConfigError(["config file must contain a JSON object"])
         user.pop("schema", None)
         user.pop("derived", None)  # echoed configs can be re-run as-is
+        violations = _non_finite(user, "")
+        if violations:
+            raise ConfigError(violations)
         if isinstance(user.get("init"), dict):
             # init parameters are preset-specific; a user init section
             # replaces the default outright instead of merging into it
@@ -193,6 +217,8 @@ def _validate_structure(cfg):
     for key in sorted(set(cfg["init"]) - {"kind", *_INIT_PARAMS}):
         v.append(f"unknown configuration key 'init.{key}': no initial loop "
                  f"reads it (parameters: {', '.join(_INIT_PARAMS)})")
+    if not isinstance(cfg["init"].get("m", 0), int):
+        v.append(f"init.m must be an integer; got {cfg['init']['m']!r}")
 
     tm = cfg["time"]
     if not isinstance(tm["t_final"], (int, float)) or tm["t_final"] < 0:

@@ -12,10 +12,19 @@ preserves |u| exactly, so the projection only removes O(dt^5) drift and
 the scheme stays 4th order).
 
 Each step allocates one workspace: every stage writes its rate into it
-through ``flow_velocity(grid, u, out)``, and the stage states and the sum
-k1 + 2 k2 + 2 k3 + k4 are built there in place, in the order of the
-textbook formula, so the result is bit-equal to the allocating form. The
+through the target's ``flow_velocity(grid, u, out)``, and the stage states
+and the sum k1 + 2 k2 + 2 k3 + k4 are built there in place, in the order of
+the textbook formula, so the result is bit-equal to the allocating form. The
 workspace belongs to the call; no buffer outlives a step.
+
+The step holds its state, the workspace and the projected result
+column-major, so every coordinate column is contiguous through the FFTs
+(whose outputs follow the layout of their input), the cross product, the
+projection and the stage sums. Layout changes no bit: the routes whose
+rounding depends on it (the dense derivative matrices and the -J tau
+tension) take row-major copies. The projected array becomes the new
+state's points as it is, made read-only, without the copy the public
+``LoopState`` constructor makes of any array it is given.
 """
 
 from __future__ import annotations
@@ -79,6 +88,17 @@ class LoopState:
         return None if np.ptp(K) == 0.0 else self.grid.derivative(K)
 
 
+def _adopt(grid: SpectralGrid, surface: SurfaceModel, points: np.ndarray,
+           time: float) -> LoopState:
+    """A LoopState over a fresh (grid.n, point_dim) float array that its
+    maker hands over and never writes again: made read-only in place, not
+    copied. The public constructor still copies whatever it is given."""
+    points.flags.writeable = False
+    state = object.__new__(LoopState)
+    state.__dict__.update(grid=grid, surface=surface, points=points, time=time)
+    return state
+
+
 # -- initial data ---------------------------------------------------------------
 
 
@@ -108,7 +128,12 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
     if surface.embedded:
         if kind == "constant":
             base = np.asarray([0.0, 0.0, 1.0] if point is None else point, dtype=float)
-            pts = np.tile(surface.project_point(base), (grid.n, 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                on_target = surface.project_point(base)
+            if not np.isfinite(on_target).all():  # the zero vector, say
+                raise ConfigError([f"point {base.tolist()} of the constant loop "
+                                   "has no radial projection onto the target"])
+            pts = np.tile(on_target, (grid.n, 1))
         elif kind == "great_circle":
             pts = _sphere_angles_to_points(surface, np.full(grid.n, np.pi / 2), phase)
         elif kind == "latitude":
@@ -148,13 +173,6 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
 # -- spatial operators ----------------------------------------------------------
 
 
-def _velocity(surface: SurfaceModel, grid: SpectralGrid, u: np.ndarray,
-              out=None) -> np.ndarray:
-    """u_t = -J tau(u) on plain arrays, written into ``out`` when given: the
-    stage function of every RK4 step."""
-    return surface.flow_velocity(grid, u, out)
-
-
 def tension(state: LoopState) -> np.ndarray:
     """Tension field tau(u) at the grid nodes (tangent to the target)."""
     ux, uxx = state.grid.derivatives(state.points, (1, 2))
@@ -163,7 +181,7 @@ def tension(state: LoopState) -> np.ndarray:
 
 def flow_rhs(state: LoopState) -> np.ndarray:
     """u_t = -J tau(u)."""
-    return _velocity(state.surface, state.grid, state.points)
+    return state.surface.flow_velocity(state.grid, state.points)
 
 
 def energy(state: LoopState) -> float:
@@ -188,15 +206,16 @@ def _rk4_step(state: LoopState, dt: float, rhs, y: np.ndarray):
     rows are the loop points; further rows (the coupled driver's frame seed)
     ride on the same stages. ``rhs(y, out)`` writes f(y) into out. Stage
     states, rates and the sum k1 + 2 k2 + 2 k3 + k4 are built in place in one
-    workspace allocated for this step. Returns the new LoopState and the
-    carried rows."""
+    column-major workspace allocated for this step. Returns the new LoopState
+    and the carried rows."""
     n = state.grid.n
     if dt == 0.0:
         return replace(state), y[n:].copy()
     limit = admissible_dt(state)
     if abs(dt) > limit * (1 + 1e-12):
         raise RejectedStepError(dt, limit)
-    total, rate, stage = np.empty((3,) + y.shape)
+    y = np.asfortranarray(y)
+    total, rate, stage = np.empty((3,) + y.shape[::-1]).transpose(0, 2, 1)
     rhs(y, total)
     for h, k in ((0.5 * dt, total), (0.5 * dt, rate), (dt, rate)):
         np.multiply(k, h, out=stage)
@@ -217,9 +236,9 @@ def _rk4_step(state: LoopState, dt: float, rhs, y: np.ndarray):
     s = state.surface
     if s.embedded:
         new = s.project_point(new)
-    else:
-        s.validate_points(new)
-    return LoopState(grid=state.grid, surface=s, points=new, time=state.time + dt), total[n:]
+    else:  # a row-major copy, so the state holds no part of the workspace
+        new = np.ascontiguousarray(s.validate_points(new))
+    return _adopt(state.grid, s, new, state.time + dt), total[n:]
 
 
 def step(state: LoopState, dt: float) -> LoopState:
@@ -229,7 +248,7 @@ def step(state: LoopState, dt: float) -> LoopState:
     time-reversible equation and used by the reversibility checks.
     """
     s, grid = state.surface, state.grid
-    return _rk4_step(state, dt, lambda u, out: _velocity(s, grid, u, out),
+    return _rk4_step(state, dt, lambda u, out: s.flow_velocity(grid, u, out),
                      state.points)[0]
 
 

@@ -359,7 +359,7 @@ def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
     s, grid, n = state.surface, state.grid, state.grid.n
 
     def rhs(y, rate):
-        fd._velocity(s, grid, y[:n], rate[:n])
+        s.flow_velocity(grid, y[:n], rate[:n])
         rate[n] = _covariant_rhs(s, y[0], rate[0], y[n])
 
     y = np.vstack([state.points, np.asarray(seed, dtype=float)])

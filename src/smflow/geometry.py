@@ -135,7 +135,9 @@ class SurfaceModel:
 
     def flow_velocity(self, grid, u: np.ndarray, out=None) -> np.ndarray:
         """u_t = -J tau(u) from the samples u of a loop on ``grid``, written
-        into ``out`` when given (a new array otherwise)."""
+        into ``out`` when given (a new array otherwise). The tension takes
+        row-major samples: its einsum rounds differently on other layouts."""
+        u = np.ascontiguousarray(u)
         ux, uxx = grid.derivatives(u, (1, 2))
         return np.negative(self.apply_J(u, self.tension(u, ux, uxx)), out=out)
 

@@ -67,10 +67,13 @@ def _dense_operator(grid: "SpectralGrid", order: int, factor: int = 1) -> np.nda
 
 
 def _dense_apply(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """mat @ values along axis 0; complex data through its real view."""
+    """mat @ values along axis 0; complex data through its real view. The
+    product takes row-major columns: BLAS may round a column-major operand
+    differently (OpenBLAS 0.3.31 does at n = 16, 20 and 24)."""
     cplx = np.iscomplexobj(values)
-    cols = values.reshape(values.shape[0], -1)
-    out = mat @ (np.ascontiguousarray(cols, complex).view(float) if cplx else cols)
+    cols = np.ascontiguousarray(values.reshape(values.shape[0], -1),
+                                complex if cplx else None)
+    out = mat @ (cols.view(float) if cplx else cols)
     return (out.view(complex) if cplx else out).reshape((-1,) + values.shape[1:])
 
 
@@ -132,8 +135,9 @@ class SpectralGrid:
         """derivatives by one forward rfft (real data) or fft, then one inverse
         transform per order. The spectrum is held column-major, so its
         transpose is contiguous and takes each order's cached multiplier row
-        in one multiply, in place for the last order; results are row-major,
-        as the values are."""
+        in one multiply, in place for the last order; each result takes the
+        layout of the values, so column-major samples give contiguous
+        columns throughout."""
         real = values.dtype.kind != "c"
         m = self.n // 2 + 1 if real else self.n
         vhat = np.empty((m,) + values.shape[1:], complex, order="F")
@@ -143,9 +147,9 @@ class SpectralGrid:
         spectrum, out = vhat.T, []
         for i in range(len(fac) - 1):
             out.append(inverse((spectrum * fac[i]).T, self.n, axis=0,
-                               out=np.empty(values.shape, dtype)))
+                               out=np.empty_like(values, dtype)))
         spectrum *= fac[-1]
-        out.append(inverse(vhat, self.n, axis=0, out=np.empty(values.shape, dtype)))
+        out.append(inverse(vhat, self.n, axis=0, out=np.empty_like(values, dtype)))
         return tuple(out)
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:

@@ -563,6 +563,41 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="alpah"):
             fd.initial_loop(round_sphere(), SpectralGrid(16), "latitude", alpah=0.3)
 
+    @pytest.mark.parametrize("route", ["set", "file"])
+    @pytest.mark.parametrize("items, key", [
+        ({"time.t_final": np.nan}, "time.t_final"),
+        ({"time.dt": np.nan}, "time.dt"),
+        ({"init.alpha": np.nan}, "init.alpha"),
+        ({"target.radius": np.nan}, "target.radius"),
+        ({"time.t_final": np.inf}, "time.t_final"),
+        ({"init.kind": "perturbed_latitude", "init.m": 2.5}, "init.m"),
+        ({"init.kind": "constant", "init.point": [0, 0, 0]}, "point")],
+        ids=["t_final-nan", "dt-nan", "alpha-nan", "radius-nan",
+             "t_final-inf", "m-fraction", "point-zero"])
+    def test_unusable_number_is_a_config_error(self, workdir, capsys, route,
+                                               items, key):
+        """NaN and +-Infinity are refused where the JSON is parsed, a
+        fractional m and a point with no projection where they are read:
+        each exits 2 naming the key, with no traceback."""
+        if route == "set":  # json.dumps writes nan and inf as NaN, Infinity
+            argv = [arg for k, v in items.items()
+                    for arg in ("--set", f"{k}={json.dumps(v)}")]
+        else:
+            user = {}
+            for dotted, value in items.items():
+                *path, leaf = dotted.split(".")
+                section = user
+                for part in path:
+                    section = section.setdefault(part, {})
+                section[leaf] = value
+            cfg = workdir / "unusable.json"
+            cfg.write_text(json.dumps(user))
+            argv = ["--config", str(cfg)]
+        assert cli.main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}" in err
+        assert "Traceback" not in err
+
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})
         assert cli.main(["run", "--config", str(cfg)]) == 2

@@ -376,6 +376,54 @@ def test_seed_row_rides_the_workspace_step(n):
     assert new.time == state.time + dt
 
 
+def row_major_step(state, dt):
+    """fd.step's RK4 with every array row-major, allocating as the textbook
+    formula does; returns the accepted points."""
+    s, grid = state.surface, state.grid
+    new = allocating_rk4(lambda y: s.flow_velocity(grid, y),
+                         np.ascontiguousarray(state.points), dt)
+    return s.project_point(new) if s.embedded else s.validate_points(new)
+
+
+@pytest.mark.parametrize("target", ["round", "round_r2.5", "warped",
+                                    "hyperbolic", "torus"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_column_major_step_keeps_row_major_bits(target, n):
+    """The step holds its stages column-major: the velocity of a loop does
+    not depend on its layout, and from row-major and from column-major
+    copies of one loop, five steps equal the row-major RK4 bit for bit on
+    the dense (N <= 128) and FFT (N = 256) routes."""
+    state = parity_state(target, n)
+    s, grid, dt = state.surface, state.grid, fd.admissible_dt(state)
+    rows, cols = np.ascontiguousarray(state.points), np.asfortranarray(state.points)
+    assert np.array_equal(s.flow_velocity(grid, cols), s.flow_velocity(grid, rows))
+    ref = state
+    for _ in range(5):
+        ref = fd.LoopState(grid, s, row_major_step(ref, dt))
+    for points in (rows, cols):
+        new = fd.LoopState(grid, s, points)
+        for _ in range(5):
+            new = fd.step(new, dt)
+        assert np.array_equal(new.points, ref.points)
+
+
+def test_step_adopts_the_projected_array(monkeypatch):
+    """The projected array becomes the new state's points, read-only, with
+    no second copy; the public constructor still copies its input."""
+    state = make_state("perturbed_latitude", n=256, alpha=1.0, eps=0.1, m=2)
+    project, made = geo.RoundSphere.project_point, []
+
+    def recording(self, p):
+        made.append(project(self, p))
+        return made[-1]
+
+    monkeypatch.setattr(geo.RoundSphere, "project_point", recording)
+    new = fd.step(state, fd.admissible_dt(state))
+    assert new.points is made[-1]
+    assert not new.points.flags.writeable
+    assert fd.LoopState(state.grid, state.surface, made[-1]).points is not made[-1]
+
+
 def test_step_is_reentrant():
     """A step reads its input state only and keeps no buffer between calls:
     two interleaved trajectories equal the same two run one after the other."""

@@ -663,13 +663,13 @@ class TestCoupledDriver:
         expected_seed = fr.parallel_frame(surf, state, seed=w).e1[0]
 
         calls = []
-        velocity = fd._velocity
+        velocity = type(surf).flow_velocity
 
         def counting(*args):
             calls.append(1)
             return velocity(*args)
 
-        monkeypatch.setattr(fd, "_velocity", counting)
+        monkeypatch.setattr(type(surf), "flow_velocity", counting)
         res = fr.coupled_evolve(loop, dt, 1)
         assert len(calls) == 4
         assert np.abs(res.final_seed - expected_seed).max() < 1e-13
