@@ -7,11 +7,17 @@ Commands::
     smflow check <suite> [--seed S]
 
 Configuration is JSON; ``--set`` overrides use dotted keys with JSON
-values (``--set domain.n=128``). The environment variable SMFLOW_OUT
-overrides the output root. Every artifact embeds a schema string; CSV
-floats use shortest round-trip formatting, so identical configurations
-produce bit-identical files. Exit codes: 0 pass, 1 check or invariant
-failure, 2 usage or configuration error, 3 numerical failure.
+values (``--set domain.n=128``). Each leaf has one row in ``_LEAVES``: its
+default and its rule. A bool is not a number, nor are NaN, +-Infinity or
+an overflowing literal such as 1e400. Of the ``init`` parameters, ``m`` and
+the k of each ``[k, a, b]`` mode in ``colat_coeffs``, ``azimuth_coeffs`` and
+``coeffs`` are integers, ``point`` and ``offset`` lists of numbers, and
+``alpha``, ``eps`` and (positive) ``envelope_sigma`` numbers. ``output.dir``
+is a relative path with no ``..`` part, under the output root, which the
+environment variable SMFLOW_OUT overrides. Every artifact embeds a schema
+string; CSV floats use shortest round-trip formatting, so identical
+configurations produce bit-identical files. Exit codes: 0 pass, 1 check or
+invariant failure, 2 usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -65,46 +71,117 @@ _INIT_PARAMS = tuple(name for name, p in inspect.signature(fd.initial_loop).para
 # target.kind -> (surface built from the target section, initial-loop
 # presets); the sphere presets mark the embedded targets
 _TARGETS = {
-    "round_sphere": (lambda target: round_sphere(float(target["radius"])),
-                     _SPHERE_INITS),
-    "warped_sphere": (lambda target: warped_sphere(*bump_warp(
-        amplitude=float(target["warp"]["amplitude"]),
-        width=float(target["warp"]["width"]),
-        center=tuple(target["warp"]["center"]))), _SPHERE_INITS),
+    "round_sphere": (lambda target: round_sphere(target["radius"]), _SPHERE_INITS),
+    "warped_sphere": (lambda target: warped_sphere(*bump_warp(**target["warp"])),
+                      _SPHERE_INITS),
     "hyperbolic_disk": (lambda target: hyperbolic_disk(), _CHART_INITS),
     "flat_torus": (lambda target: flat_torus(), _CHART_INITS),
-}
-
-DEFAULT_CONFIG = {
-    "target": {"kind": "round_sphere", "radius": 1.0,
-               "warp": {"amplitude": 0.1, "width": 0.5,
-                        "center": [0.0, 0.0, 1.0]}},
-    "domain": {"kind": "circle", "n": 64, "half_width": 6.0},
-    "init": {"kind": "latitude", "alpha": 0.7853981633974483},
-    "time": {"dt": 0.0, "t_final": 0.01},
-    "reduction": {"mode": "coupled"},
-    "diagnostics": {"cadence": 1, "snapshot_cadence": 0, "l4_window": 32},
-    "output": {"dir": "smflow-run"},
-    "study": {"error": "auto"},
-    "seed": 0,
 }
 
 # -- configuration --------------------------------------------------------------
 
 
+def _number(v):
+    """A JSON number that a finite float holds: not a bool, NaN or +-inf."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _numbers(v, count=None):
+    return isinstance(v, list) and count in (None, len(v)) and all(map(_number, v))
+
+
+def _integer(v):
+    return _number(v) and isinstance(v, int)
+
+
+def _one_of(*choices):
+    return (lambda v: isinstance(v, str) and v in choices), f"one of {choices}"
+
+
+def _relative_path(v):
+    return (isinstance(v, str) and v != "" and "\0" not in v
+            and not Path(v).is_absolute() and ".." not in Path(v).parts)
+
+
+_POSITIVE = (lambda v: _number(v) and v > 0, "a positive number")
+_MODES = (lambda v: isinstance(v, list)
+          and all(_numbers(mode, 3) and _integer(mode[0]) for mode in v),
+          "a list of [k, a, b] modes with k an integer")
+
+# One row per configuration leaf: its dotted key, its default (None: an
+# absent init key keeps the preset's own), and the test its value must pass
+# with what that test asks for. The init keys besides kind are the
+# keyword-only parameters of initial_loop (_INIT_PARAMS).
+_LEAVES = (
+    ("target.kind", "round_sphere", *_one_of(*_TARGETS)),
+    ("target.radius", 1.0, *_POSITIVE),
+    ("target.warp.amplitude", 0.1, _number, "a number"),
+    ("target.warp.width", 0.5, *_POSITIVE),
+    ("target.warp.center", [0.0, 0.0, 1.0], lambda v: _numbers(v, 3) and any(v),
+     "a list of three numbers, not all zero"),
+    ("domain.kind", "circle", *_one_of("circle", "line")),
+    ("domain.n", 64, lambda v: _integer(v) and v >= 16 and v & (v - 1) == 0,
+     "a power of two >= 16"),
+    ("domain.half_width", 6.0, *_POSITIVE),
+    ("init.kind", "latitude", *_one_of(*_SPHERE_INITS)),  # every preset
+    ("init.point", None, _numbers, "a list of numbers"),
+    ("init.alpha", 0.7853981633974483, _number, "a number"),
+    ("init.eps", None, _number, "a number"),
+    ("init.m", None, _integer, "an integer"),
+    ("init.colat_coeffs", None, *_MODES),
+    ("init.azimuth_coeffs", None, *_MODES),
+    ("init.coeffs", None, *_MODES),
+    ("init.envelope_sigma", None, *_POSITIVE),
+    ("init.offset", None, lambda v: _numbers(v, 2), "a list of two numbers"),
+    ("time.dt", 0.0, lambda v: _number(v) and v >= 0,
+     "a number >= 0 (0 selects the stability limit)"),
+    ("time.t_final", 0.01, lambda v: _number(v) and v >= 0, "a number >= 0"),
+    ("reduction.mode", "coupled", *_one_of("coupled", "autonomous")),
+    ("diagnostics.cadence", 1, lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    ("diagnostics.snapshot_cadence", 0, lambda v: _integer(v) and v >= 0,
+     "an integer >= 0"),
+    ("diagnostics.l4_window", 32, lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    ("output.dir", "smflow-run", _relative_path, "a relative path with no '..' part"),
+    ("study.error", "auto", *_one_of("auto", "analytic", "cross", "reference")),
+    ("seed", 0, _integer, "an integer"),
+)
+
+
+def _section(cfg, key):
+    """The section of cfg holding the dotted key's leaf (made if absent), and the leaf."""
+    *path, leaf = key.split(".")
+    for part in path:
+        cfg = cfg.setdefault(part, {})
+    return cfg, leaf
+
+
+def _defaults():
+    cfg = {}
+    for key, default, _, _ in _LEAVES:
+        if default is not None:
+            section, leaf = _section(cfg, key)
+            section[leaf] = default
+    return cfg
+
+
+DEFAULT_CONFIG = _defaults()
+
+
 def _merge(base, override, path=""):
-    """Overlay override onto base in place; returns the violations. Keys
-    under init are added here and checked against the presets' parameters
-    in _validate_structure; elsewhere an object replaces only an object and
+    """Overlay override onto base in place; returns the violations. An init
+    key is added if a preset reads it; an object replaces only an object and
     a value only a value."""
     violations = []
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            if path.partition(".")[0] == "init":
+            if path == "init" and key in ("kind", *_INIT_PARAMS):
                 base[key] = value
                 continue
-            violations.append(f"unknown configuration key {where!r}")
+            violations.append(f"unknown configuration key {where!r}" + (
+                f": no initial loop reads it (parameters: {', '.join(_INIT_PARAMS)})"
+                if path == "init" else ""))
         elif isinstance(base[key], dict) is not isinstance(value, dict):
             violations.append(f"{where} must be an object" if isinstance(base[key], dict)
                               else f"{where} must not be an object")
@@ -115,36 +192,15 @@ def _merge(base, override, path=""):
     return violations
 
 
-class _NonFinite(str):
-    """A NaN or +-Infinity token of JSON input, kept to name its key: Python's
-    json accepts them, and every range check passes NaN."""
-
-
-def _non_finite(value, where):
-    """One violation for each NaN or +-Infinity leaf of parsed JSON."""
-    if isinstance(value, _NonFinite):
-        return [f"{where} must be a finite number; got {value}"]
-    if isinstance(value, dict):
-        items = ((f"{where}.{k}" if where else k, v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return []
-    return [bad for path, v in items for bad in _non_finite(v, path)]
-
-
 def _apply_override(cfg, item):
     """Merge one --set key=value (dotted key, JSON or bare-string value)."""
     key, sep, raw = item.partition("=")
     if not sep or not key:
         return [f"override {item!r} is not of the form key=value"]
     try:
-        value = json.loads(raw, parse_constant=_NonFinite)
-    except json.JSONDecodeError:
+        value = json.loads(raw)
+    except ValueError:  # not JSON, or an integer too long to read
         value = raw
-    violations = _non_finite(value, key)
-    if violations:
-        return violations
     for part in reversed(key.split(".")):
         value = {part: value}
     return _merge(cfg, value)
@@ -156,23 +212,20 @@ def load_config(path=None, overrides=()):
     violations = []
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text(), parse_constant=_NonFinite)
+            user = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {path}"])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError([f"config file is not valid JSON: {exc}"])
         if not isinstance(user, dict):
             raise ConfigError(["config file must contain a JSON object"])
         user.pop("schema", None)
         user.pop("derived", None)  # echoed configs can be re-run as-is
-        violations = _non_finite(user, "")
-        if violations:
-            raise ConfigError(violations)
         if isinstance(user.get("init"), dict):
             # init parameters are preset-specific; a user init section
             # replaces the default outright instead of merging into it
-            cfg["init"] = dict(user.pop("init"))
-        violations.extend(_merge(cfg, user))
+            cfg["init"] = {}
+        violations = _merge(cfg, user)
     for item in overrides:
         violations.extend(_apply_override(cfg, item))
     violations.extend(_validate_structure(cfg))
@@ -182,97 +235,39 @@ def load_config(path=None, overrides=()):
 
 
 def _validate_structure(cfg):
-    v = []
-    target = cfg["target"]
-    # a list or other unhashable kind is reported, not raised by the lookup
-    known = isinstance(target["kind"], str) and target["kind"] in _TARGETS
-    if not known:
-        v.append(f"target.kind must be one of {tuple(_TARGETS)}; "
-                 f"got {target['kind']!r}")
-    if not isinstance(target["radius"], (int, float)) or target["radius"] <= 0:
-        v.append("target.radius must be a positive number")
-    warp = target["warp"]
-    if not isinstance(warp.get("amplitude"), (int, float)):
-        v.append("target.warp.amplitude must be a number")
-    if not isinstance(warp.get("width"), (int, float)) or warp.get("width", 0) <= 0:
-        v.append("target.warp.width must be a positive number")
-    if not (isinstance(warp.get("center"), list) and len(warp["center"]) == 3):
-        v.append("target.warp.center must be a list of three numbers")
-
-    dom = cfg["domain"]
-    if dom["kind"] not in ("circle", "line"):
-        v.append(f"domain.kind must be 'circle' or 'line'; got {dom['kind']!r}")
-    n = dom["n"]
-    if not (isinstance(n, int) and n >= 16 and (n & (n - 1)) == 0):
-        v.append(f"domain.n must be a power of two >= 16; got {n!r}")
-    if not isinstance(dom["half_width"], (int, float)) or dom["half_width"] <= 0:
-        v.append("domain.half_width must be a positive number")
-
-    # checks that depend on the target kind need a known one
-    inits = _TARGETS[target["kind"]][1] if known else None
-    embedded = inits is _SPHERE_INITS
-    if known and cfg["init"].get("kind") not in inits:
-        v.append(f"init.kind must be one of {inits} for target "
-                 f"{target['kind']!r}; got {cfg['init'].get('kind')!r}")
-    for key in sorted(set(cfg["init"]) - {"kind", *_INIT_PARAMS}):
-        v.append(f"unknown configuration key 'init.{key}': no initial loop "
-                 f"reads it (parameters: {', '.join(_INIT_PARAMS)})")
-    if not isinstance(cfg["init"].get("m", 0), int):
-        v.append(f"init.m must be an integer; got {cfg['init']['m']!r}")
-
-    tm = cfg["time"]
-    if not isinstance(tm["t_final"], (int, float)) or tm["t_final"] < 0:
-        v.append("time.t_final must be >= 0")
-    if not isinstance(tm["dt"], (int, float)) or tm["dt"] < 0:
-        v.append("time.dt must be >= 0 (0 selects the stability limit)")
-
-    mode = cfg["reduction"]["mode"]
-    if mode not in ("coupled", "autonomous"):
-        v.append(f"reduction.mode must be 'coupled' or 'autonomous'; got {mode!r}")
-    if mode == "autonomous" and known and (not embedded or dom["kind"] != "circle"):
-        v.append("reduction.mode 'autonomous' requires an embedded sphere "
-                 "target on the circle domain")
-
-    diag = cfg["diagnostics"]
-    if not (isinstance(diag["cadence"], int) and diag["cadence"] >= 1):
-        v.append("diagnostics.cadence must be an integer >= 1")
-    if not (isinstance(diag["snapshot_cadence"], int)
-            and diag["snapshot_cadence"] >= 0):
-        v.append("diagnostics.snapshot_cadence must be an integer >= 0")
-    if not (isinstance(diag["l4_window"], int) and diag["l4_window"] >= 1):
-        v.append("diagnostics.l4_window must be an integer >= 1")
-    if cfg["study"]["error"] not in ("auto", "analytic", "cross", "reference"):
-        v.append("study.error must be one of 'auto', 'analytic', 'cross', "
-                 "'reference'")
-    if not isinstance(cfg["seed"], int):
-        v.append("seed must be an integer")
-    if not isinstance(cfg["output"]["dir"], str) or not cfg["output"]["dir"]:
-        v.append("output.dir must be a non-empty string")
-    return v
-
-
-def _build_surface(cfg):
-    build, _ = _TARGETS[cfg["target"]["kind"]]
-    return build(cfg["target"])
-
-
-def _build_grid(cfg):
-    dom = cfg["domain"]
-    if dom["kind"] == "circle":
-        return SpectralGrid(int(dom["n"]))
-    return SpectralGrid(int(dom["n"]), kind="line",
-                        half_width=float(dom["half_width"]))
+    """Every leaf that fails its row of _LEAVES (an absent init key passes);
+    once every leaf passes, the rules that span several leaves."""
+    violations = []
+    for key, _, test, what in _LEAVES:
+        section, leaf = _section(cfg, key)
+        if leaf in section and not test(section[leaf]):
+            violations.append(f"{key} must be {what}; got {section[leaf]!r}")
+    if violations:
+        return violations
+    target, init = cfg["target"]["kind"], cfg["init"]
+    inits = _TARGETS[target][1]
+    dim = 3 if inits is _SPHERE_INITS else 2
+    if init.get("kind") not in inits:
+        violations.append(f"init.kind must be one of {inits} for target "
+                          f"{target!r}; got {init.get('kind')!r}")
+    if "point" in init and len(init["point"]) != dim:
+        violations.append(f"init.point must have {dim} coordinates for target "
+                          f"{target!r}; got {init['point']!r}")
+    if cfg["reduction"]["mode"] == "autonomous" and (
+            inits is not _SPHERE_INITS or cfg["domain"]["kind"] != "circle"):
+        violations.append("reduction.mode 'autonomous' requires an embedded sphere "
+                          "target on the circle domain")
+    return violations
 
 
 def _materialize(cfg):
     """Surface, grid, initial loop, and the resolved (dt, n_steps)."""
-    surface = _build_surface(cfg)
-    grid = _build_grid(cfg)
-    init = dict(cfg["init"])
-    kind = init.pop("kind")
-    loop = fd.initial_loop(surface, grid, kind, **init)
-    dt_req = float(cfg["time"]["dt"])
-    t_final = float(cfg["time"]["t_final"])
+    target, dom, init = cfg["target"], cfg["domain"], dict(cfg["init"])
+    surface = _TARGETS[target["kind"]][0](target)
+    grid = SpectralGrid(dom["n"], dom["kind"],
+                        dom["half_width"] if dom["kind"] == "line" else 0.0)
+    loop = fd.initial_loop(surface, grid, init.pop("kind"), **init)
+    dt_req, t_final = cfg["time"]["dt"], cfg["time"]["t_final"]
     dt_max = fd.admissible_dt(loop)
     if dt_req > dt_max * (1.0 + 1e-12):
         raise ConfigError(
@@ -281,7 +276,11 @@ def _materialize(cfg):
     dt0 = dt_max if dt_req == 0.0 else dt_req
     if t_final == 0.0:
         return surface, grid, loop, dt0, 0
-    n_steps = max(1, math.ceil(t_final / dt0 - 1e-9))
+    steps = t_final / dt0
+    if not math.isfinite(steps):
+        raise ConfigError([f"time.t_final={t_final!r} asks for t_final / dt = "
+                           f"{steps} steps, not a finite count"])
+    n_steps = max(1, math.ceil(steps - 1e-9))
     return surface, grid, loop, t_final / n_steps, n_steps
 
 
@@ -537,15 +536,13 @@ def _parse_levels(spec):
         except ValueError:
             violations.append(f"level {item!r}: sample count must be an integer")
             continue
-        dt = None
+        dt = 0.0  # the stability limit
         if sep:
             try:
                 dt = float(dt_part)
             except ValueError:
                 violations.append(f"level {item!r}: dt must be a number")
                 continue
-            if dt <= 0:
-                violations.append(f"level {item!r}: dt must be positive")
         levels.append((n, dt))
     if violations:
         raise ConfigError(violations)
@@ -585,8 +582,7 @@ def convergence_study(cfg, levels):
     if len(levels) < 3:
         violations.append(f"need at least 3 levels; got {len(levels)}")
     resolved = []
-    t_final = float(cfg["time"]["t_final"])
-    if t_final <= 0:
+    if cfg["time"]["t_final"] <= 0:
         violations.append("time.t_final must be positive for a convergence study")
     if violations:
         raise ConfigError(violations)
@@ -594,7 +590,7 @@ def convergence_study(cfg, levels):
     for n, dt in levels:
         level_cfg = copy.deepcopy(cfg)
         level_cfg["domain"]["n"] = n
-        level_cfg["time"]["dt"] = 0.0 if dt is None else dt
+        level_cfg["time"]["dt"] = dt
         err = _validate_structure(level_cfg)
         if err:
             violations.extend(f"level n={n}: {e}" for e in err)
@@ -634,8 +630,8 @@ def convergence_study(cfg, levels):
             state = fd.evolve(loop, dt_run, n_steps)
             finals.append(state.points)
             if kind == "analytic":
-                exact = _latitude_exact(float(cfg["init"].get("alpha", np.pi / 3)),
-                                        grid, state.time)
+                exact = _latitude_exact(cfg["init"].get("alpha", np.pi / 3), grid,
+                                        state.time)
                 errors.append(float(np.abs(state.points - exact).max()))
             else:
                 errors.append(np.nan)  # filled below against the finest

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BlowUpSuspectedError, ConfigError, RejectedStepError
+from .errors import BlowUpSuspectedError, ConfigError, OffManifoldError, RejectedStepError
 from .geometry import SurfaceModel
 from .spectral import SpectralGrid
 
@@ -166,7 +166,10 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
             pts = q + np.asarray(offset, dtype=float)
         else:
             raise ConfigError([f"unknown initial loop kind {kind!r} for chart target"])
-        surface.validate_points(pts)
+        try:
+            surface.validate_points(pts)
+        except OffManifoldError as exc:
+            raise ConfigError([f"the {kind} initial loop leaves the target: {exc}"]) from None
     return LoopState(grid=grid, surface=surface, points=pts)
 
 

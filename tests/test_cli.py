@@ -1,13 +1,18 @@
 """Command line scenarios, artifact contracts, and studies."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smflow import cli
 from smflow import flow_direct as fd
@@ -571,14 +576,28 @@ class TestConfigValidation:
         ({"target.radius": np.nan}, "target.radius"),
         ({"time.t_final": np.inf}, "time.t_final"),
         ({"init.kind": "perturbed_latitude", "init.m": 2.5}, "init.m"),
-        ({"init.kind": "constant", "init.point": [0, 0, 0]}, "point")],
+        ({"init.kind": "constant", "init.point": [0, 0, 0]}, "point"),
+        ({"init.alpha": "nan"}, "init.alpha"),
+        ({"seed": True}, "seed"),
+        ({"target.radius": True}, "target.radius"),
+        ({"init.kind": "perturbed_latitude", "init.m": True}, "init.m"),
+        ({"time.t_final": 1e308}, "time.t_final"),
+        ({"target.kind": "warped_sphere", "target.warp.center": [0, 0, 0]},
+         "target.warp.center"),
+        ({"target.kind": "hyperbolic_disk", "init.kind": "fourier",
+          "init.offset": [0.1]}, "init.offset"),
+        ({"target.kind": "hyperbolic_disk", "init.kind": "constant",
+          "init.point": [2, 0]}, "the constant initial loop leaves the target")],
         ids=["t_final-nan", "dt-nan", "alpha-nan", "radius-nan",
-             "t_final-inf", "m-fraction", "point-zero"])
+             "t_final-inf", "m-fraction", "point-zero", "alpha-string",
+             "seed-bool", "radius-bool", "m-bool", "t_final-overflowing-steps",
+             "center-zero", "offset-short", "point-off-disk"])
     def test_unusable_number_is_a_config_error(self, workdir, capsys, route,
                                                items, key):
-        """NaN and +-Infinity are refused where the JSON is parsed, a
-        fractional m and a point with no projection where they are read:
-        each exits 2 naming the key, with no traceback."""
+        """NaN and +-Infinity, strings and bools where a number is read, a
+        fractional m, a point with no projection or off the disk and a step
+        count past the float range: each exits 2 naming the key, with no
+        traceback."""
         if route == "set":  # json.dumps writes nan and inf as NaN, Infinity
             argv = [arg for k, v in items.items()
                     for arg in ("--set", f"{k}={json.dumps(v)}")]
@@ -597,6 +616,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"config error: {key}" in err
         assert "Traceback" not in err
+
+    def test_output_dir_stays_under_the_output_root(self, workdir, capsys,
+                                                    monkeypatch):
+        """output.dir is a relative path with no '..' part: an absolute path
+        or one that climbs out of SMFLOW_OUT is refused and nothing is
+        written."""
+        root = workdir / "root"
+        monkeypatch.setenv("SMFLOW_OUT", str(root))
+        for bad in (str(workdir / "abs"), "../up", "a/../../up"):
+            assert cli.main(["run", "--set", "time.t_final=0",
+                             "--set", f"output.dir={bad}"]) == 2
+            assert "config error: output.dir" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == []
+        assert cli.main(["run", "--set", "time.t_final=0",
+                         "--set", "output.dir=a/b"]) == 0
+        assert (root / "a" / "b" / "summary.json").exists()
 
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})
@@ -635,6 +670,122 @@ class TestConfigValidation:
             assert float(cli._fmt(v)) == v
 
 
+# --set texts for every leaf of the configuration table: values that pass
+# its row, and values that fail it whatever else is set. Passing values keep
+# a run to at most four steps at domain.n <= 32.
+_SET_TEXTS = {
+    "target.kind": (("round_sphere", "warped_sphere", "hyperbolic_disk",
+                     "flat_torus"), ("cube", "[1]")),
+    "target.radius": (("0.5", "2"), ("0", "-1", "nan")),
+    "target.warp.amplitude": (("-0.2", "0.3"), ('"x"', "nan")),
+    "target.warp.width": (("0.3", "1"), ("0",)),
+    "target.warp.center": (("[0,1,1]", "[1,0,0]"),
+                           ("[0,0,0]", "[0,1]", '["a",0,1]', "[0,NaN,1]")),
+    "domain.kind": (("circle", "line"), ("strip",)),
+    "domain.n": (("16", "32"), ("20", "8", "16.0")),
+    "domain.half_width": (("4", "8.0"), ("0",)),
+    "init.kind": (("constant", "great_circle", "latitude", "perturbed_latitude",
+                   "fourier"), ("spiral",)),
+    "init.point": (("[0,0.6,0.8]", "[0.2,-0.1]", "[0,0,0]"), ('"x"', '[1,"a"]')),
+    "init.alpha": (("0.8", "-1"), ('"x"', "nan")),
+    "init.eps": (("0.05", "0"), ('"a"', "nan")),
+    "init.m": (("2", "-3"), ("2.5",)),
+    "init.colat_coeffs": (("[[2,0.1,0.0]]", "[]"),
+                          ("[[1,2]]", "5", "[[1.5,0.1,0]]")),
+    "init.azimuth_coeffs": (("[[1,0.05,0.0]]",), ('[[1,0.1,"b"]]',)),
+    "init.coeffs": (("[[1,0.1,0.1]]", "[[2,0.1,0.0],[1,0.0,0.08]]",
+                     "[[1,0.9,0.9]]"), ('[[1,"a",0]]',)),
+    "init.envelope_sigma": (("0.8",), ('"w"', "0")),
+    "init.offset": (("[0.1,0.2]",), ("[0.1]",)),
+    "time.dt": (("0", "5e-5", "1.0"), ("-1",)),
+    "time.t_final": (("0", "1e-4", "2e-4", "1e308"), ("-1",)),
+    "reduction.mode": (("coupled", "autonomous"), ("both",)),
+    "diagnostics.cadence": (("1", "2"), ("0",)),
+    "diagnostics.snapshot_cadence": (("0", "1"), ("-1",)),
+    "diagnostics.l4_window": (("1", "8"), ("0",)),
+    "output.dir": (("run", "a/b"), ("../x", "a/../../x", '""')),
+    "study.error": (("auto", "cross"), ("exact",)),
+    "seed": (("0", "7"), ("1.5",)),
+}
+# fail every row: a bool, null, NaN, a literal past the float range, an object
+_NOT_A_VALUE = ("true", "null", "NaN", "1e400", '{"a": 1}')
+
+
+@st.composite
+def _override_sets(draw):
+    """(key, --set text, refused) items on distinct keys; refused marks a
+    value that fails its row, drawn for about one item in four."""
+    keys = draw(st.lists(st.sampled_from(sorted(_SET_TEXTS)), unique=True,
+                         max_size=4))
+    items = []
+    for key in keys:
+        passing, failing = _SET_TEXTS[key]
+        refused = draw(st.integers(0, 3)) == 0
+        texts = failing + _NOT_A_VALUE if refused else passing
+        items.append((key, draw(st.sampled_from(texts)), refused))
+    return items
+
+
+def _refusing(*pairs):
+    """Pinned items from (key, text) pairs: the last one must be refused."""
+    return [(key, text, i == len(pairs) - 1) for i, (key, text) in enumerate(pairs)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_override_sets())
+@example(_refusing(("init.alpha", "nan")))
+@example(_refusing(("init.alpha", '"x"')))
+@example(_refusing(("init.alpha", "null")))
+@example(_refusing(("init.kind", "perturbed_latitude"), ("init.eps", '"a"')))
+@example(_refusing(("init.kind", "fourier"), ("init.colat_coeffs", "[[1,2]]")))
+@example(_refusing(("init.kind", "fourier"), ("init.colat_coeffs", "5")))
+@example(_refusing(("init.kind", "constant"), ("init.point", '"x"')))
+@example(_refusing(("target.kind", "hyperbolic_disk"), ("init.kind", "fourier"),
+                   ("init.coeffs", '[[1,"a",0]]')))
+@example(_refusing(("target.kind", "hyperbolic_disk"), ("init.kind", "fourier"),
+                   ("init.envelope_sigma", '"w"')))
+@example(_refusing(("target.kind", "warped_sphere"),
+                   ("target.warp.center", '["a",0,1]')))
+@example(_refusing(("target.kind", "warped_sphere"),
+                   ("target.warp.center", "[0,0,0]")))
+@example(_refusing(("time.t_final", "1e400")))
+@example(_refusing(("target.radius", "1e400")))
+@example(_refusing(("init.alpha", "1e400")))
+@example(_refusing(("time.t_final", "1e308")))
+@example(_refusing(("seed", "true")))
+@example(_refusing(("diagnostics.cadence", "true")))
+@example(_refusing(("target.radius", "true")))
+@example(_refusing(("init.kind", "perturbed_latitude"), ("init.m", "true")))
+@example(_refusing(("target.kind", "hyperbolic_disk"), ("init.kind", "fourier"),
+                   ("init.offset", "[0.1]")))
+@example(_refusing(("output.dir", "../x")))
+def test_every_override_set_runs_or_is_refused(items):
+    """Any set of --set overrides over the configuration table's keys, on top
+    of a small run, either runs or is refused: the exit code is 0, 2 or 3,
+    or 1 with a failed invariant in summary.json, and no exception escapes
+    cli.main. A refused value exits 2 with a config error naming its key."""
+    argv = ["run", "--set", "domain.n=16", "--set", "time.t_final=1e-4"]
+    for key, text, _ in items:
+        argv += ["--set", f"{key}={text}"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp) / "out"  # a climbing output.dir stays inside tmp
+        mp.setenv("SMFLOW_OUT", str(root))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        refused = [key for key, _, bad in items if bad]
+        if refused:
+            assert code == 2, (code, err.getvalue())
+            for key in refused:
+                assert f"config error: {key}" in err.getvalue()
+        elif code == 1:
+            out_dir = dict((k, t) for k, t, _ in items).get("output.dir", "smflow-run")
+            summary = json.loads((root / out_dir / "summary.json").read_text())
+            assert not all(item["passed"] for item in summary["invariants"].values())
+        else:
+            assert code in (0, 2, 3), code
+
+
 class TestConvergeCommand:
     def test_analytic_temporal_orders(self, workdir):
         cfg = write_config(workdir, domain={"kind": "circle", "n": 16},
@@ -668,6 +819,14 @@ class TestConvergeCommand:
         assert cli.main(["converge", "--config", str(cfg),
                          "--levels", "32,16,64"]) == 2
         assert "monotonically" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["16:nan,32,64", "16:-1e-4,32,64"])
+    def test_level_dt_follows_the_time_dt_rule(self, workdir, capsys, levels):
+        """A level's dt goes through the same table as time.dt."""
+        cfg = write_config(workdir)
+        assert cli.main(["converge", "--config", str(cfg),
+                         "--levels", levels]) == 2
+        assert "config error: level n=16: time.dt must be" in capsys.readouterr().err
 
     def test_identical_grids_zero_error_rows(self, workdir):
         cfg = write_config(workdir, study={"error": "reference"},

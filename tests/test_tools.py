@@ -154,3 +154,33 @@ def test_bench_pair_reads_a_reaped_cli_process():
     assert out["runs"] == runs
     assert out["wall_s"]["median"] == 0.7
     assert out["max_rss_mb"] == {"median": 52.5, "q1": 51.25, "q3": 53.75}
+
+
+def test_bench_pair_refuses_a_checkout_that_changed_during_the_runs(
+        tmp_path, monkeypatch, capsys):
+    """The checkouts are read before and after the runs: a change of either
+    (here the dirty flag of this side) writes no record and exits 1; an
+    unchanged pair writes BENCH_<label>.json. Canned runs, no benchmark."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "bench_run", lambda *args: tool.last_json(
+        _bench_output(100.0, 10.0)))
+    dirty = iter(())
+
+    def checkout_info(root):
+        return {"commit": "c0", "dirty": next(dirty), "diff_sha256": "d0"}
+
+    monkeypatch.setattr(tool, "checkout_info", checkout_info)
+    argv = ["--against", str(tmp_path), "--label", "t", "--rounds", "1"]
+    # this side, then the other, before the runs and after them
+    dirty = iter([False, False, True, False])
+    assert tool.main(argv) == 1
+    assert "a checkout changed during the runs" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
+    assert next(dirty, None) is None  # both sides read twice
+    dirty = iter([False] * 4)
+    assert tool.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["checkouts"]["this"] == {"commit": "c0", "dirty": False,
+                                           "diff_sha256": "d0"}

@@ -30,7 +30,9 @@ the ratio of the medians (this / against) and the number of rounds in which
 this side was better (by the ``better`` direction of ``BENCHMARK.json``).
 It also records the seeds, the host, and both checkouts: the commit, whether
 tracked files had uncommitted changes, and the sha256 of ``git diff HEAD``,
-so two trees on the same commit can be told apart.
+so two trees on the same commit can be told apart. The checkouts are read
+again after the runs; if either changed meanwhile, no record is written and
+the tool exits 1.
 """
 
 from __future__ import annotations
@@ -240,6 +242,11 @@ def main(argv=None) -> int:
                 alternate(args.cli, roots, lambda root, i: cli_run(root, cli_args)),
                 ("wall_s", "max_rss_mb"))
 
+    after = {side: checkout_info(root) for side, root in roots.items()}
+    if after != record["checkouts"]:
+        print(f"a checkout changed during the runs: {record['checkouts']} -> {after}; "
+              "no record written", file=sys.stderr)
+        return 1
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     for name, summary in record["workloads"].items():
