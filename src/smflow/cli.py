@@ -14,10 +14,12 @@ the k of each ``[k, a, b]`` mode in ``colat_coeffs``, ``azimuth_coeffs`` and
 ``coeffs`` are integers, ``point`` and ``offset`` lists of numbers, and
 ``alpha``, ``eps`` and (positive) ``envelope_sigma`` numbers. ``output.dir``
 is a relative path with no ``..`` part, under the output root, which the
-environment variable SMFLOW_OUT overrides. Every artifact embeds a schema
-string; CSV floats use shortest round-trip formatting, so identical
-configurations produce bit-identical files. Exit codes: 0 pass, 1 check or
-invariant failure, 2 usage or configuration error, 3 numerical failure.
+environment variable SMFLOW_OUT overrides. A run takes at most
+``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``. Every artifact
+embeds a schema string; CSV floats use shortest round-trip formatting, so
+identical configurations produce bit-identical files. Exit codes: 0 pass, 1
+check or invariant failure, 2 usage or configuration error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ from .holonomy import (
     swept_angle_increment,
 )
 from .spectral import SpectralGrid
+
+# the most steps one run or convergence level may take; a coupled run keeps
+# nine result floats per step, 0.7 GB at this bound
+MAX_STEPS = 10**7
 
 SCHEMA_CONFIG = "smflow.config.v1"
 SCHEMA_TIMESERIES = "smflow.timeseries.v1"
@@ -215,6 +221,8 @@ def load_config(path=None, overrides=()):
             user = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {path}"])
+        except OSError as exc:  # a directory, no permission, ...
+            raise ConfigError([f"config file cannot be read: {exc}"])
         except ValueError as exc:
             raise ConfigError([f"config file is not valid JSON: {exc}"])
         if not isinstance(user, dict):
@@ -277,9 +285,9 @@ def _materialize(cfg):
     if t_final == 0.0:
         return surface, grid, loop, dt0, 0
     steps = t_final / dt0
-    if not math.isfinite(steps):
+    if not steps <= MAX_STEPS:  # inf as well
         raise ConfigError([f"time.t_final={t_final!r} asks for t_final / dt = "
-                           f"{steps} steps, not a finite count"])
+                           f"{steps:.6g} steps, more than MAX_STEPS = {MAX_STEPS}"])
     n_steps = max(1, math.ceil(steps - 1e-9))
     return surface, grid, loop, t_final / n_steps, n_steps
 

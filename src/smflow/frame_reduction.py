@@ -433,15 +433,24 @@ def _windowed_l4(grid: SpectralGrid, window: int):
     l4(t, phi) appends phi at time t and returns (duration * period *
     mean |phi|^4)^(1/4) over the last `window` fields, with duration the span
     of their times, or 1 while it is zero. Only the window is kept, each
-    field raised to the fourth power once."""
-    powers, times = deque(maxlen=window), deque(maxlen=window)
+    field raised to the fourth power once. Call i writes |phi|^4 into rows
+    i % window and i % window + window of one buffer, so the window is
+    always one contiguous slice of it in time order, averaged in place."""
+    powers, times, calls = np.empty((2 * window, grid.n)), deque(maxlen=window), 0
 
     def l4(t, phi) -> float:
-        powers.append(np.abs(phi) ** 4)
+        nonlocal calls
+        slot = calls % window
+        row = powers[slot]
+        np.abs(phi, out=row)
+        row **= 4
+        powers[slot + window] = row
+        calls += 1
         times.append(t)
         duration = times[-1] - times[0]
+        start = calls % window if calls > window else 0
         return float(((duration if duration > 0.0 else 1.0) * grid.period
-                      * np.mean(powers)) ** 0.25)
+                      * np.mean(powers[start:start + len(times)])) ** 0.25)
 
     return l4
 

@@ -13,12 +13,13 @@ supported:
 Mode numbers are the integers m in [-n/2, n/2); the wavenumber of mode m
 is 2*pi*m/period.
 
-Up to ``DENSE_MAX_N`` samples ``derivatives`` and ``upsample`` apply cached
-dense matrices (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), the
-circulants of the FFT route's impulse response.  On one BLAS thread, first
-and second derivatives of (n, 3) data take 20 us against the FFT's 24 us at
-n = 128, and break even at n = 160 (both 26 us); upsampling (n, 2, 3) data
-takes 15 us against 36 us at n = 128.
+Up to ``DENSE_MAX_N`` samples ``derivatives``, ``upsample`` and
+``midpoints`` apply cached dense matrices (Trefethen, Spectral Methods in
+MATLAB, 2000, ch. 3), the circulants of the FFT route's impulse response
+(the odd rows of the upsampling one for ``midpoints``).  On one BLAS
+thread, first and second derivatives of (n, 3) data take 20 us against the
+FFT's 24 us at n = 128, and break even at n = 160 (both 26 us); upsampling
+(n, 2, 3) data takes 15 us against 36 us at n = 128.
 """
 
 from __future__ import annotations
@@ -185,6 +186,16 @@ class SpectralGrid:
         if self.n > DENSE_MAX_N:
             return self._fft_upsample(values, factor)
         return _dense_apply(_dense_operator(self, 0, factor), values)
+
+    def midpoints(self, values: np.ndarray) -> np.ndarray:
+        """Trigonometric interpolation of real samples onto the cell
+        midpoints x_j + dx / 2: the odd rows of ``upsample(values, 2)``, bit
+        for bit up to DENSE_MAX_N, and above it a half-cell ``shift``, whose
+        real part drops the Nyquist mode as the split of ``upsample`` does
+        at the midpoints."""
+        if self.n > DENSE_MAX_N:
+            return self.shift(values, -0.5 * self.dx)
+        return _dense_apply(_dense_operator(self, 0, 2)[1::2], values)
 
     def _fft_upsample(self, values: np.ndarray, factor: int) -> np.ndarray:
         """upsample by zero padding the spectrum."""

@@ -488,6 +488,29 @@ class TestConfigValidation:
         assert "domain.n" in err
         assert "t_final" in err
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_unreadable_config_path_is_a_config_error(self, workdir, capsys, command):
+        """A --config path that exists but cannot be read as a file (here a
+        directory) exits 2 with a config error, not an OSError traceback."""
+        argv = [command, "--config", str(workdir)]
+        if command == "converge":
+            argv += ["--levels", "16,32,64"]
+        assert cli.main(argv) == 2
+        assert "config error: config file cannot be read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
+    def test_step_count_is_bounded(self, workdir, capsys, monkeypatch, mode):
+        """MAX_STEPS steps run; one more is a time.t_final config error
+        (exit 2), in the autonomous mode too, which keeps no per-step
+        series and would otherwise run without end on t_final=1e300."""
+        monkeypatch.setattr(cli, "MAX_STEPS", 3)
+        argv = ["run", "--set", "domain.n=16", "--set", "time.dt=1e-4",
+                "--set", f"reduction.mode={mode}"]
+        assert cli.main([*argv, "--set", "time.t_final=3e-4"]) == 0
+        assert cli.main([*argv, "--set", "time.t_final=4e-4"]) == 2
+        assert ("config error: time.t_final=0.0004 asks for t_final / dt = 4 steps, "
+                "more than MAX_STEPS = 3") in capsys.readouterr().err
+
     @pytest.mark.parametrize("override,message", [
         ("domain=5", "domain must be an object"),
         ("init=7", "init must be an object"),
@@ -752,6 +775,9 @@ def _refusing(*pairs):
 @example(_refusing(("target.radius", "1e400")))
 @example(_refusing(("init.alpha", "1e400")))
 @example(_refusing(("time.t_final", "1e308")))
+@example(_refusing(("time.t_final", "1e300")))
+@example(_refusing(("reduction.mode", "autonomous"), ("time.t_final", "1e300")))
+@example(_refusing(("time.dt", "1e-9"), ("time.t_final", "1")))
 @example(_refusing(("seed", "true")))
 @example(_refusing(("diagnostics.cadence", "true")))
 @example(_refusing(("target.radius", "true")))

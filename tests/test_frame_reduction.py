@@ -1,6 +1,8 @@
 """Parallel frames, frame coefficients, curvature potentials, the reduced
 equation, and the coupled/autonomous drivers."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -520,6 +522,25 @@ def reference_coupled(state0, dt, n_steps, l4_window):
             ((duration if duration > 0.0 else 1.0) * grid.period
              * np.mean(np.abs(np.array(rec["phi_nls"][lo:])) ** 4)) ** 0.25))
     return {name: np.array(v) for name, v in rec.items()}, state, seed
+
+
+@pytest.mark.parametrize("window", [1, 2, 32])
+def test_windowed_l4_matches_a_deque_of_the_window(window):
+    """The two-copy ring buffer of the L4 window gives the bits of averaging
+    a deque of the last `window` |phi|^4 rows, with the call count below, at
+    and past the window, and past it again after a full wrap."""
+    grid = SpectralGrid(32, "torus")
+    rng = np.random.default_rng(window)
+    l4 = fr._windowed_l4(grid, window)
+    powers, times = deque(maxlen=window), deque(maxlen=window)
+    for k in range(2 * window + 3):
+        t, phi = 1e-3 * k, rng.normal(size=32) + 1j * rng.normal(size=32)
+        powers.append(np.abs(phi) ** 4)
+        times.append(t)
+        duration = times[-1] - times[0]
+        ref = ((duration if duration > 0.0 else 1.0) * grid.period
+               * np.mean(powers)) ** 0.25
+        assert l4(t, phi) == float(ref)
 
 
 class TestCoupledDriver:

@@ -61,6 +61,19 @@ def bump_sphere():
 # -- curvature ----------------------------------------------------------------
 
 
+def test_row_sum_is_bit_equal_to_np_sum():
+    """The left-to-right sum behind metric, tangent_project and _dot gives
+    np.sum's bits over 2- and 3-long last axes, whatever the layout, on
+    values spread over 16 decades, where another order would round
+    differently."""
+    rng = np.random.default_rng(3)
+    for shape in ((3,), (2,), (128, 3), (129, 2), (64, 1, 3), (16, 3, 3)):
+        for _ in range(200):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            for y in (x, np.asfortranarray(x)):
+                assert np.array_equal(geo._row_sum(y), np.sum(y, axis=-1))
+
+
 def test_round_sphere_curvature_scaling():
     for r in (1.0, 2.0, 0.5):
         s = geo.round_sphere(r)
@@ -531,6 +544,27 @@ def test_parallel_frame_with_base_index_matches_stepwise_oracle(target, bump_sph
     assert np.abs(frame.e1_wrap - ref[-1]).max() < PARITY_TOL
 
 
+@pytest.mark.parametrize("target", ["unit_round", "round", "warped", "hyperbolic", "torus"])
+@pytest.mark.parametrize("n", [16, 128, 4096])
+def test_transport_cells_match_the_generic_route(target, n, bump_sphere):
+    """The round sphere's closed-form rank-one cells equal the generic stage
+    products of SurfaceModel.transport_cells to 1e-14, on radius 1 and 1.5
+    and near the pole; every other target takes the generic route itself."""
+    s = (geo.round_sphere() if target == "unit_round"
+         else _transport_target(target, bump_sphere))
+    loops = [_wobbly_loop(s, n)]
+    if s.embedded:
+        loops.append(_wobbly_loop(s, n, alpha=0.05))  # circles near the pole
+    for loop in loops:
+        data = geo._closed_loop_path_data(s, loop)
+        ref = geo.SurfaceModel.transport_cells(s, *data)
+        got = s.transport_cells(*data)
+        if target.endswith("round"):
+            assert np.abs(got - ref).max() < 1e-14
+        else:
+            assert np.array_equal(got, ref)
+
+
 def test_default_seed_ignores_a_start_direction_set_by_rounding():
     """A base-node u_x of at most 1e-6 of the loop's largest, as on a line
     profile that has decayed at the base, or none at all, gives the first
@@ -544,10 +578,10 @@ def test_default_seed_ignores_a_start_direction_set_by_rounding():
 
 
 def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
-    """The transport evaluates the connection on whole cell stacks, once at
-    the nodes and once at the midpoints, so the number of generator calls
-    is fixed, not one round of stages per node."""
-    s = geo.round_sphere()
+    """The generic transport evaluates the connection on whole cell stacks,
+    once at the nodes and once at the midpoints, so the number of generator
+    calls is fixed, not one round of stages per node; the round sphere's
+    closed-form cells call it not at all."""
     counts = []
     rhs = geo._covariant_rhs
 
@@ -556,10 +590,11 @@ def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
         return rhs(*args)
 
     monkeypatch.setattr(geo, "_covariant_rhs", counting)
-    for n in (32, 256):
-        counts.append(0)
-        geo.loop_frame(s, _wobbly_loop(s, n))
-    assert counts[0] == counts[1] == 2
+    for s, calls in ((geo.hyperbolic_disk(), 2), (geo.round_sphere(), 0)):
+        for n in (32, 256):
+            counts.append(0)
+            geo.loop_frame(s, _wobbly_loop(s, n))
+            assert counts[-1] == calls
 
 
 # -- reference frames -----------------------------------------------------------

@@ -195,6 +195,24 @@ def test_fft_route_above_the_crossover():
     assert np.array_equal(grid.upsample(f), grid._fft_upsample(f, 2))
 
 
+@pytest.mark.parametrize("n", [4, 16, 128, 256, 1024])
+def test_midpoints_are_the_odd_rows_of_the_upsample(n):
+    """Bit for bit on the dense route, to rounding above it."""
+    grid = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (n, 3), (n, 2, 3)):
+        f = rng.normal(size=shape)
+        got, ref = grid.midpoints(f), grid.upsample(f, 2)[1::2]
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        if n <= DENSE_MAX_N:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    x = grid.nodes + 0.5 * grid.dx
+    assert np.abs(grid.midpoints(np.cos(2 * np.pi * grid.nodes))
+                  - np.cos(2 * np.pi * x)).max() < 1e-12
+
+
 def test_fft_derivative_does_not_depend_on_the_other_orders():
     """Above the crossover each order is one inverse transform of the shared
     spectrum, scaled in place for the last order and into a copy for the

@@ -1,6 +1,6 @@
 """The artifact-matrix tool's tree and number comparison, the paired
-benchmark tool's parse and summary step, and the benchmark's stored
-fingerprints read from tier-1."""
+benchmark tool's parse and summary step, the trend reader's chain of
+records, and the benchmark's stored fingerprints read from tier-1."""
 
 import importlib.util
 import json
@@ -56,6 +56,36 @@ def test_numeric_differences_per_column_and_key(tmp_path):
     assert tool.numeric_differences(a, b) == {
         "metrics.e": (0.5, 0.2), "matrix": (0.25, 1.0),
         "results[r2].value": (1e-9, 1.0)}
+
+
+def test_bench_trend_chains_the_records_in_pr_order(tmp_path, capsys):
+    """Two canned records, written out of order: each record's ratio in PR
+    order and the running product; a workload one record lacks leaves its
+    cell empty and the product as it was."""
+    tool = load_tool(ROOT / "tools" / "bench_trend.py", "bench_trend")
+
+    def record(label, workloads):
+        return {"label": label, "workloads": {
+            name: {"ratio": ratios} for name, ratios in workloads.items()}}
+
+    (tmp_path / "BENCH_pr9.json").write_text(json.dumps(record("pr9", {
+        "a": {"throughput": 1.25, "op_ms.p50": 0.8}})))
+    (tmp_path / "BENCH_pr10.json").write_text(json.dumps(record("pr10", {
+        "a": {"throughput": 1.5, "op_ms.p50": 0.5}, "b": {"throughput": 2.0}})))
+    records = tool.load_records(tmp_path)
+    assert [label for label, _ in records] == ["pr9", "pr10"]
+    assert tool.trend(records) == {
+        "a": {"throughput": [("pr9", 1.25, 1.25), ("pr10", 1.5, 1.875)],
+              "op_ms.p50": [("pr9", 0.8, 0.8), ("pr10", 0.5, 0.4)]},
+        "b": {"throughput": [("pr9", None, 1.0), ("pr10", 2.0, 2.0)]}}
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a",
+        "  throughput   pr9 1.250 (1.250)  pr10 1.500 (1.875)",
+        "  op_ms.p50    pr9 0.800 (0.800)  pr10 0.500 (0.400)",
+        "b",
+        "  throughput   pr9 -              pr10 2.000 (2.000)"]
+    assert tool.main([str(tmp_path / "empty")]) == 1
 
 
 def test_benchmark_fingerprints_hold():
