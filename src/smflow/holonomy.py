@@ -312,8 +312,7 @@ def _x_independence(samples: np.ndarray, period: float, n_bases: int):
     one stacked pass over the n_bases shifted bases."""
     samples = _as_matrix_samples(samples, n_bases)
     n = samples.shape[0]
-    shifted = np.stack([np.roll(samples, -b * (n // n_bases), axis=0)
-                        for b in range(n_bases)], axis=1)
+    shifted = samples[(np.arange(n)[:, None] + (n // n_bases) * np.arange(n_bases)) % n]
     H, fine_cells = _richardson_product(shifted, period, n)
     ref = H[0]
     eigs = np.linalg.eigvals(H)

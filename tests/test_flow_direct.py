@@ -84,16 +84,39 @@ def test_round_sphere_velocity_is_landau_lifshitz_form():
         assert np.abs(fast - general).max() <= 1e-15 * np.abs(general).max()
 
 
-def test_round_sphere_velocity_refuses_to_overwrite_its_loop():
-    """The column-wise cross product reads u after writing out, so an out
-    that overlaps u is refused rather than given a wrong rate."""
+def test_round_sphere_velocity_may_overwrite_its_loop():
+    """The paired cross product reads all of u before it writes out, so out
+    may be u itself, in either layout, and gets the fresh rate bit for bit."""
     state = make_state("perturbed_latitude", n=64, alpha=1.0, eps=0.1, m=2)
-    u = state.points.copy()
-    with pytest.raises(ValueError, match="input loop"):
-        state.surface.flow_velocity(state.grid, u, out=u)
-    out = np.empty_like(u)
-    assert state.surface.flow_velocity(state.grid, u, out) is out
-    assert np.array_equal(out, state.surface.flow_velocity(state.grid, u))
+    fresh = state.surface.flow_velocity(state.grid, state.points)
+    uxx = state.grid.derivatives(state.points, (2,))[0]
+    assert np.array_equal(fresh, np.cross(uxx, state.points))
+    for u in (state.points.copy(), np.asfortranarray(state.points)):
+        assert state.surface.flow_velocity(state.grid, u, out=u) is u
+        assert np.array_equal(u, fresh)
+    out = np.empty_like(state.points)
+    assert state.surface.flow_velocity(state.grid, state.points, out) is out
+    assert np.array_equal(out, fresh)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+@pytest.mark.parametrize("n", [64, 256])
+def test_round_sphere_velocity_is_bit_equal_across_layouts(radius, n):
+    """u_xx x u / r equals np.cross of the same second derivative bit for bit
+    for row-major, column-major and seed-stacked (n + 1 rows, column-major,
+    as the coupled step holds them) loops, written into a fresh array or
+    into an out of either layout, on values over 16 decades."""
+    surface, grid = geo.round_sphere(radius), SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 3))
+    expected = np.cross(grid.derivatives(rows, (2,))[0], rows) / radius
+    stacked = np.asfortranarray(np.vstack([rows, rng.normal(size=(1, 3))]))
+    for u in (rows, np.asfortranarray(rows), stacked[:n]):
+        assert np.array_equal(surface.flow_velocity(grid, u), expected)
+        for out in (np.empty((n, 3)), np.empty((n, 3), order="F"),
+                    np.empty((n + 1, 3), order="F")[:n]):
+            surface.flow_velocity(grid, u, out)
+            assert np.array_equal(out, expected)
 
 
 def test_warped_sphere_keeps_the_general_velocity():

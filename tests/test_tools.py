@@ -154,6 +154,41 @@ def test_bench_pair_parses_runs_and_summarizes_pairs():
     assert tool.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0}
 
 
+def test_bench_pair_states_a_verdict_per_metric():
+    """gain, within bound, worse than bound and unresolved from canned runs
+    of ten rounds, by the better direction and the bound of each metric;
+    the summary stores a verdict only for metrics with a bound. No
+    benchmark runs."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    steady = [100.0, 101.0, 99.0, 100.5, 99.5] * 2
+    wide = [60.0, 140.0, 70.0, 130.0, 100.0] * 2  # IQR 60% of the median
+    cases = [
+        # better in 9 of 10 by more than the other side's IQR
+        ([110.0] * 9 + [99.0], steady, "higher", "gain"),
+        ([90.0] * 9 + [101.0], steady, "lower", "gain"),
+        # better in 10 of 10 but by less than the IQR
+        ([t + 0.1 for t in steady], steady, "higher", "within bound"),
+        # worse by 10% against a 15% bound, and by 20%
+        ([90.0] * 10, steady, "higher", "within bound"),
+        ([110.0] * 10, steady, "lower", "within bound"),
+        ([80.0] * 10, steady, "higher", "worse than bound"),
+        ([120.0] * 10, steady, "lower", "worse than bound"),
+        # the other side spreads wider than the bound
+        ([100.0] * 10, wide, "higher", "unresolved"),
+        ([100.0] * 10, wide, "lower", "unresolved"),
+        # ... unless every run of this side beats every run of the other
+        ([t + 1.0 for t in wide], wide, "higher", "unresolved"),
+        ([150.0] * 10, wide, "higher", "within bound"),
+    ]
+    for this, other, how, expected in cases:
+        out = tool.summarize(
+            {"this": [tool.last_json(_bench_output(t, t)) for t in this],
+             "against": [tool.last_json(_bench_output(t, t)) for t in other]},
+            {"throughput": how, "op_ms.p50": how},
+            {"throughput": 0.15, "setup_s": 0.25})
+        assert out["verdict"] == {"throughput": expected}, (this, how)
+
+
 def test_bench_pair_reads_the_acceptance_fixture_time():
     """The fixture's time is the acceptance-1 setup duration pytest reports,
     and its drift the acceptance line; canned output, no test run."""

@@ -26,8 +26,18 @@ All three pin the BLAS and OpenMP pools to one thread, as the benchmark does.
 ``BENCH_<label>.json`` is written at the root of this checkout. For each
 workload and side it holds every end-to-end metric's per-round values,
 median and quartiles, whether every run was correct, and for each metric
-the ratio of the medians (this / against) and the number of rounds in which
-this side was better (by the ``better`` direction of ``BENCHMARK.json``).
+the ratio of the medians (this / against), the number of rounds in which
+this side was better (by the ``better`` direction of ``BENCHMARK.json``),
+and a verdict against the metric's ``bound``:
+
+- ``gain``: this side is better in at least 9 of 10 rounds and its median
+  beats the other's by more than the other side's interquartile range;
+- ``unresolved``: the other side's interquartile range, relative to its
+  median, is wider than the bound, and not every run of this side is better
+  than every run of the other;
+- ``within bound`` or ``worse than bound``: the median of this side is worse
+  than the other's by at most, or by more than, the bound (relative).
+
 It also records the seeds, the host, and both checkouts: the commit, whether
 tracked files had uncommitted changes, and the sha256 of ``git diff HEAD``,
 so two trees on the same commit can be told apart. The checkouts are read
@@ -92,12 +102,30 @@ def cli_result(wall_s: float, status: int, rusage) -> dict:
             "max_rss_mb": rusage.ru_maxrss / 1024.0}
 
 
-def summarize(results: dict, better: dict) -> dict:
+def verdict(this: dict, other: dict, how: str, bound: float) -> str:
+    """Verdict of one metric from both sides' summaries (values, median,
+    quartiles): this side against the other, ``how`` "higher" or "lower"
+    is better, ``bound`` the allowed relative worsening of the median."""
+    sign = 1.0 if how == "higher" else -1.0
+    wins = sum(sign * (a - b) > 0 for a, b in zip(this["values"], other["values"]))
+    gap = sign * (this["median"] - other["median"])
+    spread = other["q3"] - other["q1"]
+    if wins >= 0.9 * len(this["values"]) and gap > spread:
+        return "gain"
+    beats_all = min(sign * a for a in this["values"]) > max(sign * b for b in other["values"])
+    if spread > bound * abs(other["median"]) and not beats_all:
+        return "unresolved"
+    return "within bound" if gap >= -bound * abs(other["median"]) else "worse than bound"
+
+
+def summarize(results: dict, better: dict, bounds=None) -> dict:
     """Per-side statistics of one workload's paired runs.
 
     ``results`` maps "this" and "against" to the parsed results of the
     rounds in seed order; ``better`` maps a metric name to "higher" or
-    "lower". Metrics missing from ``better`` get no win count.
+    "lower", and ``bounds`` a metric name to its relative bound. Metrics
+    missing from ``better`` get no win count, and those missing from
+    ``bounds`` no verdict.
     """
     out = {}
     for side, runs in results.items():
@@ -117,6 +145,9 @@ def summarize(results: dict, better: dict) -> dict:
             pairs = zip(this[name]["values"], other[name]["values"])
             wins[name] = sum((a > b) if how == "higher" else (a < b) for a, b in pairs)
     out["this_better_in"] = wins
+    out["verdict"] = {name: verdict(this[name], other[name], better[name], bound)
+                      for name, bound in (bounds or {}).items()
+                      if name in this and name in better}
     return out
 
 
@@ -213,6 +244,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     roots = {"this": ROOT, "against": args.against.resolve()}
     seeds = list(range(1, args.rounds + 1))
@@ -229,7 +261,7 @@ def main(argv=None) -> int:
     for name in (w["name"] for w in spec["workloads"]):
         results = alternate(args.rounds, roots, lambda root, i: bench_run(
             root, spec["command"], name, seeds[i], seconds))
-        record["workloads"][name] = summarize(results, better)
+        record["workloads"][name] = summarize(results, better, bounds)
     if args.fixture:
         record["acceptance1_fixture"] = timing_summary(
             alternate(args.fixture, roots, lambda root, i: fixture_run(root)))
@@ -253,7 +285,7 @@ def main(argv=None) -> int:
         for metric, ratio in summary["ratio"].items():
             print(f"{name:20s} {metric:12s} this/against {ratio:.4f} "
                   f"better in {summary['this_better_in'].get(metric, '-')}"
-                  f"/{args.rounds}")
+                  f"/{args.rounds}  {summary['verdict'].get(metric, '-')}")
     print(f"wrote {path.name}")
     return 0
 
