@@ -30,8 +30,9 @@ the ratio of the medians (this / against), the number of rounds in which
 this side was better (by the ``better`` direction of ``BENCHMARK.json``),
 and a verdict against the metric's ``bound``:
 
-- ``gain``: this side is better in at least 9 of 10 rounds and its median
-  beats the other's by more than the other side's interquartile range;
+- ``gain``: this side is better in at least nine tenths of the rounds and
+  its median beats the other's by more than the other side's
+  interquartile range;
 - ``unresolved``: the other side's interquartile range, relative to its
   median, is wider than the bound, and not every run of this side is better
   than every run of the other;
@@ -102,12 +103,12 @@ def cli_result(wall_s: float, status: int, rusage) -> dict:
             "max_rss_mb": rusage.ru_maxrss / 1024.0}
 
 
-def verdict(this: dict, other: dict, how: str, bound: float) -> str:
+def verdict(this: dict, other: dict, how: str, bound: float, wins: int) -> str:
     """Verdict of one metric from both sides' summaries (values, median,
     quartiles): this side against the other, ``how`` "higher" or "lower"
-    is better, ``bound`` the allowed relative worsening of the median."""
+    is better, ``bound`` the allowed relative worsening of the median and
+    ``wins`` the rounds in which this side was better."""
     sign = 1.0 if how == "higher" else -1.0
-    wins = sum(sign * (a - b) > 0 for a, b in zip(this["values"], other["values"]))
     gap = sign * (this["median"] - other["median"])
     spread = other["q3"] - other["q1"]
     if wins >= 0.9 * len(this["values"]) and gap > spread:
@@ -145,9 +146,8 @@ def summarize(results: dict, better: dict, bounds=None) -> dict:
             pairs = zip(this[name]["values"], other[name]["values"])
             wins[name] = sum((a > b) if how == "higher" else (a < b) for a, b in pairs)
     out["this_better_in"] = wins
-    out["verdict"] = {name: verdict(this[name], other[name], better[name], bound)
-                      for name, bound in (bounds or {}).items()
-                      if name in this and name in better}
+    out["verdict"] = {name: verdict(this[name], other[name], better[name], bound, wins[name])
+                      for name, bound in (bounds or {}).items() if name in wins}
     return out
 
 
