@@ -35,8 +35,6 @@ from .spectral import SpectralGrid
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
-SUITE_NAMES = ("conservation", "holonomy", "strichartz", "reduction")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -220,21 +218,13 @@ def _check_reduction(rng):
         st, w = fr._step_with_seed(st, dt, w)
         states.append(st)
         seeds.append(w.copy())
-    trio = []
-    for k in (0, 1, 2):
-        frame = fr.parallel_frame(warped, states[k], seed=seeds[k])
-        co = fr.coefficients(states[k], frame)
-        trio.append((states[k], frame, co))
-    th1 = lift_to_branch(trio[1][1].transport_angle(),
-                         holonomy_ode(warped, wgrid, trio[1][0].points))
-    th0 = lift_to_branch(trio[0][1].transport_angle(), th1)
-    th2 = lift_to_branch(trio[2][1].transport_angle(), th1)
-    phis = [fr.untwist(c, t) for (_, _, c), t in zip(trio, (th0, th1, th2))]
-    terms = fr.nonlinear_terms(trio[1][0], trio[1][2])
-    rate = holonomy_rate(warped, wgrid, trio[1][0].points)
-    F = fr.assemble_nls_rhs(wgrid, phis[1], terms, theta=th1, theta_rate=rate)
-    lhs = 1j * (phis[2] - phis[0]) / (2 * dt)
-    rhs = wgrid.derivative(phis[1], order=2) + F
+    _, co1, _, th1, phi1 = fr.reduce_state(states[1], seeds[1])
+    phi0, phi2 = (fr.reduce_state(states[k], seeds[k], th1)[4] for k in (0, 2))
+    terms = fr.nonlinear_terms(states[1], co1)
+    rate = holonomy_rate(warped, wgrid, states[1].points)
+    F = fr.assemble_nls_rhs(wgrid, phi1, terms, theta=th1, theta_rate=rate)
+    lhs = 1j * (phi2 - phi0) / (2 * dt)
+    rhs = wgrid.derivative(phi1, order=2) + F
     out.append(_result("reduction", "equation_residual",
                        np.abs(lhs - rhs).max() / np.abs(rhs).max(), 1e-5,
                        "centered time difference of the coupled frames"))
@@ -262,6 +252,7 @@ _SUITES = {
     "strichartz": _check_strichartz,
     "reduction": _check_reduction,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0):

@@ -422,12 +422,9 @@ def _run_autonomous(loop, cfg, dt, n_steps, keep):
     0: the initial loop), and the swept angle and L4 window run over rows.
     Returns the final loop and no result."""
     surface, grid = loop.surface, loop.grid
-    frame = fr.parallel_frame(surface, loop)
-    coeffs = fr.coefficients(loop, frame)
-    ode0 = _holonomy_ode(loop)
-    theta0 = lift_to_branch(frame.transport_angle(), ode0)
-    state = fr.AutonomousState(grid, fr.untwist(coeffs, theta0),
-                               loop.points[0].copy(), frame.e1[0].copy(), theta0)
+    frame, _, ode0, theta0, phi0 = fr.reduce_state(loop)
+    state = fr.AutonomousState(grid, phi0, loop.points[0].copy(), frame.e1[0].copy(),
+                               theta0)
     l4 = fr._windowed_l4(grid, cfg["diagnostics"]["l4_window"])
     prev, theta_gb = None, theta0  # the previous row's (t, points)
 
@@ -470,10 +467,8 @@ def run_scenario(cfg):
     out_dir = output_root() / cfg["output"]["dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    echo = copy.deepcopy(cfg)
-    echo["schema"] = SCHEMA_CONFIG
-    echo["derived"] = {"dt": dt, "n_steps": n_steps}
-    _write_json(out_dir / "config.json", echo)
+    _write_json(out_dir / "config.json", {**cfg, "schema": SCHEMA_CONFIG,
+                                          "derived": {"dt": dt, "n_steps": n_steps}})
 
     diag, mode = cfg["diagnostics"], cfg["reduction"]["mode"]
     circle = grid.kind == "circle"
@@ -531,92 +526,69 @@ def run_scenario(cfg):
 # -- convergence studies ----------------------------------------------------------
 
 
-def _parse_levels(spec):
-    levels = []
-    violations = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        n_part, sep, dt_part = item.partition(":")
-        try:
-            n = int(n_part)
-        except ValueError:
-            violations.append(f"level {item!r}: sample count must be an integer")
-            continue
-        dt = 0.0  # the stability limit
-        if sep:
-            try:
-                dt = float(dt_part)
-            except ValueError:
-                violations.append(f"level {item!r}: dt must be a number")
-                continue
-        levels.append((n, dt))
-    if violations:
-        raise ConfigError(violations)
-    return levels
-
-
 def _latitude_exact(alpha, grid, t, radius=1.0):
-    omega = 4.0 * np.pi**2 * np.cos(alpha) / radius**2
-    phase = 2.0 * np.pi * grid.nodes / grid.period + omega * t
+    """The latitude preset's exact flow on a round sphere of the radius: r
+    times the unit-sphere precession, whose rate 4 pi^2 cos(alpha) does not
+    depend on r."""
+    phase = 2.0 * np.pi * grid.nodes / grid.period + 4.0 * np.pi**2 * np.cos(alpha) * t
     return radius * np.stack(
         [np.sin(alpha) * np.cos(phase), np.sin(alpha) * np.sin(phase),
          np.full(grid.n, np.cos(alpha))], axis=-1)
 
 
+def _has_closed_form(cfg):
+    """Whether _latitude_exact solves the configured run: the latitude preset
+    on a round sphere, on the circle domain."""
+    return (cfg["target"]["kind"] == "round_sphere" and cfg["domain"]["kind"] == "circle"
+            and cfg["init"].get("kind") == "latitude")
+
+
 def _study_error_kind(cfg):
     kind = cfg["study"]["error"]
-    if kind != "auto":
-        return kind
-    if (cfg["target"]["kind"] == "round_sphere"
-            and cfg["target"]["radius"] == 1.0
-            and cfg["init"].get("kind") == "latitude"
-            and cfg["domain"]["kind"] == "circle"):
-        return "analytic"
-    if cfg["reduction"]["mode"] == "coupled":
-        return "cross"
-    return "reference"
+    if kind == "auto":  # analytic only on the unit sphere
+        kind = ("analytic" if _has_closed_form(cfg) and cfg["target"]["radius"] == 1.0
+                else "cross" if cfg["reduction"]["mode"] == "coupled" else "reference")
+    return kind
 
 
 def convergence_study(cfg, levels):
-    """Errors and observed orders over a list of (n, dt) refinement levels.
+    """Errors and observed orders over refinement levels, each an "N[:dt]"
+    text that overrides domain.n and time.dt (0, the stability limit, when
+    dt is absent) and is checked like any other override.
 
     Writes convergence.csv; errors are measured against the analytic
     precession solution, the internal cross-formulation disagreement, or
     the finest level, depending on study.error.
     """
+    levels = [item.strip() for item in levels if item.strip()]
     violations = []
     if len(levels) < 3:
         violations.append(f"need at least 3 levels; got {len(levels)}")
-    resolved = []
     if cfg["time"]["t_final"] <= 0:
         violations.append("time.t_final must be positive for a convergence study")
-    if violations:
-        raise ConfigError(violations)
-
-    for n, dt in levels:
+    resolved = []  # (n, dt, n_steps, surface, grid, loop) per level
+    for item in levels:
+        n, _, dt = item.partition(":")
         level_cfg = copy.deepcopy(cfg)
-        level_cfg["domain"]["n"] = n
-        level_cfg["time"]["dt"] = dt
-        err = _validate_structure(level_cfg)
-        if err:
-            violations.extend(f"level n={n}: {e}" for e in err)
-            continue
+        err = [*_apply_override(level_cfg, f"domain.n={n}"),
+               *_apply_override(level_cfg, f"time.dt={dt or 0}")]
         try:
-            surface, grid, loop, dt_run, n_steps = _materialize(level_cfg)
+            err = err or _validate_structure(level_cfg)
+            if not err:
+                surface, grid, loop, dt_run, n_steps = _materialize(level_cfg)
+                resolved.append((grid.n, dt_run, n_steps, surface, grid, loop))
         except ConfigError as exc:
-            violations.extend(f"level n={n}: {e}" for e in exc.violations)
-            continue
-        resolved.append((n, dt_run, n_steps, surface, grid, loop))
+            err = exc.violations
+        violations.extend(f"level n={n}: {e}" for e in err)
     for (n0, dt0, *_), (n1, dt1, *_) in zip(resolved, resolved[1:]):
         if n1 < n0 or dt1 > dt0 * (1.0 + 1e-12):
             violations.append(
                 f"levels must refine monotonically: ({n0}, {dt0:.3e}) "
                 f"-> ({n1}, {dt1:.3e})")
     kind = _study_error_kind(cfg)
-    if kind == "analytic" and cfg["init"].get("kind") != "latitude":
-        violations.append("study.error 'analytic' requires the latitude preset")
+    if kind == "analytic" and not _has_closed_form(cfg):
+        violations.append("study.error 'analytic' requires the latitude preset on "
+                          "a round_sphere target and the circle domain")
     if kind == "reference":
         n_fine = resolved[-1][0] if resolved else 0
         for n, *_ in resolved:
@@ -639,7 +611,7 @@ def convergence_study(cfg, levels):
             finals.append(state.points)
             if kind == "analytic":
                 exact = _latitude_exact(cfg["init"].get("alpha", np.pi / 3), grid,
-                                        state.time)
+                                        state.time, cfg["target"]["radius"])
                 errors.append(float(np.abs(state.points - exact).max()))
             else:
                 errors.append(np.nan)  # filled below against the finest
@@ -665,9 +637,7 @@ def convergence_study(cfg, levels):
 
     out_dir = output_root() / cfg["output"]["dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = copy.deepcopy(cfg)
-    echo["schema"] = SCHEMA_CONFIG
-    _write_json(out_dir / "config.json", echo)
+    _write_json(out_dir / "config.json", {**cfg, "schema": SCHEMA_CONFIG})
     _write_csv(out_dir / "convergence.csv", SCHEMA_CONVERGENCE,
                ("level", "n", "dt", "n_steps", "error", "order"), rows,
                comments=[f"# error={kind}"])
@@ -691,8 +661,7 @@ def _cmd_run(args):
 
 def _cmd_converge(args):
     cfg = load_config(args.config, args.overrides)
-    levels = _parse_levels(args.levels)
-    out_dir, rows = convergence_study(cfg, levels)
+    out_dir, rows = convergence_study(cfg, args.levels.split(","))
     print(f"convergence table in {out_dir / 'convergence.csv'}")
     print("level  n      dt            error         order")
     for level, n, dt, n_steps, err, order in rows:
@@ -724,29 +693,34 @@ def _cmd_check(args):
     return 0 if passed else 1
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer (a usage error otherwise)."""
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer; got {seed}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="smflow",
         description="Schrodinger map flow simulator and verification lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one configured scenario")
-    run_p.add_argument("--config", default=None, help="JSON configuration file")
-    run_p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config entry")
-    run_p.set_defaults(func=_cmd_run)
+    config_p = argparse.ArgumentParser(add_help=False)
+    config_p.add_argument("--config", default=None, help="JSON configuration file")
+    config_p.add_argument("--set", dest="overrides", action="append", default=[],
+                          metavar="KEY=VALUE", help="override a config entry")
+    sub.add_parser("run", parents=[config_p], help="run one configured scenario"
+                   ).set_defaults(func=_cmd_run)
 
-    conv_p = sub.add_parser("converge", help="run a refinement study")
-    conv_p.add_argument("--config", default=None)
-    conv_p.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE")
+    conv_p = sub.add_parser("converge", parents=[config_p], help="run a refinement study")
     conv_p.add_argument("--levels", required=True,
                         help="comma-separated N[:dt] levels, coarse to fine")
     conv_p.set_defaults(func=_cmd_converge)
 
     check_p = sub.add_parser("check", help="run a named verification suite")
     check_p.add_argument("suite", choices=(*SUITE_NAMES, "all"))
-    check_p.add_argument("--seed", type=int, default=0)
+    check_p.add_argument("--seed", type=_seed, default=0, help="a non-negative integer")
     check_p.set_defaults(func=_cmd_check)
     return parser
 

@@ -43,8 +43,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .flow_direct import LoopState
-from .geometry import (ProductSurface, SurfaceModel, WarpedSphere, _covariant_rhs,
-                       _frame_angle, _path_frame, _unit_tangent)
+from .geometry import (ProductSurface, SurfaceModel, WarpedSphere, _frame_angle,
+                       _path_frame, _unit_tangent)
 from .holonomy import _holonomy_ode, _holonomy_rate, lift_to_branch, swept_angle_increment
 from .nls_solver import ComplexField, split_step
 from .spectral import SpectralGrid, _read_only
@@ -360,11 +360,27 @@ def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
 
     def rhs(y, rate):
         s.flow_velocity(grid, y[:n], rate[:n])
-        rate[n] = _covariant_rhs(s, y[0], rate[0], y[n])
+        rate[n] = s.covariant_rhs(y[0], rate[0], y[n])
 
     y = np.vstack([state.points, np.asarray(seed, dtype=float)])
     new_state, carried = fd._rk4_step(state, dt, rhs, y)
     return new_state, _unit_tangent(s, new_state.points[0], carried[0])
+
+
+def reduce_state(state: LoopState, seed=None, theta_ref=None):
+    """The gauge part of the reduction of one state: (frame, coefficients,
+    holonomy_ode, theta, phi), with the frame transported from the seed
+    (parallel_frame's default when None), theta the frame's transport angle
+    lifted next to theta_ref (by default next to holonomy_ode) and phi the
+    coefficients untwisted by theta. On a line grid holonomy_ode is NaN,
+    theta 0 and phi a copy of the coefficients Phi."""
+    frame = parallel_frame(state.surface, state, seed)
+    coeffs = coefficients(state, frame)
+    if state.grid.kind == "line":
+        return frame, coeffs, np.nan, 0.0, coeffs.phi.copy()
+    ode = _holonomy_ode(state)
+    theta = lift_to_branch(frame.transport_angle(), ode if theta_ref is None else theta_ref)
+    return frame, coeffs, ode, theta, untwist(coeffs, theta)
 
 
 def _two_point_step(field: ComplexField, dt: float, pot0: np.ndarray,
@@ -467,9 +483,9 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     error.
 
     Each state is reduced by the public routes, which share the u_x,
-    |u_x|^2_h, K and K_x its LoopState computes once: the frame, the
-    coefficients, the letters, the energy, holonomy_ode (which also lifts
-    the initial theta) and the rate.
+    |u_x|^2_h, K and K_x its LoopState computes once: reduce_state (the
+    frame, the coefficients, holonomy_ode, which also lifts the initial
+    theta, and phi), the letters, the energy and the rate.
 
     The loop's grid decides the reduction: a line grid runs the line
     reduction (theta = 0, theta_ode NaN, no swept angle, the edge decay in
@@ -481,22 +497,6 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     """
     surface, grid = state0.surface, state0.grid
     circle = grid.kind != "line"
-
-    def reduce(state, seed, theta_ref=None):
-        """Frame, coefficients, holonomy_ode (NaN on the line), theta (lifted
-        next to theta_ref, by default holonomy_ode), rate, phi and potential
-        of a state."""
-        frame = parallel_frame(surface, state, seed)
-        coeffs = coefficients(state, frame)
-        terms = nonlinear_terms(state, coeffs)
-        if not circle:
-            return frame, coeffs, np.nan, 0.0, 0.0, coeffs.phi.copy(), terms.S + terms.T
-        ode = _holonomy_ode(state)
-        theta_k = lift_to_branch(frame.transport_angle(), ode if theta_ref is None else theta_ref)
-        rate = _holonomy_rate(state)
-        return (frame, coeffs, ode, theta_k, rate, untwist(coeffs, theta_k),
-                grid.nodes * rate + terms.potential())
-
     series = np.empty((len(CoupledStep._fields) - 3, n_steps + 1))
     l4 = _windowed_l4(grid, l4_window)
     state, seed, theta, pot = state0, None, None, None
@@ -504,7 +504,10 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         if k:
             prev_points = state.points
             state, seed = _step_with_seed(state, dt, seed)
-        frame, coeffs, ode, theta_k, rate, phi_f, pot_k = reduce(state, seed, theta)
+        frame, coeffs, ode, theta_k, phi_f = reduce_state(state, seed, theta)
+        terms = nonlinear_terms(state, coeffs)
+        rate = _holonomy_rate(state) if circle else 0.0
+        pot_k = (grid.nodes * rate + terms.potential()) if circle else terms.S + terms.T
         seed = frame.e1[0]
         if not k:
             gb, nls = theta_k, ComplexField(grid, phi_f)
@@ -689,7 +692,7 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     def carry(st, displacement):
         """The base point moved by displacement and the seed carried along."""
         base = surface.project_point(st.base_point + displacement)
-        h = _covariant_rhs(surface, st.base_point, displacement, st.e1_base)
+        h = surface.covariant_rhs(st.base_point, displacement, st.e1_base)
         return base, _unit_tangent(surface, base, st.e1_base + h)
 
     for k in range(n_steps):

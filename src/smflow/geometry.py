@@ -115,7 +115,9 @@ class SurfaceModel:
 
     Pointwise methods broadcast over leading axes of (..., point_dim) arrays.
     The defaults are those of a target without conformal factor, curvature
-    gradient or singular frame axis.
+    gradient or singular frame axis. Each target's ``covariant_rhs(u, du,
+    v)`` is the change of v that keeps it parallel over the step du from u;
+    it is linear in v, so the identity rows give the transport generator.
     """
 
     kind = ""
@@ -166,8 +168,8 @@ class SurfaceModel:
         generator (the right-hand side on the identity rows), evaluated once
         at the nodes and once at the midpoints."""
         eye = np.eye(nodes.shape[-1])
-        g_nodes = _covariant_rhs(self, nodes[:, None], dnodes[:, None], eye)
-        g_mid = _covariant_rhs(self, mids[:, None], dmids[:, None], eye)
+        g_nodes = self.covariant_rhs(nodes[:, None], dnodes[:, None], eye)
+        g_mid = self.covariant_rhs(mids[:, None], dmids[:, None], eye)
         k1 = g_nodes[:-1]
         k2 = g_mid + 0.5 * (k1 @ g_mid)
         k3 = g_mid + 0.5 * (k2 @ g_mid)
@@ -645,15 +647,6 @@ def christoffel_at(surface: SurfaceModel, q: np.ndarray) -> np.ndarray:
 
 
 # -- parallel transport --------------------------------------------------------
-
-
-def _covariant_rhs(surface: SurfaceModel, u, du, v):
-    """Ambient/chart derivative of v enforcing covariant constancy along u.
-
-    Linear in v and broadcast over leading axes, so a stack of vectors (or
-    the identity rows, giving the generator matrix) goes through at once.
-    """
-    return surface.covariant_rhs(u, du, v)
 
 
 def _unit_tangent(surface: SurfaceModel, p, w):

@@ -826,6 +826,31 @@ class TestConvergeCommand:
         assert np.all(orders >= 3.8)
         assert data[-1, cols.index("error")] < 1e-11
 
+    def test_analytic_study_on_a_sphere_of_radius_two(self, workdir):
+        """The latitude preset on a sphere of radius r precesses as r times
+        the unit-sphere solution, at the same rate: the analytic study of a
+        radius-2 run converges."""
+        cfg = write_config(workdir, target={"kind": "round_sphere", "radius": 2.0},
+                           domain={"kind": "circle", "n": 16},
+                           init={"kind": "latitude", "alpha": np.pi / 4},
+                           time={"t_final": 0.05}, study={"error": "analytic"},
+                           output={"dir": "study"})
+        assert cli.main(["converge", "--config", str(cfg),
+                         "--levels", "16,32,64"]) == 0
+        cols, data = read_csv(workdir / "study" / "convergence.csv")
+        assert np.all(data[1:, cols.index("order")] >= 3.8)
+        assert data[-1, cols.index("error")] < 1e-11
+
+    @pytest.mark.parametrize("override", ["target.kind=warped_sphere",
+                                          "domain.kind=line"])
+    def test_analytic_study_needs_the_round_sphere_on_the_circle(
+            self, workdir, capsys, override):
+        assert cli.main(["converge", "--set", "study.error=analytic",
+                         "--set", "time.t_final=0.01", "--set", override,
+                         "--levels", "16,32,64"]) == 2
+        assert ("config error: study.error 'analytic' requires the latitude preset "
+                "on a round_sphere target") in capsys.readouterr().err
+
     def test_cross_error_orders(self, workdir):
         cfg = write_config(workdir, time={"t_final": 0.003},
                            output={"dir": "study"})
@@ -853,6 +878,17 @@ class TestConvergeCommand:
         assert cli.main(["converge", "--config", str(cfg),
                          "--levels", levels]) == 2
         assert "config error: level n=16: time.dt must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels,message", [
+        ("16.0,32,64", "level n=16.0: domain.n must be a power of two >= 16; got 16.0"),
+        ("x:1e-4,32,64", "level n=x: domain.n must be a power of two >= 16; got 'x'"),
+        ("16:1e-4:2,32,64", "level n=16: time.dt must be a number >= 0")])
+    def test_level_goes_through_the_configuration_table(self, workdir, capsys,
+                                                        levels, message):
+        """A level's N and dt are domain.n and time.dt overrides, refused by
+        the table's rules under the level's prefix."""
+        assert cli.main(["converge", "--levels", levels]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_identical_grids_zero_error_rows(self, workdir):
         cfg = write_config(workdir, study={"error": "reference"},
@@ -884,6 +920,12 @@ class TestCheckCommand:
         for item in report["results"]:
             assert item["passed"] is True
             assert item["value"] <= item["threshold"]
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "strichartz", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer; got -1" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

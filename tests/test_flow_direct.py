@@ -12,7 +12,7 @@ import pytest
 from smflow import flow_direct as fd
 from smflow import frame_reduction as fr
 from smflow import geometry as geo
-from smflow.geometry import _covariant_rhs, _unit_tangent
+from smflow.geometry import _unit_tangent
 from smflow.errors import ConfigError, RejectedStepError
 from smflow.spectral import SpectralGrid
 
@@ -388,7 +388,7 @@ def test_seed_row_rides_the_workspace_step(n):
     def rhs(y):
         rate = np.empty_like(y)
         rate[:n] = s.flow_velocity(grid, y[:n])
-        rate[n] = _covariant_rhs(s, y[0], rate[0], y[n])
+        rate[n] = s.covariant_rhs(y[0], rate[0], y[n])
         return rate
 
     y = allocating_rk4(rhs, np.vstack([state.points, seed]), dt)

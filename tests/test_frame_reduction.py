@@ -18,7 +18,6 @@ from smflow.errors import (
 from smflow.flow_direct import LoopState
 from smflow.geometry import (
     TangentVector,
-    _covariant_rhs,
     _unit_tangent,
     bump_warp,
     flat_torus,
@@ -624,6 +623,31 @@ class TestCoupledDriver:
         with pytest.raises(ConfigError, match="decay"):
             fr.coupled_evolve(bad, 1e-6, 1)
 
+    def test_reduce_state_is_the_drivers_gauge_reduction(self):
+        """On a circle reduce_state gives the coupled driver's theta,
+        holonomy_ode and phi bit for bit, from the default seed and from the
+        time-transported one, and theta_ref picks theta's branch; on a line
+        it gives theta 0, a NaN holonomy_ode and a copy of Phi."""
+        surf, grid, loop = bumpy_loop(32)
+        dt = fd.admissible_dt(loop)
+        seen = []
+        fr.coupled_evolve(loop, dt, 1, observer=lambda k, st, s: seen.append((st, s)))
+        frame, _, ode, theta, phi = fr.reduce_state(loop)
+        state1, seed1 = fr._step_with_seed(loop, dt, frame.e1[0])
+        assert np.array_equal(state1.points, seen[1][0].points)
+        for (_, step), got in zip(seen, (fr.reduce_state(loop)[2:],
+                                         fr.reduce_state(state1, seed1, theta)[2:])):
+            assert (got[0], got[1]) == (step.theta_ode, step.theta)
+            assert np.array_equal(got[2], step.phi_frame)
+        _, _, ode_up, theta_up, phi_up = fr.reduce_state(loop, theta_ref=theta + 2 * np.pi)
+        assert ode_up == ode and theta_up - theta == pytest.approx(2 * np.pi, abs=1e-12)
+        assert np.allclose(phi_up, np.exp(2j * np.pi * grid.nodes) * phi, atol=1e-12)
+
+        line = line_profile(n=64)[2]
+        _, coeffs, ode, theta, phi = fr.reduce_state(line)
+        assert theta == 0.0 and np.isnan(ode)
+        assert np.array_equal(phi, coeffs.phi) and not np.shares_memory(phi, coeffs.phi)
+
     def test_seed_time_transport_against_path_transport(self):
         alpha = np.pi / 3
         grid = SpectralGrid(64)
@@ -671,10 +695,10 @@ class TestCoupledDriver:
             k3 = rhs(u3)
             u4 = u + dt * k3
             k4 = rhs(u4)
-            g1 = _covariant_rhs(surf, u[0], dt * k1[0], w)
-            g2 = _covariant_rhs(surf, u2[0], dt * k2[0], w + 0.5 * g1)
-            g3 = _covariant_rhs(surf, u3[0], dt * k3[0], w + 0.5 * g2)
-            g4 = _covariant_rhs(surf, u4[0], dt * k4[0], w + g3)
+            g1 = surf.covariant_rhs(u[0], dt * k1[0], w)
+            g2 = surf.covariant_rhs(u2[0], dt * k2[0], w + 0.5 * g1)
+            g3 = surf.covariant_rhs(u3[0], dt * k3[0], w + 0.5 * g2)
+            g4 = surf.covariant_rhs(u4[0], dt * k4[0], w + g3)
             w = w + (g1 + 2.0 * g2 + 2.0 * g3 + g4) / 6.0
             p = new_state.points[0]
             w = surf.tangent_project(p, w)
@@ -772,16 +796,16 @@ def _stepwise_reconstruction(surface, grid, phi, base_point, e1_base,
         c0, cm = Phi[j], mids[j]
         c1 = Phi[j + 1] if j + 1 < n else wrap_value
         k1 = dx * vel(u, w, c0)
-        h1 = _covariant_rhs(surface, u, k1, w)
+        h1 = surface.covariant_rhs(u, k1, w)
         um = u + 0.5 * k1
         k2 = dx * vel(um, w + 0.5 * h1, cm)
-        h2 = _covariant_rhs(surface, um, k2, w + 0.5 * h1)
+        h2 = surface.covariant_rhs(um, k2, w + 0.5 * h1)
         um2 = u + 0.5 * k2
         k3 = dx * vel(um2, w + 0.5 * h2, cm)
-        h3 = _covariant_rhs(surface, um2, k3, w + 0.5 * h2)
+        h3 = surface.covariant_rhs(um2, k3, w + 0.5 * h2)
         ue = u + k3
         k4 = dx * vel(ue, w + h3, c1)
-        h4 = _covariant_rhs(surface, ue, k4, w + h3)
+        h4 = surface.covariant_rhs(ue, k4, w + h3)
         u = surface.project_point(u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
         w = _unit_tangent(surface, u, w + (h1 + 2 * h2 + 2 * h3 + h4) / 6.0)
     closure = float(np.linalg.norm(u - pts[0]))

@@ -489,10 +489,10 @@ def _stepwise_transport(surface, nodes, mids, dnodes, dmids, e1):
     for i in range(nodes.shape[0] - 1):
         u0, um, u1 = nodes[i], mids[i], nodes[i + 1]
         d0, dm, d1 = dnodes[i], dmids[i], dnodes[i + 1]
-        k1 = geo._covariant_rhs(surface, u0, d0, v)
-        k2 = geo._covariant_rhs(surface, um, dm, v + 0.5 * k1)
-        k3 = geo._covariant_rhs(surface, um, dm, v + 0.5 * k2)
-        k4 = geo._covariant_rhs(surface, u1, d1, v + k3)
+        k1 = surface.covariant_rhs(u0, d0, v)
+        k2 = surface.covariant_rhs(um, dm, v + 0.5 * k1)
+        k3 = surface.covariant_rhs(um, dm, v + 0.5 * k2)
+        k4 = surface.covariant_rhs(u1, d1, v + k3)
         v = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         v = geo._unit_tangent(surface, u1, v)
         out[i + 1] = v
@@ -609,14 +609,14 @@ def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
     calls is fixed, not one round of stages per node; the round sphere's
     closed-form cells call it not at all."""
     counts = []
-    rhs = geo._covariant_rhs
-
-    def counting(*args):
-        counts[-1] += 1
-        return rhs(*args)
-
-    monkeypatch.setattr(geo, "_covariant_rhs", counting)
     for s, calls in ((geo.hyperbolic_disk(), 2), (geo.round_sphere(), 0)):
+        rhs = type(s).covariant_rhs
+
+        def counting(*args, rhs=rhs):
+            counts[-1] += 1
+            return rhs(*args)
+
+        monkeypatch.setattr(type(s), "covariant_rhs", counting)
         for n in (32, 256):
             counts.append(0)
             geo.loop_frame(s, _wobbly_loop(s, n))

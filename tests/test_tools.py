@@ -58,6 +58,20 @@ def test_numeric_differences_per_column_and_key(tmp_path):
         "results[r2].value": (1e-9, 1.0)}
 
 
+def test_difference_lines_put_the_error_beside_the_order(tmp_path):
+    """A convergence table's order line carries the error column's
+    difference, so a rounding-level move of the errors reads as one."""
+    tool = load_tool()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("# error=cross\nlevel,n,error,order\n0,16,1e-6,nan\n1,32,1e-8,6.0\n")
+    b.write_text("# error=cross\nlevel,n,error,order\n0,16,1e-6,nan\n1,32,2e-8,5.0\n")
+    assert tool.difference_lines(tool.numeric_differences(a, b)) == [
+        "    error: abs 1.000e-08 rel 5.000e-01",
+        "    order: abs 1.000e+00 rel 1.667e-01  (error: abs 1.000e-08 rel 5.000e-01)"]
+    assert tool.difference_lines({"order": (1e-7, 2e-8)}) == [
+        "    order: abs 1.000e-07 rel 2.000e-08  (error: abs 0.000e+00 rel 0.000e+00)"]
+
+
 def test_bench_trend_chains_the_records_in_pr_order(tmp_path, capsys):
     """Two canned records, written out of order: each record's ratio in PR
     order and the running product; a workload one record lacks leaves its

@@ -27,7 +27,10 @@ checkout) into ``OUT/against``, both emptied first; it lists every file
 whose bytes differ, or that only one tree has, and exits 1 if there is any.
 Under each differing CSV or JSON file it prints, per column or key whose
 numbers differ, the largest absolute and relative difference (relative to
-the larger magnitude of the pair).
+the larger magnitude of the pair). A convergence study's ``order`` is the
+log-ratio of two errors, so a rounding-level move of the errors moves it
+visibly; its line also gives the ``error`` column's difference, which tells
+such a move from a real one.
 """
 
 from __future__ import annotations
@@ -154,6 +157,20 @@ def numeric_differences(a: Path, b: Path) -> dict:
     return out
 
 
+def difference_lines(diffs: dict) -> list:
+    """One line per column or key of numeric_differences' result; the line
+    of a convergence table's order, the log-ratio of two errors, ends with
+    the error column's difference."""
+    lines = []
+    for key, (d_abs, d_rel) in diffs.items():
+        line = f"    {key}: abs {d_abs:.3e} rel {d_rel:.3e}"
+        if key == "order":
+            e_abs, e_rel = diffs.get("error", (0.0, 0.0))
+            line += f"  (error: abs {e_abs:.3e} rel {e_rel:.3e})"
+        lines.append(line)
+    return lines
+
+
 def against(other_src: Path, out: Path) -> int:
     trees = {"this": SRC, "against": other_src.resolve()}
     for name, src in trees.items():
@@ -166,8 +183,8 @@ def against(other_src: Path, out: Path) -> int:
         print(f"differs: {rel}")
         paths = (out / "this" / rel, out / "against" / rel)
         if Path(rel).suffix in (".csv", ".json") and all(p.exists() for p in paths):
-            for key, (d_abs, d_rel) in numeric_differences(*paths).items():
-                print(f"    {key}: abs {d_abs:.3e} rel {d_rel:.3e}")
+            for line in difference_lines(numeric_differences(*paths)):
+                print(line)
     print(f"{len(diff)} differing files")
     return 1 if diff else 0
 
