@@ -150,7 +150,6 @@ _LEAVES = (
     ("diagnostics.l4_window", 32, lambda v: _integer(v) and v >= 1, "an integer >= 1"),
     ("output.dir", "smflow-run", _relative_path, "a relative path with no '..' part"),
     ("study.error", "auto", *_one_of("auto", "analytic", "cross", "reference")),
-    ("seed", 0, _integer, "an integer"),
 )
 
 
@@ -227,8 +226,8 @@ def load_config(path=None, overrides=()):
             raise ConfigError([f"config file is not valid JSON: {exc}"])
         if not isinstance(user, dict):
             raise ConfigError(["config file must contain a JSON object"])
-        user.pop("schema", None)
-        user.pop("derived", None)  # echoed configs can be re-run as-is
+        for echoed in ("schema", "derived", "seed"):  # echoed configs re-run as-is
+            user.pop(echoed, None)
         if isinstance(user.get("init"), dict):
             # init parameters are preset-specific; a user init section
             # replaces the default outright instead of merging into it
@@ -545,8 +544,8 @@ def _has_closed_form(cfg):
 
 def _study_error_kind(cfg):
     kind = cfg["study"]["error"]
-    if kind == "auto":  # analytic only on the unit sphere
-        kind = ("analytic" if _has_closed_form(cfg) and cfg["target"]["radius"] == 1.0
+    if kind == "auto":  # the closed form holds on a round sphere of any radius
+        kind = ("analytic" if _has_closed_form(cfg)
                 else "cross" if cfg["reduction"]["mode"] == "coupled" else "reference")
     return kind
 

@@ -39,7 +39,7 @@ from .geometry import (
     loop_frame,
     reference_connection,
 )
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, dft, mode_numbers
 
 _GAUSS_OFFSETS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
@@ -176,8 +176,8 @@ def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
     independent loops) at the two Gauss nodes of each of n_cells >= n equal
     cells, one zero-padded inverse FFT per node offset; (2, n_cells, ..., k, k)."""
     n = samples.shape[0]
-    coeff = np.fft.fft(samples, axis=0) * (n_cells / n)
-    modes = np.fft.fftfreq(n, d=1.0 / n)
+    coeff = dft(samples, axis=0) * (n_cells / n)
+    modes = mode_numbers(n, float)
     if n % 2 == 0:  # Nyquist as a cosine: half the coefficient at each of -n/2, +n/2
         coeff[n // 2] *= 0.5
         coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
@@ -186,7 +186,7 @@ def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
     phase = phase.reshape(phase.shape + (1,) * (samples.ndim - 1))
     padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
     np.add.at(padded, (slice(None), modes.astype(int) % n_cells), phase * coeff)
-    return np.fft.ifft(padded, axis=1)
+    return dft(padded, axis=1, inverse=True)
 
 
 def _cell_exponentials(omega: np.ndarray) -> np.ndarray:

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpSuspectedError, ConfigError, NoConvergenceError
-from .spectral import SpectralGrid
-
-TORUS_TIME_FACTOR = 4.0 * np.pi**2
+from .spectral import SpectralGrid, dft, mode_numbers
 
 # Calibrated multiplier for the truncated-Duhamel bound
 # C * (B^{-1/4} + delta*B) * ||F||_{L^{4/3}}; see calibrate_duhamel_constant.
@@ -53,7 +51,7 @@ class ComplexField:
     @property
     def modes(self) -> np.ndarray:
         """Fourier coefficients a_m with f = sum a_m e^{i k_m x}."""
-        return np.fft.fft(self.values) / self.grid.n
+        return dft(self.values) / self.grid.n
 
     def l2_norm(self) -> float:
         """L^2 norm with the convention's true measure."""
@@ -104,8 +102,7 @@ class SpaceTimeField:
 def free_propagate(field: ComplexField, t: float) -> ComplexField:
     """Evolve i phi_t = phi_xx for time t: hat phi -> e^{i k^2 t} hat phi."""
     k = field.grid.wavenumbers
-    vhat = np.fft.fft(field.values)
-    out = np.fft.ifft(np.exp(1j * k**2 * t) * vhat)
+    out = field.grid.multiply(field.values, np.exp(1j * k**2 * t))
     return ComplexField(field.grid, out, field.convention)
 
 
@@ -113,8 +110,7 @@ def free_propagate(field: ComplexField, t: float) -> ComplexField:
 
 
 def _active_mode_bound(modes: np.ndarray, rel_tol: float = 1e-13) -> int:
-    n = modes.shape[0]
-    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    m = mode_numbers(modes.shape[0])
     mags = np.abs(modes)
     active = mags > rel_tol * (mags.max() + 1e-300)
     return int(np.abs(m[active]).max(initial=0))
@@ -124,7 +120,7 @@ def _l4_of_free_evolution(modes: np.ndarray) -> float:
     """L^4(T^2) norm of sum_m a_m e^{i(m x + m^2 t)} by tensor quadrature,
     exact once n_t exceeds 2 mmax^2, the top time frequency of |u|^4."""
     n = modes.shape[0]
-    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    m = mode_numbers(n)
     mmax = _active_mode_bound(modes)
     n_t = max(64, 2 * mmax * mmax + 1)
     nq = 1 << int(np.ceil(np.log2(max(n, 4 * (mmax + 1), 8))))
@@ -132,7 +128,7 @@ def _l4_of_free_evolution(modes: np.ndarray) -> float:
     ts = 2.0 * np.pi * np.arange(n_t) / n_t
     # mode m sits at column m mod nq of the FFT layout; nq >= n
     pad[:, m % nq] = np.exp(1j * np.outer(ts, m.astype(float) ** 2)) * modes[None, :]
-    samples = np.fft.ifft(pad, axis=1) * nq
+    samples = dft(pad, inverse=True) * nq
     mean4 = np.mean(np.abs(samples) ** 4)
     return float((4.0 * np.pi**2 * mean4) ** 0.25)
 
@@ -157,10 +153,9 @@ def bourgain_weighted_norm(field: SpaceTimeField) -> float:
     vals = field.values
     n_t, n_x = vals.shape
     # coefficient of e^{+i(mx+nt)} is the conjugate-exponent DFT entry
-    a = np.fft.fft2(vals) / (n_t * n_x)
-    n_modes = np.fft.fftfreq(n_t, d=1.0 / n_t).astype(int)
-    m_modes = np.fft.fftfreq(n_x, d=1.0 / n_x).astype(int)
-    weight = (np.abs(n_modes[:, None] - m_modes[None, :] ** 2) + 1.0) ** (-0.75)
+    a = dft(dft(vals), axis=0) / (n_t * n_x)
+    n_modes, m_modes = mode_numbers(n_t), mode_numbers(n_x)
+    weight = (np.abs(n_modes[:, None] - m_modes**2) + 1.0) ** (-0.75)
     return float(np.sqrt(np.sum(weight * np.abs(a) ** 2)))
 
 
@@ -191,8 +186,8 @@ def duhamel_term(F: SpaceTimeField, t: float, delta: float, B: float) -> Duhamel
     if not 0.0 < B < 1.0 / (100.0 * delta):
         raise ConfigError([f"B must lie in (0, 1/(100*delta)); got {B}"])
     n_t, n_x = F.values.shape
-    fhat = np.fft.fft(F.values, axis=1) / n_x
-    m = np.fft.fftfreq(n_x, d=1.0 / n_x).astype(int)
+    fhat = dft(F.values) / n_x
+    m = mode_numbers(n_x)
     tau_end = 2.0 * delta * 2.0 * np.pi
     ts = F.times
     dt = ts[1] - ts[0] if ts.size > 1 else 2.0 * np.pi
@@ -208,7 +203,7 @@ def duhamel_term(F: SpaceTimeField, t: float, delta: float, B: float) -> Duhamel
         f_a = integrand[k_full]
         f_b = f_a + (integrand[k_full + 1] - f_a) * (rem / dt)
         g0 = g0 + rem * 0.5 * (f_a + f_b)
-    profile = ComplexField(F.grid, np.fft.ifft(g0 * n_x), convention="torus")
+    profile = ComplexField(F.grid, dft(g0 * n_x, inverse=True), convention="torus")
     out = free_propagate(profile, t)
     l4 = _l4_of_free_evolution(profile.modes)
     bound = DUHAMEL_CONSTANT * (B ** (-0.25) + delta * B) * F.lp_norm(4.0 / 3.0)
@@ -235,7 +230,7 @@ def calibrate_duhamel_constant(seed: int = 0, n_samples: int = 40,
         amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         for r, c, amp in zip(rows, cols, amps):
             spec[r % n_t, c % grid_n] += amp
-        vals = np.fft.ifft2(spec) * (n_t * grid_n)
+        vals = dft(dft(spec, inverse=True), axis=0, inverse=True) * (n_t * grid_n)
         if sample % 2:
             # temporally concentrated sources stress the bound hardest
             t0 = rng.uniform(0.0, 2.0 * np.pi * 0.1)
@@ -268,14 +263,13 @@ def split_step(field: ComplexField, dt: float, potential=None, theta: float = 0.
     focusing/defocusing equation i phi_t = phi_xx + c|phi|^2 phi
     corresponds to potential = lambda v, t: -c * abs(v)**2.
     """
-    k = field.grid.wavenumbers
-    multiplier = np.exp(1j * (k - theta) ** 2 * dt)
+    multiplier = np.exp(1j * (field.grid.wavenumbers - theta) ** 2 * dt)
     vals = field.values.copy()
     t = t0
     for _ in range(n_steps):
         if potential is not None:
             vals = vals * np.exp(0.5j * dt * np.asarray(potential(vals, t)))
-        vals = np.fft.ifft(multiplier * np.fft.fft(vals))
+        vals = field.grid.multiply(vals, multiplier)
         if potential is not None:
             vals = vals * np.exp(0.5j * dt * np.asarray(potential(vals, t + dt)))
         t += dt
@@ -317,8 +311,8 @@ def picard_iterate(phi0: ComplexField, potential, delta: float,
     t_end = 2.0 * delta * grid_time_period(phi0)
     times = np.linspace(0.0, t_end, n_time + 1)
     dt = times[1] - times[0]
-    hat0 = np.fft.fft(phi0.values)
-    free = np.fft.ifft(np.exp(1j * np.outer(times, k2)) * hat0[None, :], axis=1)
+    evolve = np.exp(1j * np.outer(times, k2))
+    free = grid.multiply(phi0.values, evolve)
     current = free.copy()
     changes, factors = [], []
     for it in range(max_iter):
@@ -327,11 +321,10 @@ def picard_iterate(phi0: ComplexField, potential, delta: float,
         else:
             U = np.array([np.asarray(potential(current[j], times[j])) for j in range(times.size)])
             F = -U * current
-            Fhat = np.fft.fft(F, axis=1)
-            src = np.exp(-1j * np.outer(times, k2)) * Fhat
+            src = np.exp(-1j * np.outer(times, k2)) * dft(F)
             csum = np.cumsum(src, axis=0) * dt
             integral = csum - dt * 0.5 * (src + src[0:1])
-            new = free - 1j * np.fft.ifft(np.exp(1j * np.outer(times, k2)) * integral, axis=1)
+            new = free - 1j * dft(evolve * integral, inverse=True)
         change = float(np.abs(new - current).max())
         changes.append(change)
         if len(changes) > 1 and changes[-2] > 0:

@@ -85,6 +85,16 @@ class TestRunScenario:
         reloaded = cli.load_config(str(echo))
         assert reloaded["domain"]["n"] == 32
 
+    def test_seed_is_no_configuration_key(self, workdir, capsys):
+        """No run reads a seed: --set seed is an unknown key, while a config
+        echoed with the former seed leaf still runs."""
+        assert cli.main(["run", "--set", "seed=1"]) == 2
+        assert "unknown configuration key 'seed'" in capsys.readouterr().err
+        cfg = json.loads(write_config(workdir).read_text())
+        (workdir / "old.json").write_text(json.dumps({**cfg, "seed": 0}))
+        assert cli.main(["run", "--config", str(workdir / "old.json")]) == 0
+        assert "seed" not in json.loads((workdir / "out" / "config.json").read_text())
+
     def test_deterministic_byte_identical(self, workdir):
         coupled = write_config(workdir)
         # autonomous at cadence 1: every step's loop comes from the evolution
@@ -601,7 +611,6 @@ class TestConfigValidation:
         ({"init.kind": "perturbed_latitude", "init.m": 2.5}, "init.m"),
         ({"init.kind": "constant", "init.point": [0, 0, 0]}, "point"),
         ({"init.alpha": "nan"}, "init.alpha"),
-        ({"seed": True}, "seed"),
         ({"target.radius": True}, "target.radius"),
         ({"init.kind": "perturbed_latitude", "init.m": True}, "init.m"),
         ({"time.t_final": 1e308}, "time.t_final"),
@@ -613,7 +622,7 @@ class TestConfigValidation:
           "init.point": [2, 0]}, "the constant initial loop leaves the target")],
         ids=["t_final-nan", "dt-nan", "alpha-nan", "radius-nan",
              "t_final-inf", "m-fraction", "point-zero", "alpha-string",
-             "seed-bool", "radius-bool", "m-bool", "t_final-overflowing-steps",
+             "radius-bool", "m-bool", "t_final-overflowing-steps",
              "center-zero", "offset-short", "point-off-disk"])
     def test_unusable_number_is_a_config_error(self, workdir, capsys, route,
                                                items, key):
@@ -728,7 +737,6 @@ _SET_TEXTS = {
     "diagnostics.l4_window": (("1", "8"), ("0",)),
     "output.dir": (("run", "a/b"), ("../x", "a/../../x", '""')),
     "study.error": (("auto", "cross"), ("exact",)),
-    "seed": (("0", "7"), ("1.5",)),
 }
 # fail every row: a bool, null, NaN, a literal past the float range, an object
 _NOT_A_VALUE = ("true", "null", "NaN", "1e400", '{"a": 1}')
@@ -778,7 +786,6 @@ def _refusing(*pairs):
 @example(_refusing(("time.t_final", "1e300")))
 @example(_refusing(("reduction.mode", "autonomous"), ("time.t_final", "1e300")))
 @example(_refusing(("time.dt", "1e-9"), ("time.t_final", "1")))
-@example(_refusing(("seed", "true")))
 @example(_refusing(("diagnostics.cadence", "true")))
 @example(_refusing(("target.radius", "true")))
 @example(_refusing(("init.kind", "perturbed_latitude"), ("init.m", "true")))
@@ -840,6 +847,13 @@ class TestConvergeCommand:
         cols, data = read_csv(workdir / "study" / "convergence.csv")
         assert np.all(data[1:, cols.index("order")] >= 3.8)
         assert data[-1, cols.index("error")] < 1e-11
+
+    def test_auto_error_is_analytic_on_a_sphere_of_radius_two(self, workdir):
+        assert cli.main(["converge", "--set", "target.radius=2",
+                         "--set", "init.kind=latitude", "--set", "time.t_final=0.005",
+                         "--set", "output.dir=study", "--levels", "16,32,64"]) == 0
+        text = (workdir / "study" / "convergence.csv").read_text()
+        assert "# error=analytic" in text.splitlines()
 
     @pytest.mark.parametrize("override", ["target.kind=warped_sphere",
                                           "domain.kind=line"])

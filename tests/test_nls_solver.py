@@ -30,6 +30,10 @@ def torus_field(values):
     return ComplexField(TORUS, values, convention="torus")
 
 
+def torus_field_on(n, values):
+    return ComplexField(SpectralGrid(n, kind="torus"), values, convention="torus")
+
+
 def random_mode_field(rng, n_modes=32, mode_range=16, n=64):
     amps = np.zeros(n, dtype=complex)
     idx = rng.choice(np.arange(-mode_range, mode_range + 1), size=n_modes, replace=False)
@@ -275,6 +279,27 @@ class TestSplitStep:
             split_step(phi0, 0.01, blow_up_threshold=0.5)
         diag = err.value.diagnostics
         assert "max_abs" in diag and "suggestion" in diag
+
+
+class TestSymmetries:
+    """A constant phase and a roll by whole cells commute with the cubic
+    split step and the free flow, to 1e-13 of max|phi| = 1: checks of the
+    Fourier-multiplier route that need no closed form."""
+
+    @pytest.mark.parametrize("n", (32, 64))
+    @pytest.mark.parametrize("theta", (0.0, 0.7))
+    def test_phase_and_roll_commute_with_the_flows(self, n, theta):
+        rng = np.random.default_rng(n)
+        vals = random_mode_field(rng, n_modes=12, mode_range=6, n=n).values
+        phi = torus_field_on(n, vals / np.abs(vals).max())
+        pot = lambda v, t: -np.abs(v) ** 2
+        flows = (lambda f: split_step(f, 1e-3, pot, theta=theta, n_steps=50),
+                 lambda f: free_propagate(f, 0.05 + theta))
+        moves = (lambda v: np.exp(0.9j) * v, lambda v: np.roll(v, 5))
+        for flow in flows:
+            for move in moves:
+                moved = flow(torus_field_on(n, move(phi.values)))
+                assert np.abs(moved.values - move(flow(phi).values)).max() < 1e-13
 
 
 class TestPicard:

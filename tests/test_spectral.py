@@ -1,12 +1,17 @@
 """Periodic grid calculus: exactness on band-limited data and shift behavior."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smflow import holonomy as hol
+from smflow import nls_solver as nls
 from smflow.errors import ResolutionError
-from smflow.spectral import DENSE_MAX_N, SpectralGrid
+from smflow.spectral import DENSE_MAX_N, SpectralGrid, mode_numbers
 
 
 def band_limited(grid, rng, modes=5):
@@ -237,3 +242,158 @@ def test_dense_derivatives_of_constants_are_zero(n):
         for c in (np.full((grid.n, 3), 0.7), np.full(grid.n, -2.5 + 1.25j)):
             for d in grid.derivatives(c, (1, 2, 3, -1)):
                 assert not d.any()
+
+
+# -- one owner of the transforms ------------------------------------------------
+
+
+def _fftfreq_int(n):
+    return np.fft.fftfreq(n, d=1.0 / n).astype(int)
+
+
+def _inline_l4(modes):
+    """_l4_of_free_evolution with numpy's transforms written out."""
+    n = modes.shape[0]
+    m = _fftfreq_int(n)
+    mags = np.abs(modes)
+    mmax = int(np.abs(m[mags > 1e-13 * (mags.max() + 1e-300)]).max(initial=0))
+    n_t = max(64, 2 * mmax * mmax + 1)
+    nq = 1 << int(np.ceil(np.log2(max(n, 4 * (mmax + 1), 8))))
+    pad = np.zeros((n_t, nq), dtype=complex)
+    ts = 2.0 * np.pi * np.arange(n_t) / n_t
+    pad[:, m % nq] = np.exp(1j * np.outer(ts, m.astype(float) ** 2)) * modes[None, :]
+    return float((4.0 * np.pi**2 * np.mean(np.abs(np.fft.ifft(pad, axis=1) * nq) ** 4)) ** 0.25)
+
+
+def _inline_split_step(values, k, dt, theta, n_steps):
+    multiplier = np.exp(1j * (k - theta) ** 2 * dt)
+    for _ in range(n_steps):
+        values = values * np.exp(0.5j * dt * -np.abs(values) ** 2)
+        values = np.fft.ifft(multiplier * np.fft.fft(values))
+        values = values * np.exp(0.5j * dt * -np.abs(values) ** 2)
+    return values
+
+
+def _inline_picard(values, k2, times, tol=1e-12):
+    dt = times[1] - times[0]
+    evolve = np.exp(1j * np.outer(times, k2))
+    free = np.fft.ifft(evolve * np.fft.fft(values)[None, :], axis=1)
+    current = free
+    while True:
+        src = np.exp(-1j * np.outer(times, k2)) * np.fft.fft(np.abs(current) ** 2 * current, axis=1)
+        integral = np.cumsum(src, axis=0) * dt - dt * 0.5 * (src + src[0:1])
+        new = free - 1j * np.fft.ifft(evolve * integral, axis=1)
+        if np.abs(new - current).max() < tol:
+            return new
+        current = new
+
+
+def _inline_gauss_nodes(samples, n_cells):
+    n = samples.shape[0]
+    coeff = np.fft.fft(samples, axis=0) * (n_cells / n)
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        coeff[n // 2] *= 0.5
+        coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
+        modes = np.append(modes, n // 2)
+    phase = np.exp(2j * np.pi * np.outer(hol._GAUSS_OFFSETS, modes) / n_cells)
+    padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
+    np.add.at(padded, (slice(None), modes.astype(int) % n_cells),
+              phase.reshape(phase.shape + (1, 1)) * coeff)
+    return np.fft.ifft(padded, axis=1)
+
+
+def _inline_duhamel(F, t, delta):
+    """duhamel_term's profile, free evolution and L^4 report; the time grid
+    holds the cutoff on a sample, so no partial trapezoid is left."""
+    n_x = F.grid.n
+    m = _fftfreq_int(n_x)
+    dt = F.times[1] - F.times[0]
+    integrand = np.exp(-1j * np.outer(F.times, m.astype(float) ** 2)) * (
+        np.fft.fft(F.values, axis=1) / n_x)
+    k_full = int(np.floor(2.0 * delta * 2.0 * np.pi / dt + 1e-12))
+    w = np.zeros(F.times.size)
+    w[: k_full + 1] = dt
+    w[0] = w[k_full] = dt / 2.0
+    profile = np.fft.ifft((integrand.T @ w) * n_x)
+    out = np.fft.ifft(np.exp(1j * F.grid.wavenumbers**2 * t) * np.fft.fft(profile))
+    return out, _inline_l4(np.fft.fft(profile) / n_x)
+
+
+def _inline_shift(grid, values, s):
+    phase = np.exp(-1j * grid.wavenumbers * s)
+    return np.fft.ifft(np.fft.fft(values, axis=0) * phase[:, None], axis=0).real
+
+
+def _rerouted_sites(n):
+    """(name, site, its inline numpy formula) for every transform that goes
+    through spectral.dft, mode_numbers or SpectralGrid.multiply."""
+    rng = np.random.default_rng(n)
+    grid = SpectralGrid(n, kind="torus")
+    k = grid.wavenumbers
+    phi = nls.ComplexField(grid, rng.normal(size=n) + 1j * rng.normal(size=n), "torus")
+    small = nls.ComplexField(grid, 0.1 * np.exp(1j * grid.nodes) + 0.05j * np.cos(2 * grid.nodes),
+                             "torus")
+    n_t = 50  # delta = 0.02 cuts the Duhamel integral at sample 2
+    F = nls.SpaceTimeField(2.0 * np.pi * np.arange(n_t) / n_t, grid,
+                           rng.normal(size=(n_t, n)) + 1j * rng.normal(size=(n_t, n)))
+    weight = (np.abs(_fftfreq_int(n_t)[:, None] - _fftfreq_int(n) ** 2) + 1.0) ** -0.75
+    samples = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    real = rng.normal(size=(n, 3))
+    fine = SpectralGrid(256)
+    fine_real = rng.normal(size=(256, 3))
+    duhamel = nls.duhamel_term(F, 0.4, 0.02, 0.2)
+    picard = nls.picard_iterate(small, lambda v, t: -np.abs(v) ** 2, 0.01).solution
+    return [
+        ("ComplexField.modes", phi.modes, np.fft.fft(phi.values) / n),
+        ("free_propagate", nls.free_propagate(phi, 0.3).values,
+         np.fft.ifft(np.exp(1j * k**2 * 0.3) * np.fft.fft(phi.values))),
+        ("split_step", nls.split_step(phi, 1e-3, lambda v, t: -np.abs(v) ** 2,
+                                      theta=0.7, n_steps=5).values,
+         _inline_split_step(phi.values, k, 1e-3, 0.7, 5)),
+        ("picard_iterate", picard.values, _inline_picard(small.values, k**2, picard.times)),
+        ("bourgain_weighted_norm", nls.bourgain_weighted_norm(F),
+         float(np.sqrt(np.sum(weight * np.abs(np.fft.fft2(F.values) / (n_t * n)) ** 2)))),
+        ("duhamel_term", (duhamel.field.values, duhamel.l4_norm), _inline_duhamel(F, 0.4, 0.02)),
+        ("_l4_of_free_evolution", nls._l4_of_free_evolution(phi.modes),
+         _inline_l4(np.fft.fft(phi.values) / n)),
+        ("_gauss_node_values", hol._gauss_node_values(samples, 2 * n),
+         _inline_gauss_nodes(samples, 2 * n)),
+        ("shift", grid.shift(real, 0.37 * grid.dx), _inline_shift(grid, real, 0.37 * grid.dx)),
+        ("midpoints", fine.midpoints(fine_real), _inline_shift(fine, fine_real, -0.5 * fine.dx)),
+    ]
+
+
+def _bits(value):
+    return np.atleast_1d(np.asarray(value, dtype=complex)).view(float)
+
+
+@pytest.mark.parametrize("n", (64, 98))
+def test_rerouted_transforms_keep_the_inline_bits(n):
+    """Each site gives the bits of the np.fft formula it replaced, the
+    multiplication order included; 98 is a size whose fftfreq floats are an
+    ulp off the integers."""
+    for name, got, inline in _rerouted_sites(n):
+        pairs = zip(got, inline) if isinstance(got, tuple) else [(got, inline)]
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in pairs), name
+
+
+def test_mode_numbers_are_the_fftfreq_table():
+    """The integer table is exact for every n up to 4096; the float one is
+    fftfreq's, an ulp off the integers for some n such as 49 and 98."""
+    for n in range(1, 4097):
+        exact = np.r_[0 : (n - 1) // 2 + 1, -(n // 2) : 0]
+        assert np.array_equal(mode_numbers(n), exact), n
+    for n in (49, 64, 98):
+        assert np.array_equal(mode_numbers(n, float), np.fft.fftfreq(n, d=1.0 / n))
+    assert not np.array_equal(mode_numbers(98, float), mode_numbers(98))
+    assert not mode_numbers(64).flags.writeable
+    assert SpectralGrid(98).modes is mode_numbers(98, float)
+
+
+def test_only_spectral_calls_numpy_fft():
+    """spectral.py owns every transform: no other module names numpy.fft."""
+    src = Path(__file__).resolve().parents[1] / "src" / "smflow"
+    users = [p.name for p in sorted(src.glob("*.py")) if p.name != "spectral.py"
+             and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b|from numpy import fft", p.read_text())]
+    assert users == []
