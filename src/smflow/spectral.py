@@ -17,15 +17,20 @@ Up to ``DENSE_MAX_N`` samples ``derivatives``, ``upsample`` and
 ``midpoints`` apply cached dense matrices (Trefethen, Spectral Methods in
 MATLAB, 2000, ch. 3), the circulants of the FFT route's impulse response
 (the odd rows of the upsampling one for ``midpoints``).  On one BLAS
-thread, first and second derivatives of (n, 3) data take 20 us against the
-FFT's 24 us at n = 128, and break even at n = 160 (both 26 us); upsampling
-(n, 2, 3) data takes 15 us against 36 us at n = 128.
+thread at n = 128, first and second derivatives of (n, 3) data take 17 us
+against the FFT's 19 us, and upsampling (n, 2, 3) data 16 us against 27 us.
+The FFT now breaks even near n = 144; ``DENSE_MAX_N`` stays 128, because
+moving it changes the rounding on the grids between.
 
 This module is the one owner of the discrete Fourier transform and of the
-mode layout: every complex transform in the package goes through ``dft``
-and every mode table through ``mode_numbers``; only the FFT derivative
-route calls numpy's transforms directly, for their ``out=`` arguments.  Two
-rules keep the bits of the former inline formulas:
+mode layout: every transform goes through ``_TRANSFORMS`` and every mode
+table through ``mode_numbers``.  ``_TRANSFORMS`` calls numpy's pocketfft
+gufuncs as ``np.fft`` does, less its wrappers' dispatch and checks (a fifth
+of a flow step at n = 256 with numpy 2.4.6).  That module is private to
+numpy, so an import-time probe takes them only if each gives the public
+``np.fft`` function's bits on fixed data; a differing bit or an error
+selects the public functions, so a failed probe costs speed, never bits.
+Two rules keep the bits of the former inline formulas:
 
 * A Fourier multiplier multiplies as ``multiplier * spectrum`` (``multiply``)
   and ``shift`` as ``spectrum * phase``: numpy's complex product need not
@@ -56,10 +61,46 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The four transforms, each called (values, axis, out), n = out.shape[axis]:
+# real forward (even n), real inverse, complex forward and inverse; np.fft's.
+_PUBLIC = (lambda a, axis, out: np.fft.rfft(a, axis=axis, out=out),
+           lambda a, axis, out: np.fft.irfft(a, out.shape[axis], axis, out=out),
+           lambda a, axis, out: np.fft.fft(a, axis=axis, out=out),
+           lambda a, axis, out: np.fft.ifft(a, axis=axis, out=out))
+
+
+def _select(umath) -> tuple:
+    """umath's gufuncs bound as np.fft calls them (scale 1 forward, 1/n inverse)
+    if they give _PUBLIC's bits on fixed C- and F-ordered (64, 3) columns and
+    odd-n complex rows (sin(j^2), as numpy.random's import costs 6 MB of RSS);
+    else, or on any error, _PUBLIC."""
+    def bind(ufunc, inverse):
+        return lambda a, axis, out: ufunc(a, 1 / out.shape[axis] if inverse else 1,
+                                          axes=[(axis,), (), (axis,)], out=out)
+    try:
+        route = (bind(umath.rfft_n_even, False), bind(umath.irfft, True),
+                 bind(umath.fft, False), bind(umath.ifft, True))
+        x = np.sin(np.arange(1.0, 193.0) ** 2).reshape(64, 3)
+        for x in (x, np.asfortranarray(x)):
+            z = x + 1j * x[::-1]
+            for i, a, axis, like in ((0, x, 0, x[:33].astype(complex)), (2, z, 0, z),
+                                     (1, np.fft.rfft(x, axis=0), 0, x), (3, z, 0, z),
+                                     (2, z[1:].T, -1, z[1:].T), (3, z[1:].T, -1, z[1:].T)):
+                if (route[i](a, axis, np.empty_like(like)).tobytes()
+                        != _PUBLIC[i](a, axis, np.empty_like(like)).tobytes()):
+                    return _PUBLIC
+        return route
+    except Exception:
+        return _PUBLIC
+
+
+_TRANSFORMS = _select(getattr(np.fft, "_pocketfft_umath", None))
+
+
 def dft(values, axis: int = -1, inverse: bool = False) -> np.ndarray:
     """numpy's complex DFT of values along one axis (unnormalized forward,
     1/n inverse); a 2-D transform is two calls, the last axis first."""
-    return (np.fft.ifft if inverse else np.fft.fft)(values, axis=axis)
+    return _TRANSFORMS[3 if inverse else 2](values, axis, np.empty_like(values, complex))
 
 
 @lru_cache(maxsize=64)
@@ -177,15 +218,14 @@ class SpectralGrid:
         real = values.dtype.kind != "c"
         m = self.n // 2 + 1 if real else self.n
         vhat = np.empty((m,) + values.shape[1:], complex, order="F")
-        (np.fft.rfft if real else np.fft.fft)(values, axis=0, out=vhat)
-        inverse, dtype = (np.fft.irfft, float) if real else (np.fft.ifft, complex)
+        (_TRANSFORMS[0] if real else _TRANSFORMS[2])(values, 0, vhat)
+        inverse, dtype = (_TRANSFORMS[1], float) if real else (_TRANSFORMS[3], complex)
         fac = _multipliers(self, tuple(orders), real)
         spectrum, out = vhat.T, []
         for i in range(len(fac) - 1):
-            out.append(inverse((spectrum * fac[i]).T, self.n, axis=0,
-                               out=np.empty_like(values, dtype)))
+            out.append(inverse((spectrum * fac[i]).T, 0, np.empty_like(values, dtype)))
         spectrum *= fac[-1]
-        out.append(inverse(vhat, self.n, axis=0, out=np.empty_like(values, dtype)))
+        out.append(inverse(vhat, 0, np.empty_like(values, dtype)))
         return tuple(out)
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:

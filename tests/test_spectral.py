@@ -2,14 +2,18 @@
 
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smflow import flow_direct as fd
+from smflow import geometry as geo
 from smflow import holonomy as hol
 from smflow import nls_solver as nls
+from smflow import spectral
 from smflow.errors import ResolutionError
 from smflow.spectral import DENSE_MAX_N, SpectralGrid, mode_numbers
 
@@ -325,9 +329,47 @@ def _inline_shift(grid, values, s):
     return np.fft.ifft(np.fft.fft(values, axis=0) * phase[:, None], axis=0).real
 
 
+def _inline_derivatives(grid, values, orders):
+    """The FFT derivative route with numpy's public transforms: the spectrum
+    column-major, each order's multiplier row on its transpose."""
+    real = values.dtype.kind != "c"
+    vhat = np.asfortranarray((np.fft.rfft if real else np.fft.fft)(values, axis=0))
+    inverse = np.fft.irfft if real else np.fft.ifft
+    return tuple(inverse((vhat.T * row).T, grid.n, axis=0)
+                 for row in spectral._multipliers(grid, orders, real))
+
+
+def _derivative_sites(n):
+    """derivatives on the FFT route at n, every order set, real and complex
+    data, row- and column-major, trailing shapes (), (3,) and (2, 3)."""
+    grid, rng = SpectralGrid(n), np.random.default_rng(n)
+    for shape in ((n,), (n, 3), (n, 2, 3)):
+        for cplx in (False, True):
+            for layout in "CF":
+                f = np.asarray(_real_or_complex(rng, shape, cplx), order=layout)
+                for orders in ((-1,), (0,), (1,), (2,), (3,), (1, 2)):
+                    yield (f"derivatives n={n} {shape} {f.dtype} {layout} {orders}",
+                           grid.derivatives(f, orders), _inline_derivatives(grid, f, orders))
+
+
+def _dft_sites(n):
+    """dft along every axis of (n + 1, 3, n) data, odd and even lengths,
+    real and complex, row- and column-major."""
+    rng = np.random.default_rng(n)
+    for cplx in (False, True):
+        for layout in "CF":
+            f = np.asarray(_real_or_complex(rng, (n + 1, 3, n), cplx), order=layout)
+            for axis in range(-3, 3):
+                for inverse in (False, True):
+                    yield (f"dft {f.dtype} {layout} axis={axis} inverse={inverse}",
+                           spectral.dft(f, axis, inverse),
+                           (np.fft.ifft if inverse else np.fft.fft)(f, axis=axis))
+
+
 def _rerouted_sites(n):
     """(name, site, its inline numpy formula) for every transform that goes
-    through spectral.dft, mode_numbers or SpectralGrid.multiply."""
+    through spectral.dft, mode_numbers, SpectralGrid.multiply or the FFT
+    derivative route; the last at the even sizes 130 to 4096."""
     rng = np.random.default_rng(n)
     grid = SpectralGrid(n, kind="torus")
     k = grid.wavenumbers
@@ -361,11 +403,13 @@ def _rerouted_sites(n):
          _inline_gauss_nodes(samples, 2 * n)),
         ("shift", grid.shift(real, 0.37 * grid.dx), _inline_shift(grid, real, 0.37 * grid.dx)),
         ("midpoints", fine.midpoints(fine_real), _inline_shift(fine, fine_real, -0.5 * fine.dx)),
+        *_dft_sites(n),
+        *(site for m in {64: (130, 4096), 98: (256, 1000)}[n] for site in _derivative_sites(m)),
     ]
 
 
 def _bits(value):
-    return np.atleast_1d(np.asarray(value, dtype=complex)).view(float)
+    return np.ascontiguousarray(np.atleast_1d(value), dtype=complex).view(float)
 
 
 @pytest.mark.parametrize("n", (64, 98))
@@ -376,6 +420,52 @@ def test_rerouted_transforms_keep_the_inline_bits(n):
     for name, got, inline in _rerouted_sites(n):
         pairs = zip(got, inline) if isinstance(got, tuple) else [(got, inline)]
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in pairs), name
+
+
+def _flow_points(n_steps=50):
+    state = fd.initial_loop(geo.round_sphere(1.0), SpectralGrid(256), "perturbed_latitude",
+                            alpha=np.pi / 4, eps=0.05, m=2)
+    return fd.evolve(state, fd.admissible_dt(state), n_steps).points
+
+
+def test_public_transforms_give_the_flow_the_same_bits(monkeypatch):
+    """The route the probe selects and numpy's public functions agree bit for
+    bit over 50 flow steps at N = 256, the acceptance-1 kernel."""
+    fast = _flow_points()
+    monkeypatch.setattr(spectral, "_TRANSFORMS", spectral._PUBLIC)
+    assert np.array_equal(_bits(_flow_points()), _bits(fast))
+
+
+def _stub(name, fault):
+    """numpy's pocketfft gufuncs with the one called name replaced by fault."""
+    umath = np.fft._pocketfft_umath
+    gufuncs = {f: getattr(umath, f) for f in ("rfft_n_even", "irfft", "fft", "ifft")}
+    return SimpleNamespace(**gufuncs | {name: fault(gufuncs[name])})
+
+
+def _one_ulp_off(ufunc):
+    def call(a, fct, axes, out):
+        part = ufunc(a, fct, axes=axes, out=out).real
+        part.flat[0] = np.nextafter(part.flat[0], np.inf)
+        return out
+    return call
+
+
+def _raises(ufunc):
+    def call(*args, **kwargs):
+        raise RuntimeError("no transform")
+    return call
+
+
+def test_probe_takes_numpys_gufuncs_only_on_equal_bits():
+    """numpy's own gufuncs pass the probe; one off by an ulp in one entry,
+    one that raises or a missing module selects the public functions."""
+    assert spectral._TRANSFORMS is not spectral._PUBLIC
+    assert spectral._select(np.fft._pocketfft_umath) is not spectral._PUBLIC
+    assert spectral._select(None) is spectral._PUBLIC
+    for name in ("rfft_n_even", "irfft", "fft", "ifft"):
+        for fault in (_one_ulp_off, _raises):
+            assert spectral._select(_stub(name, fault)) is spectral._PUBLIC, (name, fault)
 
 
 def test_mode_numbers_are_the_fftfreq_table():
@@ -392,8 +482,10 @@ def test_mode_numbers_are_the_fftfreq_table():
 
 
 def test_only_spectral_calls_numpy_fft():
-    """spectral.py owns every transform: no other module names numpy.fft."""
+    """spectral.py owns every transform: no other module names numpy.fft or
+    its private gufunc module."""
     src = Path(__file__).resolve().parents[1] / "src" / "smflow"
     users = [p.name for p in sorted(src.glob("*.py")) if p.name != "spectral.py"
-             and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b|from numpy import fft", p.read_text())]
+             and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b|from numpy import fft|_pocketfft",
+                           p.read_text())]
     assert users == []

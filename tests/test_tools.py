@@ -5,6 +5,7 @@ records, and the benchmark's stored fingerprints read from tier-1."""
 import importlib.util
 import json
 import math
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,6 +234,29 @@ def test_bench_pair_reads_a_reaped_cli_process():
     assert out["runs"] == runs
     assert out["wall_s"]["median"] == 0.7
     assert out["max_rss_mb"] == {"median": 52.5, "q1": 51.25, "q3": 53.75}
+
+
+def test_bench_pair_gives_the_timings_a_verdict():
+    """Fixture, tier-1 and CLI timings get the workloads' ratio, win count and
+    verdict for each bounded key, lower being better; canned runs."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    against = [{"wall_s": w, "max_rss_mb": 50.0} for w in (37.3, 28.8, 33.0)]
+    cases = [([25.0, 26.0, 24.0], "gain"),  # lower in 3 of 3 by more than the IQR
+             ([33.5, 33.0, 32.0], "within bound"),
+             ([45.0, 44.0, 46.0], "worse than bound")]
+    for walls, expected in cases:
+        this = [{"wall_s": w, "max_rss_mb": 52.0} for w in walls]
+        out = tool.timing_summary({"this": this, "against": against},
+                                  ("wall_s", "max_rss_mb"), {"wall_s": 0.15})
+        assert out["ratio"] == {"wall_s": statistics.median(walls) / 33.0}
+        assert out["this_better_in"] == {"wall_s": sum(a < b["wall_s"]
+                                                       for a, b in zip(walls, against))}
+        assert out["verdict"] == {"wall_s": expected}, walls
+        assert out["this"]["max_rss_mb"]["median"] == 52.0
+    wide = [{"wall_s": w} for w in (20.0, 40.0, 30.0, 25.0, 35.0)]
+    out = tool.timing_summary({"this": [{"wall_s": 29.0}] * 5, "against": wide},
+                              bounds={"wall_s": 0.15})
+    assert out["verdict"] == {"wall_s": "unresolved"}
 
 
 def test_bench_pair_refuses_a_checkout_that_changed_during_the_runs(

@@ -39,6 +39,10 @@ and a verdict against the metric's ``bound``:
 - ``within bound`` or ``worse than bound``: the median of this side is worse
   than the other's by at most, or by more than, the bound (relative).
 
+The fixture, tier-1 and CLI timings get the same ratio, win count and
+verdict, lower being better: wall times against the bound of ``op_ms.p50``
+and the CLI's peak memory against that of ``peak_rss_mb``.
+
 It also records the seeds, the host, and both checkouts: the commit, whether
 tracked files had uncommitted changes, and the sha256 of ``git diff HEAD``,
 so two trees on the same commit can be told apart. The checkouts are read
@@ -226,9 +230,21 @@ def alternate(rounds: int, roots: dict, run) -> dict:
     return out
 
 
-def timing_summary(results: dict, keys=("wall_s",)) -> dict:
-    return {side: {"runs": runs, **{key: quartiles([r[key] for r in runs]) for key in keys}}
-            for side, runs in results.items()}
+def timing_summary(results: dict, keys=("wall_s",), bounds=None) -> dict:
+    """Median and quartiles of each timed key per side. For each key that
+    ``bounds`` maps to a relative bound, also the ratio of the medians (this
+    / against), the rounds in which this side was lower, and its verdict,
+    lower being better."""
+    out = {side: {"runs": runs, **{key: quartiles([r[key] for r in runs]) for key in keys}}
+           for side, runs in results.items()}
+    out.update(ratio={}, this_better_in={}, verdict={})
+    for key, bound in (bounds or {}).items():
+        this, other = ({"values": [r[key] for r in results[side]], **out[side][key]}
+                       for side in ("this", "against"))
+        out["ratio"][key] = this["median"] / other["median"]
+        out["this_better_in"][key] = sum(a < b for a, b in zip(this["values"], other["values"]))
+        out["verdict"][key] = verdict(this, other, "lower", bound, out["this_better_in"][key])
+    return out
 
 
 def main(argv=None) -> int:
@@ -262,17 +278,18 @@ def main(argv=None) -> int:
         results = alternate(args.rounds, roots, lambda root, i: bench_run(
             root, spec["command"], name, seeds[i], seconds))
         record["workloads"][name] = summarize(results, better, bounds)
+    wall = {"wall_s": bounds["op_ms.p50"]}
     if args.fixture:
         record["acceptance1_fixture"] = timing_summary(
-            alternate(args.fixture, roots, lambda root, i: fixture_run(root)))
+            alternate(args.fixture, roots, lambda root, i: fixture_run(root)), bounds=wall)
     if args.tier1:
         record["tier1"] = timing_summary(
-            alternate(args.tier1, roots, lambda root, i: tier1_run(root)))
+            alternate(args.tier1, roots, lambda root, i: tier1_run(root)), bounds=wall)
     if args.cli:
         for name, cli_args in CLI_COMMANDS.items():
             record[f"cli_{name}"] = timing_summary(
                 alternate(args.cli, roots, lambda root, i: cli_run(root, cli_args)),
-                ("wall_s", "max_rss_mb"))
+                ("wall_s", "max_rss_mb"), {**wall, "max_rss_mb": bounds["peak_rss_mb"]})
 
     after = {side: checkout_info(root) for side, root in roots.items()}
     if after != record["checkouts"]:
@@ -281,11 +298,15 @@ def main(argv=None) -> int:
         return 1
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
-    for name, summary in record["workloads"].items():
+    timings = {name: record[name] for name in ("acceptance1_fixture", "tier1",
+                                                *(f"cli_{c}" for c in CLI_COMMANDS))
+               if name in record}
+    for name, summary in {**record["workloads"], **timings}.items():
         for metric, ratio in summary["ratio"].items():
             print(f"{name:20s} {metric:12s} this/against {ratio:.4f} "
                   f"better in {summary['this_better_in'].get(metric, '-')}"
-                  f"/{args.rounds}  {summary['verdict'].get(metric, '-')}")
+                  f"/{len(summary['this'].get('runs', seeds))}  "
+                  f"{summary['verdict'].get(metric, '-')}")
     print(f"wrote {path.name}")
     return 0
 
