@@ -71,8 +71,9 @@ class LoopState:
 
     @cached_property
     def ux(self) -> np.ndarray:
-        return np.hstack([self.grid.derivative(self.points[:, sl])
-                          for _, sl in self.surface.factor_slices()])
+        parts = [self.grid.derivative(self.points[:, sl])
+                 for _, sl in self.surface.factor_slices()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     @cached_property
     def speed2(self) -> np.ndarray:
@@ -85,7 +86,8 @@ class LoopState:
     @cached_property
     def curvature_x(self) -> np.ndarray | None:
         K = self.curvature
-        return None if np.ptp(K) == 0.0 else self.grid.derivative(K)
+        spread = np.maximum.reduce(K) - np.minimum.reduce(K)  # np.ptp's arithmetic
+        return None if spread == 0.0 else self.grid.derivative(K)
 
 
 def _adopt(grid: SpectralGrid, surface: SurfaceModel, points: np.ndarray,
@@ -231,7 +233,7 @@ def _rk4_step(state: LoopState, dt: float, rhs, y: np.ndarray):
     total *= dt / 6.0
     total += y
     new = total[:n]
-    if not np.isfinite(new).all():
+    if not np.logical_and.reduce(np.isfinite(new), None):
         raise BlowUpSuspectedError(
             "non-finite values after time step",
             {"time": state.time, "dt": dt, "max_abs": float(np.abs(new[np.isfinite(new)]).max(initial=0.0))},

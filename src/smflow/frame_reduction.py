@@ -21,7 +21,8 @@ primitive R(x) = int_0^x r, the coefficient satisfies
 and V(x + 1) = V(x) + oint r with oint r = -theta_t, exactly the jump the
 twist demands. The letters split V into a pointwise part S, its mean W, a
 mean-free tail T = R - mean(R) + (oint r)/2 and a constant remainder Q so
-that Q + S - W + T = V identically.
+that Q + S - W + T = V identically. A coupled step keeps ``geometry``'s
+hot-path rule: ufunc methods and concatenate, no Python-level numpy wrapper.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def coefficients(loop: LoopState, frame: FrameField) -> FrameCoefficients:
     h = frame.surface.metric
     a1 = h(points, ux, frame.e1)
     a2 = h(points, ux, frame.e2)
-    a = np.stack([a1, a2], axis=-1)
+    a = np.concatenate((a1[..., None], a2[..., None]), axis=-1)
     b = frame.base_index
     pw = frame.points[b]
     phi_wrap = complex(h(pw, ux[b], frame.e1_wrap), h(pw, ux[b], frame.e2_wrap))
@@ -177,7 +178,7 @@ def coefficients(loop: LoopState, frame: FrameField) -> FrameCoefficients:
 def twisted_residual(coeffs: FrameCoefficients, theta: float) -> float:
     """Relative defect of the twist relation phi(base + period) =
     e^{-i theta} phi(base)."""
-    scale = np.abs(coeffs.phi).max()
+    scale = np.maximum.reduce(np.abs(coeffs.phi))
     if scale == 0.0:
         return 0.0
     predicted = np.exp(-1j * theta) * coeffs.phi[coeffs.base_index]
@@ -228,7 +229,7 @@ def _curvature_letters(loop: LoopState, phi: np.ndarray):
     K, dK = loop.curvature, loop.curvature_x
     S = -0.5 * K * amp2
     if dK is None:
-        return S, np.zeros_like(K), np.zeros_like(K)
+        return S, np.zeros(K.shape), np.zeros(K.shape)
     r = dK * amp2 * 0.5
     return S, r, loop.grid.cumulative_integral(r)
 
@@ -280,10 +281,10 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
             )
         return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0)
     total = loop.grid.integrate(r)
-    mean_R = float(np.mean(R))
+    mean_R = float(np.add.reduce(R) / len(R))
     b = coeffs.base_index
     T = R - mean_R + 0.5 * total
-    W = float(np.mean(S))
+    W = float(np.add.reduce(S) / len(S))
     # Q + S - W + T = S - S[b] + (R - R[b]): the unwrapped base-b gauge
     # potential; the wrapped variant (gauge_potential) differs by the
     # constant oint r on the pre-base arc, the same multivaluedness the
@@ -362,7 +363,8 @@ def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
         s.flow_velocity(grid, y[:n], rate[:n])
         rate[n] = s.covariant_rhs(y[0], rate[0], y[n])
 
-    y = np.vstack([state.points, np.asarray(seed, dtype=float)])
+    y = np.empty((n + 1, state.points.shape[1]), order="F")
+    y[:n], y[n] = state.points, seed
     new_state, carried = fd._rk4_step(state, dt, rhs, y)
     return new_state, _unit_tangent(s, new_state.points[0], carried[0])
 
@@ -465,8 +467,9 @@ def _windowed_l4(grid: SpectralGrid, window: int):
         times.append(t)
         duration = times[-1] - times[0]
         start = calls % window if calls > window else 0
+        last = powers[start:start + len(times)]
         return float(((duration if duration > 0.0 else 1.0) * grid.period
-                      * np.mean(powers[start:start + len(times)])) ** 0.25)
+                      * (np.add.reduce(last, None) / last.size)) ** 0.25)
 
     return l4
 
@@ -521,13 +524,14 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         if circle:
             resid = twisted_residual(coeffs, ode)
             closure = abs(np.exp(1j * theta * grid.period) * coeffs.phi_wrap
-                          - phi_f[0]) / max(np.abs(phi_f).max(), 1e-300)
+                          - phi_f[0]) / max(np.maximum.reduce(np.abs(phi_f)), 1e-300)
         else:
             resid = closure = _edge_decay(coeffs.phi)
+        energy = fd.energy(state)  # gradient_norm is sqrt(2 energy), taken from it
         step = CoupledStep(
-            state.time, theta, gb, rate, ode, fd.energy(state),
-            fd.gradient_norm(state), resid, closure,
-            np.abs(nls.values - phi_f).max(), l4(state.time, nls.values),
+            state.time, theta, gb, rate, ode, energy,
+            float(np.sqrt(max(2.0 * energy, 0.0))), resid, closure,
+            np.maximum.reduce(np.abs(nls.values - phi_f)), l4(state.time, nls.values),
             *(_read_only(a.view()) for a in (coeffs.phi, phi_f, nls.values)))
         series[:, k] = step[:-3]
         if observer is not None:

@@ -17,7 +17,10 @@ Landau-Lifshitz form u_xx x u / radius from one second derivative, and every
 other target, ``WarpedSphere`` included, applies J to its tension.  Every
 cross product forms its six products with one gather per factor, and every
 sum over a 2- or 3-long last axis adds left to right (``_row_sum``); both
-give numpy's bits with fewer calls on (n, 3) rows.
+give numpy's bits with fewer calls on (n, 3) rows.  Hot-path rule: per-step
+paths call ufunc methods (``np.add.reduce``, ...) and ``np.concatenate`` or
+buffers, not numpy's Python-level wrappers (``mean``, ``stack``, ``norm``, ...),
+in numpy's own arithmetic; ``_row_sum`` owns row sums, ``integrate`` means.
 
 Parallel transport integrates the frame equation for a single tangent
 vector e1 with classical RK4 and carries e2 = J e1 along algebraically.
@@ -85,17 +88,17 @@ def _row_sum(x):
 
 def _dot(a, b):
     """a . b over the last axis, kept as a trailing axis of length 1.  Two
-    single vectors take np.dot, whose lower call cost matters in the
+    single vectors take ndarray.dot, whose lower call cost matters in the
     per-step seed transport of the coupled and autonomous drivers."""
     if a.ndim == b.ndim == 1:
-        return np.dot(a, b)
+        return a.dot(b)
     return _row_sum(a * b)[..., None]
 
 
 def _off_pole(p):
     """|z x p|^2 at points p of the unit sphere, rejected near the poles."""
     rho2 = p[..., 0] ** 2 + p[..., 1] ** 2
-    if np.any(rho2 < 1e-12):
+    if np.logical_or.reduce(rho2 < 1e-12, None):
         raise SingularChartError(
             "azimuthal reference frame is singular near the poles"
         )
@@ -189,8 +192,8 @@ class RoundSphere(SurfaceModel):
 
     def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> np.ndarray:
         p = super().validate_points(p, tol)
-        err = np.abs(np.linalg.norm(p, axis=-1) - self.radius)
-        worst = float(err.max()) if err.size else 0.0
+        err = np.abs(np.sqrt(_row_sum(p * p)) - self.radius)
+        worst = float(np.maximum.reduce(err, None)) if err.size else 0.0
         if worst > tol * max(1.0, self.radius):
             raise OffManifoldError(
                 f"point leaves the radius-{self.radius} sphere by {worst:.3e}"
@@ -266,10 +269,13 @@ class RoundSphere(SurfaceModel):
         a0, am, n1 = dnodes[:-1] / r2, dmids / r2, nodes[1:] / self.radius
         c2 = 0.5 * np.vecdot(b0, am)[:, None] * a0 - am
         c3 = -am - 0.5 * np.vecdot(bm, am)[:, None] * c2
-        cols = np.stack([n1, a0 / 6.0, (c2 + c3) / -3.0], axis=-1)
-        rows = np.stack([n1, b0 - np.vecdot(b0, n1)[:, None] * n1,
-                         bm - np.vecdot(bm, n1)[:, None] * n1], axis=-2)
-        return np.eye(3) - cols @ rows
+        cols, rows = np.empty((2,) + bm.shape + (3,))
+        cols[..., 0] = rows[:, 0] = n1
+        cols[..., 1], cols[..., 2] = a0 / 6.0, (c2 + c3) / -3.0
+        rows[:, 1] = b0 - np.vecdot(b0, n1)[:, None] * n1
+        rows[:, 2] = bm - np.vecdot(bm, n1)[:, None] * n1
+        cells = cols @ rows
+        return np.subtract(np.eye(3), cells, out=cells)
 
     def reference_frame(self, points: np.ndarray):
         p = points / self.radius
@@ -286,7 +292,8 @@ class RoundSphere(SurfaceModel):
         # each azimuth step of the closed sequence, wrapped into [-pi, pi],
         # sheds rint(step / 2 pi) turns; the raw steps sum to zero
         phi = np.arctan2(points[:, 1], points[:, 0])
-        return -int(np.rint(np.diff(phi, append=phi[:1]) / (2.0 * np.pi)).sum())
+        steps = np.concatenate((phi[1:], phi[:1])) - phi
+        return -int(np.add.reduce(np.rint(steps / (2.0 * np.pi))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,8 +419,8 @@ class HyperbolicDisk(_ConformalChart):
 
     def validate_points(self, p: np.ndarray, tol: float = MANIFOLD_TOL) -> np.ndarray:
         p = super().validate_points(p, tol)
-        r = np.linalg.norm(p, axis=-1)
-        if r.size and float(r.max()) >= 1.0:
+        r = np.sqrt(_row_sum(p * p))
+        if r.size and float(np.maximum.reduce(r, None)) >= 1.0:
             raise OffManifoldError("chart point outside the unit disk")
         return p
 
@@ -676,7 +683,7 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
         cells[shift:] = cells[:-shift] @ cells[shift:]
         shift *= 2
     v0 = _unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
-    return np.vstack([v0, _unit_tangent(surface, nodes[1:], v0 @ cells)])
+    return np.concatenate((v0[None], _unit_tangent(surface, nodes[1:], v0 @ cells)))
 
 
 def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray, dpath=None):
@@ -690,9 +697,9 @@ def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray, dpath=None
     grid = SpectralGrid(n, "circle")
     if dpath is None:
         dpath = grid.derivative(points) / n
-    mid = grid.midpoints(np.stack([points, dpath], axis=1))
-    nodes = np.vstack([surface.project_point(points), points[:1]])
-    dnodes = np.vstack([dpath, dpath[:1]])
+    mid = grid.midpoints(np.concatenate((points, dpath), axis=1)).reshape(n, 2, -1)
+    nodes = np.concatenate((surface.project_point(points), points[:1]))
+    dnodes = np.concatenate((dpath, dpath[:1]))
     return nodes, surface.project_point(mid[:, 0]), dnodes, mid[:, 1]
 
 

@@ -165,7 +165,7 @@ class HolonomyRecord:
 def lift_to_branch(angle: float, reference: float) -> float:
     """Shift angle by a multiple of 2*pi to land nearest the reference."""
     two_pi = 2.0 * np.pi
-    return angle + two_pi * np.round((reference - angle) / two_pi)
+    return angle + two_pi * np.rint((reference - angle) / two_pi)
 
 
 # -- matrix holonomy -------------------------------------------------------------

@@ -44,7 +44,7 @@ class ComplexField:
             raise ConfigError(
                 [f"values shape {vals.shape} does not match grid size {self.grid.n}"]
             )
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.logical_and.reduce(np.isfinite(vals.view(float)), None):
             raise ConfigError(["field values must be finite"])
         object.__setattr__(self, "values", vals)
 
@@ -273,7 +273,7 @@ def split_step(field: ComplexField, dt: float, potential=None, theta: float = 0.
         if potential is not None:
             vals = vals * np.exp(0.5j * dt * np.asarray(potential(vals, t + dt)))
         t += dt
-        peak = np.abs(vals).max()
+        peak = np.maximum.reduce(np.abs(vals))
         if not np.isfinite(peak) or peak > blow_up_threshold:
             raise BlowUpSuspectedError(
                 "split-step field exceeded the blow-up threshold",

@@ -142,7 +142,7 @@ def _dense_apply(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
     """mat @ values along axis 0; complex data through its real view. The
     product takes row-major columns: BLAS may round a column-major operand
     differently (OpenBLAS 0.3.31 does at n = 16, 20 and 24)."""
-    cplx = np.iscomplexobj(values)
+    cplx = values.dtype.kind == "c"
     cols = np.ascontiguousarray(values.reshape(values.shape[0], -1),
                                 complex if cplx else None)
     out = mat @ (cols.view(float) if cplx else cols)
@@ -233,8 +233,9 @@ class SpectralGrid:
         return self.derivatives(values, (order,))[0]
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Integral over one period (exact for band-limited data)."""
-        return values.mean(axis=0) * self.period
+        """Integral over one period (exact for band-limited data): np.mean's
+        sum and division over axis 0, times the period."""
+        return np.add.reduce(values, 0) / len(values) * self.period
 
     def cumulative_integral(self, values: np.ndarray) -> np.ndarray:
         """F(x_j) = integral from node 0 to node j, F(0) = 0.
@@ -242,7 +243,7 @@ class SpectralGrid:
         Computed spectrally: the mean contributes a linear ramp, the rest a
         periodic antiderivative, so accuracy matches the differentiation.
         """
-        mean = values.mean(axis=0)
+        mean = np.add.reduce(values, 0) / len(values)
         anti = self.derivatives(values - mean, (-1,))[0]
         x = (np.arange(self.n) * self.dx).reshape((-1,) + (1,) * (values.ndim - 1))
         return anti - anti[0] + mean * x

@@ -762,6 +762,32 @@ class TestCoupledDriver:
             counts.append(len(calls))
         assert (counts[1] - counts[0]) / 2 == per_step
 
+    def test_coupled_steps_call_no_numpy_python_wrappers(self, monkeypatch):
+        """From the observer's k = 0 call on, numpy's Python-level
+        convenience wrappers raise, and the steps of a round-sphere run at
+        N = 128 still complete: the per-state path reduces with ufunc methods
+        and joins with concatenate or buffers. The first state is left out
+        because its default seed search may take a norm."""
+        def refuse(name):
+            def raising(*args, **kwargs):
+                raise AssertionError(f"numpy.{name} called in a coupled step")
+            return raising
+
+        seen = []
+
+        def observer(k, state, step):
+            if k == 0:
+                for name in ("mean", "stack", "vstack", "hstack", "ptp", "diff",
+                             "any", "all", "round", "iscomplexobj", "zeros_like"):
+                    monkeypatch.setattr(np, name, refuse(name))
+                monkeypatch.setattr(np.linalg, "norm", refuse("linalg.norm"))
+            seen.append(k)
+
+        loop = fd.initial_loop(ROUND, SpectralGrid(128), "perturbed_latitude",
+                               alpha=np.pi / 4, eps=0.05, m=2)
+        res = fr.coupled_evolve(loop, fd.admissible_dt(loop), 3, observer=observer)
+        assert seen == [0, 1, 2, 3] and len(res.times) == 4
+
     def test_solver_tolerance_model(self):
         grid = SpectralGrid(64)
         assert fr.solver_tolerance(grid, 1e-4) == pytest.approx(

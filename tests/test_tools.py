@@ -242,8 +242,9 @@ def test_bench_pair_gives_the_timings_a_verdict():
     tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
     against = [{"wall_s": w, "max_rss_mb": 50.0} for w in (37.3, 28.8, 33.0)]
     cases = [([25.0, 26.0, 24.0], "gain"),  # lower in 3 of 3 by more than the IQR
-             ([33.5, 33.0, 32.0], "within bound"),
-             ([45.0, 44.0, 46.0], "worse than bound")]
+             ([37.5, 37.6, 37.7], "within bound"),  # 1.14x, above every other run
+             ([45.0, 44.0, 46.0], "worse than bound"),
+             ([33.5, 33.0, 32.0], "unresolved")]  # 3 runs each, ranges overlap
     for walls, expected in cases:
         this = [{"wall_s": w, "max_rss_mb": 52.0} for w in walls]
         out = tool.timing_summary({"this": this, "against": against},
@@ -257,6 +258,26 @@ def test_bench_pair_gives_the_timings_a_verdict():
     out = tool.timing_summary({"this": [{"wall_s": 29.0}] * 5, "against": wide},
                               bounds={"wall_s": 0.15})
     assert out["verdict"] == {"wall_s": "unresolved"}
+
+
+def test_bench_pair_leaves_few_overlapping_timings_unresolved():
+    """A timing with fewer than five runs on either side whose two ranges
+    overlap is unresolved, however narrow the other side's quartiles. The
+    first case is BENCH_pr22.json's `smflow check all`; from five runs on
+    each side the workloads' rule decides."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+
+    def wall_verdict(this, against):
+        return tool.timing_summary(
+            {"this": [{"wall_s": w} for w in this],
+             "against": [{"wall_s": w} for w in against]},
+            bounds={"wall_s": 0.15})["verdict"]["wall_s"]
+
+    assert wall_verdict([0.72, 0.62, 0.79], [0.66, 0.71, 0.66]) == "unresolved"
+    assert wall_verdict([0.70, 0.71, 0.69, 0.72, 0.70], [0.66, 0.71, 0.66]) == "unresolved"
+    assert wall_verdict([0.72, 0.73, 0.74], [0.66, 0.71, 0.66]) == "within bound"
+    assert wall_verdict([0.70, 0.71, 0.69, 0.72, 0.70],
+                        [0.66, 0.71, 0.66, 0.68, 0.67]) == "within bound"
 
 
 def test_bench_pair_refuses_a_checkout_that_changed_during_the_runs(

@@ -41,7 +41,10 @@ and a verdict against the metric's ``bound``:
 
 The fixture, tier-1 and CLI timings get the same ratio, win count and
 verdict, lower being better: wall times against the bound of ``op_ms.p50``
-and the CLI's peak memory against that of ``peak_rss_mb``.
+and the CLI's peak memory against that of ``peak_rss_mb``. A timing with
+fewer than ``MIN_TIMING_RUNS`` runs on either side reads ``unresolved``
+whenever the two sides' ranges overlap: three runs can land close together
+by chance, and so give the other side a narrow interquartile range.
 
 It also records the seeds, the host, and both checkouts: the commit, whether
 tracked files had uncommitted changes, and the sha256 of ``git diff HEAD``,
@@ -71,6 +74,7 @@ PINS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 FIXTURE_TEST = "tests/test_acceptance.py::test_1_energy_level_set_containment"
 CLI_COMMANDS = {"run": ["run"], "check_all": ["check", "all"]}
+MIN_TIMING_RUNS = 5
 
 
 def last_json(stdout: str) -> dict:
@@ -234,7 +238,8 @@ def timing_summary(results: dict, keys=("wall_s",), bounds=None) -> dict:
     """Median and quartiles of each timed key per side. For each key that
     ``bounds`` maps to a relative bound, also the ratio of the medians (this
     / against), the rounds in which this side was lower, and its verdict,
-    lower being better."""
+    lower being better; ``unresolved`` where either side has fewer than
+    MIN_TIMING_RUNS runs and the two sides' ranges overlap."""
     out = {side: {"runs": runs, **{key: quartiles([r[key] for r in runs]) for key in keys}}
            for side, runs in results.items()}
     out.update(ratio={}, this_better_in={}, verdict={})
@@ -243,7 +248,11 @@ def timing_summary(results: dict, keys=("wall_s",), bounds=None) -> dict:
                        for side in ("this", "against"))
         out["ratio"][key] = this["median"] / other["median"]
         out["this_better_in"][key] = sum(a < b for a, b in zip(this["values"], other["values"]))
-        out["verdict"][key] = verdict(this, other, "lower", bound, out["this_better_in"][key])
+        few = min(len(this["values"]), len(other["values"])) < MIN_TIMING_RUNS
+        overlap = (max(this["values"]) >= min(other["values"])
+                   and max(other["values"]) >= min(this["values"]))
+        out["verdict"][key] = ("unresolved" if few and overlap else
+                               verdict(this, other, "lower", bound, out["this_better_in"][key]))
     return out
 
 
