@@ -5,9 +5,12 @@ of ``RoundSphere`` and its conformal change ``WarpedSphere`` are ambient
 3-vectors; ``HyperbolicDisk`` and ``FlatTorus`` share a conformal-chart base
 and their points are chart coordinates; ``ProductSurface`` concatenates the
 coordinates of its factors and works factor by factor.  A target owns its
-metric, J, projections, curvature, chart Christoffel symbols, transport
-right-hand side, flow tension, reference frame, connection and winding; the
-module functions validate input and hand over to it.
+metric, J, projections, curvature, transport right-hand side, flow tension,
+reference frame, connection and winding; the module functions validate input
+and hand over to it.  One owner, ``_Conformal``, adds the closed-form grad
+sigma terms of a conformal change e^{2 sigma} to the round sphere
+(``WarpedSphere``) and to the flat chart (``HyperbolicDisk``); the chart
+Christoffel symbols (``christoffel_at``) are the tests' oracle only.
 
 The complex structure J is p x v / radius on embedded spheres and rotation
 by 90 degrees in conformal charts; both satisfy J*J = -1 and are isometric
@@ -33,15 +36,15 @@ projection at the end of the cell folded in.  On ``RoundSphere`` the
 generator -(du / r^2) (x) u has rank one, so every stage is one outer
 product, the last one vanishes under the projection, and each cell is
 written in closed form; the generic stages stay its oracle in the tests.
-A log-depth (Hillis-Steele) prefix product composes the cells.  e1 at
-each node is the seed times its prefix product, scaled once to unit
-metric length.  Projection is linear and a per-step
-renormalization only multiplies by a positive scalar, so this is the same
-discrete map as re-projecting and renormalizing after every step.  Arbitrary
-vectors are moved by freezing their coefficients in that frame, so
-transport commutes with J and preserves inner products to roundoff by
-construction; the integrator accuracy only enters through the frame
-itself.  Closed loops are interpolated trigonometrically (the scheme is
+In the flat chart every cell is the identity.  A log-depth (Hillis-Steele)
+prefix product composes the cells.  e1 at each node is the seed times its
+prefix product, scaled once to unit metric length.  Projection is linear
+and a per-step renormalization only multiplies by a positive scalar, so
+this is the same discrete map as re-projecting and renormalizing after
+every step.  Arbitrary vectors are moved by freezing their coefficients in
+that frame, so transport commutes with J and preserves inner products to
+roundoff by construction; the integrator accuracy only enters through the
+frame itself.  Closed loops are interpolated trigonometrically (the scheme is
 then 4th order in the sample spacing), at the midpoints only, since the
 nodes are the samples; open sampled paths use local cubic interpolation.
 """
@@ -105,22 +108,15 @@ def _off_pole(p):
     return rho2
 
 
-def _disk_log_scale_grad(q):
-    """Chart gradient (lx, ly) of the hyperbolic conformal factor
-    log(2 / (1 - |q|^2))."""
-    r2 = _row_sum(q * q)
-    return 2.0 * q[..., 0] / (1.0 - r2), 2.0 * q[..., 1] / (1.0 - r2)
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceModel:
     """A target manifold; build with the factory functions below.
 
     Pointwise methods broadcast over leading axes of (..., point_dim) arrays.
-    The defaults are those of a target without conformal factor, curvature
-    gradient or singular frame axis. Each target's ``covariant_rhs(u, du,
-    v)`` is the change of v that keeps it parallel over the step du from u;
-    it is linear in v, so the identity rows give the transport generator.
+    The defaults are those of a target without curvature gradient or
+    singular frame axis. Each target's ``covariant_rhs(u, du, v)`` is the
+    change of v that keeps it parallel over the step du from u; it is
+    linear in v, so the identity rows give the transport generator.
     """
 
     kind = ""
@@ -140,10 +136,6 @@ class SurfaceModel:
                 f"expected point dimension {self.point_dim}, got {p.shape[-1]}"
             )
         return p
-
-    def conformal_factor(self, p: np.ndarray) -> np.ndarray:
-        """log of the conformal scale of the metric relative to the base."""
-        return np.zeros(np.shape(p)[:-1])
 
     def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return _row_sum(np.asarray(v) * np.asarray(w))
@@ -179,6 +171,39 @@ class SurfaceModel:
         k4 = g_nodes[1:] + k3 @ g_nodes[1:]
         return self.tangent_project(nodes[1:, None],
                                     eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+class _Conformal:
+    """Conformal change e^{2 sigma} of the target class after it in the MRO;
+    the target gives sigma (``log_scale``) and its tangent gradient l
+    (``log_scale_grad``), and each method adds the terms in l to the base's."""
+
+    def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.exp(2.0 * self.log_scale(p)) * super().metric(p, v, w)
+
+    def covariant_rhs(self, u, du, v):
+        grad = self.log_scale_grad(u)
+        return (super().covariant_rhs(u, du, v) - _dot(grad, du) * v
+                - _dot(grad, v) * du + _dot(du, v) * grad)
+
+    def tension(self, u, ux, uxx):
+        grad = self.log_scale_grad(u)
+        speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
+        return super().tension(u, ux, uxx) + 2.0 * _dot(grad, ux) * ux - speed2 * grad
+
+    def reference_frame(self, points: np.ndarray):
+        scale = np.exp(-self.log_scale(points))[..., None]
+        f1, f2 = super().reference_frame(points)
+        return f1 * scale, f2 * scale
+
+    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return (super().reference_connection(points, vectors)
+                - _row_sum(self.log_scale_grad(points) * self.apply_J(points, vectors)))
+
+    # the first-order terms of tau survive J, and the transport generator is
+    # no longer of rank one
+    flow_velocity = SurfaceModel.flow_velocity
+    transport_cells = SurfaceModel.transport_cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +305,6 @@ class RoundSphere(SurfaceModel):
     def reference_frame(self, points: np.ndarray):
         p = points / self.radius
         f1 = _cross(_Z_AXIS, p) / np.sqrt(_off_pole(p))[..., None] * self.radius
-        f1 = f1 * np.exp(-self.conformal_factor(points))[..., None]
         return f1, self.apply_J(points, f1)
 
     def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -297,7 +321,7 @@ class RoundSphere(SurfaceModel):
 
 
 @dataclass(frozen=True, eq=False)
-class WarpedSphere(RoundSphere):
+class WarpedSphere(_Conformal, RoundSphere):
     """Unit sphere with metric exp(2*warp) times the round one; the warp's
     ambient gradient and Hessian give its curvature in closed form."""
 
@@ -307,16 +331,13 @@ class WarpedSphere(RoundSphere):
     warp_hess: Callable[[np.ndarray], np.ndarray]
     kind = "warped_sphere"
 
-    def _tangent_warp_grad(self, p):
+    def log_scale(self, p: np.ndarray) -> np.ndarray:
+        return np.asarray(self.warp(np.asarray(p, dtype=float)), dtype=float)
+
+    def log_scale_grad(self, p):
         """Tangential part of the warp gradient on the unit sphere."""
         grad = np.asarray(self.warp_grad(p), dtype=float)
         return grad - _dot(grad, p) * p
-
-    def conformal_factor(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.warp(np.asarray(p, dtype=float)), dtype=float)
-
-    def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.exp(2.0 * self.conformal_factor(p)) * super().metric(p, v, w)
 
     def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
         # K = e^{-2 warp} (1 - lap), lap the Laplace-Beltrami of the warp on
@@ -326,7 +347,7 @@ class WarpedSphere(RoundSphere):
         lap = (np.einsum("...ii->...", hess)
                - np.einsum("...i,...ij,...j->...", p, hess, p)
                - 2.0 * _row_sum(p * np.asarray(self.warp_grad(p), dtype=float)))
-        return np.exp(-2.0 * self.conformal_factor(p)) * (1.0 - lap)
+        return np.exp(-2.0 * self.log_scale(p)) * (1.0 - lap)
 
     def curvature_gradient(self, p: np.ndarray) -> np.ndarray:
         # K through the radial projection is constant along rays, so centered
@@ -357,62 +378,45 @@ class WarpedSphere(RoundSphere):
                       - np.einsum("ij,...i,...k->...kij", eye, g, lam_d)
                       / g[..., :, None, None])
 
-    def covariant_rhs(self, u, du, v):
-        grad = self._tangent_warp_grad(u)
-        rhs = -_dot(v, du) * u
-        rhs = rhs - _dot(grad, du) * v - _dot(grad, v) * du
-        rhs = rhs + _dot(du, v) * grad
-        return rhs
-
-    def tension(self, u, ux, uxx):
-        # the conformal change of the target metric adds first-order terms
-        speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
-        grad_tan = self._tangent_warp_grad(u)
-        dlam_ux = _row_sum(grad_tan * ux)[..., None]
-        return uxx + speed2 * u + 2.0 * dlam_ux * ux - speed2 * grad_tan
-
-    # the first-order conformal terms of tau survive J, and the transport
-    # generator is no longer of rank one
-    flow_velocity = SurfaceModel.flow_velocity
-    transport_cells = SurfaceModel.transport_cells
-
-    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        grad = self._tangent_warp_grad(points)
-        return (super().reference_connection(points, vectors)
-                - _row_sum(grad * _cross(points, vectors)))
-
 
 @dataclass(frozen=True, eq=False)
 class _ConformalChart(SurfaceModel):
-    """A target in one conformal chart: J turns by 90 degrees and the
-    reference frame is the coordinate axes scaled to unit length."""
+    """The flat metric in one chart, the base of the conformal charts: J
+    turns by 90 degrees, vectors stay parallel, tau = u_xx and the
+    reference frame is the coordinate axes."""
 
     def project_point(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(p, dtype=float).copy()
 
     def apply_J(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
-        return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+        out = np.empty_like(v)
+        out[..., 0], out[..., 1] = -v[..., 1], v[..., 0]
+        return out
 
     def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.asarray(w, dtype=float).copy()
 
     def covariant_rhs(self, u, du, v):
-        # dv^k = -Gamma^k_{ij} du^i v^j
-        return -np.einsum("...kij,...i,...j->...k", christoffel_at(self, u), du, v)
+        return np.zeros(np.broadcast(du, v).shape)
 
     def tension(self, u, ux, uxx):
-        return uxx + np.einsum("nkij,ni,nj->nk", christoffel_at(self, u), ux, ux)
+        return uxx
+
+    def transport_cells(self, nodes, mids, dnodes, dmids) -> np.ndarray:
+        return np.eye(nodes.shape[-1])[None].repeat(len(mids), axis=0)
 
     def reference_frame(self, points: np.ndarray):
-        scale = np.exp(-self.conformal_factor(points))
-        f1 = np.stack([scale, np.zeros_like(scale)], axis=-1)
-        f2 = np.stack([np.zeros_like(scale), scale], axis=-1)
+        f1, f2 = np.zeros((2,) + points.shape)
+        f1[..., 0] = f2[..., 1] = 1.0
         return f1, f2
+
+    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return np.zeros(points.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
-class HyperbolicDisk(_ConformalChart):
+class HyperbolicDisk(_Conformal, _ConformalChart):
     """Poincare disk: metric (2 / (1 - |q|^2))^2 times the Euclidean one."""
 
     kind = "hyperbolic_disk"
@@ -424,12 +428,14 @@ class HyperbolicDisk(_ConformalChart):
             raise OffManifoldError("chart point outside the unit disk")
         return p
 
-    def conformal_factor(self, p: np.ndarray) -> np.ndarray:
+    def log_scale(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return np.log(2.0 / (1.0 - _row_sum(p * p)))
 
-    def metric(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.exp(2.0 * self.conformal_factor(p)) * super().metric(p, v, w)
+    def log_scale_grad(self, q):
+        """2 q / (1 - |q|^2); points off the disk raise OffManifoldError."""
+        q = self.validate_points(q)
+        return 2.0 * q / (1.0 - _row_sum(q * q))[..., None]
 
     def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
         return np.full(np.shape(p)[:-1], -1.0)
@@ -439,8 +445,7 @@ class HyperbolicDisk(_ConformalChart):
         return conf[..., None, None] * np.eye(2)
 
     def christoffel(self, q: np.ndarray) -> np.ndarray:
-        self.validate_points(q)
-        lx, ly = _disk_log_scale_grad(q)
+        lx, ly = np.moveaxis(self.log_scale_grad(q), -1, 0)
         gam = np.zeros(q.shape[:-1] + (2, 2, 2))
         gam[..., 0, 0, 0] = lx
         gam[..., 0, 0, 1] = ly
@@ -451,10 +456,6 @@ class HyperbolicDisk(_ConformalChart):
         gam[..., 1, 1, 0] = lx
         gam[..., 1, 0, 0] = -ly
         return gam
-
-    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        lx, ly = _disk_log_scale_grad(points)
-        return -ly * vectors[..., 0] + lx * vectors[..., 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,9 +472,6 @@ class FlatTorus(_ConformalChart):
 
     def christoffel(self, q: np.ndarray) -> np.ndarray:
         return np.zeros(q.shape[:-1] + (2, 2, 2))
-
-    def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        return np.zeros(points.shape[:-1])
 
 
 def _per_factor_only(what: str):

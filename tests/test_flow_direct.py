@@ -303,19 +303,25 @@ def test_hyperbolic_disk_flow_conserves_energy():
 
 
 def test_chart_tension_matches_per_node_christoffel_loop():
+    """The closed-form conformal terms of the tension and of the transport
+    right-hand side against the Christoffel symbols, node by node."""
     grid = SpectralGrid(64)
     for surface in (geo.hyperbolic_disk(), geo.flat_torus()):
         state = fd.initial_loop(surface, grid, "fourier",
                                 coeffs=[(1, 0.15, 0.1), (3, 0.03, 0.02)],
                                 offset=[0.05, -0.1])
         ux = grid.derivative(state.points)
-        quad = np.empty_like(ux)
+        v = np.random.default_rng(3).standard_normal(ux.shape)
+        quad, transport = np.empty_like(ux), np.empty_like(ux)
         for j in range(grid.n):
             gam = geo.christoffel_at(surface, state.points[j])
             quad[j] = np.einsum("kij,i,j->k", gam, ux[j], ux[j])
+            transport[j] = -np.einsum("kij,i,j->k", gam, ux[j], v[j])
         oracle = grid.derivative(state.points, order=2) + quad
         tau = fd.tension(state)
         assert np.abs(tau - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        rhs = surface.covariant_rhs(state.points, ux, v)
+        assert np.abs(rhs - transport).max() <= 1e-13 * np.abs(transport).max()
 
 
 # -- kernel parity ------------------------------------------------------------------

@@ -18,8 +18,9 @@ from smflow.errors import (
     SingularChartError,
     UnsupportedOperationError,
 )
-from smflow.flow_direct import LoopState, initial_loop
-from smflow.frame_reduction import parallel_frame
+from smflow.flow_direct import LoopState, admissible_dt, initial_loop
+from smflow.frame_reduction import coupled_evolve, parallel_frame
+from smflow.holonomy import holonomy_ode
 from smflow.spectral import SpectralGrid
 
 
@@ -341,6 +342,40 @@ def test_christoffel_rejects_polar_chart_points():
         geo.christoffel_at(geo.round_sphere(), np.array([np.pi, 0.0]))
 
 
+def test_disk_conformal_terms_reject_points_off_the_disk():
+    """An RK4 stage or transport midpoint that leaves the disk raises: the
+    closed-form conformal terms validate their points."""
+    s = geo.hyperbolic_disk()
+    q = np.array([[0.2, 0.1], [0.6, 0.9]])
+    du = np.array([[0.3, -0.1], [0.2, 0.4]])
+    with pytest.raises(OffManifoldError):
+        s.covariant_rhs(q, du, du[::-1])
+    with pytest.raises(OffManifoldError):
+        s.tension(q, du, du[::-1])
+
+
+def test_no_run_path_builds_christoffel_symbols(monkeypatch):
+    """The chart targets' coupled run, loop frame and connection integral
+    take the closed-form conformal terms; the Christoffel symbols are the
+    tests' oracle only."""
+
+    def refuse(*args):
+        raise AssertionError("a run path built Christoffel symbols")
+
+    monkeypatch.setattr(geo, "christoffel_at", refuse)
+    for cls in (geo.HyperbolicDisk, geo.FlatTorus):
+        monkeypatch.setattr(cls, "christoffel", refuse)
+    grid = SpectralGrid(32)
+    for s in (geo.hyperbolic_disk(), geo.flat_torus()):
+        loop = initial_loop(s, grid, "fourier", coeffs=[(1, 0.15, 0.1)],
+                            offset=[0.05, -0.1])
+        res = coupled_evolve(loop, admissible_dt(loop), 3)
+        assert np.isfinite(res.theta).all()
+        assert np.isfinite(res.final_state.points).all()
+        assert np.isfinite(geo.loop_frame(s, loop.points)[2]).all()
+        assert np.isfinite(holonomy_ode(s, grid, loop.points))
+
+
 # -- parallel transport ---------------------------------------------------------
 
 
@@ -575,7 +610,8 @@ def test_parallel_frame_with_base_index_matches_stepwise_oracle(target, bump_sph
 def test_transport_cells_match_the_generic_route(target, n, bump_sphere):
     """The round sphere's closed-form rank-one cells equal the generic stage
     products of SurfaceModel.transport_cells to 1e-14, on radius 1 and 1.5
-    and near the pole; every other target takes the generic route itself."""
+    and near the pole, and the torus's identity cells equal them exactly;
+    every other target takes the generic route itself."""
     s = (geo.round_sphere() if target == "unit_round"
          else _transport_target(target, bump_sphere))
     loops = [_wobbly_loop(s, n)]
@@ -653,7 +689,7 @@ def vector_reference_connection(surface, points, vectors):
     dvf1 = zv / norm - w * np.sum(w * zv, axis=-1, keepdims=True) / norm**3
     beta = np.sum(dvf1 * np.cross(p, w / norm), axis=-1)
     if isinstance(surface, geo.WarpedSphere):
-        beta -= np.sum(surface._tangent_warp_grad(p) * np.cross(p, v), axis=-1)
+        beta -= np.sum(surface.log_scale_grad(p) * np.cross(p, v), axis=-1)
     return beta
 
 
