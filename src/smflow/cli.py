@@ -15,11 +15,12 @@ the k of each ``[k, a, b]`` mode in ``colat_coeffs``, ``azimuth_coeffs`` and
 ``alpha``, ``eps`` and (positive) ``envelope_sigma`` numbers. ``output.dir``
 is a relative path with no ``..`` part, under the output root, which the
 environment variable SMFLOW_OUT overrides. A run takes at most
-``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``. Every artifact
-embeds a schema string; CSV floats use shortest round-trip formatting, so
-identical configurations produce bit-identical files. Exit codes: 0 pass, 1
-check or invariant failure, 2 usage or configuration error, 3 numerical
-failure.
+``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``. ``diagnostics.cadence``
+chooses which timeseries rows are written and nothing else: every summary
+invariant reads every state. Every artifact embeds a schema string; CSV
+floats use shortest round-trip formatting, so identical configurations
+produce bit-identical files. Exit codes: 0 pass, 1 check or invariant
+failure, 2 usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from . import flow_direct as fd
 from . import frame_reduction as fr
 from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
-from .geometry import bump_warp, flat_torus, hyperbolic_disk, round_sphere, warped_sphere
+from .geometry import (bump_warp, flat_torus, hyperbolic_disk, round_sphere,
+                       sphere_chart_point, warped_sphere)
 from .holonomy import (
     _connection_matrix_samples,
     _holonomy_ode,
@@ -51,8 +53,8 @@ from .holonomy import (
 )
 from .spectral import SpectralGrid
 
-# the most steps one run or convergence level may take; a coupled run keeps
-# nine result floats per step, 0.7 GB at this bound
+# the most steps one run or convergence level may take; a run keeps a
+# nine-float row per state, 0.7 GB at this bound (a coupled run 0.9 GB more)
 MAX_STEPS = 10**7
 
 SCHEMA_CONFIG = "smflow.config.v1"
@@ -66,22 +68,17 @@ SCHEMA_CHECKS = "smflow.checks.v1"
 TIMESERIES_COLUMNS = ("t", "energy", "a_l2", "theta_transport", "theta_ode",
                       "theta_gb", "theta_rate", "phi_l4", "cross_error")
 
-_SPHERE_INITS = ("constant", "great_circle", "latitude", "perturbed_latitude",
-                 "fourier")
-_CHART_INITS = ("constant", "fourier")
 # the init keys a preset may read: the keyword-only parameters of initial_loop
 _INIT_PARAMS = tuple(name for name, p in inspect.signature(fd.initial_loop).parameters.items()
                      if p.kind is p.KEYWORD_ONLY)
 
 
-# target.kind -> (surface built from the target section, initial-loop
-# presets); the sphere presets mark the embedded targets
+# target.kind -> the surface built from the target section
 _TARGETS = {
-    "round_sphere": (lambda target: round_sphere(target["radius"]), _SPHERE_INITS),
-    "warped_sphere": (lambda target: warped_sphere(*bump_warp(**target["warp"])),
-                      _SPHERE_INITS),
-    "hyperbolic_disk": (lambda target: hyperbolic_disk(), _CHART_INITS),
-    "flat_torus": (lambda target: flat_torus(), _CHART_INITS),
+    "round_sphere": lambda target: round_sphere(target["radius"]),
+    "warped_sphere": lambda target: warped_sphere(*bump_warp(**target["warp"])),
+    "hyperbolic_disk": lambda target: hyperbolic_disk(),
+    "flat_torus": lambda target: flat_torus(),
 }
 
 # -- configuration --------------------------------------------------------------
@@ -130,7 +127,7 @@ _LEAVES = (
     ("domain.n", 64, lambda v: _integer(v) and v >= 16 and v & (v - 1) == 0,
      "a power of two >= 16"),
     ("domain.half_width", 6.0, *_POSITIVE),
-    ("init.kind", "latitude", *_one_of(*_SPHERE_INITS)),  # every preset
+    ("init.kind", "latitude", *_one_of(*fd.PRESETS[True])),  # every preset
     ("init.point", None, _numbers, "a list of numbers"),
     ("init.alpha", 0.7853981633974483, _number, "a number"),
     ("init.eps", None, _number, "a number"),
@@ -252,8 +249,8 @@ def _validate_structure(cfg):
     if violations:
         return violations
     target, init = cfg["target"]["kind"], cfg["init"]
-    inits = _TARGETS[target][1]
-    dim = 3 if inits is _SPHERE_INITS else 2
+    surface = _TARGETS[target](cfg["target"])
+    inits, dim = fd.PRESETS[surface.embedded], surface.point_dim
     if init.get("kind") not in inits:
         violations.append(f"init.kind must be one of {inits} for target "
                           f"{target!r}; got {init.get('kind')!r}")
@@ -261,7 +258,7 @@ def _validate_structure(cfg):
         violations.append(f"init.point must have {dim} coordinates for target "
                           f"{target!r}; got {init['point']!r}")
     if cfg["reduction"]["mode"] == "autonomous" and (
-            inits is not _SPHERE_INITS or cfg["domain"]["kind"] != "circle"):
+            not surface.embedded or cfg["domain"]["kind"] != "circle"):
         violations.append("reduction.mode 'autonomous' requires an embedded sphere "
                           "target on the circle domain")
     return violations
@@ -270,7 +267,7 @@ def _validate_structure(cfg):
 def _materialize(cfg):
     """Surface, grid, initial loop, and the resolved (dt, n_steps)."""
     target, dom, init = cfg["target"], cfg["domain"], dict(cfg["init"])
-    surface = _TARGETS[target["kind"]][0](target)
+    surface = _TARGETS[target["kind"]](target)
     grid = SpectralGrid(dom["n"], dom["kind"],
                         dom["half_width"] if dom["kind"] == "line" else 0.0)
     loop = fd.initial_loop(surface, grid, init.pop("kind"), **init)
@@ -334,9 +331,10 @@ def _write_snapshot(path, t, grid, points, big_phi, small_phi):
 
 
 def _on_cadence(k, n_steps, cadence):
-    """Whether step k of an n_steps run is recorded at this cadence: every
-    cadence-th step and the last; cadence 0 keeps the first and the last."""
-    return k == n_steps or (k % cadence == 0 if cadence else k == 0)
+    """Whether step k (an int or an integer array) of an n_steps run is
+    written at this cadence: every cadence-th step and the last; cadence 0
+    keeps the first and the last."""
+    return (k == n_steps) | (k % cadence == 0 if cadence else k == 0)
 
 
 def _holonomy_payload(loop, theta, theta_ode, theta_gb):
@@ -360,7 +358,7 @@ def _holonomy_payload(loop, theta, theta_ode, theta_gb):
 
 
 def _summary_invariants(rows, circle, res):
-    """Invariants of the timeseries rows and, for a coupled run, of its
+    """Invariants of the rows of every state and, for a coupled run, of its
     ReducedRunResult res (None for an autonomous run)."""
     inv = {}
 
@@ -398,16 +396,16 @@ def _summary_invariants(rows, circle, res):
 
 
 def _run_coupled(loop, cfg, dt, n_steps, keep):
-    """Coupled run: hands keep(k, row, snapshot) each step's timeseries row
-    and snapshot (t, points, Phi, phi) as thunks; returns the final loop and
-    the ReducedRunResult."""
+    """Coupled run: hands keep(k, row, snapshot) the timeseries row and the
+    snapshot (t, points, Phi, phi) of each state k as it is reached; returns
+    the final loop and the ReducedRunResult."""
     circle = loop.grid.kind == "circle"
 
     def observer(k, state, s):
-        keep(k, lambda: [s.time, s.energy, math.sqrt(2.0 * s.energy), s.theta,
-                         lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
-                         s.theta_gb, s.theta_rate, s.l4_window, s.sup_error],
-             lambda: (s.time, state.points, s.coeffs, s.phi_nls))
+        keep(k, [s.time, s.energy, math.sqrt(2.0 * s.energy), s.theta,
+                 lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
+                 s.theta_gb, s.theta_rate, s.l4_window, s.sup_error],
+             (s.time, state.points, s.coeffs, s.phi_nls))
 
     res = fr.coupled_evolve(loop, dt, n_steps,
                             l4_window=cfg["diagnostics"]["l4_window"],
@@ -416,33 +414,28 @@ def _run_coupled(loop, cfg, dt, n_steps, keep):
 
 
 def _run_autonomous(loop, cfg, dt, n_steps, keep):
-    """Autonomous run, fed to keep like the coupled one; each row is computed
-    as its observer sees it, from the loop the evolution reconstructed (row
-    0: the initial loop), and the swept angle and L4 window run over rows.
-    Returns the final loop and no result."""
+    """Autonomous run, fed to keep like the coupled one: each state's row is
+    read off the loop the evolution reconstructed (state 0: the initial
+    loop). Returns the final loop and no result."""
     surface, grid = loop.surface, loop.grid
     frame, _, ode0, theta0, phi0 = fr.reduce_state(loop)
     state = fr.AutonomousState(grid, phi0, loop.points[0].copy(), frame.e1[0].copy(),
                                theta0)
     l4 = fr._windowed_l4(grid, cfg["diagnostics"]["l4_window"])
-    prev, theta_gb = None, theta0  # the previous row's (t, points)
-
-    def row(k, st, lp):
-        nonlocal prev, theta_gb
-        if prev is not None:
-            theta_gb += swept_angle_increment(surface, grid, prev[1], lp.points,
-                                              st.time - prev[0])
-        prev = (st.time, lp.points)
-        energy = fd.energy(lp)
-        theta_ode = lift_to_branch(ode0 if k == 0 else _holonomy_ode(lp), st.theta)
-        return [st.time, energy, math.sqrt(2.0 * energy), st.theta, theta_ode,
-                theta_gb, _holonomy_rate(lp), l4(st.time, st.phi), np.nan]
+    prev, theta_gb = loop, theta0  # the previous state's loop
 
     def observer(k, st, lp):
-        lp = loop if k == 0 else lp
-        keep(k, lambda: row(k, st, lp),
-             lambda: (st.time, lp.points,
-                      np.exp(-1j * st.theta * grid.nodes) * st.phi, st.phi))
+        nonlocal prev, theta_gb
+        if k:
+            theta_gb += swept_angle_increment(surface, grid, prev.points, lp.points,
+                                              st.time - prev.time)
+        else:
+            lp = loop
+        prev, energy = lp, fd.energy(lp)
+        theta_ode = lift_to_branch(_holonomy_ode(lp) if k else ode0, st.theta)
+        keep(k, [st.time, energy, math.sqrt(2.0 * energy), st.theta, theta_ode,
+                 theta_gb, _holonomy_rate(lp), l4(st.time, st.phi), np.nan],
+             (st.time, lp.points, np.exp(-1j * st.theta * grid.nodes) * st.phi, st.phi))
 
     state = fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
     final = loop
@@ -457,11 +450,14 @@ def _run_autonomous(loop, cfg, dt, n_steps, keep):
 def run_scenario(cfg):
     """Run one configured scenario; returns (artifact dir, summary dict).
 
-    The runner hands over the timeseries row and the snapshot of each
-    recorded step; rows go into one packed float buffer. After the run this
-    one path writes the snapshots (written mid-run they slowed a three-step
-    N=64 run by about 5%), the timeseries and the holonomy payload of the
-    final loop, and builds the invariants and metrics of both modes."""
+    The runner hands over the timeseries row and the snapshot of every
+    state; every row goes into one packed float buffer, and the snapshots
+    on snapshot_cadence are kept. After the run this one path writes the
+    snapshots (written mid-run they slowed a three-step N=64 run by about
+    5%), the rows on diagnostics.cadence as the timeseries, and the
+    holonomy payload of the final loop, and builds the invariants and
+    metrics of both modes from the rows of every state: the cadence
+    chooses what is written and nothing else."""
     _, grid, loop, dt, n_steps = _materialize(cfg)
     out_dir = output_root() / cfg["output"]["dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -474,10 +470,9 @@ def run_scenario(cfg):
     rows, snapshots = array("d"), {}
 
     def keep(k, row, snapshot):
-        if _on_cadence(k, n_steps, diag["cadence"]):
-            rows.extend(row())
+        rows.extend(row)
         if _on_cadence(k, n_steps, diag["snapshot_cadence"]):
-            snapshots[k] = snapshot()
+            snapshots[k] = snapshot
 
     runner = _run_coupled if mode == "coupled" else _run_autonomous
     try:
@@ -486,8 +481,8 @@ def run_scenario(cfg):
             _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, points,
                             big_phi, small_phi)
         table = np.frombuffer(rows).reshape(-1, len(TIMESERIES_COLUMNS))
-        _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES,
-                   TIMESERIES_COLUMNS, table)
+        _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES, TIMESERIES_COLUMNS,
+                   table[_on_cadence(np.arange(len(table)), n_steps, diag["cadence"])])
         if circle:  # theta_transport, theta_ode, theta_gb of the last row
             payload = _holonomy_payload(final, *table[-1, 3:6])
         else:
@@ -530,9 +525,8 @@ def _latitude_exact(alpha, grid, t, radius=1.0):
     times the unit-sphere precession, whose rate 4 pi^2 cos(alpha) does not
     depend on r."""
     phase = 2.0 * np.pi * grid.nodes / grid.period + 4.0 * np.pi**2 * np.cos(alpha) * t
-    return radius * np.stack(
-        [np.sin(alpha) * np.cos(phase), np.sin(alpha) * np.sin(phase),
-         np.full(grid.n, np.cos(alpha))], axis=-1)
+    return sphere_chart_point(np.stack([np.full(grid.n, float(alpha)), phase], axis=-1),
+                              radius)
 
 
 def _has_closed_form(cfg):

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpSuspectedError, ConfigError, OffManifoldError, RejectedStepError
-from .geometry import SurfaceModel
+from .geometry import SurfaceModel, sphere_chart_point
 from .spectral import SpectralGrid
 
 # RK4 on the linearized flow i phi_t = phi_xx is stable for
@@ -104,11 +104,9 @@ def _adopt(grid: SpectralGrid, surface: SurfaceModel, points: np.ndarray,
 # -- initial data ---------------------------------------------------------------
 
 
-def _sphere_angles_to_points(surface, colat, azim):
-    s, c = np.sin(colat), np.cos(colat)
-    return surface.radius * np.stack(
-        [s * np.cos(azim), s * np.sin(azim), c], axis=-1
-    )
+# the initial-loop presets of each target family, by surface.embedded
+PRESETS = {True: ("constant", "great_circle", "latitude", "perturbed_latitude", "fourier"),
+           False: ("constant", "fourier")}
 
 
 def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
@@ -117,14 +115,16 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
                  offset=(0.0, 0.0)) -> LoopState:
     """Build a named initial loop.
 
-    Sphere-like targets support 'constant', 'great_circle', 'latitude',
-    'perturbed_latitude' and 'fourier'; chart targets support 'constant'
-    and 'fourier' (coefficients feed the two chart coordinates). The
-    keyword-only parameters are every parameter some preset reads, and the
-    CLI takes its allowed ``init`` keys from them; a preset ignores those it
-    does not read. ``point`` defaults to the north pole on a sphere and to
+    Sphere-like targets support the presets ``PRESETS[True]`` and chart
+    targets those of ``PRESETS[False]``, whose 'fourier' coefficients feed
+    the two chart coordinates. The keyword-only parameters are every
+    parameter some preset reads, and the CLI takes its allowed ``init`` keys
+    from them; a preset ignores those it does not read. ``point`` defaults to the north pole on a sphere and to
     the chart origin otherwise.
     """
+    if kind not in PRESETS[surface.embedded]:
+        raise ConfigError([f"unknown initial loop kind {kind!r} for "
+                           f"{'sphere' if surface.embedded else 'chart'} target"])
     x = grid.nodes
     phase = 2 * np.pi * x / grid.period
     if surface.embedded:
@@ -136,28 +136,24 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
                 raise ConfigError([f"point {base.tolist()} of the constant loop "
                                    "has no radial projection onto the target"])
             pts = np.tile(on_target, (grid.n, 1))
-        elif kind == "great_circle":
-            pts = _sphere_angles_to_points(surface, np.full(grid.n, np.pi / 2), phase)
-        elif kind == "latitude":
-            pts = _sphere_angles_to_points(surface, np.full(grid.n, float(alpha)), phase)
-        elif kind == "perturbed_latitude":
-            colat = float(alpha) + float(eps) * np.cos(int(m) * phase)
-            pts = _sphere_angles_to_points(surface, colat, phase)
-        elif kind == "fourier":
-            colat = np.full(grid.n, np.pi / 2)
-            azim = phase.copy()
-            for k, ac, asn in colat_coeffs:
-                colat += ac * np.cos(k * phase) + asn * np.sin(k * phase)
-            for k, ac, asn in azimuth_coeffs:
-                azim += ac * np.cos(k * phase) + asn * np.sin(k * phase)
-            pts = _sphere_angles_to_points(surface, colat, azim)
-        else:
-            raise ConfigError([f"unknown initial loop kind {kind!r} for sphere target"])
+        else:  # (colatitude, longitude) chart coordinates of the loop
+            colat, azim = np.full(grid.n, np.pi / 2), phase
+            if kind == "latitude":
+                colat = np.full(grid.n, float(alpha))
+            elif kind == "perturbed_latitude":
+                colat = float(alpha) + float(eps) * np.cos(int(m) * phase)
+            elif kind == "fourier":
+                azim = phase.copy()
+                for k, ac, asn in colat_coeffs:
+                    colat += ac * np.cos(k * phase) + asn * np.sin(k * phase)
+                for k, ac, asn in azimuth_coeffs:
+                    azim += ac * np.cos(k * phase) + asn * np.sin(k * phase)
+            pts = sphere_chart_point(np.stack([colat, azim], axis=-1), surface.radius)
     else:
         if kind == "constant":
             base = np.asarray([0.0, 0.0] if point is None else point, dtype=float)
             pts = np.tile(base, (grid.n, 1))
-        elif kind == "fourier":
+        else:  # fourier
             q = np.zeros((grid.n, 2))
             for k, c1, c2 in coeffs:
                 q[:, 0] += c1 * np.cos(k * phase)
@@ -166,8 +162,6 @@ def initial_loop(surface: SurfaceModel, grid: SpectralGrid, kind: str, *,
                 # Gaussian envelope so line-domain data decays at the edges
                 q *= np.exp(-(x**2) / (2.0 * float(envelope_sigma) ** 2))[:, None]
             pts = q + np.asarray(offset, dtype=float)
-        else:
-            raise ConfigError([f"unknown initial loop kind {kind!r} for chart target"])
         try:
             surface.validate_points(pts)
         except OffManifoldError as exc:

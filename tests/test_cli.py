@@ -279,9 +279,9 @@ class TestRunScenario:
     def test_phi_l4_recomputed_from_snapshots(self, workdir, mode):
         """phi_l4 = (D * period * mean |phi|^4)^(1/4) over a trailing window
         of l4_window fields, D the span of their times (1 when it is zero).
-        The window runs over steps in a coupled run and over timeseries rows
-        in an autonomous one; every value is recomputed from the snapshots,
-        written at every step, with rows at every second step."""
+        The window runs over steps in both modes, whatever the cadence; every
+        value is recomputed from the snapshots, written at every step, with
+        rows at every second step."""
         cfg = write_config(workdir, reduction={"mode": mode},
                            time={"dt": 1e-5, "t_final": 9e-5},
                            diagnostics={"cadence": 2, "snapshot_cadence": 1,
@@ -300,14 +300,56 @@ class TestRunScenario:
         rows = [0, 2, 4, 6, 8, 9]
         assert list(data[:, 0]) == [snaps[k][0] for k in rows]
         for i, k in enumerate(rows):
-            steps = ([k - 1, k] if k else [k]) if mode == "coupled" \
-                else rows[max(0, i - 1):i + 1]
-            window = [snaps[j] for j in steps]
+            window = [snaps[j] for j in ([k - 1, k] if k else [k])]
             duration = window[-1][0] - window[0][0]
             block = np.abs(np.array([phi for _, phi in window])) ** 4
             want = ((duration if duration > 0.0 else 1.0) * grid.period
                     * np.mean(block)) ** 0.25
             assert data[i, cols.index("phi_l4")] == want, (mode, k)
+
+    @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
+    def test_cadence_chooses_only_the_written_rows(self, workdir, mode):
+        """A cadence-3 run writes rows 0, 3, 6, 9 and 10 of the cadence-1
+        run byte for byte, and the same summary, holonomy and snapshots: the
+        swept angle, the L4 window and every invariant run over states."""
+        cfg = write_config(
+            workdir, reduction={"mode": mode}, target={"kind": "warped_sphere"},
+            init={"kind": "perturbed_latitude", "alpha": 1.0, "eps": 0.1, "m": 3},
+            time={"dt": 1e-4, "t_final": 1e-3},
+            diagnostics={"cadence": 1, "snapshot_cadence": 0, "l4_window": 4})
+        runs = {}
+        for cadence in (1, 3):
+            out = workdir / f"cadence{cadence}"
+            assert cli.main(["run", "--config", str(cfg), "--set", f"output.dir={out.name}",
+                             "--set", f"diagnostics.cadence={cadence}"]) == 0
+            runs[cadence] = out
+        every, sparse = ((runs[c] / "timeseries.csv").read_text().splitlines()
+                         for c in (1, 3))
+        head = every.index(",".join(cli.TIMESERIES_COLUMNS)) + 1
+        assert len(every) == head + 11
+        assert sparse == every[:head] + [every[head + k] for k in (0, 3, 6, 9, 10)]
+        names = sorted(p.name for p in runs[1].iterdir())
+        assert names == sorted(p.name for p in runs[3].iterdir())
+        for name in set(names) - {"config.json", "timeseries.csv"}:
+            assert (runs[1] / name).read_bytes() == (runs[3] / name).read_bytes(), name
+
+    def test_invariant_broken_between_written_rows_fails_the_run(self, workdir,
+                                                                monkeypatch, capsys):
+        """An energy spike at state 3 of a run that writes every second row
+        reaches energy_drift_rel, and the run exits 1."""
+        energy = fd.energy
+        monkeypatch.setattr(fd, "energy", lambda state: energy(state) * (
+            2.0 if abs(state.time - 3e-4) < 5e-5 else 1.0))
+        cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 6e-4},
+                           diagnostics={"cadence": 2, "snapshot_cadence": 0,
+                                        "l4_window": 4})
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "[FAIL] energy_drift_rel" in capsys.readouterr().out
+        summary = json.loads((workdir / "out" / "summary.json").read_text())
+        assert summary["invariants"]["energy_drift_rel"]["value"] > 0.99
+        _, data = read_csv(workdir / "out" / "timeseries.csv")
+        assert list(data[:, 0]) == pytest.approx([0.0, 2e-4, 4e-4, 6e-4])
+        assert np.abs(data[:, 1] / data[0, 1] - 1.0).max() < 1e-6
 
     @pytest.mark.parametrize("mode,n,short,long", [("coupled", 128, 50, 400),
                                                    ("autonomous", 32, 20, 120)])

@@ -10,7 +10,15 @@ steps at N = 64, next to three transformed copies of it:
   r, the energy by r^2, and theta is unchanged;
 * with its samples shifted cyclically: the points and |Phi| shift with them.
   theta and the split-step phi are not compared here, since the RK4
-  transport's discretization error depends on the base node (up to 1.7e-8).
+  transport's discretization error depends on the base node (up to 1.7e-8);
+* mirrored by y -> -y (determinant -1) and run backward, with dt < 0: since
+  a reflection P turns u x u_xx into -P(u x u_xx), the mirror image of the
+  forward run is the backward run of the mirrored loop. The points map by
+  P, the energy and |Phi| are kept and theta is negated, all exactly; |phi|
+  is kept to rounding;
+* with its orientation reversed, sample j taking sample -j: the run is
+  reversed with it (points, energy, |Phi|) and theta is negated, up to the
+  RK4 transport's error, which depends on the direction of transport.
 
 The conformal targets run a seeded loop the same way next to its image
 under an isometry, and the energy, |phi| and theta mod 2 pi are kept:
@@ -20,7 +28,8 @@ under an isometry, and the energy, |phi| and theta mod 2 pi are kept:
 * on the warped sphere, the tilt applied to the loop and to the bump centre.
 
 The torus's theta is exactly 0 on every seed, since flat transport is the
-identity, so its bound is 0.
+identity, and so are the mirror's points, energy, |Phi| and theta, so
+their bounds are 0.
 
 Each bound is ten times the largest spread over seeds 0-15, rounded up to
 one significant digit, read from the code as it stood when the test was
@@ -41,6 +50,7 @@ from smflow.spectral import SpectralGrid
 
 SEED, N, STEPS = 0, 64, 5
 RADIUS, SHIFT = 2.5, 7
+MIRROR = np.array([1.0, -1.0, 1.0])  # y -> -y
 DISK_ANGLE, TORUS_SHIFT = 1.1, np.array([0.7, -1.3])
 BUMP = (0.3, 0.6, np.array([0.8, 0.0, 0.6]))  # amplitude, width, centre
 BOUNDS = {  # the seed-0 reading and the largest over seeds 0-15 beside each
@@ -53,6 +63,15 @@ BOUNDS = {  # the seed-0 reading and the largest over seeds 0-15 beside each
     "radius tension": 2e-11,     # 4.6e-13, 1.01e-12
     "shift points": 9e-15,       # 6.2e-16, 8.40e-16
     "shift |Phi|": 2e-13,        # 1.0e-14, 1.12e-14
+    "mirror points": 0.0,        # 0, 0
+    "mirror energy": 0.0,        # 0, 0
+    "mirror |Phi|": 0.0,         # 0, 0
+    "mirror |phi|": 8e-12,       # 1.9e-13, 7.77e-13
+    "mirror theta": 0.0,         # 0, 0
+    "reverse points": 6e-15,     # 4.0e-16, 5.24e-16
+    "reverse energy": 2e-14,     # 8.7e-16, 1.77e-15
+    "reverse |Phi|": 2e-13,      # 1.2e-14, 1.55e-14
+    "reverse theta": 4e-7,       # 1.4e-8, 3.04e-8
     "disk energy": 2e-14,        # 4.8e-16, 1.45e-15
     "disk |phi|": 2e-13,         # 5.2e-15, 1.24e-14
     "disk theta mod 2pi": 9e-15,  # 5.7e-16, 8.81e-16
@@ -72,18 +91,24 @@ def _tilt():
     return np.eye(3) + np.sin(0.5) * k + (1.0 - np.cos(0.5)) * k @ k
 
 
-def _run(surface, points):
+def _run(surface, points, direction=1.0):
     """Final points, energies, thetas and |Phi|, |phi_frame|, |phi_nls| per
-    state of a coupled run on the surface, and the initial tension."""
+    state of a coupled run on the surface, forward at the stability limit
+    or, with direction -1, backward; and the initial tension."""
     loop = LoopState(SpectralGrid(N), surface, points)
     fields = []
-    res = fr.coupled_evolve(loop, fd.admissible_dt(loop), STEPS,
+    res = fr.coupled_evolve(loop, direction * fd.admissible_dt(loop), STEPS,
                             observer=lambda k, state, step: fields.append(
                                 [np.abs(a) for a in step[-3:]]))
     Phi, phi_frame, phi_nls = (np.array(f) for f in zip(*fields))
     return dict(points=res.final_state.points, energy=res.energy, theta=res.theta,
                 Phi=Phi, phi=np.concatenate((phi_frame, phi_nls)),
                 tension=fd.tension(loop))
+
+
+def _reversed(samples):
+    """The samples of the reversed loop: sample j takes sample -j."""
+    return np.roll(samples[::-1], 1, axis=0)
 
 
 def _rel(a, b):
@@ -117,6 +142,8 @@ def _spreads(seed):
     tilt = _run(round_sphere(), w @ rot.T)
     big = _run(round_sphere(RADIUS), RADIUS * w)
     rolled = _run(round_sphere(), np.roll(w, SHIFT, axis=0))
+    mirror = _run(round_sphere(), w * MIRROR, -1.0)
+    reverse = _run(round_sphere(), _reversed(w))
     return {
         **_kept("tilt", tilt, base),
         "radius points": _rel(big["points"] / RADIUS, base["points"]),
@@ -125,6 +152,15 @@ def _spreads(seed):
         "radius tension": _rel(big["tension"] / RADIUS, base["tension"]),
         "shift points": _rel(rolled["points"], np.roll(base["points"], SHIFT, axis=0)),
         "shift |Phi|": _rel(rolled["Phi"], np.roll(base["Phi"], SHIFT, axis=1)),
+        "mirror points": _rel(mirror["points"], base["points"] * MIRROR),
+        "mirror energy": _rel(mirror["energy"], base["energy"]),
+        "mirror |Phi|": _rel(mirror["Phi"], base["Phi"]),
+        "mirror |phi|": _rel(mirror["phi"], base["phi"]),
+        "mirror theta": float(np.abs(mirror["theta"] + base["theta"]).max()),
+        "reverse points": _rel(reverse["points"], _reversed(base["points"])),
+        "reverse energy": _rel(reverse["energy"], base["energy"]),
+        "reverse |Phi|": _rel(reverse["Phi"], _reversed(base["Phi"].T).T),
+        "reverse theta": float(np.abs(reverse["theta"] + base["theta"]).max()),
     }
 
 
@@ -156,8 +192,9 @@ def _check(spreads):
 
 
 def test_round_sphere_coupled_run_symmetries():
-    """Rotation, radius scaling and a cyclic shift of the samples commute
-    with the coupled run to rounding."""
+    """Rotation, radius scaling, a cyclic shift of the samples, a mirror
+    with time reversal and an orientation reversal commute with the coupled
+    run to rounding."""
     _check(_spreads(SEED))
 
 
