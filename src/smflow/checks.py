@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .geometry import bump_warp, round_sphere, warped_sphere
 from .holonomy import (
     _connection_matrix_samples,
+    _diagonal_holonomy,
     _x_independence,
     holonomy_ode,
     holonomy_rate,
@@ -148,6 +149,9 @@ def _check_holonomy(rng):
                        1e-10))
     out.append(_result("holonomy", "matrix_base_independence",
                        spectral, 1e-7, "8 base points"))
+    out.append(_result("holonomy", "matrix_matches_closed_form",
+                       np.abs(H - _diagonal_holonomy(wl)).max(), 1e-12,
+                       "Magnus route against diag(exp(-i oint beta))"))
     return out
 
 

@@ -43,14 +43,8 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
 from .geometry import (bump_warp, flat_torus, hyperbolic_disk, round_sphere,
                        sphere_chart_point, warped_sphere)
-from .holonomy import (
-    _connection_matrix_samples,
-    _holonomy_ode,
-    _holonomy_rate,
-    _x_independence,
-    lift_to_branch,
-    swept_angle_increment,
-)
+from .holonomy import (_diagonal_holonomy, _holonomy_ode, _holonomy_rate,
+                       lift_to_branch, swept_angle_increment)
 from .spectral import SpectralGrid
 
 # the most steps one run or convergence level may take; a run keeps a
@@ -60,7 +54,7 @@ MAX_STEPS = 10**7
 SCHEMA_CONFIG = "smflow.config.v1"
 SCHEMA_TIMESERIES = "smflow.timeseries.v1"
 SCHEMA_SNAPSHOT = "smflow.snapshot.v1"
-SCHEMA_HOLONOMY = "smflow.holonomy.v1"
+SCHEMA_HOLONOMY = "smflow.holonomy.v2"
 SCHEMA_SUMMARY = "smflow.summary.v1"
 SCHEMA_CONVERGENCE = "smflow.convergence.v1"
 SCHEMA_CHECKS = "smflow.checks.v1"
@@ -288,8 +282,18 @@ def _materialize(cfg):
     return surface, grid, loop, t_final / n_steps, n_steps
 
 
-def output_root():
-    return Path(os.environ.get("SMFLOW_OUT", "."))
+def _output_dir(sub="."):
+    """$SMFLOW_OUT (else the working directory) / sub, made before any work;
+    one that cannot be made or written is a configuration error."""
+    path = Path(os.environ.get("SMFLOW_OUT", ".")) / sub
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        if not os.access(path, os.W_OK | os.X_OK):
+            raise PermissionError("not writable")
+    except OSError as exc:
+        raise ConfigError([f"output directory {path} cannot be used: "
+                           f"{exc.strerror or exc}"]) from None
+    return path
 
 
 # -- artifact writers -----------------------------------------------------------
@@ -338,16 +342,11 @@ def _on_cadence(k, n_steps, cadence):
 
 
 def _holonomy_payload(loop, theta, theta_ode, theta_gb):
-    """holonomy.json of the final loop state, from its u_x."""
-    H, spectral, aligned = _x_independence(_connection_matrix_samples(loop),
-                                           loop.grid.period, 8)
-    eye = np.eye(H.shape[0])
+    """holonomy.json of the final loop state: the last row's three angles
+    and the closed-form matrix of its diagonal connection, from its u_x."""
     return {
         "schema": SCHEMA_HOLONOMY,
-        "matrix": _complex_matrix_json(H),
-        "unitarity_defect": float(np.abs(H @ H.conj().T - eye).max()),
-        "base_independence_spectral": float(spectral),
-        "base_independence_aligned": float(aligned),
+        "matrix": _complex_matrix_json(_diagonal_holonomy(loop)),
         "theta_transport": float(theta),
         "theta_ode": float(theta_ode),
         "theta_gauss_bonnet": float(theta_gb),
@@ -459,9 +458,7 @@ def run_scenario(cfg):
     metrics of both modes from the rows of every state: the cadence
     chooses what is written and nothing else."""
     _, grid, loop, dt, n_steps = _materialize(cfg)
-    out_dir = output_root() / cfg["output"]["dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = _output_dir(cfg["output"]["dir"])
     _write_json(out_dir / "config.json", {**cfg, "schema": SCHEMA_CONFIG,
                                           "derived": {"dt": dt, "n_steps": n_steps}})
 
@@ -591,6 +588,7 @@ def convergence_study(cfg, levels):
                     f"({n_fine}); {n} does not")
     if violations:
         raise ConfigError(violations)
+    out_dir = _output_dir(cfg["output"]["dir"])
 
     errors = []
     finals = []
@@ -628,8 +626,6 @@ def convergence_study(cfg, levels):
                     order = math.log(e_prev / err) / math.log(dt_prev / dt_run)
         rows.append([i, n, dt_run, n_steps, err, order])
 
-    out_dir = output_root() / cfg["output"]["dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", {**cfg, "schema": SCHEMA_CONFIG})
     _write_csv(out_dir / "convergence.csv", SCHEMA_CONVERGENCE,
                ("level", "n", "dt", "n_steps", "error", "order"), rows,
@@ -664,12 +660,11 @@ def _cmd_converge(args):
 
 
 def _cmd_check(args):
+    out_dir = _output_dir()
     results = run_suite(args.suite, seed=args.seed)
     for r in results:
         print(r.line())
     passed = all(r.passed for r in results)
-    out_dir = output_root()
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "schema": SCHEMA_CHECKS,
         "suite": args.suite,

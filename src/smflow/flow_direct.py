@@ -49,8 +49,9 @@ class LoopState:
 
     Holds a read-only copy of its points and computes each per-state
     quantity at most once, on first use: ``ux`` (u_x), ``speed2``
-    (|u_x|^2_h), ``curvature`` (K along the loop) and ``curvature_x``
-    ((K o u)_x, None when K is constant along the loop); u_x factor by factor."""
+    (|u_x|^2_h), ``curvature`` (K along the loop; the target's one number
+    where its curvature is constant) and ``curvature_x`` ((K o u)_x, None
+    when K is constant along the loop); u_x factor by factor."""
 
     grid: SpectralGrid
     surface: SurfaceModel
@@ -80,11 +81,14 @@ class LoopState:
         return self.surface.metric(self.points, self.ux, self.ux)
 
     @cached_property
-    def curvature(self) -> np.ndarray:
-        return self.surface.gaussian_curvature(self.points)
+    def curvature(self) -> np.ndarray | float:
+        K = self.surface.constant_curvature
+        return self.surface.gaussian_curvature(self.points) if K is None else K
 
     @cached_property
     def curvature_x(self) -> np.ndarray | None:
+        if self.surface.constant_curvature is not None:
+            return None
         K = self.curvature
         spread = np.maximum.reduce(K) - np.minimum.reduce(K)  # np.ptp's arithmetic
         return None if spread == 0.0 else self.grid.derivative(K)

@@ -71,12 +71,13 @@ class TestRunScenario:
                     "untwisted_periodicity_max"):
             assert summary["invariants"][key]["passed"] is True
         hol = json.loads((out / "holonomy.json").read_text())
-        assert hol["schema"] == cli.SCHEMA_HOLONOMY
+        assert hol["schema"] == cli.SCHEMA_HOLONOMY == "smflow.holonomy.v2"
+        assert set(hol) == {"schema", "matrix", "theta_transport", "theta_ode",
+                            "theta_gauss_bonnet"}
         mat = np.array([[re + 1j * im for re, im in row]
                         for row in hol["matrix"]])
         assert mat.shape == (1, 1)
         assert abs(abs(mat[0, 0]) - 1.0) < 1e-10
-        assert hol["unitarity_defect"] < 1e-10
 
     def test_config_echo_can_be_rerun(self, workdir):
         cfg = write_config(workdir)
@@ -164,11 +165,12 @@ class TestRunScenario:
         once; the holonomy payload reads u_x from the final state too, and
         each snapshot takes Phi_x at the base node alone, without a full
         derivative of phi. Each row and the payload equal the public routes
-        on the loop of its snapshot, to the bit."""
+        on the loop of its snapshot, to the bit; the payload's matrix is the
+        closed form and the Magnus product integral to 1e-14."""
         from smflow import flow_direct as fd
         from smflow.geometry import WarpedSphere
-        from smflow.holonomy import (connection_matrix_samples, holonomy_ode,
-                                     holonomy_rate, product_integral)
+        from smflow.holonomy import (connection_matrix_samples, diagonal_holonomy,
+                                     holonomy_ode, holonomy_rate, product_integral)
         from smflow.spectral import SpectralGrid
 
         calls, k_calls = [], []
@@ -206,8 +208,9 @@ class TestRunScenario:
             assert row[cols.index("theta_rate")] == holonomy_rate(surface, grid, pts)
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
-        assert np.array_equal(mat, product_integral(
-            connection_matrix_samples(surface, grid, pts), grid.period))
+        assert np.array_equal(mat, diagonal_holonomy(surface, grid, pts))
+        assert np.abs(mat - product_integral(
+            connection_matrix_samples(surface, grid, pts), grid.period)).max() <= 1e-14
 
     @pytest.mark.parametrize("target,expected",
                              [("warped_sphere", 27), ("round_sphere", 19)],
@@ -265,15 +268,43 @@ class TestRunScenario:
         assert theta_ode == fr.lift_to_branch(final, res.theta[-1])
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         assert hol["theta_ode"] == theta_ode
-        # the payload's matrix comes out of the stacked base-independence
-        # pass; it is the product integral to the bit
+        # the payload's matrix is the closed form of the final state to the
+        # bit, and the Magnus product integral to 1e-14
         from smflow import holonomy
 
-        samples = holonomy.connection_matrix_samples(surface, grid, res.final_state.points)
+        pts = res.final_state.points
+        samples = holonomy.connection_matrix_samples(surface, grid, pts)
         mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
-        assert np.array_equal(mat, holonomy.product_integral(samples, grid.period))
-        assert (hol["base_independence_spectral"], hol["base_independence_aligned"]
-                ) == holonomy.x_independence_check(samples, grid.period, 8)
+        assert np.array_equal(mat, holonomy.diagonal_holonomy(surface, grid, pts))
+        assert np.abs(mat - holonomy.product_integral(samples, grid.period)).max() <= 1e-14
+
+    @pytest.mark.parametrize("target,mode", [
+        ("round_sphere", "coupled"), ("round_sphere", "autonomous"),
+        ("warped_sphere", "coupled"), ("warped_sphere", "autonomous"),
+        ("hyperbolic_disk", "coupled"), ("flat_torus", "coupled")])
+    def test_run_builds_no_magnus_cells(self, workdir, monkeypatch, target, mode):
+        """A run on every target, in each mode it allows, completes with the
+        Magnus cells refused: holonomy.json's matrix is the closed form of
+        the final loop (the last snapshot's points), to the bit."""
+        from smflow import holonomy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run built Magnus cells")
+
+        monkeypatch.setattr(holonomy, "_magnus_cells", refuse)
+        init = ({"kind": "perturbed_latitude", "alpha": 1.0, "eps": 0.05, "m": 2}
+                if target.endswith("sphere") else {"kind": "fourier", "offset": [0.1, -0.05]})
+        cfg = write_config(workdir, target={"kind": target}, init=init,
+                           reduction={"mode": mode}, time={"dt": 1e-4, "t_final": 3e-4},
+                           diagnostics={"cadence": 1, "snapshot_cadence": 0,
+                                        "l4_window": 8})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        surface, grid = cli._materialize(cli.load_config(str(cfg)))[:2]
+        _, snap = read_csv(workdir / "out" / "snapshot_000003.csv")
+        pts = snap[:, 1:1 + surface.point_dim]
+        hol = json.loads((workdir / "out" / "holonomy.json").read_text())
+        mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
+        assert np.array_equal(mat, holonomy.diagonal_holonomy(surface, grid, pts))
 
     @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
     def test_phi_l4_recomputed_from_snapshots(self, workdir, mode):
@@ -707,6 +738,39 @@ class TestConfigValidation:
                          "--set", "output.dir=a/b"]) == 0
         assert (root / "a" / "b" / "summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", "time.t_final=0"],
+        ["converge", "--set", "time.t_final=1e-4", "--levels", "16,32,64"],
+        ["check", "holonomy"]], ids=["run", "converge", "check"])
+    def test_output_root_naming_a_file_is_a_config_error(self, workdir, capsys,
+                                                        monkeypatch, argv):
+        """SMFLOW_OUT naming a regular file ends every command in one config
+        error line and exit 2, before any work: no flow step, no coupled
+        run and no check suite starts, and the file is left alone."""
+        root = workdir / "plain_file"
+        root.write_text("kept\n")
+        monkeypatch.setenv("SMFLOW_OUT", str(root))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the output root was checked")
+
+        for module, name in ((cli, "run_suite"), (cli.fd, "evolve"),
+                             (cli.fr, "coupled_evolve")):
+            monkeypatch.setattr(module, name, refuse)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory {root}")
+        assert err.count("\n") == 1
+        assert root.read_text() == "kept\n"
+
+    def test_output_dir_naming_a_file_is_a_config_error(self, workdir, capsys):
+        (workdir / "taken").write_text("")
+        assert cli.main(["run", "--set", "time.t_final=0",
+                         "--set", "output.dir=taken"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory {workdir / 'taken'}")
+        assert err.count("\n") == 1
+
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})
         assert cli.main(["run", "--config", str(cfg)]) == 2
@@ -889,6 +953,24 @@ class TestConvergeCommand:
         cols, data = read_csv(workdir / "study" / "convergence.csv")
         assert np.all(data[1:, cols.index("order")] >= 3.8)
         assert data[-1, cols.index("error")] < 1e-11
+
+    def test_analytic_error_column_scales_with_the_radius(self, workdir):
+        """The radius-2 latitude study is twice the unit one, points and
+        closed form alike, so its analytic error column is twice the unit
+        study's at every level. Scaling by a power of two is exact in binary
+        floating point: the measured deviation is 0 at t_final 0.01, 0.05
+        and 0.2, over spatial and temporal levels and at radius 0.5 too, so
+        the column must be twice the other exactly."""
+        columns = []
+        for radius in (1.0, 2.0):
+            assert cli.main(["converge", "--set", f"target.radius={radius}",
+                             "--set", "init.kind=latitude", "--set", "time.t_final=0.05",
+                             "--set", "study.error=analytic",
+                             "--set", f"output.dir=r{radius}", "--levels", "16,32,64"]) == 0
+            cols, data = read_csv(workdir / f"r{radius}" / "convergence.csv")
+            columns.append(data[:, cols.index("error")])
+        assert np.all(columns[0] > 0.0)
+        assert np.array_equal(columns[1], 2.0 * columns[0])
 
     def test_auto_error_is_analytic_on_a_sphere_of_radius_two(self, workdir):
         assert cli.main(["converge", "--set", "target.radius=2",

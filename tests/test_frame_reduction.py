@@ -788,6 +788,35 @@ class TestCoupledDriver:
         res = fr.coupled_evolve(loop, fd.admissible_dt(loop), 3, observer=observer)
         assert seen == [0, 1, 2, 3] and len(res.times) == 4
 
+    @pytest.mark.parametrize("target", ["round", "disk", "torus"])
+    def test_constant_curvature_is_one_number(self, monkeypatch, target):
+        """On a target of constant curvature a state's K is the target's one
+        number: from the observer's k = 0 call on, no pointwise curvature is
+        built (np.full raises too), and the letters' r and R are 0.0."""
+        surface = {"round": round_sphere(2.0), "disk": hyperbolic_disk(),
+                   "torus": flat_torus()}[target]
+        grid = SpectralGrid(64)
+        if surface.embedded:
+            loop = fd.initial_loop(surface, grid, "perturbed_latitude",
+                                   alpha=1.0, eps=0.05, m=2)
+        else:
+            loop = fd.initial_loop(surface, grid, "fourier", offset=(0.1, -0.05))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constant curvature was built pointwise")
+
+        def observer(k, state, step):
+            if k == 0:
+                monkeypatch.setattr(type(surface), "gaussian_curvature", refuse)
+                monkeypatch.setattr(np, "full", refuse)
+            assert state.curvature == surface.constant_curvature
+            assert state.curvature_x is None
+
+        res = fr.coupled_evolve(loop, fd.admissible_dt(loop), 3, observer=observer)
+        assert len(res.times) == 4
+        _, r, R = fr._curvature_letters(res.final_state, np.ones(64, complex))
+        assert r == R == 0.0 and type(r) is float
+
     def test_solver_tolerance_model(self):
         grid = SpectralGrid(64)
         assert fr.solver_tolerance(grid, 1e-4) == pytest.approx(

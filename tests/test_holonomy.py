@@ -275,6 +275,42 @@ def test_scalar_collapse_matches_connection_route():
     assert abs(P[0, 0] - np.exp(-1j * grid.integrate(beta))) < 1e-12
 
 
+def _cli_target_loops(n):
+    """A loop on every target the command line runs, the warped sphere with
+    the CLI's default bump, and a (round sphere, disk) product loop."""
+    grid = SpectralGrid(n)
+    warped = geo.warped_sphere(*geo.bump_warp(0.12, 0.55, center=(0.55, 0.45, 0.7)))
+    out = []
+    for s in (geo.round_sphere(), geo.round_sphere(2.5), warped):
+        for kw in ({"alpha": 1.0, "eps": 0.1, "m": 3}, {"alpha": 2.5, "eps": 0.05, "m": 2}):
+            out.append((s, fd.initial_loop(s, grid, "perturbed_latitude", **kw).points))
+    for s in (geo.hyperbolic_disk(), geo.flat_torus()):
+        out.append((s, fd.initial_loop(s, grid, "fourier", offset=(0.1, -0.05)).points))
+    disk_loop = fd.initial_loop(geo.hyperbolic_disk(), grid, "fourier",
+                                coeffs=((1, 0.3, 0.2), (3, 0.05, -0.1))).points
+    out.append((geo.product_surface(geo.round_sphere(), geo.hyperbolic_disk()),
+                np.concatenate((out[0][1], disk_loop), axis=1)))
+    return grid, out
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_diagonal_holonomy_matches_the_magnus_route(n):
+    """The closed form diag(exp(-i oint beta_j)) is the product integral of
+    the connection samples to 1e-14 on every command-line target and on a
+    two-factor product, unitary and diagonal; its entry is exp(i theta) of
+    holonomy_ode on a single target."""
+    grid, loops = _cli_target_loops(n)
+    for s, pts in loops:
+        H = hol.diagonal_holonomy(s, grid, pts)
+        k = len(s.factor_slices())
+        assert H.shape == (k, k) and np.count_nonzero(H - np.diag(np.diag(H))) == 0
+        P = hol.product_integral(hol.connection_matrix_samples(s, grid, pts), grid.period)
+        assert np.abs(H - P).max() <= 1e-14, s.kind
+        assert np.abs(np.abs(np.diag(H)) - 1.0).max() <= 1e-15
+        if k == 1:
+            assert abs(H[0, 0] - np.exp(1j * hol.holonomy_ode(s, grid, pts))) < 1e-12
+
+
 def test_unitarity_and_rejection():
     P = hol.product_integral(noncommuting_family(64))
     assert np.abs(P @ P.conj().T - np.eye(2)).max() < 1e-13
