@@ -18,8 +18,8 @@ from .errors import ConfigError
 from .geometry import bump_warp, round_sphere, warped_sphere
 from .holonomy import (
     _connection_matrix_samples,
-    _diagonal_holonomy,
     _x_independence,
+    diagonal_holonomy,
     holonomy_ode,
     holonomy_rate,
     lift_to_branch,
@@ -150,7 +150,7 @@ def _check_holonomy(rng):
     out.append(_result("holonomy", "matrix_base_independence",
                        spectral, 1e-7, "8 base points"))
     out.append(_result("holonomy", "matrix_matches_closed_form",
-                       np.abs(H - _diagonal_holonomy(wl)).max(), 1e-12,
+                       np.abs(H - diagonal_holonomy(wl)).max(), 1e-12,
                        "Magnus route against diag(exp(-i oint beta))"))
     return out
 

@@ -43,7 +43,7 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
 from .geometry import (bump_warp, flat_torus, hyperbolic_disk, round_sphere,
                        sphere_chart_point, warped_sphere)
-from .holonomy import (_diagonal_holonomy, _holonomy_ode, _holonomy_rate,
+from .holonomy import (_holonomy_ode, _holonomy_rate, diagonal_holonomy,
                        lift_to_branch, swept_angle_increment)
 from .spectral import SpectralGrid
 
@@ -283,16 +283,14 @@ def _materialize(cfg):
 
 
 def _output_dir(sub="."):
-    """$SMFLOW_OUT (else the working directory) / sub, made before any work;
-    one that cannot be made or written is a configuration error."""
+    """$SMFLOW_OUT (else the working directory) / sub, made before any work."""
     path = Path(os.environ.get("SMFLOW_OUT", ".")) / sub
     try:
         path.mkdir(parents=True, exist_ok=True)
-        if not os.access(path, os.W_OK | os.X_OK):
-            raise PermissionError("not writable")
     except OSError as exc:
-        raise ConfigError([f"output directory {path} cannot be used: "
-                           f"{exc.strerror or exc}"]) from None
+        raise ConfigError([f"output directory {path} cannot be made: {exc.strerror}"]) from None
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError([f"output directory {path} is not writable"])
     return path
 
 
@@ -318,10 +316,6 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _complex_matrix_json(matrix):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
 def _write_snapshot(path, t, grid, points, big_phi, small_phi):
     d = points.shape[1]
     columns = (["x"] + [f"u{j}" for j in range(d)]
@@ -342,11 +336,11 @@ def _on_cadence(k, n_steps, cadence):
 
 
 def _holonomy_payload(loop, theta, theta_ode, theta_gb):
-    """holonomy.json of the final loop state: the last row's three angles
-    and the closed-form matrix of its diagonal connection, from its u_x."""
+    """holonomy.json of the final state: the last row's angles and the closed-form matrix."""
     return {
         "schema": SCHEMA_HOLONOMY,
-        "matrix": _complex_matrix_json(_diagonal_holonomy(loop)),
+        "matrix": [[[float(z.real), float(z.imag)] for z in row]
+                   for row in diagonal_holonomy(loop)],
         "theta_transport": float(theta),
         "theta_ode": float(theta_ode),
         "theta_gauss_bonnet": float(theta_gb),

@@ -49,9 +49,8 @@ class LoopState:
 
     Holds a read-only copy of its points and computes each per-state
     quantity at most once, on first use: ``ux`` (u_x), ``speed2``
-    (|u_x|^2_h), ``curvature`` (K along the loop; the target's one number
-    where its curvature is constant) and ``curvature_x`` ((K o u)_x, None
-    when K is constant along the loop); u_x factor by factor."""
+    (|u_x|^2_h), ``curvature`` (K along the loop) and ``curvature_x``
+    ((K o u)_x, None when K is constant along the loop); u_x factor by factor."""
 
     grid: SpectralGrid
     surface: SurfaceModel
@@ -81,9 +80,8 @@ class LoopState:
         return self.surface.metric(self.points, self.ux, self.ux)
 
     @cached_property
-    def curvature(self) -> np.ndarray | float:
-        K = self.surface.constant_curvature
-        return self.surface.gaussian_curvature(self.points) if K is None else K
+    def curvature(self) -> np.ndarray:
+        return self.surface.gaussian_curvature(self.points)
 
     @cached_property
     def curvature_x(self) -> np.ndarray | None:

@@ -224,12 +224,12 @@ class NonlinearTerms:
 def _curvature_letters(loop: LoopState, phi: np.ndarray):
     """S = -K |Phi|^2 / 2, the curvature-rate density r = (K o u)_x |Phi|^2 / 2
     and its primitive R from node 0, from K along the loop and its
-    derivative; r = R = 0.0, one number each, when K is constant."""
+    derivative; r = R = 0 when K is constant."""
     amp2 = np.abs(phi) ** 2
     K, dK = loop.curvature, loop.curvature_x
     S = -0.5 * K * amp2
     if dK is None:
-        return S, 0.0, 0.0
+        return S, np.zeros(K.shape), np.zeros(K.shape)
     r = dK * amp2 * 0.5
     return S, r, loop.grid.cumulative_integral(r)
 
@@ -250,8 +250,6 @@ def gauge_potential(loop: LoopState, coeffs: FrameCoefficients) -> np.ndarray:
     base node (wrapping past the seam for nodes before the base)."""
     S, r, R = _curvature_letters(loop, coeffs.phi)
     b = coeffs.base_index
-    if loop.curvature_x is None:  # constant K: no tail
-        return S - S[b] + R
     tail = R - R[b]
     if b:
         tail[:b] += loop.grid.integrate(r)
@@ -271,7 +269,6 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
     base-node gauge potential.
     """
     S, r, R = _curvature_letters(loop, coeffs.phi)
-    constant = loop.curvature_x is None  # r = R = 0.0
     if loop.grid.kind == "line":
         decay = _edge_decay(coeffs.phi)
         if decay > 1e-6:
@@ -282,17 +279,17 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
                     "exceeds 1.0e-06"
                 ]
             )
-        return NonlinearTerms(S=S, T=np.zeros(len(S)) if constant else R, W=0.0, Q=0.0)
+        return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0)
+    total = loop.grid.integrate(r)
+    mean_R = float(np.add.reduce(R) / len(R))
     b = coeffs.base_index
-    total, mean_R, R_b = ((0.0, 0.0, 0.0) if constant else
-                          (loop.grid.integrate(r), float(np.add.reduce(R) / len(R)), R[b]))
-    T = R - mean_R + 0.5 * total  # the number 0.0 when K is constant
+    T = R - mean_R + 0.5 * total
     W = float(np.add.reduce(S) / len(S))
     # Q + S - W + T = S - S[b] + (R - R[b]): the unwrapped base-b gauge
     # potential; the wrapped variant (gauge_potential) differs by the
     # constant oint r on the pre-base arc, the same multivaluedness the
     # twist tracks.
-    Q = float(W - S[b] + mean_R - R_b - 0.5 * total)
+    Q = float(W - S[b] + mean_R - R[b] - 0.5 * total)
     return NonlinearTerms(S=S, T=T, W=W, Q=Q)
 
 

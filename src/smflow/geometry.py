@@ -36,18 +36,17 @@ projection at the end of the cell folded in.  On ``RoundSphere`` the
 generator -(du / r^2) (x) u has rank one, so every stage is one outer
 product, the last one vanishes under the projection, and each cell is
 written in closed form; the generic stages stay its oracle in the tests.
-On the flat torus every cell is the identity, so it skips them all.  A
-log-depth (Hillis-Steele) prefix product composes the cells.  e1 at each
-node is the seed times its prefix product, scaled once to unit metric
-length.  Projection is linear and a per-step renormalization only multiplies
-by a positive scalar, so this is the same discrete map as re-projecting and
-renormalizing after every step.  Arbitrary vectors are moved by freezing
-their coefficients in that frame, so transport commutes with J and preserves
-inner products to roundoff by construction; the integrator accuracy only
-enters through the frame itself.  Closed loops are interpolated
-trigonometrically (the scheme is then 4th order in the sample spacing), at
-the midpoints only, since the nodes are the samples; open sampled paths use
-local cubic interpolation.
+In the flat chart every cell is the identity.  A log-depth (Hillis-Steele)
+prefix product composes the cells.  e1 at each node is the seed times its
+prefix product, scaled once to unit metric length.  Projection is linear
+and a per-step renormalization only multiplies by a positive scalar, so
+this is the same discrete map as re-projecting and renormalizing after
+every step.  Arbitrary vectors are moved by freezing their coefficients in
+that frame, so transport commutes with J and preserves inner products to
+roundoff by construction; the integrator accuracy only enters through the
+frame itself.  Closed loops are interpolated trigonometrically (the scheme is
+then 4th order in the sample spacing), at the midpoints only, since the
+nodes are the samples; open sampled paths use local cubic interpolation.
 """
 
 from __future__ import annotations
@@ -123,8 +122,7 @@ class SurfaceModel:
     kind = ""
     embedded = False  # points are ambient 3-vectors on a sphere
     point_dim = 2
-    constant_curvature = 0.0  # K as one number, or None where it varies
-    parallel_axes = False  # True: transport keeps a vector's chart components
+    constant_curvature = None  # K as one number where it is constant
 
     def factor_slices(self):
         """(factor, coordinate slice) pairs; a single target is its own factor."""
@@ -411,6 +409,9 @@ class _ConformalChart(SurfaceModel):
     def tension(self, u, ux, uxx):
         return uxx
 
+    def transport_cells(self, nodes, mids, dnodes, dmids) -> np.ndarray:
+        return np.eye(nodes.shape[-1])[None].repeat(len(mids), axis=0)
+
     def reference_frame(self, points: np.ndarray):
         f1, f2 = np.zeros((2,) + points.shape)
         f1[..., 0] = f2[..., 1] = 1.0
@@ -466,7 +467,7 @@ class FlatTorus(_ConformalChart):
     """Flat torus in periodic chart coordinates; every chart point is valid."""
 
     kind = "flat_torus"
-    parallel_axes = True
+    constant_curvature = 0.0
 
     def chart_metric(self, q: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.eye(2), q.shape[:-1] + (2, 2)).copy()
@@ -490,7 +491,6 @@ class ProductSurface(SurfaceModel):
 
     factors: tuple
     kind = "product"
-    constant_curvature = None
 
     @property
     def point_dim(self) -> int:
@@ -675,39 +675,31 @@ def _transport_frame(surface: SurfaceModel, nodes, mids, dnodes, dmids, e1):
     derivative times the step (so each step integrates over sigma in [0,1]).
     Returns e1 at every node, tangent and of unit metric length. The scan
     composes the prefix products of the target's ``transport_cells`` in
-    ceil(log2 M) batched products; with parallel axes each is the identity,
-    and every later node takes the seed times I, normalized again.
+    ceil(log2 M) batched products.
     """
-    v0 = _unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
-    if surface.parallel_axes:
-        out = np.empty(nodes.shape)
-        out[0], out[1:] = v0, _unit_tangent(surface, nodes[1], v0 @ np.eye(len(v0)))
-        return out
     cells = surface.transport_cells(nodes, mids, dnodes, dmids)
     shift = 1
     while shift < cells.shape[0]:
         cells[shift:] = cells[:-shift] @ cells[shift:]
         shift *= 2
+    v0 = _unit_tangent(surface, nodes[0], np.asarray(e1, dtype=float))
     return np.concatenate((v0[None], _unit_tangent(surface, nodes[1:], v0 @ cells)))
 
 
-def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray, dpath=None,
-                           mids=True):
+def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray, dpath=None):
     """Node/midpoint samples of a closed loop via trigonometric interpolation;
     dpath, d(point)/d(step index), is taken spectrally unless supplied. The
     nodes are the samples themselves, so only the midpoints are
-    interpolated, and not at all (None) when mids is False."""
+    interpolated."""
     from .spectral import SpectralGrid
 
     n = points.shape[0]
     grid = SpectralGrid(n, "circle")
     if dpath is None:
         dpath = grid.derivative(points) / n
+    mid = grid.midpoints(np.concatenate((points, dpath), axis=1)).reshape(n, 2, -1)
     nodes = np.concatenate((surface.project_point(points), points[:1]))
     dnodes = np.concatenate((dpath, dpath[:1]))
-    if not mids:
-        return nodes, None, dnodes, None
-    mid = grid.midpoints(np.concatenate((points, dpath), axis=1)).reshape(n, 2, -1)
     return nodes, surface.project_point(mid[:, 0]), dnodes, mid[:, 1]
 
 
@@ -757,8 +749,7 @@ def _path_frame(surface: SurfaceModel, points, closed, seed=None, dpath=None):
     """Transported J-adapted frame (e1, e2 = J e1) along a sampled path."""
     points = surface.validate_points(points, tol=1e-8)
     if closed:
-        nodes, mids, dn, dm = _closed_loop_path_data(surface, points, dpath,
-                                                     not surface.parallel_axes)
+        nodes, mids, dn, dm = _closed_loop_path_data(surface, points, dpath)
     else:
         nodes, mids, dn, dm = _open_path_data(surface, points)
     if seed is None:

@@ -9,9 +9,7 @@ Routes for the frame-rotation angle theta of a closed loop:
     theta_t = -1/2 * int (K o u)_x |u_x|^2_h dx, valid along the flow.
 
 For targets with several complex dimensions the scalar angle is replaced
-by the ordered exponential (product integral) of the connection matrix,
-in closed form for a target's diagonal one (``diagonal_holonomy``); the
-general route, its oracle, takes any anti-Hermitian samples:
+by the ordered exponential (product integral) of the connection matrix:
 2-node Gauss Magnus cells (4th order; Blanes, Casas, Oteo & Ros, Phys.
 Rep. 2009), one Richardson step and a polar projection. A zero-padded FFT
 gives the interpolant at the Gauss nodes of all cells, one batched
@@ -99,9 +97,7 @@ def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,
                                        + np.asarray(points_b, float)))
     ut = (points_b - points_a) / dt
     ux = grid.derivative(mid)
-    K = surface.constant_curvature
-    dens = ((surface.gaussian_curvature(mid) if K is None else K)
-            * surface.metric(mid, surface.apply_J(mid, ux), ut))
+    dens = surface.gaussian_curvature(mid) * surface.metric(mid, surface.apply_J(mid, ux), ut)
     return float(-dt * grid.integrate(dens))
 
 
@@ -366,14 +362,8 @@ def _connection_matrix_samples(loop: LoopState) -> np.ndarray:
     return out
 
 
-def diagonal_holonomy(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray) -> np.ndarray:
-    """product_integral of the connection_matrix_samples B of a loop in
-    closed form: B is diagonal, so its values commute and the Magnus series
-    stops after its first term, exp(-oint B) = diag(exp(-i oint beta_j))."""
-    return _diagonal_holonomy(LoopState(grid, surface, points))
-
-
-def _diagonal_holonomy(loop: LoopState) -> np.ndarray:
-    """diagonal_holonomy of a loop state, from its u_x."""
+def diagonal_holonomy(loop: LoopState) -> np.ndarray:
+    """product_integral of a loop state's diagonal connection samples B in
+    closed form: they commute, so exp(-oint B) = diag(exp(-i oint beta_j))."""
     return np.diag(np.exp(-loop.grid.integrate(
         np.diagonal(_connection_matrix_samples(loop), 0, 1, 2))))

@@ -208,7 +208,7 @@ class TestRunScenario:
             assert row[cols.index("theta_rate")] == holonomy_rate(surface, grid, pts)
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
-        assert np.array_equal(mat, diagonal_holonomy(surface, grid, pts))
+        assert np.array_equal(mat, diagonal_holonomy(fd.LoopState(grid, surface, pts)))
         assert np.abs(mat - product_integral(
             connection_matrix_samples(surface, grid, pts), grid.period)).max() <= 1e-14
 
@@ -275,7 +275,7 @@ class TestRunScenario:
         pts = res.final_state.points
         samples = holonomy.connection_matrix_samples(surface, grid, pts)
         mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
-        assert np.array_equal(mat, holonomy.diagonal_holonomy(surface, grid, pts))
+        assert np.array_equal(mat, holonomy.diagonal_holonomy(fd.LoopState(grid, surface, pts)))
         assert np.abs(mat - holonomy.product_integral(samples, grid.period)).max() <= 1e-14
 
     @pytest.mark.parametrize("target,mode", [
@@ -304,7 +304,7 @@ class TestRunScenario:
         pts = snap[:, 1:1 + surface.point_dim]
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         mat = np.array([[re + 1j * im for re, im in row] for row in hol["matrix"]])
-        assert np.array_equal(mat, holonomy.diagonal_holonomy(surface, grid, pts))
+        assert np.array_equal(mat, holonomy.diagonal_holonomy(fd.LoopState(grid, surface, pts)))
 
     @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
     def test_phi_l4_recomputed_from_snapshots(self, workdir, mode):

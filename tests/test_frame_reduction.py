@@ -789,10 +789,10 @@ class TestCoupledDriver:
         assert seen == [0, 1, 2, 3] and len(res.times) == 4
 
     @pytest.mark.parametrize("target", ["round", "disk", "torus"])
-    def test_constant_curvature_is_one_number(self, monkeypatch, target):
-        """On a target of constant curvature a state's K is the target's one
-        number: from the observer's k = 0 call on, no pointwise curvature is
-        built (np.full raises too), and the letters' r and R are 0.0."""
+    def test_constant_curvature_needs_no_scan(self, monkeypatch, target):
+        """On a target of constant curvature a state's K_x is None without
+        K being built or scanned; K is the target's constant_curvature at
+        every node, and a coupled step reads the same letters as before."""
         surface = {"round": round_sphere(2.0), "disk": hyperbolic_disk(),
                    "torus": flat_torus()}[target]
         grid = SpectralGrid(64)
@@ -803,19 +803,15 @@ class TestCoupledDriver:
             loop = fd.initial_loop(surface, grid, "fourier", offset=(0.1, -0.05))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a constant curvature was built pointwise")
+            raise AssertionError("K_x built or scanned K")
 
-        def observer(k, state, step):
-            if k == 0:
-                monkeypatch.setattr(type(surface), "gaussian_curvature", refuse)
-                monkeypatch.setattr(np, "full", refuse)
-            assert state.curvature == surface.constant_curvature
+        state = fd.LoopState(grid, surface, loop.points)
+        with monkeypatch.context() as mp:
+            mp.setattr(type(surface), "gaussian_curvature", refuse)
             assert state.curvature_x is None
-
-        res = fr.coupled_evolve(loop, fd.admissible_dt(loop), 3, observer=observer)
-        assert len(res.times) == 4
-        _, r, R = fr._curvature_letters(res.final_state, np.ones(64, complex))
-        assert r == R == 0.0 and type(r) is float
+        assert np.array_equal(state.curvature, np.full(64, surface.constant_curvature))
+        _, r, R = fr._curvature_letters(state, np.ones(64, complex))
+        assert not r.any() and not R.any() and r.shape == R.shape == (64,)
 
     def test_solver_tolerance_model(self):
         grid = SpectralGrid(64)

@@ -610,8 +610,8 @@ def test_parallel_frame_with_base_index_matches_stepwise_oracle(target, bump_sph
 def test_transport_cells_match_the_generic_route(target, n, bump_sphere):
     """The round sphere's closed-form rank-one cells equal the generic stage
     products of SurfaceModel.transport_cells to 1e-14, on radius 1 and 1.5
-    and near the pole; every other target, the torus included (whose frame
-    skips its cells), takes the generic route itself."""
+    and near the pole, and the torus's identity cells equal them exactly;
+    every other target takes the generic route itself."""
     s = (geo.round_sphere() if target == "unit_round"
          else _transport_target(target, bump_sphere))
     loops = [_wobbly_loop(s, n)]
@@ -625,38 +625,6 @@ def test_transport_cells_match_the_generic_route(target, n, bump_sphere):
             assert np.abs(got - ref).max() < 1e-14
         else:
             assert np.array_equal(got, ref)
-
-
-@pytest.mark.parametrize("n", [16, 128])
-def test_flat_torus_frame_skips_the_cells_and_keeps_their_bits(n, monkeypatch):
-    """On the flat torus, whose chart axes are parallel, loop_frame and
-    parallel_frame build no midpoints, cells or prefix products, and equal
-    the cell route bit for bit, signs of zero included: the cell route's
-    seed @ I turns a -0.0 component into +0.0, which a plain copy of the
-    seed would keep, and normalizes once more, which moves the last seed's
-    unit vector by an ulp."""
-    s, grid = geo.flat_torus(), SpectralGrid(n)
-    pts = _wobbly_loop(s, n)
-    state = LoopState(grid=grid, surface=s, points=pts)
-
-    def frames():
-        out = [geo.loop_frame(s, pts)]
-        for seed in ([-0.0, 1.0], [-0.0, -1.0], [1.0, -0.0], [-0.3, -0.0],
-                     [0.6404226504432821, 0.10490011715303971]):
-            f = parallel_frame(s, state, seed=np.array(seed))
-            out.append((f.e1, f.e2, f.e1_wrap, f.e2_wrap))
-        return [a for group in out for a in group]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the torus frame interpolated or built cells")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(SpectralGrid, "midpoints", refuse)
-        mp.setattr(geo.FlatTorus, "transport_cells", refuse)
-        fast = frames()
-    monkeypatch.setattr(geo.FlatTorus, "parallel_axes", False)
-    for a, b in zip(fast, frames(), strict=True):
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_default_seed_ignores_a_start_direction_set_by_rounding():

@@ -301,7 +301,7 @@ def test_diagonal_holonomy_matches_the_magnus_route(n):
     holonomy_ode on a single target."""
     grid, loops = _cli_target_loops(n)
     for s, pts in loops:
-        H = hol.diagonal_holonomy(s, grid, pts)
+        H = hol.diagonal_holonomy(fd.LoopState(grid, s, pts))
         k = len(s.factor_slices())
         assert H.shape == (k, k) and np.count_nonzero(H - np.diag(np.diag(H))) == 0
         P = hol.product_integral(hol.connection_matrix_samples(s, grid, pts), grid.period)
