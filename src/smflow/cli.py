@@ -15,12 +15,14 @@ the k of each ``[k, a, b]`` mode in ``colat_coeffs``, ``azimuth_coeffs`` and
 ``alpha``, ``eps`` and (positive) ``envelope_sigma`` numbers. ``output.dir``
 is a relative path with no ``..`` part, under the output root, which the
 environment variable SMFLOW_OUT overrides. A run takes at most
-``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``. ``diagnostics.cadence``
-chooses which timeseries rows are written and nothing else: every summary
-invariant reads every state. Every artifact embeds a schema string; CSV
-floats use shortest round-trip formatting, so identical configurations
-produce bit-identical files. Exit codes: 0 pass, 1 check or invariant
-failure, 2 usage or configuration error, 3 numerical failure.
+``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``, in one pass that
+keeps nothing per state: each row is written as it comes and folded into
+every summary invariant, so ``diagnostics.cadence`` chooses the written
+rows and nothing else, and a failed run leaves the rows and snapshots it
+reached. Every artifact embeds a schema string; CSV floats use shortest
+round-trip formatting, so identical configurations produce bit-identical
+files. Exit codes: 0 pass, 1 check or invariant failure, 2 usage or
+configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import math
 import os
 import sys
-from array import array
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +49,11 @@ from .holonomy import (_holonomy_ode, _holonomy_rate, diagonal_holonomy,
                        lift_to_branch, swept_angle_increment)
 from .spectral import SpectralGrid
 
-# the most steps one run or convergence level may take; a run keeps a
-# nine-float row per state, 0.7 GB at this bound (a coupled run 0.9 GB more)
+# the most steps one run or convergence level may take
 MAX_STEPS = 10**7
+# a run writes the snapshots it reaches this many at a time, and the rest
+# when it ends: each written as it was reached slowed a run by about 5%
+SNAPSHOT_BATCH = 16
 
 SCHEMA_CONFIG = "smflow.config.v1"
 SCHEMA_TIMESERIES = "smflow.timeseries.v1"
@@ -329,10 +333,9 @@ def _write_snapshot(path, t, grid, points, big_phi, small_phi):
 
 
 def _on_cadence(k, n_steps, cadence):
-    """Whether step k (an int or an integer array) of an n_steps run is
-    written at this cadence: every cadence-th step and the last; cadence 0
-    keeps the first and the last."""
-    return (k == n_steps) | (k % cadence == 0 if cadence else k == 0)
+    """Whether state k of an n_steps run is written at this cadence: every
+    cadence-th state and the last; cadence 0 keeps the first and the last."""
+    return k == n_steps or (k % cadence == 0 if cadence else k == 0)
 
 
 def _holonomy_payload(loop, theta, theta_ode, theta_gb):
@@ -350,9 +353,9 @@ def _holonomy_payload(loop, theta, theta_ode, theta_gb):
 # -- scenario runner ------------------------------------------------------------
 
 
-def _summary_invariants(rows, circle, res):
-    """Invariants of the rows of every state and, for a coupled run, of its
-    ReducedRunResult res (None for an autonomous run)."""
+def _summary_invariants(first, peaks, counts, circle, tolerance):
+    """Invariants of a run from its first row, the peaks and counts that run_scenario
+    folds over every state, and a coupled run's tolerance (None if autonomous)."""
     inv = {}
 
     def add(name, value, threshold):
@@ -360,56 +363,41 @@ def _summary_invariants(rows, circle, res):
         inv[name] = {"value": value, "threshold": float(threshold),
                      "passed": bool(value <= threshold)}
 
-    arr = np.asarray(rows, dtype=float)
-    t = arr[:, 0]
-    add("nonmonotone_time_count", int(np.sum(np.diff(t) <= 0)), 0)
-    finite = np.isfinite(arr)
-    if res is None:  # no cross error without a second formulation
-        finite[:, TIMESERIES_COLUMNS.index("cross_error")] = True
-    add("nonfinite_count", int(np.sum(~finite)), 0)
-    e = arr[:, 1]
-    scale = max(abs(e[0]), 1e-300)
-    drift_tol = 1e-4 if res is None else 1e-6
-    add("energy_drift_rel", np.abs(e - e[0]).max() / scale, drift_tol)
-    a = arr[:, 2]
-    add("a_norm_drift_rel",
-        np.abs(a - a[0]).max() / max(abs(a[0]), 1e-300), drift_tol)
+    add("nonmonotone_time_count", counts[0], 0)
+    add("nonfinite_count", counts[1], 0)
+    drift_tol = 1e-4 if tolerance is None else 1e-6
+    add("energy_drift_rel", peaks[0] / max(abs(first[1]), 1e-300), drift_tol)
+    add("a_norm_drift_rel", peaks[1] / max(abs(first[2]), 1e-300), drift_tol)
     if circle:
-        add("theta_method_disagreement",
-            np.abs(arr[:, 5] - arr[:, 3]).max(), 1e-3)
-    if res is not None:
-        add("cross_error_max", res.max_sup_error, 10.0 * res.tolerance)
+        add("theta_method_disagreement", peaks[2], 1e-3)
+    if tolerance is not None:
+        add("cross_error_max", peaks[3], 10.0 * tolerance)
         if circle:
-            add("twist_residual_max", res.twist_residual_ode.max(),
-                10.0 * res.tolerance)
-            add("untwisted_periodicity_max", res.phi_closure.max(), 1e-10)
+            add("twist_residual_max", peaks[4], 10.0 * tolerance)
+            add("untwisted_periodicity_max", peaks[5], 1e-10)
         else:
-            add("edge_decay_max", res.twist_residual_ode.max(), 1e-4)
+            add("edge_decay_max", peaks[4], 1e-4)
     return inv
 
 
 def _run_coupled(loop, cfg, dt, n_steps, keep):
-    """Coupled run: hands keep(k, row, snapshot) the timeseries row and the
-    snapshot (t, points, Phi, phi) of each state k as it is reached; returns
-    the final loop and the ReducedRunResult."""
+    """Coupled run: keep(k, row, snapshot) gets each state's row (the timeseries
+    columns, then the twist residual and the closure) and its snapshot
+    (t, points, Phi, phi) as the state is reached; returns the final loop."""
     circle = loop.grid.kind == "circle"
-
-    def observer(k, state, s):
+    for k, state, _, s in fr.coupled_steps(loop, dt, n_steps,
+                                           cfg["diagnostics"]["l4_window"]):
         keep(k, [s.time, s.energy, math.sqrt(2.0 * s.energy), s.theta,
                  lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
-                 s.theta_gb, s.theta_rate, s.l4_window, s.sup_error],
+                 s.theta_gb, s.theta_rate, s.l4_window, s.sup_error,
+                 s.twist_residual_ode, s.phi_closure],
              (s.time, state.points, s.coeffs, s.phi_nls))
-
-    res = fr.coupled_evolve(loop, dt, n_steps,
-                            l4_window=cfg["diagnostics"]["l4_window"],
-                            observer=observer)
-    return res.final_state, res
+    return state
 
 
 def _run_autonomous(loop, cfg, dt, n_steps, keep):
-    """Autonomous run, fed to keep like the coupled one: each state's row is
-    read off the loop the evolution reconstructed (state 0: the initial
-    loop). Returns the final loop and no result."""
+    """Autonomous run: keep gets each state's timeseries row alone, read off the
+    reconstructed loop (state 0: the initial one), and its snapshot; returns the final loop."""
     surface, grid = loop.surface, loop.grid
     frame, _, ode0, theta0, phi0 = fr.reduce_state(loop)
     state = fr.AutonomousState(grid, phi0, loop.points[0].copy(), frame.e1[0].copy(),
@@ -430,64 +418,72 @@ def _run_autonomous(loop, cfg, dt, n_steps, keep):
                  theta_gb, _holonomy_rate(lp), l4(st.time, st.phi), np.nan],
              (st.time, lp.points, np.exp(-1j * st.theta * grid.nodes) * st.phi, st.phi))
 
-    state = fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
-    final = loop
-    if n_steps:
-        pts = fr.reconstruct_loop(surface, grid, state.phi, state.base_point,
-                                  state.e1_base, state.theta)[0]
-        final = fd.LoopState(grid, surface, pts, state.time)
-    observer(n_steps, state, final)
-    return final, None
+    fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
+    return prev
 
 
 def run_scenario(cfg):
-    """Run one configured scenario; returns (artifact dir, summary dict).
-
-    The runner hands over the timeseries row and the snapshot of every
-    state; every row goes into one packed float buffer, and the snapshots
-    on snapshot_cadence are kept. After the run this one path writes the
-    snapshots (written mid-run they slowed a three-step N=64 run by about
-    5%), the rows on diagnostics.cadence as the timeseries, and the
-    holonomy payload of the final loop, and builds the invariants and
-    metrics of both modes from the rows of every state: the cadence
-    chooses what is written and nothing else."""
+    """Run one configured scenario; returns (artifact dir, summary dict). Each
+    row the runner hands over is written if it is on diagnostics.cadence and
+    folded into the invariants' peaks and counts either way; snapshots on
+    snapshot_cadence are written SNAPSHOT_BATCH at a time and the rest when
+    the run ends, also when it fails."""
     _, grid, loop, dt, n_steps = _materialize(cfg)
     out_dir = _output_dir(cfg["output"]["dir"])
     _write_json(out_dir / "config.json", {**cfg, "schema": SCHEMA_CONFIG,
                                           "derived": {"dt": dt, "n_steps": n_steps}})
 
-    diag, mode = cfg["diagnostics"], cfg["reduction"]["mode"]
+    diag, coupled = cfg["diagnostics"], cfg["reduction"]["mode"] == "coupled"
     circle = grid.kind == "circle"
-    rows, snapshots = array("d"), {}
+    tolerance = fr.solver_tolerance(grid, dt) if coupled else None
+    width = len(TIMESERIES_COLUMNS)
+    first, last, peaks = None, None, -np.inf
+    counts, snapshots = np.zeros(2, dtype=np.int64), {}
+
+    def write_snapshots():
+        for k, (t, *fields) in snapshots.items():
+            _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, *fields)
+        snapshots.clear()
 
     def keep(k, row, snapshot):
-        rows.extend(row)
+        nonlocal first, last, peaks, counts
+        if _on_cadence(k, n_steps, diag["cadence"]):
+            series.write(",".join(map(_fmt, row[:width])) + "\n")
+        r = np.array(row, dtype=float)
+        first = r if first is None else first
+        # np.maximum keeps a NaN, as ndarray.max does; an autonomous run has
+        # no cross error to count as nonfinite
+        peaks = np.maximum(peaks, np.abs([r[1] - first[1], r[2] - first[2],
+                                          r[5] - r[3], *r[8:]]))
+        counts += (k and r[0] - last[0] <= 0,
+                   np.count_nonzero(~np.isfinite(r[:width - (not coupled)])))
+        last = r
         if _on_cadence(k, n_steps, diag["snapshot_cadence"]):
             snapshots[k] = snapshot
+            if len(snapshots) == SNAPSHOT_BATCH:
+                write_snapshots()
 
-    runner = _run_coupled if mode == "coupled" else _run_autonomous
+    runner = _run_coupled if coupled else _run_autonomous
     try:
-        final, res = runner(loop, cfg, dt, n_steps, keep)
-        for k, (t, points, big_phi, small_phi) in snapshots.items():
-            _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, points,
-                            big_phi, small_phi)
-        table = np.frombuffer(rows).reshape(-1, len(TIMESERIES_COLUMNS))
-        _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES, TIMESERIES_COLUMNS,
-                   table[_on_cadence(np.arange(len(table)), n_steps, diag["cadence"])])
+        _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES, TIMESERIES_COLUMNS, ())
+        with (out_dir / "timeseries.csv").open("a") as series:
+            try:
+                final = runner(loop, cfg, dt, n_steps, keep)
+            finally:
+                write_snapshots()
         if circle:  # theta_transport, theta_ode, theta_gb of the last row
-            payload = _holonomy_payload(final, *table[-1, 3:6])
+            payload = _holonomy_payload(final, *last[3:6])
         else:
             payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
                        "note": "holonomy is defined for closed loops; "
                                "line-domain runs carry none"}
         _write_json(out_dir / "holonomy.json", payload)
-        invariants = _summary_invariants(table, circle, res)
+        invariants = _summary_invariants(first, peaks, counts, circle, tolerance)
     except Exception as exc:
         _write_json(out_dir / "summary.json", {
             "schema": SCHEMA_SUMMARY, "passed": False,
             "error": {"type": type(exc).__name__, "message": str(exc)}})
         raise
-    first, last = table[0], table[-1]
     metrics = {
         "n_steps": n_steps, "dt": dt, "t_final": float(last[0]),
         "energy_initial": float(first[1]), "energy_final": float(last[1]),
@@ -495,9 +491,8 @@ def run_scenario(cfg):
         "theta_gauss_bonnet_final": float(last[5]),
         "phi_l4_final": float(last[7]),
     }
-    if res is not None:
-        metrics.update(solver_tolerance=res.tolerance,
-                       cross_error_max=res.max_sup_error)
+    if coupled:
+        metrics.update(solver_tolerance=tolerance, cross_error_max=float(peaks[3]))
     summary = {
         "schema": SCHEMA_SUMMARY,
         "invariants": invariants,
@@ -584,13 +579,11 @@ def convergence_study(cfg, levels):
         raise ConfigError(violations)
     out_dir = _output_dir(cfg["output"]["dir"])
 
-    errors = []
-    finals = []
+    errors, finals = [], []
     for n, dt_run, n_steps, surface, grid, loop in resolved:
-        if kind == "cross":
-            res = fr.coupled_evolve(loop, dt_run, n_steps)
-            errors.append(res.max_sup_error)
-            finals.append(None)
+        if kind == "cross":  # the largest sup error; np.maximum keeps a NaN
+            errors.append(float(reduce(np.maximum, (
+                s.sup_error for *_, s in fr.coupled_steps(loop, dt_run, n_steps)))))
         else:
             state = fd.evolve(loop, dt_run, n_steps)
             finals.append(state.points)
@@ -598,21 +591,16 @@ def convergence_study(cfg, levels):
                 exact = _latitude_exact(cfg["init"].get("alpha", np.pi / 3), grid,
                                         state.time, cfg["target"]["radius"])
                 errors.append(float(np.abs(state.points - exact).max()))
-            else:
-                errors.append(np.nan)  # filled below against the finest
-    if kind == "reference":
-        fine_pts = finals[-1]
+    if kind == "reference":  # each level against the finest one's points at its nodes
         n_fine = resolved[-1][0]
-        for i, (n, *_rest) in enumerate(resolved):
-            stride = n_fine // n
-            errors[i] = float(np.abs(finals[i] - fine_pts[::stride]).max())
+        errors = [float(np.abs(points - finals[-1][::n_fine // n]).max())
+                  for (n, *_), points in zip(resolved, finals)]
 
     rows = []
     for i, ((n, dt_run, n_steps, *_), err) in enumerate(zip(resolved, errors)):
         order = np.nan
         if i > 0:
-            n_prev, dt_prev = resolved[i - 1][0], resolved[i - 1][1]
-            e_prev = errors[i - 1]
+            (n_prev, dt_prev, *_), e_prev = resolved[i - 1], errors[i - 1]
             if e_prev > 0 and err > 0:
                 if n != n_prev:
                     order = math.log(e_prev / err) / math.log(n / n_prev)

@@ -474,8 +474,7 @@ def _windowed_l4(grid: SpectralGrid, window: int):
     return l4
 
 
-def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
-                   l4_window: int = 32, observer=None) -> ReducedRunResult:
+def coupled_steps(state0: LoopState, dt: float, n_steps: int, l4_window: int = 32):
     """March the map flow and the reduced NLS side by side.
 
     Each step advances the loop by one RK4 flow step, transports the frame
@@ -495,12 +494,12 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
     place of the twist residual and the closure); any other grid runs the
     twisted circle reduction.
 
-    observer(k, state, step) sees each state k = 0..n_steps and its
-    CoupledStep; the result keeps only the scalar series of the steps.
+    Yields (k, state, seed, step) for each state k = 0..n_steps: the
+    LoopState, its frame seed e1[0] and its CoupledStep. Nothing is kept
+    per state but the L4 window.
     """
     surface, grid = state0.surface, state0.grid
     circle = grid.kind != "line"
-    series = np.empty((len(CoupledStep._fields) - 3, n_steps + 1))
     l4 = _windowed_l4(grid, l4_window)
     state, seed, theta, pot = state0, None, None, None
     for k in range(n_steps + 1):
@@ -528,16 +527,24 @@ def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
         else:
             resid = closure = _edge_decay(coeffs.phi)
         energy = fd.energy(state)  # gradient_norm is sqrt(2 energy), taken from it
-        step = CoupledStep(
+        yield k, state, seed, CoupledStep(
             state.time, theta, gb, rate, ode, energy,
             float(np.sqrt(max(2.0 * energy, 0.0))), resid, closure,
             np.maximum.reduce(np.abs(nls.values - phi_f)), l4(state.time, nls.values),
             *(_read_only(a.view()) for a in (coeffs.phi, phi_f, nls.values)))
+
+
+def coupled_evolve(state0: LoopState, dt: float, n_steps: int,
+                   l4_window: int = 32, observer=None) -> ReducedRunResult:
+    """The states of coupled_steps collected: observer(k, state, step) sees
+    each state k = 0..n_steps and its CoupledStep; the ReducedRunResult
+    keeps only the scalar series of the steps."""
+    series = np.empty((len(CoupledStep._fields) - 3, n_steps + 1))
+    for k, state, seed, step in coupled_steps(state0, dt, n_steps, l4_window):
         series[:, k] = step[:-3]
         if observer is not None:
             observer(k, state, step)
-
-    return ReducedRunResult(*series, tolerance=solver_tolerance(grid, dt),
+    return ReducedRunResult(*series, tolerance=solver_tolerance(state0.grid, dt),
                             final_state=state, final_seed=seed)
 
 
@@ -671,17 +678,20 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     step, and moves the base point and seed with the flow velocity read
     off the gauge field (u_t = b1 e1 + b2 e2 with b = -i Phi_x at the
     base). Second order in dt on top of the O(dx^4) reconstruction.
-    observer(k, state, loop) sees each step's start state and the LoopState
-    of its reconstructed loop, whose u_x, K and K_x the snapshot has
-    already computed as far as its rate and potential needed them.
+    observer(k, state, loop) sees each state k = 0..n_steps and the
+    LoopState of its reconstructed loop, whose u_x, K and K_x a step's
+    snapshot has computed as far as its rate and potential needed them.
     """
     grid = state.grid
     x = grid.nodes
 
-    def snapshot(st):
+    def reconstruct(st):
         pts = reconstruct_loop(surface, grid, st.phi, st.base_point,
                                st.e1_base, st.theta)[0]
-        loop = LoopState(grid, surface, pts, st.time)
+        return LoopState(grid, surface, pts, st.time)
+
+    def snapshot(st):
+        loop = reconstruct(st)
         rate = _holonomy_rate(loop)
         # gauge_potential from base 0: S - S(0) + R
         S, _, R = _curvature_letters(loop, np.exp(-1j * st.theta * x) * st.phi)
@@ -716,4 +726,6 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
                                 *carry(state, 0.5 * dt * (ut0 + ut1)),
                                 state.theta + 0.5 * dt * (rate0 + rate1),
                                 state.time + dt)
+    if observer is not None:
+        observer(n_steps, state, reconstruct(state))
     return state

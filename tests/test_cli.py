@@ -382,16 +382,85 @@ class TestRunScenario:
         assert list(data[:, 0]) == pytest.approx([0.0, 2e-4, 4e-4, 6e-4])
         assert np.abs(data[:, 1] / data[0, 1] - 1.0).max() < 1e-6
 
-    @pytest.mark.parametrize("mode,n,short,long", [("coupled", 128, 50, 400),
-                                                   ("autonomous", 32, 20, 120)])
-    def test_memory_does_not_grow_with_run_length(self, workdir, mode, n,
-                                                  short, long):
-        """The traced peak of a run grows by less than 1 KB per step: a run
-        keeps scalar rows, not the fields of every step (the coupled run
-        kept 3 x 16 n B, the autonomous one about 100 n B per row). An
-        untraced run of the longer length first fills the caches and the
-        interpreter's free lists. The autonomous run is smaller because
-        tracing slows its per-cell reconstruction about 35 times."""
+    def test_nan_energy_between_written_rows_fails_the_run(self, workdir,
+                                                          monkeypatch, capsys):
+        """A NaN energy at state 3 of a run that writes every second row is
+        one nonfinite value and makes energy_drift_rel NaN, since the
+        running maximum keeps a NaN as ndarray.max does; the run exits 1."""
+        run_coupled = cli._run_coupled
+
+        def nan_energy_at_state_3(loop, cfg, dt, n_steps, keep):
+            def spoiled(k, row, snapshot):
+                keep(k, [np.nan if (k, i) == (3, 1) else v for i, v in enumerate(row)],
+                     snapshot)
+            return run_coupled(loop, cfg, dt, n_steps, spoiled)
+
+        monkeypatch.setattr(cli, "_run_coupled", nan_energy_at_state_3)
+        cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 6e-4},
+                           diagnostics={"cadence": 2, "snapshot_cadence": 0,
+                                        "l4_window": 4})
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] nonfinite_count" in out and "[FAIL] energy_drift_rel" in out
+        inv = json.loads((workdir / "out" / "summary.json").read_text())["invariants"]
+        assert inv["nonfinite_count"]["value"] == 1
+        assert np.isnan(inv["energy_drift_rel"]["value"])
+        assert inv["a_norm_drift_rel"]["passed"]
+        _, data = read_csv(workdir / "out" / "timeseries.csv")
+        assert list(data[:, 0]) == pytest.approx([0.0, 2e-4, 4e-4, 6e-4])
+        assert np.isfinite(data).all()
+
+    @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
+    def test_failed_run_keeps_what_it_reached(self, workdir, monkeypatch, mode):
+        """A run that raises BlowUpSuspectedError at state 3 exits 3 and
+        leaves the timeseries rows of states 0-2, the snapshots it reached
+        and a summary.json that holds the error."""
+        from smflow.errors import BlowUpSuspectedError
+
+        energy = fd.energy
+
+        def blow_up_at_state_3(state):
+            if abs(state.time - 3e-4) < 5e-5:
+                raise BlowUpSuspectedError("guard", {"t": state.time})
+            return energy(state)
+
+        monkeypatch.setattr(fd, "energy", blow_up_at_state_3)
+        cfg = write_config(workdir, reduction={"mode": mode},
+                           time={"dt": 1e-4, "t_final": 6e-4},
+                           diagnostics={"cadence": 1, "snapshot_cadence": 1,
+                                        "l4_window": 4})
+        assert cli.main(["run", "--config", str(cfg)]) == 3
+        out = workdir / "out"
+        _, data = read_csv(out / "timeseries.csv")
+        assert list(data[:, 0]) == pytest.approx([0.0, 1e-4, 2e-4])
+        assert sorted(p.name for p in out.glob("snapshot_*")) == [
+            f"snapshot_{k:06d}.csv" for k in range(3)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False
+        assert summary["error"]["type"] == "BlowUpSuspectedError"
+        assert not (out / "holonomy.json").exists()
+
+    @pytest.mark.parametrize("mode,n,short,long,snapshot_cadence,bound", [
+        pytest.param("coupled", 128, 50, 400, 0, 16, id="coupled-128-50-400"),
+        pytest.param("coupled", 128, 50, 400, 1, 16, id="coupled-128-50-400-snapshots"),
+        pytest.param("autonomous", 32, 20, 120, 0, 1024, id="autonomous-32-20-120"),
+        pytest.param("autonomous", 32, 20, 120, 1, 1024,
+                     id="autonomous-32-20-120-snapshots")])
+    def test_memory_does_not_grow_with_run_length(self, workdir, mode, n, short, long,
+                                                  snapshot_cadence, bound):
+        """The traced peak of a run grows by less than the bound per step,
+        also with a snapshot at every step: a run writes its rows as they
+        come, folds the invariants, and holds at most SNAPSHOT_BATCH
+        snapshots, so a coupled run keeps nothing per state (it kept 171 B
+        per step, and 8 KB with every snapshot). Both lengths exceed the
+        batch. An untraced run of the longer length first fills the caches
+        and the interpreter's free lists. The cyclic collector is off while
+        tracing: a run makes no reference cycles per state, and when the
+        collector ran moved the peak by several KB. The autonomous bound is
+        wider: its short runs still read a warm-up transient of about 100 B
+        per step (-0.7 B per step from 500 to 3,000 steps), and tracing
+        slows its per-cell reconstruction about 35 times."""
+        import gc
         import tracemalloc
 
         from smflow import flow_direct as fd
@@ -399,23 +468,28 @@ class TestRunScenario:
         from smflow.geometry import round_sphere
         from smflow.spectral import SpectralGrid
 
+        assert short > cli.SNAPSHOT_BATCH
+
         def config(steps):
             return cli.load_config(None, [
                 f"domain.n={n}", "time.dt=1e-5", f"time.t_final={steps * 1e-5!r}",
-                f"reduction.mode={mode}", f"output.dir=run{steps}"])
+                f"reduction.mode={mode}", f"output.dir=run{steps}",
+                f"diagnostics.snapshot_cadence={snapshot_cadence}"])
 
         def peak(steps):
             cfg = config(steps)
+            gc.disable()
             tracemalloc.start()
             try:
                 cli.run_scenario(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                gc.enable()
 
         cli.run_scenario(config(long))
         growth = (peak(long) - peak(short)) / (long - short)
-        assert growth < 1024, growth
+        assert growth < bound, growth
         loop = fd.initial_loop(round_sphere(1.0), SpectralGrid(32), "latitude")
         res = fr.coupled_evolve(loop, fd.admissible_dt(loop), 4)
         arrays = [v for v in vars(res).values() if isinstance(v, np.ndarray)]
@@ -755,7 +829,7 @@ class TestConfigValidation:
             raise AssertionError("work began before the output root was checked")
 
         for module, name in ((cli, "run_suite"), (cli.fd, "evolve"),
-                             (cli.fr, "coupled_evolve")):
+                             (cli.fr, "coupled_evolve"), (cli.fr, "coupled_steps")):
             monkeypatch.setattr(module, name, refuse)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

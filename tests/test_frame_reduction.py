@@ -737,6 +737,14 @@ class TestCoupledDriver:
             assert np.array_equal(got, values, equal_nan=True), name
         assert np.array_equal(res.final_state.points, final_state.points)
         assert np.array_equal(res.final_seed, final_seed)
+        # the generator coupled_evolve collects yields the same steps, to the bit
+        yielded = list(fr.coupled_steps(loop, dt, 3, l4_window=2))
+        assert [k for k, *_ in yielded] == [0, 1, 2, 3]
+        for (_, _, _, got), want in zip(yielded, steps):
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+        _, state, seed, _ = yielded[-1]
+        assert np.array_equal(state.points, final_state.points)
+        assert np.array_equal(seed, final_seed)
 
     @pytest.mark.parametrize("case,per_step", [("round", 6), ("warped", 8),
                                                ("hyperbolic", 6)])
@@ -948,3 +956,24 @@ class TestReconstruction:
             ROUND, grid, out.phi, out.base_point, out.e1_base, out.theta)
         assert np.abs(pts - res.final_state.points).max() < 1e-4
         assert closure < 1e-5
+
+    @pytest.mark.parametrize("n_steps", [0, 2])
+    def test_autonomous_observer_sees_every_state(self, n_steps):
+        """The autonomous observer sees k = 0..n_steps, as the coupled one
+        does; the last call carries the reconstructed loop of the returned
+        state."""
+        grid = SpectralGrid(32)
+        loop = fd.initial_loop(ROUND, grid, "perturbed_latitude",
+                               alpha=np.pi / 4, eps=0.05, m=2)
+        frame, _, _, theta, phi = fr.reduce_state(loop)
+        state = fr.AutonomousState(grid, phi, loop.points[0].copy(), frame.e1[0].copy(),
+                                   theta)
+        seen = []
+        out = fr.autonomous_evolve(ROUND, state, fd.admissible_dt(loop), n_steps,
+                                   observer=lambda k, st, lp: seen.append((k, st, lp)))
+        assert [k for k, *_ in seen] == list(range(n_steps + 1))
+        _, last, lp = seen[-1]
+        assert last is out and lp.time == out.time
+        pts = fr.reconstruct_loop(ROUND, grid, out.phi, out.base_point, out.e1_base,
+                                  out.theta)[0]
+        assert np.array_equal(lp.points, pts)

@@ -5,8 +5,10 @@ sphere also run autonomous, and one run uses the line domain; all at N=32
 over three steps with a snapshot after every step. Two more round-sphere
 runs, one coupled and one autonomous, take nine steps with a timeseries row
 every second step, a snapshot every third and a two-row L4 window, so rows
-differ from steps and the window truncates. Each scenario writes its
-artifacts to ``OUT/<name>/``. The matrix also runs ``smflow check all``
+differ from steps and the window truncates. The north-pole ``constant``
+preset fails in the reference gauge and exits 3, so the artifacts a failed
+run leaves are compared too. Each scenario writes its artifacts to
+``OUT/<name>/``. The matrix also runs ``smflow check all``
 (``OUT/check_all.json``) and two cross-formulation ``smflow converge``
 studies, the default circle run at N = 16, 32, 64 (``OUT/converge_cross/``)
 and the line run's settings at N = 32, 64, 128
@@ -20,7 +22,8 @@ numbers write byte-identical trees.
     python3 tools/artifact_matrix.py --against OTHER_SRC OUT
 
 The first form imports whichever ``smflow`` is first on the path, prints
-its location and exits 1 if any scenario fails. The second runs the matrix
+its location and exits 1 if any command's exit code is not the expected
+one (``EXPECTED_EXIT``, else 0). The second runs the matrix
 in child processes, once for this checkout's ``src`` into ``OUT/this`` and
 once for the package under ``OTHER_SRC`` (the ``src`` directory of another
 checkout) into ``OUT/against``, both emptied first; it lists every file
@@ -70,7 +73,10 @@ SCENARIOS = {
     "sparse_autonomous_round_sphere": ("target.kind=round_sphere", *SPHERE,
                                        *SPARSE, *AUTONOMOUS),
     "line_hyperbolic_disk": LINE,
+    "constant_pole": ("target.kind=round_sphere", "init.kind=constant"),
 }
+# commands that are meant to fail, with their exit code
+EXPECTED_EXIT = {"constant_pole": 3}
 
 
 def _set(*items) -> list:
@@ -209,7 +215,7 @@ def main(argv) -> int:
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
     for name, code in codes.items():
         print(f"{code}  {name}")
-    return 0 if not any(codes.values()) else 1
+    return 0 if all(code == EXPECTED_EXIT.get(name, 0) for name, code in codes.items()) else 1
 
 
 if __name__ == "__main__":
