@@ -15,14 +15,15 @@ the k of each ``[k, a, b]`` mode in ``colat_coeffs``, ``azimuth_coeffs`` and
 ``alpha``, ``eps`` and (positive) ``envelope_sigma`` numbers. ``output.dir``
 is a relative path with no ``..`` part, under the output root, which the
 environment variable SMFLOW_OUT overrides. A run takes at most
-``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``, in one pass that
-keeps nothing per state: each row is written as it comes and folded into
-every summary invariant, so ``diagnostics.cadence`` chooses the written
-rows and nothing else, and a failed run leaves the rows and snapshots it
-reached. Every artifact embeds a schema string; CSV floats use shortest
-round-trip formatting, so identical configurations produce bit-identical
-files. Exit codes: 0 pass, 1 check or invariant failure, 2 usage or
-configuration error, 3 numerical failure.
+``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``, in one pass over
+the states of either ``reduction.mode`` that keeps nothing per state: each
+row is written as it comes and folded into every summary invariant, so
+``diagnostics.cadence`` chooses the written rows and nothing else, and a
+failed run leaves the rows and snapshots it reached. Every artifact embeds
+a schema string; CSV floats use shortest round-trip formatting, so
+identical configurations produce bit-identical files. Exit codes: 0 pass,
+1 check or invariant failure, 2 usage or configuration error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigError, SmflowError
 from .geometry import (bump_warp, flat_torus, hyperbolic_disk, round_sphere,
                        sphere_chart_point, warped_sphere)
-from .holonomy import (_holonomy_ode, _holonomy_rate, diagonal_holonomy,
-                       lift_to_branch, swept_angle_increment)
+from .holonomy import diagonal_holonomy, lift_to_branch
 from .spectral import SpectralGrid
 
 # the most steps one run or convergence level may take
@@ -338,18 +338,6 @@ def _on_cadence(k, n_steps, cadence):
     return k == n_steps or (k % cadence == 0 if cadence else k == 0)
 
 
-def _holonomy_payload(loop, theta, theta_ode, theta_gb):
-    """holonomy.json of the final state: the last row's angles and the closed-form matrix."""
-    return {
-        "schema": SCHEMA_HOLONOMY,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                   for row in diagonal_holonomy(loop)],
-        "theta_transport": float(theta),
-        "theta_ode": float(theta_ode),
-        "theta_gauss_bonnet": float(theta_gb),
-    }
-
-
 # -- scenario runner ------------------------------------------------------------
 
 
@@ -380,46 +368,20 @@ def _summary_invariants(first, peaks, counts, circle, tolerance):
     return inv
 
 
-def _run_coupled(loop, cfg, dt, n_steps, keep):
-    """Coupled run: keep(k, row, snapshot) gets each state's row (the timeseries
-    columns, then the twist residual and the closure) and its snapshot
-    (t, points, Phi, phi) as the state is reached; returns the final loop."""
+def _run_steps(loop, cfg, dt, n_steps, keep):
+    """The run of either mode: keep(k, row, snapshot) gets each state's row
+    (the timeseries columns, then the twist residual and the closure, NaN
+    when autonomous) and snapshot (t, points, Phi, phi) as fr.coupled_steps
+    or fr.autonomous_steps reaches it; returns the final loop."""
     circle = loop.grid.kind == "circle"
-    for k, state, _, s in fr.coupled_steps(loop, dt, n_steps,
-                                           cfg["diagnostics"]["l4_window"]):
-        keep(k, [s.time, s.energy, math.sqrt(2.0 * s.energy), s.theta,
+    steps = fr.coupled_steps if cfg["reduction"]["mode"] == "coupled" else fr.autonomous_steps
+    for k, state, _, s in steps(loop, dt, n_steps, cfg["diagnostics"]["l4_window"]):
+        keep(k, [s.time, s.energy, s.grad_norm, s.theta,
                  lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
                  s.theta_gb, s.theta_rate, s.l4_window, s.sup_error,
                  s.twist_residual_ode, s.phi_closure],
              (s.time, state.points, s.coeffs, s.phi_nls))
     return state
-
-
-def _run_autonomous(loop, cfg, dt, n_steps, keep):
-    """Autonomous run: keep gets each state's timeseries row alone, read off the
-    reconstructed loop (state 0: the initial one), and its snapshot; returns the final loop."""
-    surface, grid = loop.surface, loop.grid
-    frame, _, ode0, theta0, phi0 = fr.reduce_state(loop)
-    state = fr.AutonomousState(grid, phi0, loop.points[0].copy(), frame.e1[0].copy(),
-                               theta0)
-    l4 = fr._windowed_l4(grid, cfg["diagnostics"]["l4_window"])
-    prev, theta_gb = loop, theta0  # the previous state's loop
-
-    def observer(k, st, lp):
-        nonlocal prev, theta_gb
-        if k:
-            theta_gb += swept_angle_increment(surface, grid, prev.points, lp.points,
-                                              st.time - prev.time)
-        else:
-            lp = loop
-        prev, energy = lp, fd.energy(lp)
-        theta_ode = lift_to_branch(_holonomy_ode(lp) if k else ode0, st.theta)
-        keep(k, [st.time, energy, math.sqrt(2.0 * energy), st.theta, theta_ode,
-                 theta_gb, _holonomy_rate(lp), l4(st.time, st.phi), np.nan],
-             (st.time, lp.points, np.exp(-1j * st.theta * grid.nodes) * st.phi, st.phi))
-
-    fr.autonomous_evolve(surface, state, dt, n_steps, observer=observer)
-    return prev
 
 
 def run_scenario(cfg):
@@ -463,16 +425,19 @@ def run_scenario(cfg):
             if len(snapshots) == SNAPSHOT_BATCH:
                 write_snapshots()
 
-    runner = _run_coupled if coupled else _run_autonomous
     try:
         _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES, TIMESERIES_COLUMNS, ())
         with (out_dir / "timeseries.csv").open("a") as series:
             try:
-                final = runner(loop, cfg, dt, n_steps, keep)
+                final = _run_steps(loop, cfg, dt, n_steps, keep)
             finally:
                 write_snapshots()
-        if circle:  # theta_transport, theta_ode, theta_gb of the last row
-            payload = _holonomy_payload(final, *last[3:6])
+        if circle:  # the final loop's closed-form matrix and the last row's angles
+            theta, theta_ode, theta_gb = last[3:6].tolist()
+            payload = {"schema": SCHEMA_HOLONOMY, "theta_transport": theta,
+                       "theta_ode": theta_ode, "theta_gauss_bonnet": theta_gb,
+                       "matrix": [[[z.real, z.imag] for z in row]
+                                  for row in diagonal_holonomy(final).tolist()]}
         else:
             payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
                        "note": "holonomy is defined for closed loops; "

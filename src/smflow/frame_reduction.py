@@ -248,8 +248,12 @@ def gauge_potential(loop: LoopState, coeffs: FrameCoefficients) -> np.ndarray:
     V = S - S(base) + tail, where the tail integrates the curvature-rate
     density r = (K o u)_x |Phi|^2 / 2 along the transport path from the
     base node (wrapping past the seam for nodes before the base)."""
-    S, r, R = _curvature_letters(loop, coeffs.phi)
-    b = coeffs.base_index
+    return _gauge_potential(loop, coeffs.phi, coeffs.base_index)
+
+
+def _gauge_potential(loop: LoopState, phi: np.ndarray, b: int) -> np.ndarray:
+    """gauge_potential of the coefficients phi with base node b."""
+    S, r, R = _curvature_letters(loop, phi)
     tail = R - R[b]
     if b:
         tail[:b] += loop.grid.integrate(r)
@@ -428,7 +432,8 @@ class ReducedRunResult:
 class CoupledStep(NamedTuple):
     """One state of a coupled run as its observer sees it: each result series
     at that state (``time`` for ``times``), then read-only views of its frame
-    coefficients Phi and of the frame and split-step gauge fields phi."""
+    coefficients Phi and of the frame and split-step gauge fields phi.
+    autonomous_steps yields it too."""
 
     time: float
     theta: float
@@ -484,19 +489,16 @@ def coupled_steps(state0: LoopState, dt: float, n_steps: int, l4_window: int = 3
     holonomy angles by transport/sweep/rate, and the cross-formulation
     error.
 
-    Each state is reduced by the public routes, which share the u_x,
-    |u_x|^2_h, K and K_x its LoopState computes once: reduce_state (the
-    frame, the coefficients, holonomy_ode, which also lifts the initial
-    theta, and phi), the letters, the energy and the rate.
-
-    The loop's grid decides the reduction: a line grid runs the line
-    reduction (theta = 0, theta_ode NaN, no swept angle, the edge decay in
-    place of the twist residual and the closure); any other grid runs the
-    twisted circle reduction.
+    Each state is reduced by the public routes (reduce_state, the letters,
+    the energy and the rate), which share the u_x, |u_x|^2_h, K and K_x its
+    LoopState computes once. The loop's grid decides the reduction: a line
+    grid runs the line reduction (theta = 0, theta_ode NaN, no swept angle,
+    the edge decay in place of the twist residual and the closure); any
+    other grid runs the twisted circle reduction.
 
     Yields (k, state, seed, step) for each state k = 0..n_steps: the
-    LoopState, its frame seed e1[0] and its CoupledStep. Nothing is kept
-    per state but the L4 window.
+    LoopState, its frame seed e1[0] and its CoupledStep. Only the L4 window
+    is kept.
     """
     surface, grid = state0.surface, state0.grid
     circle = grid.kind != "line"
@@ -669,8 +671,8 @@ class AutonomousState:
     time: float = 0.0
 
 
-def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
-                      dt: float, n_steps: int, observer=None):
+def _autonomous_states(surface: SurfaceModel, state: AutonomousState,
+                       dt: float, n_steps: int):
     """Evolve phi without re-deriving it from a stored loop (experimental).
 
     Each step reconstructs the loop from (phi, base data, theta), builds
@@ -678,54 +680,85 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     step, and moves the base point and seed with the flow velocity read
     off the gauge field (u_t = b1 e1 + b2 e2 with b = -i Phi_x at the
     base). Second order in dt on top of the O(dx^4) reconstruction.
-    observer(k, state, loop) sees each state k = 0..n_steps and the
-    LoopState of its reconstructed loop, whose u_x, K and K_x a step's
-    snapshot has computed as far as its rate and potential needed them.
-    """
+    Yields (k, state, loop, rate, Phi = e^{-i theta x} phi) for k =
+    0..n_steps, with the loop and rate of the step's snapshot (the last
+    loop a fresh reconstruction)."""
     grid = state.grid
     x = grid.nodes
 
-    def reconstruct(st):
+    def rated(st):
         pts = reconstruct_loop(surface, grid, st.phi, st.base_point,
                                st.e1_base, st.theta)[0]
-        return LoopState(grid, surface, pts, st.time)
+        loop = LoopState(grid, surface, pts, st.time)
+        return loop, _holonomy_rate(loop), np.exp(-1j * st.theta * x) * st.phi
 
     def snapshot(st):
-        loop = reconstruct(st)
-        rate = _holonomy_rate(loop)
-        # gauge_potential from base 0: S - S(0) + R
-        S, _, R = _curvature_letters(loop, np.exp(-1j * st.theta * x) * st.phi)
-        pot = x * rate + (S - S[0] + R)
+        loop, rate, Phi = rated(st)
+        pot = x * rate + _gauge_potential(loop, Phi, 0)
         # Phi_x at the base node only: an O(n) dot with the derivative row
         phi_x0 = _node0_derivative_row(grid) @ st.phi
         b = -1j * np.exp(-1j * st.theta * x[0]) * (phi_x0 - 1j * st.theta * st.phi[0])
         e2b = surface.apply_J(st.base_point, st.e1_base)
         u_t = b.real * st.e1_base + b.imag * e2b
-        return loop, pot, rate, u_t
+        return loop, rate, Phi, pot, u_t
 
-    def carry(st, displacement):
-        """The base point moved by displacement and the seed carried along."""
+    def advance(st, phi, displacement, theta):
+        """The state dt after st: phi, the base point moved by displacement
+        with the seed carried along, and theta."""
         base = surface.project_point(st.base_point + displacement)
         h = surface.covariant_rhs(st.base_point, displacement, st.e1_base)
-        return base, _unit_tangent(surface, base, st.e1_base + h)
+        return AutonomousState(grid, phi, base, _unit_tangent(surface, base, st.e1_base + h),
+                               theta, st.time + dt)
 
     for k in range(n_steps):
-        loop, pot0, rate0, ut0 = snapshot(state)
-        if observer is not None:
-            observer(k, state, loop)
+        loop, rate0, Phi, pot0, ut0 = snapshot(state)
+        yield k, state, loop, rate0, Phi
         field = ComplexField(grid, state.phi)
         # predictor: freeze the potential and base data
         pred = _two_point_step(field, dt, pot0, pot0, state.theta, state.time)
-        st_pred = AutonomousState(grid, pred.values, *carry(state, dt * ut0),
-                                  state.theta + dt * rate0, state.time + dt)
-        _, pot1, rate1, ut1 = snapshot(st_pred)
+        st_pred = advance(state, pred.values, dt * ut0, state.theta + dt * rate0)
+        _, rate1, _, pot1, ut1 = snapshot(st_pred)
         # corrector: trapezoid in the potential, base velocity, and rate
         corr = _two_point_step(field, dt, pot0, pot1,
                                state.theta + 0.25 * dt * (rate0 + rate1), state.time)
-        state = AutonomousState(grid, corr.values,
-                                *carry(state, 0.5 * dt * (ut0 + ut1)),
-                                state.theta + 0.5 * dt * (rate0 + rate1),
-                                state.time + dt)
-    if observer is not None:
-        observer(n_steps, state, reconstruct(state))
+        state = advance(state, corr.values, 0.5 * dt * (ut0 + ut1),
+                        state.theta + 0.5 * dt * (rate0 + rate1))
+    yield (n_steps, state, *rated(state))
+
+
+def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
+                      dt: float, n_steps: int, observer=None):
+    """The states of _autonomous_states collected: observer(k, state, loop)
+    sees each state k = 0..n_steps and the LoopState of its reconstructed
+    loop, whose u_x, K and K_x a step's snapshot has computed as far as its
+    rate and potential needed them; returns the final state."""
+    for k, state, loop, *_ in _autonomous_states(surface, state, dt, n_steps):
+        if observer is not None:
+            observer(k, state, loop)
     return state
+
+
+def autonomous_steps(loop: LoopState, dt: float, n_steps: int, l4_window: int = 32):
+    """The autonomous evolution of reduce_state(loop), yielded as coupled_steps
+    yields the coupled one: (k, loop_k, state, step) for k = 0..n_steps, with
+    step a CoupledStep read off loop_k (the loop itself at k = 0, then the
+    evolution's own). theta_gb adds each swept angle over the cell's own
+    time; sup_error, twist_residual_ode and phi_closure are NaN; coeffs is
+    Phi and phi_frame and phi_nls are phi. Only the L4 window is kept."""
+    surface, grid = loop.surface, loop.grid
+    frame, _, ode, theta, phi = reduce_state(loop)
+    start = AutonomousState(grid, phi, loop.points[0].copy(), frame.e1[0].copy(), theta)
+    l4, prev, gb = _windowed_l4(grid, l4_window), loop, theta
+    for k, state, loop_k, rate, Phi in _autonomous_states(surface, start, dt, n_steps):
+        if k:
+            gb = gb + swept_angle_increment(surface, grid, prev.points, loop_k.points,
+                                            state.time - prev.time)
+            ode = _holonomy_ode(loop_k)
+        else:
+            loop_k, rate = loop, _holonomy_rate(loop)
+        prev, energy = loop_k, fd.energy(loop_k)
+        yield k, loop_k, state, CoupledStep(
+            state.time, state.theta, gb, rate, ode, energy,
+            float(np.sqrt(max(2.0 * energy, 0.0))), np.nan, np.nan, np.nan,
+            l4(state.time, state.phi),
+            *(_read_only(a.view()) for a in (Phi, state.phi, state.phi)))

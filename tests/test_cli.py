@@ -212,6 +212,32 @@ class TestRunScenario:
         assert np.abs(mat - product_integral(
             connection_matrix_samples(surface, grid, pts), grid.period)).max() <= 1e-14
 
+    @pytest.mark.parametrize("target", ["warped_sphere", "round_sphere"])
+    def test_autonomous_run_rates_each_loop_once(self, workdir, monkeypatch, target):
+        """A 3-step autonomous run takes the holonomy rate 8 times: twice per
+        step in the evolution (the start and the predictor state), once for
+        the initial loop that row 0 reads and once for the final
+        reconstruction; each other row reuses its snapshot's rate."""
+        from smflow import frame_reduction as fr
+        from smflow import holonomy
+
+        calls = []
+
+        def counting(loop):
+            calls.append(1)
+            return holonomy._holonomy_rate(loop)
+
+        for module in (fr, cli):
+            if hasattr(module, "_holonomy_rate"):
+                monkeypatch.setattr(module, "_holonomy_rate", counting)
+        cfg = write_config(workdir, target={"kind": target},
+                           reduction={"mode": "autonomous"},
+                           time={"dt": 1e-5, "t_final": 3e-5},
+                           diagnostics={"cadence": 1, "snapshot_cadence": 0,
+                                        "l4_window": 8})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        assert len(calls) == 8
+
     @pytest.mark.parametrize("target,expected",
                              [("warped_sphere", 27), ("round_sphere", 19)],
                              ids=["warped_sphere", "round_sphere"])
@@ -246,7 +272,7 @@ class TestRunScenario:
         from smflow import frame_reduction as fr
         from smflow.holonomy import holonomy_ode as ode
 
-        calls = {"fr": 0, "cli": 0}
+        calls = {"fr": 0}
 
         def counting(layer, route):
             def wrapped(*args):
@@ -255,10 +281,10 @@ class TestRunScenario:
             return wrapped
 
         monkeypatch.setattr(fr, "_holonomy_ode", counting("fr", fr._holonomy_ode))
-        monkeypatch.setattr(cli, "_holonomy_ode", counting("cli", cli._holonomy_ode))
+        assert not hasattr(cli, "_holonomy_ode")  # the command line has no route to call
         cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 3e-4})
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        assert calls == {"fr": 4, "cli": 0}  # 3 steps, 4 states
+        assert calls == {"fr": 4}  # 3 steps, 4 states
         cols, data = read_csv(workdir / "out" / "timeseries.csv")
         surface, grid, loop, dt, n_steps = cli._materialize(cli.load_config(str(cfg)))
         res = fr.coupled_evolve(loop, dt, n_steps)
@@ -382,21 +408,24 @@ class TestRunScenario:
         assert list(data[:, 0]) == pytest.approx([0.0, 2e-4, 4e-4, 6e-4])
         assert np.abs(data[:, 1] / data[0, 1] - 1.0).max() < 1e-6
 
-    def test_nan_energy_between_written_rows_fails_the_run(self, workdir,
-                                                          monkeypatch, capsys):
+    @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
+    def test_nan_energy_between_written_rows_fails_the_run(self, workdir, monkeypatch,
+                                                          capsys, mode):
         """A NaN energy at state 3 of a run that writes every second row is
         one nonfinite value and makes energy_drift_rel NaN, since the
-        running maximum keeps a NaN as ndarray.max does; the run exits 1."""
-        run_coupled = cli._run_coupled
+        running maximum keeps a NaN as ndarray.max does; the run exits 1.
+        Both modes go through the one runner and fold."""
+        run_steps = cli._run_steps
 
         def nan_energy_at_state_3(loop, cfg, dt, n_steps, keep):
             def spoiled(k, row, snapshot):
                 keep(k, [np.nan if (k, i) == (3, 1) else v for i, v in enumerate(row)],
                      snapshot)
-            return run_coupled(loop, cfg, dt, n_steps, spoiled)
+            return run_steps(loop, cfg, dt, n_steps, spoiled)
 
-        monkeypatch.setattr(cli, "_run_coupled", nan_energy_at_state_3)
-        cfg = write_config(workdir, time={"dt": 1e-4, "t_final": 6e-4},
+        monkeypatch.setattr(cli, "_run_steps", nan_energy_at_state_3)
+        cfg = write_config(workdir, reduction={"mode": mode},
+                           time={"dt": 1e-4, "t_final": 6e-4},
                            diagnostics={"cadence": 2, "snapshot_cadence": 0,
                                         "l4_window": 4})
         assert cli.main(["run", "--config", str(cfg)]) == 1
@@ -406,8 +435,11 @@ class TestRunScenario:
         assert inv["nonfinite_count"]["value"] == 1
         assert np.isnan(inv["energy_drift_rel"]["value"])
         assert inv["a_norm_drift_rel"]["passed"]
-        _, data = read_csv(workdir / "out" / "timeseries.csv")
+        cols, data = read_csv(workdir / "out" / "timeseries.csv")
         assert list(data[:, 0]) == pytest.approx([0.0, 2e-4, 4e-4, 6e-4])
+        if mode == "autonomous":  # an autonomous run has no cross error
+            assert np.isnan(data[:, cols.index("cross_error")]).all()
+            data = data[:, :cols.index("cross_error")]
         assert np.isfinite(data).all()
 
     @pytest.mark.parametrize("mode", ["coupled", "autonomous"])

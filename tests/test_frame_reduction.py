@@ -957,23 +957,43 @@ class TestReconstruction:
         assert np.abs(pts - res.final_state.points).max() < 1e-4
         assert closure < 1e-5
 
-    @pytest.mark.parametrize("n_steps", [0, 2])
-    def test_autonomous_observer_sees_every_state(self, n_steps):
+    @pytest.mark.parametrize("via,surface,n_steps", [
+        pytest.param("observer", ROUND, 0, id="0"),
+        pytest.param("observer", ROUND, 2, id="2"),
+        pytest.param("steps", ROUND, 0, id="steps-round-0"),
+        pytest.param("steps", ROUND, 3, id="steps-round-3"),
+        pytest.param("steps", bumpy_surface(), 3, id="steps-warped-3")])
+    def test_autonomous_observer_sees_every_state(self, via, surface, n_steps):
         """The autonomous observer sees k = 0..n_steps, as the coupled one
         does; the last call carries the reconstructed loop of the returned
-        state."""
+        state. autonomous_steps yields the same states from the reduction of
+        the loop, with the loop itself at k = 0, and each record's theta_gb
+        is theta_0 plus the swept angles between the yielded loops."""
         grid = SpectralGrid(32)
-        loop = fd.initial_loop(ROUND, grid, "perturbed_latitude",
+        loop = fd.initial_loop(surface, grid, "perturbed_latitude",
                                alpha=np.pi / 4, eps=0.05, m=2)
+        dt = fd.admissible_dt(loop)
         frame, _, _, theta, phi = fr.reduce_state(loop)
         state = fr.AutonomousState(grid, phi, loop.points[0].copy(), frame.e1[0].copy(),
                                    theta)
         seen = []
-        out = fr.autonomous_evolve(ROUND, state, fd.admissible_dt(loop), n_steps,
+        out = fr.autonomous_evolve(surface, state, dt, n_steps,
                                    observer=lambda k, st, lp: seen.append((k, st, lp)))
+        if via == "steps":
+            steps = list(fr.autonomous_steps(loop, dt, n_steps))
+            assert [k for k, *_ in steps] == list(range(n_steps + 1))
+            for name in ("phi", "base_point", "e1_base", "theta", "time"):
+                assert np.array_equal(getattr(steps[-1][2], name), getattr(out, name)), name
+            assert steps[0][1] is loop and steps[0][3].theta_gb == theta
+            gb = theta
+            for (_, prev, *_), (k, lp, st, rec) in zip(steps, steps[1:]):
+                gb = gb + swept_angle_increment(surface, grid, prev.points, lp.points,
+                                                lp.time - prev.time)
+                assert rec.theta_gb == gb and rec.time == st.time == seen[k][1].time
+                assert np.array_equal(lp.points, seen[k][2].points)
         assert [k for k, *_ in seen] == list(range(n_steps + 1))
         _, last, lp = seen[-1]
         assert last is out and lp.time == out.time
-        pts = fr.reconstruct_loop(ROUND, grid, out.phi, out.base_point, out.e1_base,
+        pts = fr.reconstruct_loop(surface, grid, out.phi, out.base_point, out.e1_base,
                                   out.theta)[0]
         assert np.array_equal(lp.points, pts)

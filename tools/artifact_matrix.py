@@ -6,8 +6,8 @@ over three steps with a snapshot after every step. Two more round-sphere
 runs, one coupled and one autonomous, take nine steps with a timeseries row
 every second step, a snapshot every third and a two-row L4 window, so rows
 differ from steps and the window truncates. The north-pole ``constant``
-preset fails in the reference gauge and exits 3, so the artifacts a failed
-run leaves are compared too. Each scenario writes its artifacts to
+preset fails in the reference gauge and exits 3, in either mode, so the
+artifacts a failed run leaves are compared too. Each scenario writes its artifacts to
 ``OUT/<name>/``. The matrix also runs ``smflow check all``
 (``OUT/check_all.json``) and two cross-formulation ``smflow converge``
 studies, the default circle run at N = 16, 32, 64 (``OUT/converge_cross/``)
@@ -74,9 +74,11 @@ SCENARIOS = {
                                        *SPARSE, *AUTONOMOUS),
     "line_hyperbolic_disk": LINE,
     "constant_pole": ("target.kind=round_sphere", "init.kind=constant"),
+    "constant_pole_autonomous": ("target.kind=round_sphere", "init.kind=constant",
+                                 *AUTONOMOUS),
 }
 # commands that are meant to fail, with their exit code
-EXPECTED_EXIT = {"constant_pole": 3}
+EXPECTED_EXIT = {"constant_pole": 3, "constant_pole_autonomous": 3}
 
 
 def _set(*items) -> list:
