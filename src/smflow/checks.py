@@ -82,9 +82,7 @@ def _check_conservation(rng):
     out.append(_result("conservation", "flow_energy_drift",
                        abs(fd.energy(state) - e0) / e0, 1e-8,
                        "round sphere, 200 RK4 steps"))
-    back = state
-    for _ in range(200):
-        back = fd.step(back, -dt)
+    back = fd.evolve(state, -dt, 200)
     out.append(_result("conservation", "flow_reversibility",
                        np.abs(back.points - loop.points).max(), 1e-9,
                        "forward then backward"))

@@ -15,9 +15,10 @@ the k of each ``[k, a, b]`` mode in ``colat_coeffs``, ``azimuth_coeffs`` and
 ``alpha``, ``eps`` and (positive) ``envelope_sigma`` numbers. ``output.dir``
 is a relative path with no ``..`` part, under the output root, which the
 environment variable SMFLOW_OUT overrides. A run takes at most
-``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``, in one pass over
-the states of either ``reduction.mode`` that keeps nothing per state: each
-row is written as it comes and folded into every summary invariant, so
+``MAX_STEPS`` steps of ``time.dt`` to ``time.t_final``, in one loop over
+the state generator of its ``reduction.mode`` that reads each state by name
+and keeps nothing per state: each row is written as it comes and folded
+into every summary invariant, so
 ``diagnostics.cadence`` chooses the written rows and nothing else, and a
 failed run leaves the rows and snapshots it reached. Every artifact embeds
 a schema string; CSV floats use shortest round-trip formatting, so
@@ -30,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import inspect
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from functools import reduce
 from pathlib import Path
 
@@ -65,6 +68,8 @@ SCHEMA_CHECKS = "smflow.checks.v1"
 
 TIMESERIES_COLUMNS = ("t", "energy", "a_l2", "theta_transport", "theta_ode",
                       "theta_gb", "theta_rate", "phi_l4", "cross_error")
+# one timeseries row, its fields named by the columns
+_Row = namedtuple("_Row", TIMESERIES_COLUMNS)
 
 # the init keys a preset may read: the keyword-only parameters of initial_loop
 _INIT_PARAMS = tuple(name for name, p in inspect.signature(fd.initial_loop).parameters.items()
@@ -344,6 +349,8 @@ def _on_cadence(k, n_steps, cadence):
 def _summary_invariants(first, peaks, counts, circle, tolerance):
     """Invariants of a run from its first row, the peaks and counts that run_scenario
     folds over every state, and a coupled run's tolerance (None if autonomous)."""
+    energy, a_norm, disagreement, cross_error, twist, closure = peaks
+    nonmonotone, nonfinite = counts
     inv = {}
 
     def add(name, value, threshold):
@@ -351,45 +358,30 @@ def _summary_invariants(first, peaks, counts, circle, tolerance):
         inv[name] = {"value": value, "threshold": float(threshold),
                      "passed": bool(value <= threshold)}
 
-    add("nonmonotone_time_count", counts[0], 0)
-    add("nonfinite_count", counts[1], 0)
+    add("nonmonotone_time_count", nonmonotone, 0)
+    add("nonfinite_count", nonfinite, 0)
     drift_tol = 1e-4 if tolerance is None else 1e-6
-    add("energy_drift_rel", peaks[0] / max(abs(first[1]), 1e-300), drift_tol)
-    add("a_norm_drift_rel", peaks[1] / max(abs(first[2]), 1e-300), drift_tol)
+    add("energy_drift_rel", energy / max(abs(first.energy), 1e-300), drift_tol)
+    add("a_norm_drift_rel", a_norm / max(abs(first.a_l2), 1e-300), drift_tol)
     if circle:
-        add("theta_method_disagreement", peaks[2], 1e-3)
+        add("theta_method_disagreement", disagreement, 1e-3)
     if tolerance is not None:
-        add("cross_error_max", peaks[3], 10.0 * tolerance)
+        add("cross_error_max", cross_error, 10.0 * tolerance)
         if circle:
-            add("twist_residual_max", peaks[4], 10.0 * tolerance)
-            add("untwisted_periodicity_max", peaks[5], 1e-10)
-        else:
-            add("edge_decay_max", peaks[4], 1e-4)
+            add("twist_residual_max", twist, 10.0 * tolerance)
+            add("untwisted_periodicity_max", closure, 1e-10)
+        else:  # on the line twist_residual_ode carries the edge decay
+            add("edge_decay_max", twist, 1e-4)
     return inv
 
 
-def _run_steps(loop, cfg, dt, n_steps, keep):
-    """The run of either mode: keep(k, row, snapshot) gets each state's row
-    (the timeseries columns, then the twist residual and the closure, NaN
-    when autonomous) and snapshot (t, points, Phi, phi) as fr.coupled_steps
-    or fr.autonomous_steps reaches it; returns the final loop."""
-    circle = loop.grid.kind == "circle"
-    steps = fr.coupled_steps if cfg["reduction"]["mode"] == "coupled" else fr.autonomous_steps
-    for k, state, _, s in steps(loop, dt, n_steps, cfg["diagnostics"]["l4_window"]):
-        keep(k, [s.time, s.energy, s.grad_norm, s.theta,
-                 lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
-                 s.theta_gb, s.theta_rate, s.l4_window, s.sup_error,
-                 s.twist_residual_ode, s.phi_closure],
-             (s.time, state.points, s.coeffs, s.phi_nls))
-    return state
-
-
 def run_scenario(cfg):
-    """Run one configured scenario; returns (artifact dir, summary dict). Each
-    row the runner hands over is written if it is on diagnostics.cadence and
-    folded into the invariants' peaks and counts either way; snapshots on
-    snapshot_cadence are written SNAPSHOT_BATCH at a time and the rest when
-    the run ends, also when it fails."""
+    """Run one configured scenario; returns (artifact dir, summary dict). The
+    states of fr.coupled_steps or fr.autonomous_steps, as reduction.mode
+    picks, are read as they come: each state's row is written if it is on
+    diagnostics.cadence and folded into the invariants' peaks and counts
+    either way; snapshots on snapshot_cadence are written SNAPSHOT_BATCH at
+    a time and the rest when the run ends, also when it fails."""
     _, grid, loop, dt, n_steps = _materialize(cfg)
     out_dir = _output_dir(cfg["output"]["dir"])
     _write_json(out_dir / "config.json", {**cfg, "schema": SCHEMA_CONFIG,
@@ -398,7 +390,7 @@ def run_scenario(cfg):
     diag, coupled = cfg["diagnostics"], cfg["reduction"]["mode"] == "coupled"
     circle = grid.kind == "circle"
     tolerance = fr.solver_tolerance(grid, dt) if coupled else None
-    width = len(TIMESERIES_COLUMNS)
+    steps = fr.coupled_steps if coupled else fr.autonomous_steps
     first, last, peaks = None, None, -np.inf
     counts, snapshots = np.zeros(2, dtype=np.int64), {}
 
@@ -407,37 +399,40 @@ def run_scenario(cfg):
             _write_snapshot(out_dir / f"snapshot_{k:06d}.csv", t, grid, *fields)
         snapshots.clear()
 
-    def keep(k, row, snapshot):
-        nonlocal first, last, peaks, counts
-        if _on_cadence(k, n_steps, diag["cadence"]):
-            series.write(",".join(map(_fmt, row[:width])) + "\n")
-        r = np.array(row, dtype=float)
-        first = r if first is None else first
-        # np.maximum keeps a NaN, as ndarray.max does; an autonomous run has
-        # no cross error to count as nonfinite
-        peaks = np.maximum(peaks, np.abs([r[1] - first[1], r[2] - first[2],
-                                          r[5] - r[3], *r[8:]]))
-        counts += (k and r[0] - last[0] <= 0,
-                   np.count_nonzero(~np.isfinite(r[:width - (not coupled)])))
-        last = r
-        if _on_cadence(k, n_steps, diag["snapshot_cadence"]):
-            snapshots[k] = snapshot
-            if len(snapshots) == SNAPSHOT_BATCH:
-                write_snapshots()
-
     try:
         _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES, TIMESERIES_COLUMNS, ())
         with (out_dir / "timeseries.csv").open("a") as series:
             try:
-                final = _run_steps(loop, cfg, dt, n_steps, keep)
+                for k, final, _, s in steps(loop, dt, n_steps, diag["l4_window"]):
+                    row = _Row(s.time, s.energy, s.grad_norm, s.theta,
+                               lift_to_branch(s.theta_ode, s.theta) if circle else 0.0,
+                               s.theta_gb, s.theta_rate, s.l4_window, s.sup_error)
+                    if _on_cadence(k, n_steps, diag["cadence"]):
+                        series.write(",".join(map(_fmt, row)) + "\n")
+                    first = row if first is None else first
+                    # np.maximum keeps a NaN, as ndarray.max does
+                    peaks = np.maximum(peaks, np.abs([
+                        row.energy - first.energy, row.a_l2 - first.a_l2,
+                        row.theta_gb - row.theta_transport, row.cross_error,
+                        s.twist_residual_ode, s.phi_closure]))
+                    # an autonomous run's cross error is NaN by construction
+                    # and is not counted as nonfinite
+                    counts += (k and row.t - last.t <= 0,
+                               np.count_nonzero(~np.isfinite(row)) - (not coupled))
+                    last = row
+                    if _on_cadence(k, n_steps, diag["snapshot_cadence"]):
+                        snapshots[k] = (s.time, final.points, s.coeffs, s.phi_nls)
+                        if len(snapshots) == SNAPSHOT_BATCH:
+                            write_snapshots()
             finally:
                 write_snapshots()
         if circle:  # the final loop's closed-form matrix and the last row's angles
-            theta, theta_ode, theta_gb = last[3:6].tolist()
-            payload = {"schema": SCHEMA_HOLONOMY, "theta_transport": theta,
-                       "theta_ode": theta_ode, "theta_gauss_bonnet": theta_gb,
-                       "matrix": [[[z.real, z.imag] for z in row]
-                                  for row in diagonal_holonomy(final).tolist()]}
+            payload = {"schema": SCHEMA_HOLONOMY,
+                       "theta_transport": float(last.theta_transport),
+                       "theta_ode": float(last.theta_ode),
+                       "theta_gauss_bonnet": float(last.theta_gb),
+                       "matrix": [[[z.real, z.imag] for z in line]
+                                  for line in diagonal_holonomy(final).tolist()]}
         else:
             payload = {"schema": SCHEMA_HOLONOMY, "matrix": None,
                        "note": "holonomy is defined for closed loops; "
@@ -450,14 +445,15 @@ def run_scenario(cfg):
             "error": {"type": type(exc).__name__, "message": str(exc)}})
         raise
     metrics = {
-        "n_steps": n_steps, "dt": dt, "t_final": float(last[0]),
-        "energy_initial": float(first[1]), "energy_final": float(last[1]),
-        "theta_final": float(last[3]),
-        "theta_gauss_bonnet_final": float(last[5]),
-        "phi_l4_final": float(last[7]),
+        "n_steps": n_steps, "dt": dt, "t_final": float(last.t),
+        "energy_initial": float(first.energy), "energy_final": float(last.energy),
+        "theta_final": float(last.theta_transport),
+        "theta_gauss_bonnet_final": float(last.theta_gb),
+        "phi_l4_final": float(last.phi_l4),
     }
     if coupled:
-        metrics.update(solver_tolerance=tolerance, cross_error_max=float(peaks[3]))
+        metrics.update(solver_tolerance=tolerance,
+                       cross_error_max=invariants["cross_error_max"]["value"])
     summary = {
         "schema": SCHEMA_SUMMARY,
         "invariants": invariants,
@@ -617,11 +613,7 @@ def _cmd_check(args):
         "suite": args.suite,
         "seed": args.seed,
         "passed": passed,
-        "results": [
-            {"suite": r.suite, "name": r.name, "value": r.value,
-             "threshold": r.threshold, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+        "results": [dataclasses.asdict(r) for r in results],
     }
     _write_json(out_dir / f"check_{args.suite}.json", report)
     print("all checks passed" if passed else "CHECK FAILURES")

@@ -61,6 +61,7 @@ from .errors import (
     SingularChartError,
     UnsupportedOperationError,
 )
+from .spectral import SpectralGrid
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -309,7 +310,7 @@ class RoundSphere(SurfaceModel):
 
     def reference_frame(self, points: np.ndarray):
         p = points / self.radius
-        f1 = _cross(_Z_AXIS, p) / np.sqrt(_off_pole(p))[..., None] * self.radius
+        f1 = _cross(_Z_AXIS, p) / np.sqrt(_off_pole(p))[..., None]
         return f1, self.apply_J(points, f1)
 
     def reference_connection(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -691,8 +692,6 @@ def _closed_loop_path_data(surface: SurfaceModel, points: np.ndarray, dpath=None
     dpath, d(point)/d(step index), is taken spectrally unless supplied. The
     nodes are the samples themselves, so only the midpoints are
     interpolated."""
-    from .spectral import SpectralGrid
-
     n = points.shape[0]
     grid = SpectralGrid(n, "circle")
     if dpath is None:

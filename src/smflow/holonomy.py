@@ -90,7 +90,10 @@ def _holonomy_rate(loop: LoopState) -> float:
 def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,
                           points_a: np.ndarray, points_b: np.ndarray, dt: float) -> float:
     """Gauss-Bonnet increment -dt * int K(u) h(J u_x, u_t) dx for one time
-    cell, evaluated at the midpoint loop with centered u_t."""
+    cell, evaluated at the midpoint loop with centered u_t. The cell length
+    dt cancels: u_t is the point difference over dt and the integral is
+    multiplied by dt again, so any positive dt gives the increment to
+    rounding; a zero-length cell gives 0."""
     if dt == 0.0:
         return 0.0
     mid = surface.project_point(0.5 * (np.asarray(points_a, float)

@@ -414,16 +414,15 @@ class TestRunScenario:
         """A NaN energy at state 3 of a run that writes every second row is
         one nonfinite value and makes energy_drift_rel NaN, since the
         running maximum keeps a NaN as ndarray.max does; the run exits 1.
-        Both modes go through the one runner and fold."""
-        run_steps = cli._run_steps
+        Both modes' generators feed the one loop and fold."""
+        from smflow import frame_reduction as fr
 
-        def nan_energy_at_state_3(loop, cfg, dt, n_steps, keep):
-            def spoiled(k, row, snapshot):
-                keep(k, [np.nan if (k, i) == (3, 1) else v for i, v in enumerate(row)],
-                     snapshot)
-            return run_steps(loop, cfg, dt, n_steps, spoiled)
+        for name in ("coupled_steps", "autonomous_steps"):
+            def nan_energy_at_state_3(*args, steps=getattr(fr, name)):
+                for k, *rest, step in steps(*args):
+                    yield k, *rest, step._replace(energy=np.nan) if k == 3 else step
 
-        monkeypatch.setattr(cli, "_run_steps", nan_energy_at_state_3)
+            monkeypatch.setattr(fr, name, nan_energy_at_state_3)
         cfg = write_config(workdir, reduction={"mode": mode},
                            time={"dt": 1e-4, "t_final": 6e-4},
                            diagnostics={"cadence": 2, "snapshot_cadence": 0,

@@ -729,6 +729,34 @@ def test_reference_frame_rejects_polar_loops():
         geo.reference_frame(s, pts)
 
 
+@pytest.mark.parametrize("target", ["sphere-0.5", "sphere-1", "sphere-2", "warped",
+                                    "hyperbolic", "torus"])
+def test_reference_frame_is_the_frame_of_the_reference_connection(target, bump_sphere):
+    """Off the poles the reference frame is metric-orthonormal with f2 = J f1,
+    and its connection h(f1_x - covariant_rhs(u, u_x, f1), f2), with f1_x
+    taken spectrally, is the closed-form reference_connection to 1e-12 of
+    its scale on every target, the spheres of radius other than 1 included."""
+    s = {"sphere-0.5": geo.round_sphere(0.5), "sphere-1": geo.round_sphere(1.0),
+         "sphere-2": geo.round_sphere(2.0), "warped": bump_sphere,
+         "hyperbolic": geo.hyperbolic_disk(), "torus": geo.flat_torus()}[target]
+    grid = SpectralGrid(128)
+    if s.embedded:
+        loop = initial_loop(s, grid, "perturbed_latitude", alpha=1.0, eps=0.1, m=3)
+    else:
+        loop = initial_loop(s, grid, "fourier", coeffs=((1, 0.3, 0.2), (2, 0.05, -0.1)),
+                            offset=(0.1, -0.05))
+    u, ux = loop.points, grid.derivative(loop.points)
+    f1, f2 = geo.reference_frame(s, u)
+    np.testing.assert_allclose(s.metric(u, f1, f1), 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(s.metric(u, f2, f2), 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(s.metric(u, f1, f2), 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(f2, s.apply_J(u, f1), rtol=0, atol=1e-15)
+    beta = geo.reference_connection(s, u, ux)
+    frame_beta = s.metric(u, grid.derivative(f1) - s.covariant_rhs(u, ux, f1), f2)
+    # the torus frame has no connection: 1 stands in for its zero scale
+    assert np.abs(frame_beta - beta).max() <= 1e-12 * max(np.abs(beta).max(), 1.0)
+
+
 def test_azimuthal_winding_counts_turns():
     s = geo.round_sphere()
     x = np.arange(128) / 128.0

@@ -121,6 +121,22 @@ def test_gauss_bonnet_quadrature_is_second_order():
     assert err(warped, 50) / err(warped, 100) > 3.5
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_swept_angle_increment_does_not_depend_on_the_cell_length(n, bump_sphere):
+    """The cell length L cancels: u_t is the point difference over L and the
+    integral is multiplied by L again, so any positive L gives the increment
+    to rounding, and a zero-length cell gives 0."""
+    grid = SpectralGrid(n)
+    a, b = (fd.initial_loop(bump_sphere, grid, "perturbed_latitude", alpha=alpha,
+                            eps=0.1, m=3).points for alpha in (1.0, 1.01))
+    dt = 1e-4
+    incs = [hol.swept_angle_increment(bump_sphere, grid, a, b, length)
+            for length in (dt, 3 * dt, 0.5 * dt, 1.0, 1e-12, 7.3)]
+    assert incs[0] != 0.0
+    assert max(abs(inc - incs[0]) for inc in incs) <= 2e-15 * abs(incs[0])
+    assert hol.swept_angle_increment(bump_sphere, grid, a, b, 0.0) == 0.0
+
+
 def test_flat_torus_sweep_is_constant():
     s = geo.flat_torus()
     grid = SpectralGrid(32, kind="torus")
@@ -273,6 +289,17 @@ def test_scalar_collapse_matches_connection_route():
     assert abs(P[0, 0] - np.exp(1j * theta)) < 1e-10
     beta = samples[:, 0, 0].imag
     assert abs(P[0, 0] - np.exp(-1j * grid.integrate(beta))) < 1e-12
+
+
+def test_scalar_samples_give_the_exponential_of_the_integral():
+    """Scalar (n,) samples i beta are the 1 x 1 case: the product integral is
+    exp(-i oint beta)."""
+    grid = SpectralGrid(128)
+    x = grid.nodes
+    beta = 2 * np.pi + np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x)
+    P = hol.product_integral(1j * beta, grid.period)
+    assert P.shape == (1, 1)
+    assert abs(P[0, 0] - np.exp(-1j * grid.integrate(beta))) <= 1e-14
 
 
 def _cli_target_loops(n):

@@ -7,12 +7,18 @@ runs, one coupled and one autonomous, take nine steps with a timeseries row
 every second step, a snapshot every third and a two-row L4 window, so rows
 differ from steps and the window truncates. The north-pole ``constant``
 preset fails in the reference gauge and exits 3, in either mode, so the
-artifacts a failed run leaves are compared too. Each scenario writes its artifacts to
-``OUT/<name>/``. The matrix also runs ``smflow check all``
-(``OUT/check_all.json``) and two cross-formulation ``smflow converge``
-studies, the default circle run at N = 16, 32, 64 (``OUT/converge_cross/``)
-and the line run's settings at N = 32, 64, 128
-(``OUT/converge_cross_line/``), so it covers all three commands and both
+artifacts a failed run leaves are compared too. Two coarse (N=16), strongly
+perturbed round-sphere runs of 30 steps fail their invariants and exit 1:
+the coupled one its cross error and angle disagreement, the autonomous one
+both drifts, so the failing values of the fold are compared as well. Each
+scenario writes its artifacts to ``OUT/<name>/``. The matrix also runs
+``smflow check all`` (``OUT/check_all.json``) and four ``smflow converge``
+studies, one per error kind: cross-formulation studies of the default
+circle run at N = 16, 32, 64 (``OUT/converge_cross/``) and of the line
+run's settings at N = 32, 64, 128 (``OUT/converge_cross_line/``), the
+default latitude run against its closed form (``OUT/converge_analytic/``)
+and the warped sphere against its finest level (``OUT/converge_reference/``),
+both at N = 16, 32, 64, so it covers all three commands and both
 reductions; ``OUT/exit_codes.json`` records the exit codes. Every input is
 fixed and the output root is passed through ``SMFLOW_OUT``, so the config
 echo holds no path: two versions of the package that compute the same
@@ -62,6 +68,11 @@ CROSS = ("study.error=cross", "time.t_final=1e-3")
 # two-row L4 window: rows differ from steps and the window truncates
 SPARSE = ("time.t_final=9e-4", "diagnostics.cadence=2",
           "diagnostics.snapshot_cadence=3", "diagnostics.l4_window=2")
+# a coarse, strongly perturbed loop run 30 steps: the coupled run (m = 5)
+# fails cross_error_max and theta_method_disagreement, the autonomous one
+# (m = 3) both drifts
+FAILING = ("domain.n=16", "init.kind=perturbed_latitude", "init.alpha=1.0",
+           "init.eps=0.2", "time.t_final=3e-3")
 SCENARIOS = {
     "coupled_round_sphere": ("target.kind=round_sphere", *SPHERE),
     "coupled_warped_sphere": ("target.kind=warped_sphere", *SPHERE),
@@ -76,9 +87,13 @@ SCENARIOS = {
     "constant_pole": ("target.kind=round_sphere", "init.kind=constant"),
     "constant_pole_autonomous": ("target.kind=round_sphere", "init.kind=constant",
                                  *AUTONOMOUS),
+    "failing_coupled_round_sphere": ("target.kind=round_sphere", *FAILING, "init.m=5"),
+    "failing_autonomous_round_sphere": ("target.kind=round_sphere", *FAILING, "init.m=3",
+                                        *AUTONOMOUS),
 }
 # commands that are meant to fail, with their exit code
-EXPECTED_EXIT = {"constant_pole": 3, "constant_pole_autonomous": 3}
+EXPECTED_EXIT = {"constant_pole": 3, "constant_pole_autonomous": 3,
+                 "failing_coupled_round_sphere": 1, "failing_autonomous_round_sphere": 1}
 
 
 def _set(*items) -> list:
@@ -93,6 +108,13 @@ COMMANDS = {
     "converge_cross_line": ["converge", *_set(*LINE, *CROSS,
                                               "output.dir=converge_cross_line"),
                             "--levels", "32,64,128"],
+    "converge_analytic": ["converge", *_set("study.error=analytic",
+                                            "output.dir=converge_analytic"),
+                          "--levels", "16,32,64"],
+    "converge_reference": ["converge", *_set("target.kind=warped_sphere",
+                                             "study.error=reference",
+                                             "output.dir=converge_reference"),
+                           "--levels", "16,32,64"],
 }
 
 
