@@ -1,6 +1,7 @@
-"""The artifact-matrix tool's tree and number comparison, the paired
-benchmark tool's parse and summary step, the trend reader's chain of
-records, and the benchmark's stored fingerprints read from tier-1."""
+"""The artifact-matrix tool's tree and number comparison and its golden,
+the paired benchmark tool's parse and summary step, the trend reader's
+chain of records, and the benchmark's stored fingerprints read from
+tier-1."""
 
 import importlib.util
 import json
@@ -71,6 +72,58 @@ def test_difference_lines_put_the_error_beside_the_order(tmp_path):
         "    order: abs 1.000e+00 rel 1.667e-01  (error: abs 1.000e-08 rel 5.000e-01)"]
     assert tool.difference_lines({"order": (1e-7, 2e-8)}) == [
         "    order: abs 1.000e-07 rel 2.000e-08  (error: abs 0.000e+00 rel 0.000e+00)"]
+
+
+def test_compare_digests_reads_floats_at_the_tolerance_and_the_rest_exactly(tmp_path):
+    """Floats within ATOL + RTOL of the larger magnitude (or of the key's
+    scale) pass; strings, integers, types, counts and files must match; a
+    snapshot sum is allowed its rows at the column's largest magnitude."""
+    tool = load_tool()
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "summary.json").write_text(json.dumps(
+        {"schema": "s.v1", "n": 3, "x": 1.0, "y": math.nan, "z": [0.0, 2.0]}))
+    (tmp_path / "run" / "snapshot_000000.csv").write_text(
+        "# schema=snap\n# t=0.5\nx,u\n0.0,1.0\n0.5,-1.0\n")
+    golden = tool.tree_digest(tmp_path)
+    assert golden["run/snapshot_000000.csv"] == {
+        "comments": {"schema": "snap", "t": 0.5}, "header": ["x", "u"], "rows": 2,
+        "max_abs": {"x": 0.5, "u": 1.0}, "sum": {"x": 0.5, "u": 0.0}}
+    assert tool.compare_digests(golden, golden) == []
+
+    def moved(**changes):
+        fresh = json.loads(json.dumps(golden))
+        fresh["run/summary.json"].update(changes)
+        return tool.compare_digests(golden, fresh)
+
+    assert moved(x=1.0 + 1e-13, z=[1e-16, 2.0]) == []
+    assert moved(x=1.0 + 1e-11) == ["run/summary.json: x: abs 1.000e-11 rel 1.000e-11"]
+    assert moved(y=0.0) == ["run/summary.json: y: abs inf rel inf"]
+    assert moved(n=3.0) == ["run/summary.json: n: golden 3, fresh 3.0"]
+    assert moved(schema="s.v2") == ["run/summary.json: schema: golden 's.v1', fresh 's.v2'"]
+    assert moved(z=[0.0]) == ["run/summary.json: z: 2 values in the golden, 1 fresh"]
+    fresh = json.loads(json.dumps(golden))
+    fresh["run/snapshot_000000.csv"]["sum"]["u"] = 1.5e-12
+    assert tool.compare_digests(golden, fresh) == []
+    fresh["run/snapshot_000000.csv"]["sum"]["u"] = 3e-12
+    assert tool.compare_digests(golden, fresh) == [
+        "run/snapshot_000000.csv: sum.u: abs 3.000e-12 rel 1.500e-12"]
+    del fresh["run/snapshot_000000.csv"]
+    assert tool.compare_digests(golden, fresh) == [
+        "run/snapshot_000000.csv: only in the golden"]
+
+
+def test_artifact_matrix_matches_the_golden(tmp_path, monkeypatch):
+    """The artifact contract: the matrix, rerun into a fresh output root,
+    gives the files, exit codes, strings and integers of
+    tests/artifact_golden.json exactly and its floats at the tool's
+    tolerance. An intended change of results re-records the golden with
+    `tools/artifact_matrix.py --record`; the failure lists each differing
+    file and key."""
+    tool = load_tool()
+    monkeypatch.setenv("SMFLOW_OUT", str(tmp_path))
+    assert tool.main(["artifact_matrix.py", str(tmp_path)]) == 0
+    differences = tool.golden_differences(tmp_path)
+    assert not differences, "\n".join(["differences from the golden:", *differences])
 
 
 def test_bench_trend_chains_the_records_in_pr_order(tmp_path, capsys):

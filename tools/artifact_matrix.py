@@ -25,11 +25,22 @@ echo holds no path: two versions of the package that compute the same
 numbers write byte-identical trees.
 
     PYTHONPATH=src python3 tools/artifact_matrix.py OUT
+    PYTHONPATH=src python3 tools/artifact_matrix.py --record OUT
     python3 tools/artifact_matrix.py --against OTHER_SRC OUT
 
 The first form imports whichever ``smflow`` is first on the path, prints
 its location and exits 1 if any command's exit code is not the expected
-one (``EXPECTED_EXIT``, else 0). The second runs the matrix
+one (``EXPECTED_EXIT``, else 0). The second does the same and then records
+the tree as the golden, ``tests/artifact_golden.json``, which a tier-1 test
+compares a fresh matrix with (``golden_differences``). The golden holds
+each JSON file whole, and each CSV's comments, header and columns, a
+snapshot's columns reduced to their largest magnitude and their sum. Every
+string, integer and key is compared exactly and every float at ``RTOL`` /
+``ATOL``, so another host's rounding passes. A snapshot column's sum gets
+the allowance of its rows at its largest magnitude, and a convergence
+``order``, the log-ratio of two errors of levels at least twice apart, the
+move that those errors' own allowance makes in it. An intended change of
+results re-records the golden. The third runs the matrix
 in child processes, once for this checkout's ``src`` into ``OUT/this`` and
 once for the package under ``OTHER_SRC`` (the ``src`` directory of another
 checkout) into ``OUT/against``, both emptied first; it lists every file
@@ -54,6 +65,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = SRC.parent / "tests" / "artifact_golden.json"
+RTOL, ATOL = 1e-12, 1e-15
 
 COMMON = ("domain.n=32", "time.dt=1e-4", "time.t_final=3e-4",
           "diagnostics.snapshot_cadence=1")
@@ -128,19 +141,26 @@ def differing_files(a: Path, b: Path) -> list:
         if not filecmp.cmp(a / rel, b / rel, shallow=False))
 
 
-def _json_leaves(node, key=""):
-    """(key, number) pairs of a JSON tree: dict keys join with dots, list
-    items that are dicts with a "name" go by it, and the other items of a
-    list share the list's key."""
+def _leaves(node, key=""):
+    """(key, value) pairs of the scalars of a JSON tree: dict keys join with
+    dots, list items that are dicts with a "name" go by it, and the other
+    items of a list share the list's key."""
     if isinstance(node, dict):
         for k, v in node.items():
-            yield from _json_leaves(v, f"{key}.{k}" if key else k)
+            yield from _leaves(v, f"{key}.{k}" if key else k)
     elif isinstance(node, list):
         for item in node:
             named = isinstance(item, dict) and "name" in item
-            yield from _json_leaves(item, f"{key}[{item['name']}]" if named else key)
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield key, float(node)
+            yield from _leaves(item, f"{key}[{item['name']}]" if named else key)
+    else:
+        yield key, node
+
+
+def _json_leaves(node, key=""):
+    """(key, number) pairs of a JSON tree, keyed as _leaves keys them."""
+    for k, v in _leaves(node, key):
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield k, float(v)
 
 
 def _csv_leaves(path: Path):
@@ -201,6 +221,89 @@ def difference_lines(diffs: dict) -> list:
     return lines
 
 
+def _comment(line: str):
+    """A '# key=value' line as (key, value), the value a float if it reads as one."""
+    key, _, value = line[2:].partition("=")
+    try:
+        return key, float(value)
+    except ValueError:
+        return key, value
+
+
+def digest(path: Path):
+    """What the golden keeps of one artifact: a JSON file whole; a CSV's
+    comments, header and columns, a snapshot's columns reduced to their
+    largest magnitude and their sum (NaN if they hold one)."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    lines = path.read_text().splitlines()
+    header, *rows = [ln for ln in lines if not ln.startswith("#")]
+    header = header.split(",")
+    columns = dict(zip(header, zip(*(map(float, row.split(",")) for row in rows))))
+    out = {"comments": dict(_comment(ln) for ln in lines if ln.startswith("#")),
+           "header": header, "rows": len(rows)}
+    if path.name.startswith("snapshot_"):
+        return {**out, "max_abs": {name: math.nan if any(map(math.isnan, col))
+                                   else max(map(abs, col)) for name, col in columns.items()},
+                "sum": {name: math.fsum(col) for name, col in columns.items()}}
+    return {**out, "columns": {name: list(col) for name, col in columns.items()}}
+
+
+def tree_digest(out: Path) -> dict:
+    """Relative path -> digest of every file of a matrix tree."""
+    return {str(p.relative_to(out)): digest(p) for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _scales(name: str, golden) -> dict:
+    """key -> the magnitude the relative tolerance of a file's floats applies
+    to where it is not the pair's own: a snapshot sum's rows times its
+    column's largest magnitude, and 2 / ln 2 for a convergence order."""
+    if name.rsplit("/", 1)[-1].startswith("snapshot_"):
+        return {f"sum.{col}": golden["rows"] * m for col, m in golden["max_abs"].items()}
+    if name.endswith("convergence.csv"):
+        return {"columns.order": 2.0 / math.log(2.0)}
+    return {}
+
+
+def compare_digests(golden: dict, fresh: dict) -> list:
+    """One line per file only one tree has and per key of a shared file
+    whose values differ: strings, integers, booleans and counts exactly
+    (with the first differing pair), floats beyond ATOL + RTOL times the
+    larger magnitude of the pair or the key's scale (with the largest
+    absolute and relative difference). NaN equals NaN."""
+    lines = [f"{name}: only in the {side}" for side, a, b in (
+        ("golden", golden, fresh), ("fresh tree", fresh, golden)) for name in a if name not in b]
+    for name in sorted(golden.keys() & fresh.keys()):
+        scales, values = _scales(name, golden[name]), {}
+        for side, tree in enumerate((golden[name], fresh[name])):
+            for key, v in _leaves(tree):
+                values.setdefault(key, ([], []))[side].append(v)
+        for key, (gs, fs) in values.items():
+            if len(gs) != len(fs):
+                lines.append(f"{name}: {key}: {len(gs)} values in the golden, {len(fs)} fresh")
+                continue
+            big_abs = big_rel = 0.0
+            for g, f in zip(gs, fs):
+                if type(g) is not type(f) or (type(g) is not float and g != f):
+                    lines.append(f"{name}: {key}: golden {g!r}, fresh {f!r}")
+                    break
+                if g == f or (math.isnan(g) and math.isnan(f)):
+                    continue
+                d, scale = abs(g - f), max(abs(g), abs(f), scales.get(key, 0.0))
+                if not math.isfinite(d):  # a NaN or an infinity against anything else
+                    big_abs = big_rel = math.inf
+                elif d > ATOL + RTOL * scale:
+                    big_abs, big_rel = max(big_abs, d), max(big_rel, d / scale)
+            if big_abs or big_rel:
+                lines.append(f"{name}: {key}: abs {big_abs:.3e} rel {big_rel:.3e}")
+    return lines
+
+
+def golden_differences(out: Path) -> list:
+    """compare_digests of the golden and of the matrix tree at out."""
+    return compare_digests(json.loads(GOLDEN.read_text()), tree_digest(out))
+
+
 def against(other_src: Path, out: Path) -> int:
     trees = {"this": SRC, "against": other_src.resolve()}
     for name, src in trees.items():
@@ -222,10 +325,11 @@ def against(other_src: Path, out: Path) -> int:
 def main(argv) -> int:
     if len(argv) == 4 and argv[1] == "--against":
         return against(Path(argv[2]), Path(argv[3]).resolve())
-    if len(argv) != 2:
+    record = len(argv) == 3 and argv[1] == "--record"
+    if len(argv) != 2 and not record:
         print(__doc__, file=sys.stderr)
         return 2
-    out = Path(argv[1]).resolve()
+    out = Path(argv[-1]).resolve()
     out.mkdir(parents=True, exist_ok=True)
     os.environ["SMFLOW_OUT"] = str(out)
     from smflow import cli
@@ -239,7 +343,12 @@ def main(argv) -> int:
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
     for name, code in codes.items():
         print(f"{code}  {name}")
-    return 0 if all(code == EXPECTED_EXIT.get(name, 0) for name, code in codes.items()) else 1
+    if not all(code == EXPECTED_EXIT.get(name, 0) for name, code in codes.items()):
+        return 1
+    if record:
+        GOLDEN.write_text(json.dumps(tree_digest(out), indent=1, sort_keys=True) + "\n")
+        print(f"golden recorded in {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
