@@ -371,7 +371,7 @@ def _summary_invariants(first, peaks, counts, circle, tolerance):
             add("twist_residual_max", twist, 10.0 * tolerance)
             add("untwisted_periodicity_max", closure, 1e-10)
         else:  # on the line twist_residual_ode carries the edge decay
-            add("edge_decay_max", twist, 1e-4)
+            add("edge_decay_max", twist, fr.EDGE_DECAY_MAX)
     return inv
 
 

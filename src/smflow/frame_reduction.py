@@ -19,9 +19,9 @@ primitive R(x) = int_0^x r, the coefficient satisfies
     i Phi_t = Phi_xx - V Phi,    V = S - S(0) + R,
 
 and V(x + 1) = V(x) + oint r with oint r = -theta_t, exactly the jump the
-twist demands. The letters split V into a pointwise part S, its mean W, a
-mean-free tail T = R - mean(R) + (oint r)/2 and a constant remainder Q so
-that Q + S - W + T = V identically. A coupled step keeps ``geometry``'s
+twist demands; both drivers step the NLS with V and that ramp. The letters
+S, W = mean(S), T = R - mean(R) + (oint r)/2 and a constant Q split V as
+Q + S - W + T for the ``reduction`` check. A coupled step keeps ``geometry``'s
 hot-path rule: ufunc methods and concatenate, no Python-level numpy wrapper.
 """
 
@@ -205,6 +205,8 @@ def untwist(coeffs: FrameCoefficients, theta: float) -> np.ndarray:
 
 # -- curvature potentials -----------------------------------------------------------
 
+EDGE_DECAY_MAX = 1e-6  # the largest relative edge amplitude of line coefficients
+
 
 @dataclass(frozen=True)
 class NonlinearTerms:
@@ -236,10 +238,14 @@ def _curvature_letters(loop: LoopState, phi: np.ndarray):
 
 def _edge_decay(phi: np.ndarray) -> float:
     """max(|Phi| on the e = max(2, n // 16) nodes at either edge) / max|Phi|,
-    the decay a line-domain reduction needs; 0 when Phi vanishes."""
+    0 when Phi vanishes; ConfigError above EDGE_DECAY_MAX."""
     edge = max(2, phi.shape[0] // 16)
     scale = max(np.abs(phi).max(), 1e-300)
-    return max(np.abs(phi[:edge]).max(), np.abs(phi[-edge:]).max()) / scale
+    decay = max(np.abs(phi[:edge]).max(), np.abs(phi[-edge:]).max()) / scale
+    if decay > EDGE_DECAY_MAX:
+        raise ConfigError([f"line-domain reduction requires the coefficients to decay at the "
+                           f"edges: relative edge amplitude {decay:.3e} exceeds {EDGE_DECAY_MAX:.1e}"])
+    return decay
 
 
 def gauge_potential(loop: LoopState, coeffs: FrameCoefficients) -> np.ndarray:
@@ -265,7 +271,7 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
     decides the reduction.
 
     Line grid: T is the raw tail integrated from the left edge and W = Q = 0;
-    the coefficients must decay at the edges (relative 1e-6).
+    the coefficients must decay at the edges (_edge_decay).
 
     Any other grid (the circle): S(x) = -K|Phi|^2/2, W = mean(S),
     T = R - mean(R) + (oint r)/2 with R the primitive of
@@ -274,15 +280,7 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
     """
     S, r, R = _curvature_letters(loop, coeffs.phi)
     if loop.grid.kind == "line":
-        decay = _edge_decay(coeffs.phi)
-        if decay > 1e-6:
-            raise ConfigError(
-                [
-                    "line-domain reduction requires the coefficients to decay "
-                    f"at the edges: relative edge amplitude {decay:.3e} "
-                    "exceeds 1.0e-06"
-                ]
-            )
+        _edge_decay(coeffs.phi)
         return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0)
     total = loop.grid.integrate(r)
     mean_R = float(np.add.reduce(R) / len(R))
@@ -398,9 +396,10 @@ def _two_point_step(field: ComplexField, dt: float, pot0: np.ndarray,
 
 
 def solver_tolerance(grid: SpectralGrid, dt: float) -> float:
-    """Accuracy model of the coupled run: spatial transport and holonomy
-    quadratures contribute O(dx^4), the splitting O(dt^2)."""
-    return 100.0 * grid.dx**4 + 10.0 * dt**2
+    """Accuracy model of the coupled run in grid units, so a line and a circle
+    agree at the same n and dt / dx^2: transport and holonomy quadratures
+    contribute O((dx / period)^4), the splitting O((dt / period^2)^2)."""
+    return 100.0 * (grid.dx / grid.period)**4 + 10.0 * (dt / grid.period**2)**2
 
 
 @dataclass
@@ -485,16 +484,16 @@ def coupled_steps(state0: LoopState, dt: float, n_steps: int, l4_window: int = 3
     Each step advances the loop by one RK4 flow step, transports the frame
     seed in time along the base trajectory, rebuilds the parallel frame and
     its coefficients, and advances the gauge field phi by one split step of
-    the assembled equation with the same dt. Records both routes to phi,
-    holonomy angles by transport/sweep/rate, and the cross-formulation
-    error.
+    potential x theta_t + gauge_potential with the same dt. Records both
+    routes to phi, holonomy angles by transport/sweep/rate, and the
+    cross-formulation error.
 
-    Each state is reduced by the public routes (reduce_state, the letters,
+    Each state is reduced by the public routes (reduce_state, gauge_potential,
     the energy and the rate), which share the u_x, |u_x|^2_h, K and K_x its
     LoopState computes once. The loop's grid decides the reduction: a line
-    grid runs the line reduction (theta = 0, theta_ode NaN, no swept angle,
-    the edge decay in place of the twist residual and the closure); any
-    other grid runs the twisted circle reduction.
+    grid runs the line reduction (theta = theta_t = 0, theta_ode NaN, no swept
+    angle, the guarded edge decay in place of the twist residual and the
+    closure); any other grid runs the twisted circle reduction.
 
     Yields (k, state, seed, step) for each state k = 0..n_steps: the
     LoopState, its frame seed e1[0] and its CoupledStep. Only the L4 window
@@ -509,9 +508,14 @@ def coupled_steps(state0: LoopState, dt: float, n_steps: int, l4_window: int = 3
             prev_points = state.points
             state, seed = _step_with_seed(state, dt, seed)
         frame, coeffs, ode, theta_k, phi_f = reduce_state(state, seed, theta)
-        terms = nonlinear_terms(state, coeffs)
-        rate = _holonomy_rate(state) if circle else 0.0
-        pot_k = (grid.nodes * rate + terms.potential()) if circle else terms.S + terms.T
+        if circle:
+            rate, resid = _holonomy_rate(state), twisted_residual(coeffs, ode)
+            closure = abs(np.exp(1j * theta_k * grid.period) * coeffs.phi_wrap
+                          - phi_f[0]) / max(np.maximum.reduce(np.abs(phi_f)), 1e-300)
+        else:  # the edge guard, before the NLS step
+            rate, resid = 0.0, _edge_decay(coeffs.phi)
+            closure = resid
+        pot_k = grid.nodes * rate + gauge_potential(state, coeffs)
         seed = frame.e1[0]
         if not k:
             gb, nls = theta_k, ComplexField(grid, phi_f)
@@ -522,12 +526,6 @@ def coupled_steps(state0: LoopState, dt: float, n_steps: int, l4_window: int = 3
             nls = _two_point_step(nls, dt, pot, pot_k, 0.5 * (theta + theta_k),
                                   state.time - dt)
         theta, pot = theta_k, pot_k
-        if circle:
-            resid = twisted_residual(coeffs, ode)
-            closure = abs(np.exp(1j * theta * grid.period) * coeffs.phi_wrap
-                          - phi_f[0]) / max(np.maximum.reduce(np.abs(phi_f)), 1e-300)
-        else:
-            resid = closure = _edge_decay(coeffs.phi)
         energy = fd.energy(state)  # gradient_norm is sqrt(2 energy), taken from it
         yield k, state, seed, CoupledStep(
             state.time, theta, gb, rate, ode, energy,
@@ -679,7 +677,8 @@ def _autonomous_states(surface: SurfaceModel, state: AutonomousState,
     the curvature potential, advances phi by a predictor/corrector split
     step, and moves the base point and seed with the flow velocity read
     off the gauge field (u_t = b1 e1 + b2 e2 with b = -i Phi_x at the
-    base). Second order in dt on top of the O(dx^4) reconstruction.
+    base). First order in dt (the seed takes one Euler step of
+    covariant_rhs) on top of the O(dx^4) reconstruction.
     Yields (k, state, loop, rate, Phi = e^{-i theta x} phi) for k =
     0..n_steps, with the loop and rate of the step's snapshot (the last
     loop a fresh reconstruction)."""

@@ -479,18 +479,25 @@ class TestRunScenario:
                      id="autonomous-32-20-120-snapshots")])
     def test_memory_does_not_grow_with_run_length(self, workdir, mode, n, short, long,
                                                   snapshot_cadence, bound):
-        """The traced peak of a run grows by less than the bound per step,
-        also with a snapshot at every step: a run writes its rows as they
-        come, folds the invariants, and holds at most SNAPSHOT_BATCH
-        snapshots, so a coupled run keeps nothing per state (it kept 171 B
-        per step, and 8 KB with every snapshot). Both lengths exceed the
-        batch. An untraced run of the longer length first fills the caches
-        and the interpreter's free lists. The cyclic collector is off while
-        tracing: a run makes no reference cycles per state, and when the
-        collector ran moved the peak by several KB. The autonomous bound is
-        wider: its short runs still read a warm-up transient of about 100 B
-        per step (-0.7 B per step from 500 to 3,000 steps), and tracing
-        slows its per-cell reconstruction about 35 times."""
+        """The traced peak of a run, less what the trace still holds when
+        the run returns, grows by less than the bound per step, also with a
+        snapshot at every step: a run writes its rows as they come, folds the
+        invariants, and holds at most SNAPSHOT_BATCH snapshots, so a coupled
+        run keeps nothing per state (it kept 171 B per step, and 8 KB with
+        every snapshot). Both lengths exceed the batch. An untraced run of
+        the longer length first fills the caches and the interpreter's free
+        lists. tracemalloc counts an object in a free list as allocated, and
+        how many traced objects the free lists held moved the bare peak by
+        up to 10 KB between identical runs (its growth read -1 to 38 B per
+        step); what a run leaves traced moves with it, and the difference
+        read 0.7 to 6.5 B per step. Memory a run keeps beyond itself, such as
+        a module-level cache, is therefore not read here. The cyclic
+        collector is off while tracing: a run makes no reference cycles per
+        state, and when the collector ran moved the peak by several KB. The
+        autonomous bound is wider: its short runs still read a warm-up
+        transient of about 100 B per step (-0.7 B per step from 500 to 3,000
+        steps), and tracing slows its per-cell reconstruction about 35
+        times."""
         import gc
         import tracemalloc
 
@@ -513,7 +520,8 @@ class TestRunScenario:
             tracemalloc.start()
             try:
                 cli.run_scenario(cfg)
-                return tracemalloc.get_traced_memory()[1]
+                left, top = tracemalloc.get_traced_memory()
+                return top - left
             finally:
                 tracemalloc.stop()
                 gc.enable()
@@ -582,6 +590,9 @@ class TestRunScenario:
         assert np.all(np.isfinite(data[:, :8]))
 
     def test_line_domain_run(self, workdir):
+        from smflow import frame_reduction as fr
+        from smflow.spectral import SpectralGrid
+
         cfg = write_config(
             workdir,
             target={"kind": "hyperbolic_disk"},
@@ -595,6 +606,14 @@ class TestRunScenario:
         assert np.all(data[:, cols.index("theta_transport")] == 0.0)
         hol = json.loads((workdir / "out" / "holonomy.json").read_text())
         assert hol["matrix"] is None
+        # the summary reads the threshold at which the edge guard fires, and
+        # the cross error the line grid's own tolerance
+        summary = json.loads((workdir / "out" / "summary.json").read_text())
+        inv, metrics = summary["invariants"], summary["metrics"]
+        assert inv["edge_decay_max"]["threshold"] == fr.EDGE_DECAY_MAX == 1e-6
+        line = SpectralGrid(64, "line", 6.0)
+        assert metrics["solver_tolerance"] == fr.solver_tolerance(line, metrics["dt"])
+        assert inv["cross_error_max"]["threshold"] == 10.0 * metrics["solver_tolerance"]
 
 
 def _rowwise_write_csv(path, schema, columns, rows, comments=()):

@@ -472,19 +472,17 @@ def reference_coupled(state0, dt, n_steps, l4_window):
         frame = fr.parallel_frame(surface, state, seed=seed)
         seed = frame.e1[0]
         coeffs = fr.coefficients(state, frame)
-        terms = fr.nonlinear_terms(state, coeffs)
         if circle:
             ode = holonomy_ode(surface, grid, state.points)
             theta_new = lift_to_branch(frame.transport_angle(), theta if k else ode)
             rate = holonomy_rate(surface, grid, state.points)
             phi_f = fr.untwist(coeffs, theta_new)
-            pot_new = grid.nodes * rate + terms.potential()
             gb = (gb + swept_angle_increment(surface, grid, prev, state.points, dt)
                   if k else theta_new)
         else:
             ode, theta_new, rate = np.nan, 0.0, 0.0
             phi_f = coeffs.phi.copy()
-            pot_new = terms.S + terms.T
+        pot_new = grid.nodes * rate + fr.gauge_potential(state, coeffs)
         if k:
             t0 = state.time - dt
 
@@ -599,6 +597,24 @@ class TestCoupledDriver:
         assert np.all(res.theta == 0.0)
         assert res.twist_residual_ode.max() < 1e-6
         assert abs(res.energy[-1] - res.energy[0]) < 1e-10
+
+    @pytest.mark.parametrize("case", COUPLED_CASES)
+    def test_steps_the_nls_without_the_letters(self, case, monkeypatch):
+        """coupled_steps steps the NLS with gauge_potential on both domains and
+        builds no letters: with nonlinear_terms and NonlinearTerms made to
+        raise, every case runs. A line run guards its edge decay once per
+        state, a circle run not at all."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the letters were built")
+
+        calls, edge_decay = [], fr._edge_decay
+        monkeypatch.setattr(fr, "nonlinear_terms", refuse)
+        monkeypatch.setattr(fr, "NonlinearTerms", refuse)
+        monkeypatch.setattr(fr, "_edge_decay", lambda phi: calls.append(1) or edge_decay(phi))
+        loop = coupled_case(case)
+        res = fr.coupled_evolve(loop, 0.8 * fd.admissible_dt(loop), 3)
+        assert res.max_sup_error <= res.tolerance
+        assert len(calls) == (4 if case == "line" else 0)
 
     def test_grad_norm_is_taken_from_recorded_energy(self):
         grid = SpectralGrid(32)
@@ -825,6 +841,18 @@ class TestCoupledDriver:
         grid = SpectralGrid(64)
         assert fr.solver_tolerance(grid, 1e-4) == pytest.approx(
             100.0 * grid.dx**4 + 10.0 * 1e-8)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_solver_tolerance_is_in_grid_units(self, n):
+        """A line of any half width reads the circle's tolerance at the same
+        n and the same dt / dx^2: the model is stated per period."""
+        circle = SpectralGrid(n)
+        for ratio in (0.05, 0.2):
+            expected = fr.solver_tolerance(circle, ratio * circle.dx**2)
+            for half_width in (0.5, 6.0, 20.0):
+                line = SpectralGrid(n, "line", half_width)
+                assert fr.solver_tolerance(line, ratio * line.dx**2) == pytest.approx(
+                    expected, rel=1e-13)
 
 
 def _stepwise_reconstruction(surface, grid, phi, base_point, e1_base,

@@ -183,28 +183,39 @@ def numeric_differences(a: Path, b: Path) -> dict:
     NaN; a NaN or infinity against anything else is an infinite difference."""
     leaves = _csv_leaves if a.suffix == ".csv" else (
         lambda p: _json_leaves(json.loads(p.read_text())))
-    values = {}
-    for side, path in enumerate((a, b)):
-        for key, x in leaves(path):
-            values.setdefault(key, ([], []))[side].append(x)
     out = {}
-    for key, (xs, ys) in values.items():
+    for key, (xs, ys) in _paired(leaves(a), leaves(b)).items():
         if len(xs) != len(ys):
             out[key] = (math.nan, math.nan)
-            continue
-        big_abs = big_rel = 0.0
-        for x, y in zip(xs, ys):
-            if x == y or (math.isnan(x) and math.isnan(y)):
-                continue
-            d = abs(x - y)
-            if not math.isfinite(d):
-                big_abs = big_rel = math.inf
-                continue
-            big_abs = max(big_abs, d)
-            big_rel = max(big_rel, d / max(abs(x), abs(y)))
-        if big_abs:
-            out[key] = (big_abs, big_rel)
+        elif (big := _largest_differences(zip(xs, ys)))[0]:
+            out[key] = big
     return out
+
+
+def _paired(a, b) -> dict:
+    """key -> (the values of the (key, value) pairs a holds under it, b's)."""
+    values = {}
+    for side, leaves in enumerate((a, b)):
+        for key, v in leaves:
+            values.setdefault(key, ([], []))[side].append(v)
+    return values
+
+
+def _largest_differences(pairs, scale=0.0, rtol=0.0, atol=0.0):
+    """(largest absolute, largest relative difference) over the float pairs
+    that differ by more than atol + rtol times the larger of their
+    magnitudes and scale, relative to that larger one. NaN equals NaN; a
+    NaN or infinity against anything else is an infinite difference."""
+    big_abs = big_rel = 0.0
+    for x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d, top = abs(x - y), max(abs(x), abs(y), scale)
+        if not math.isfinite(d):
+            return math.inf, math.inf
+        if d > atol + rtol * top:
+            big_abs, big_rel = max(big_abs, d), max(big_rel, d / top)
+    return big_abs, big_rel
 
 
 def difference_lines(diffs: dict) -> list:
@@ -274,28 +285,18 @@ def compare_digests(golden: dict, fresh: dict) -> list:
     lines = [f"{name}: only in the {side}" for side, a, b in (
         ("golden", golden, fresh), ("fresh tree", fresh, golden)) for name in a if name not in b]
     for name in sorted(golden.keys() & fresh.keys()):
-        scales, values = _scales(name, golden[name]), {}
-        for side, tree in enumerate((golden[name], fresh[name])):
-            for key, v in _leaves(tree):
-                values.setdefault(key, ([], []))[side].append(v)
-        for key, (gs, fs) in values.items():
+        scales = _scales(name, golden[name])
+        for key, (gs, fs) in _paired(_leaves(golden[name]), _leaves(fresh[name])).items():
+            odd = next(((g, f) for g, f in zip(gs, fs) if type(g) is not type(f)
+                        or (type(g) is not float and g != f)), None)
             if len(gs) != len(fs):
                 lines.append(f"{name}: {key}: {len(gs)} values in the golden, {len(fs)} fresh")
-                continue
-            big_abs = big_rel = 0.0
-            for g, f in zip(gs, fs):
-                if type(g) is not type(f) or (type(g) is not float and g != f):
-                    lines.append(f"{name}: {key}: golden {g!r}, fresh {f!r}")
-                    break
-                if g == f or (math.isnan(g) and math.isnan(f)):
-                    continue
-                d, scale = abs(g - f), max(abs(g), abs(f), scales.get(key, 0.0))
-                if not math.isfinite(d):  # a NaN or an infinity against anything else
-                    big_abs = big_rel = math.inf
-                elif d > ATOL + RTOL * scale:
-                    big_abs, big_rel = max(big_abs, d), max(big_rel, d / scale)
-            if big_abs or big_rel:
-                lines.append(f"{name}: {key}: abs {big_abs:.3e} rel {big_rel:.3e}")
+            elif odd:
+                lines.append(f"{name}: {key}: golden {odd[0]!r}, fresh {odd[1]!r}")
+            elif any(big := _largest_differences(
+                    ((g, f) for g, f in zip(gs, fs) if type(g) is float),
+                    scales.get(key, 0.0), RTOL, ATOL)):
+                lines.append(f"{name}: {key}: abs {big[0]:.3e} rel {big[1]:.3e}")
     return lines
 
 
