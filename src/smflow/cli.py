@@ -310,12 +310,16 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _csv_header(schema, columns, comments=()) -> str:
+    return "\n".join([f"# schema={schema}", *comments, ",".join(columns)]) + "\n"
+
+
 def _write_csv(path, schema, columns, table, comments=()):
     """One line per row of the 2-D float table, each value as _fmt writes it
     (repr of a Python float; NaN prints as nan), written in blocks of rows."""
     table = np.asarray(table, dtype=float)
     with path.open("w") as f:
-        f.write("\n".join([f"# schema={schema}", *comments, ",".join(columns)]) + "\n")
+        f.write(_csv_header(schema, columns, comments))
         for lo in range(0, len(table), 64):  # bounds the text held at once
             f.write("\n".join(",".join(map(repr, row))
                               for row in table[lo:lo + 64].tolist()) + "\n")
@@ -400,8 +404,8 @@ def run_scenario(cfg):
         snapshots.clear()
 
     try:
-        _write_csv(out_dir / "timeseries.csv", SCHEMA_TIMESERIES, TIMESERIES_COLUMNS, ())
-        with (out_dir / "timeseries.csv").open("a") as series:
+        with (out_dir / "timeseries.csv").open("w") as series:
+            series.write(_csv_header(SCHEMA_TIMESERIES, TIMESERIES_COLUMNS))
             try:
                 for k, final, _, s in steps(loop, dt, n_steps, diag["l4_window"]):
                     row = _Row(s.time, s.energy, s.grad_norm, s.theta,

@@ -223,15 +223,17 @@ class NonlinearTerms:
         return self.Q + self.S - self.W + self.T
 
 
-def _curvature_letters(loop: LoopState, phi: np.ndarray):
+def _curvature_letters(surface: SurfaceModel, loop, phi: np.ndarray):
     """S = -K |Phi|^2 / 2, the curvature-rate density r = (K o u)_x |Phi|^2 / 2
     and its primitive R from node 0, from K along the loop and its
-    derivative; r = R = 0 when K is constant."""
-    amp2 = np.abs(phi) ** 2
-    K, dK = loop.curvature, loop.curvature_x
-    S = -0.5 * K * amp2
+    derivative; r = R = None when K is constant. A target's constant_curvature
+    that is a number is K itself, and the loop (then maybe None) is not read."""
+    amp2, K = np.abs(phi) ** 2, surface.constant_curvature
+    if K is not None:
+        return -0.5 * K * amp2, None, None
+    S, dK = -0.5 * loop.curvature * amp2, loop.curvature_x
     if dK is None:
-        return S, np.zeros(K.shape), np.zeros(K.shape)
+        return S, None, None
     r = dK * amp2 * 0.5
     return S, r, loop.grid.cumulative_integral(r)
 
@@ -254,12 +256,15 @@ def gauge_potential(loop: LoopState, coeffs: FrameCoefficients) -> np.ndarray:
     V = S - S(base) + tail, where the tail integrates the curvature-rate
     density r = (K o u)_x |Phi|^2 / 2 along the transport path from the
     base node (wrapping past the seam for nodes before the base)."""
-    return _gauge_potential(loop, coeffs.phi, coeffs.base_index)
+    return _gauge_potential(loop.surface, loop, coeffs.phi, coeffs.base_index)
 
 
-def _gauge_potential(loop: LoopState, phi: np.ndarray, b: int) -> np.ndarray:
-    """gauge_potential of the coefficients phi with base node b."""
-    S, r, R = _curvature_letters(loop, phi)
+def _gauge_potential(surface: SurfaceModel, loop, phi: np.ndarray, b: int) -> np.ndarray:
+    """gauge_potential of the coefficients phi with base node b; S - S(b)
+    alone when K is constant, from no loop on a constant-curvature target."""
+    S, r, R = _curvature_letters(surface, loop, phi)
+    if r is None:
+        return S - S[b]
     tail = R - R[b]
     if b:
         tail[:b] += loop.grid.integrate(r)
@@ -278,7 +283,9 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
     r = (K o u)_x |Phi|^2 / 2, and Q the constant making Q + S - W + T the
     base-node gauge potential.
     """
-    S, r, R = _curvature_letters(loop, coeffs.phi)
+    S, r, R = _curvature_letters(loop.surface, loop, coeffs.phi)
+    if r is None:  # K constant: no tail
+        r = R = np.zeros(S.shape)
     if loop.grid.kind == "line":
         _edge_decay(coeffs.phi)
         return NonlinearTerms(S=S, T=R, W=0.0, Q=0.0)
@@ -669,31 +676,40 @@ class AutonomousState:
     time: float = 0.0
 
 
+def _reconstructed(surface: SurfaceModel, st: AutonomousState) -> LoopState:
+    """The LoopState of st's loop, rebuilt by reconstruct_loop."""
+    pts = reconstruct_loop(surface, st.grid, st.phi, st.base_point, st.e1_base, st.theta)[0]
+    return LoopState(st.grid, surface, pts, st.time)
+
+
 def _autonomous_states(surface: SurfaceModel, state: AutonomousState,
                        dt: float, n_steps: int):
     """Evolve phi without re-deriving it from a stored loop (experimental).
 
-    Each step reconstructs the loop from (phi, base data, theta), builds
-    the curvature potential, advances phi by a predictor/corrector split
-    step, and moves the base point and seed with the flow velocity read
-    off the gauge field (u_t = b1 e1 + b2 e2 with b = -i Phi_x at the
-    base). First order in dt (the seed takes one Euler step of
-    covariant_rhs) on top of the O(dx^4) reconstruction.
+    Each step builds the curvature potential of the state, advances phi by
+    a predictor/corrector split step, and moves the base point and seed
+    with the flow velocity read off the gauge field (u_t = b1 e1 + b2 e2
+    with b = -i Phi_x at the base). First order in dt (the seed takes one
+    Euler step of covariant_rhs) on top of the O(dx^4) reconstruction.
     Yields (k, state, loop, rate, Phi = e^{-i theta x} phi) for k =
     0..n_steps, with the loop and rate of the step's snapshot (the last
-    loop a fresh reconstruction)."""
+    loop a fresh reconstruction). A loop is rebuilt only where it is read:
+    every one where K varies, since S and K_x read the points; where the
+    target's constant_curvature is a number, rate 0 and a potential of K
+    and |Phi|^2 need none, so the predictor's loop and the k = 0 loop
+    (yielded as None, rate 0.0) are not rebuilt."""
     grid = state.grid
     x = grid.nodes
+    constant = surface.constant_curvature is not None
 
-    def rated(st):
-        pts = reconstruct_loop(surface, grid, st.phi, st.base_point,
-                               st.e1_base, st.theta)[0]
-        loop = LoopState(grid, surface, pts, st.time)
-        return loop, _holonomy_rate(loop), np.exp(-1j * st.theta * x) * st.phi
+    def rated(st, read):
+        loop = _reconstructed(surface, st) if read or not constant else None
+        rate = 0.0 if loop is None else _holonomy_rate(loop)
+        return loop, rate, np.exp(-1j * st.theta * x) * st.phi
 
-    def snapshot(st):
-        loop, rate, Phi = rated(st)
-        pot = x * rate + _gauge_potential(loop, Phi, 0)
+    def snapshot(st, read):
+        loop, rate, Phi = rated(st, read)
+        pot = x * rate + _gauge_potential(surface, loop, Phi, 0)
         # Phi_x at the base node only: an O(n) dot with the derivative row
         phi_x0 = _node0_derivative_row(grid) @ st.phi
         b = -1j * np.exp(-1j * st.theta * x[0]) * (phi_x0 - 1j * st.theta * st.phi[0])
@@ -710,19 +726,19 @@ def _autonomous_states(surface: SurfaceModel, state: AutonomousState,
                                theta, st.time + dt)
 
     for k in range(n_steps):
-        loop, rate0, Phi, pot0, ut0 = snapshot(state)
+        loop, rate0, Phi, pot0, ut0 = snapshot(state, k > 0)
         yield k, state, loop, rate0, Phi
         field = ComplexField(grid, state.phi)
         # predictor: freeze the potential and base data
         pred = _two_point_step(field, dt, pot0, pot0, state.theta, state.time)
         st_pred = advance(state, pred.values, dt * ut0, state.theta + dt * rate0)
-        _, rate1, _, pot1, ut1 = snapshot(st_pred)
+        _, rate1, _, pot1, ut1 = snapshot(st_pred, False)
         # corrector: trapezoid in the potential, base velocity, and rate
         corr = _two_point_step(field, dt, pot0, pot1,
                                state.theta + 0.25 * dt * (rate0 + rate1), state.time)
         state = advance(state, corr.values, 0.5 * dt * (ut0 + ut1),
                         state.theta + 0.5 * dt * (rate0 + rate1))
-    yield (n_steps, state, *rated(state))
+    yield (n_steps, state, *rated(state, n_steps > 0))
 
 
 def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
@@ -730,10 +746,11 @@ def autonomous_evolve(surface: SurfaceModel, state: AutonomousState,
     """The states of _autonomous_states collected: observer(k, state, loop)
     sees each state k = 0..n_steps and the LoopState of its reconstructed
     loop, whose u_x, K and K_x a step's snapshot has computed as far as its
-    rate and potential needed them; returns the final state."""
+    rate and potential needed them (the k = 0 loop of a constant-curvature
+    target is rebuilt here, for the observer); returns the final state."""
     for k, state, loop, *_ in _autonomous_states(surface, state, dt, n_steps):
         if observer is not None:
-            observer(k, state, loop)
+            observer(k, state, _reconstructed(surface, state) if loop is None else loop)
     return state
 
 

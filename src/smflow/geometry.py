@@ -28,15 +28,19 @@ in numpy's own arithmetic; ``_row_sum`` owns row sums, ``integrate`` means.
 Parallel transport integrates the frame equation for a single tangent
 vector e1 with classical RK4 and carries e2 = J e1 along algebraically.
 The frame equation is linear in e1, so one RK4 step over a sample cell is
-a d x d propagator, the target's ``transport_cells``.  In general the
-generator, the right-hand side on the identity rows, is evaluated once at
-the nodes and once at the midpoints; every cell's four stages are batched
-products of those (k2 = G_m + k1 G_m / 2 and so on), with the tangent
-projection at the end of the cell folded in.  On ``RoundSphere`` the
-generator -(du / r^2) (x) u has rank one, so every stage is one outer
-product, the last one vanishes under the projection, and each cell is
-written in closed form; the generic stages stay its oracle in the tests.
-In the flat chart every cell is the identity.  A log-depth (Hillis-Steele)
+a d x d propagator, the target's ``transport_cells``.  The generator G,
+the right-hand side on the identity rows, is each target's closed-form
+``transport_generator``: -(du / r^2) (x) u on ``RoundSphere``, 0 in the
+flat chart, and ``_Conformal`` adds -(l.du) I - l (x) du + du (x) l to its
+base's in the operation order of ``covariant_rhs``, so it equals that
+right-hand side broadcast over the identity (the tests' oracle) to the
+bit.  In general G is evaluated once at the nodes and once at the
+midpoints; every cell's four stages are batched products of those (k2 =
+G_m + k1 G_m / 2 and so on), with the tangent projection at the end of the
+cell folded in.  On ``RoundSphere`` G has rank one, so every stage is one
+outer product, the last one vanishes under the projection, and each cell
+is written in closed form; the generic stages stay its oracle in the
+tests.  In the flat chart every cell is the identity.  A log-depth (Hillis-Steele)
 prefix product composes the cells.  e1 at each node is the seed times its
 prefix product, scaled once to unit metric length.  Projection is linear
 and a per-step renormalization only multiplies by a positive scalar, so
@@ -117,7 +121,8 @@ class SurfaceModel:
     The defaults are those of a target without curvature gradient or
     singular frame axis. Each target's ``covariant_rhs(u, du, v)`` is the
     change of v that keeps it parallel over the step du from u; it is
-    linear in v, so the identity rows give the transport generator.
+    linear in v, and its ``transport_generator(u, du)`` is the (..., d, d)
+    matrix of it in closed form, row j the image of axis j.
     """
 
     kind = ""
@@ -165,11 +170,11 @@ class SurfaceModel:
         cells of a sampled path, each followed by the tangent projection at
         the cell's end (see ``_transport_frame`` for the arguments). Row j
         is the step image of axis j; a stage on rows V is V @ G, G the
-        generator (the right-hand side on the identity rows), evaluated once
-        at the nodes and once at the midpoints."""
+        target's ``transport_generator``, evaluated once at the nodes and
+        once at the midpoints."""
         eye = np.eye(nodes.shape[-1])
-        g_nodes = self.covariant_rhs(nodes[:, None], dnodes[:, None], eye)
-        g_mid = self.covariant_rhs(mids[:, None], dmids[:, None], eye)
+        g_nodes = self.transport_generator(nodes, dnodes)
+        g_mid = self.transport_generator(mids, dmids)
         k1 = g_nodes[:-1]
         k2 = g_mid + 0.5 * (k1 @ g_mid)
         k3 = g_mid + 0.5 * (k2 @ g_mid)
@@ -190,6 +195,13 @@ class _Conformal:
         grad = self.log_scale_grad(u)
         return (super().covariant_rhs(u, du, v) - _dot(grad, du) * v
                 - _dot(grad, v) * du + _dot(du, v) * grad)
+
+    def transport_generator(self, u, du):
+        # covariant_rhs on the identity rows in its own operation order: the
+        # base's, then -(l.du) I, -l (x) du and +du (x) l, with l read once
+        grad, eye = self.log_scale_grad(u), np.eye(u.shape[-1])
+        out = super().transport_generator(u, du) - _dot(grad, du)[..., None] * eye
+        return (out - grad[..., :, None] * du[..., None, :]) + du[..., :, None] * grad[..., None, :]
 
     def tension(self, u, ux, uxx):
         grad = self.log_scale_grad(u)
@@ -269,6 +281,9 @@ class RoundSphere(SurfaceModel):
 
     def covariant_rhs(self, u, du, v):
         return -(_dot(v, du) / self.radius**2) * u
+
+    def transport_generator(self, u, du):
+        return -(du / self.radius**2)[..., :, None] * u[..., None, :]
 
     def tension(self, u, ux, uxx):
         speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
@@ -406,6 +421,9 @@ class _ConformalChart(SurfaceModel):
 
     def covariant_rhs(self, u, du, v):
         return np.zeros(np.broadcast(du, v).shape)
+
+    def transport_generator(self, u, du):
+        return np.zeros(du.shape + du.shape[-1:])
 
     def tension(self, u, ux, uxx):
         return uxx

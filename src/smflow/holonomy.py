@@ -100,7 +100,9 @@ def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,
                                        + np.asarray(points_b, float)))
     ut = (points_b - points_a) / dt
     ux = grid.derivative(mid)
-    dens = surface.gaussian_curvature(mid) * surface.metric(mid, surface.apply_J(mid, ux), ut)
+    K = surface.constant_curvature
+    K = surface.gaussian_curvature(mid) if K is None else K
+    dens = K * surface.metric(mid, surface.apply_J(mid, ux), ut)
     return float(-dt * grid.integrate(dens))
 
 

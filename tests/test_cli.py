@@ -141,17 +141,22 @@ class TestRunScenario:
         rebuild = fr.reconstruct_loop
         monkeypatch.setattr(fr, "reconstruct_loop",
                             lambda *a, **kw: calls.append(1) or rebuild(*a, **kw))
-        cfg = write_config(workdir, reduction={"mode": "autonomous"},
-                           time={"dt": 1e-5, "t_final": 3e-5},
-                           diagnostics={"cadence": 1, "snapshot_cadence": 1,
-                                        "l4_window": 8})
-        assert cli.main(["run", "--config", str(cfg)]) == 0
-        summary = json.loads((workdir / "out" / "summary.json").read_text())
-        assert summary["metrics"]["n_steps"] == 3
-        assert len(list((workdir / "out").glob("snapshot_*"))) == 4
-        # two per step inside the evolution (start and predictor states),
-        # plus one for the final state
-        assert len(calls) == 7
+        # warped: two per step inside the evolution (start and predictor
+        # states), plus one for the final state; round: K is one number, so
+        # only the loops that rows read, those of states 1..3
+        for target, expected in (("round_sphere", 3), ("warped_sphere", 7)):
+            calls.clear()
+            cfg = write_config(workdir, target={"kind": target},
+                               reduction={"mode": "autonomous"},
+                               time={"dt": 1e-5, "t_final": 3e-5},
+                               diagnostics={"cadence": 1, "snapshot_cadence": 1,
+                                            "l4_window": 8},
+                               output={"dir": target})
+            assert cli.main(["run", "--config", str(cfg)]) == 0
+            summary = json.loads((workdir / target / "summary.json").read_text())
+            assert summary["metrics"]["n_steps"] == 3
+            assert len(list((workdir / target).glob("snapshot_*"))) == 4
+            assert len(calls) == expected, target
 
     @pytest.mark.parametrize("target,expected,curvatures",
                              [("warped_sphere", 25, 11), ("round_sphere", 7, 0)],
@@ -214,10 +219,12 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("target", ["warped_sphere", "round_sphere"])
     def test_autonomous_run_rates_each_loop_once(self, workdir, monkeypatch, target):
-        """A 3-step autonomous run takes the holonomy rate 8 times: twice per
-        step in the evolution (the start and the predictor state), once for
-        the initial loop that row 0 reads and once for the final
-        reconstruction; each other row reuses its snapshot's rate."""
+        """A 3-step autonomous run takes the holonomy rate of every loop it
+        rebuilds and of the initial loop that row 0 reads: on the warped
+        sphere 8 times, twice per step in the evolution (the start and the
+        predictor state) and once for the final reconstruction; on the round
+        sphere, whose rate is 0 wherever no loop is rebuilt, 4 times (states
+        1..3 and the initial loop). Each other row reuses its snapshot's rate."""
         from smflow import frame_reduction as fr
         from smflow import holonomy
 
@@ -236,7 +243,7 @@ class TestRunScenario:
                            diagnostics={"cadence": 1, "snapshot_cadence": 0,
                                         "l4_window": 8})
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        assert len(calls) == 8
+        assert len(calls) == {"warped_sphere": 8, "round_sphere": 4}[target]
 
     @pytest.mark.parametrize("target,expected",
                              [("warped_sphere", 27), ("round_sphere", 19)],

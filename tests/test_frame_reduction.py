@@ -816,7 +816,8 @@ class TestCoupledDriver:
     def test_constant_curvature_needs_no_scan(self, monkeypatch, target):
         """On a target of constant curvature a state's K_x is None without
         K being built or scanned; K is the target's constant_curvature at
-        every node, and a coupled step reads the same letters as before."""
+        every node, and the letters read it as that number from no loop: S
+        equals the route through K at every node to the bit, r = R = None."""
         surface = {"round": round_sphere(2.0), "disk": hyperbolic_disk(),
                    "torus": flat_torus()}[target]
         grid = SpectralGrid(64)
@@ -834,8 +835,12 @@ class TestCoupledDriver:
             mp.setattr(type(surface), "gaussian_curvature", refuse)
             assert state.curvature_x is None
         assert np.array_equal(state.curvature, np.full(64, surface.constant_curvature))
-        _, r, R = fr._curvature_letters(state, np.ones(64, complex))
-        assert not r.any() and not R.any() and r.shape == R.shape == (64,)
+        phi = np.exp(1j * grid.nodes) * (1.0 + 0.3 * np.cos(grid.nodes))
+        with monkeypatch.context() as mp:
+            mp.setattr(type(surface), "gaussian_curvature", refuse)
+            S, r, R = fr._curvature_letters(surface, None, phi)
+        assert r is None and R is None
+        assert np.array_equal(S, -0.5 * state.curvature * np.abs(phi) ** 2)
 
     def test_solver_tolerance_model(self):
         grid = SpectralGrid(64)

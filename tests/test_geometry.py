@@ -627,6 +627,40 @@ def test_transport_cells_match_the_generic_route(target, n, bump_sphere):
             assert np.array_equal(got, ref)
 
 
+def _broadcast_cells(s, nodes, mids, dnodes, dmids):
+    """The oracle of the closed-form generators: covariant_rhs broadcast over
+    the identity rows at the nodes and the midpoints, then the RK4 stages of
+    SurfaceModel.transport_cells; returns (cells, node generators)."""
+    eye = np.eye(nodes.shape[-1])
+    g_nodes = s.covariant_rhs(nodes[:, None], dnodes[:, None], eye)
+    g_mid = s.covariant_rhs(mids[:, None], dmids[:, None], eye)
+    k1 = g_nodes[:-1]
+    k2 = g_mid + 0.5 * (k1 @ g_mid)
+    k3 = g_mid + 0.5 * (k2 @ g_mid)
+    k4 = g_nodes[1:] + k3 @ g_nodes[1:]
+    return s.tangent_project(nodes[1:, None],
+                             eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0), g_nodes
+
+
+@pytest.mark.parametrize("target", ["warped", "hyperbolic"])
+@pytest.mark.parametrize("kind", ["circle", "line"])
+@pytest.mark.parametrize("n", [32, 128])
+def test_conformal_cells_equal_the_broadcast_oracle(target, kind, n, bump_sphere):
+    """The conformal targets' closed-form transport generator, and the cells
+    built from it, equal the broadcast of covariant_rhs over the identity
+    rows to the bit, on loops of circle and line grids with the path data
+    parallel_frame takes (u_x / n on the circle) and on open paths."""
+    s = _transport_target(target, bump_sphere)
+    grid = SpectralGrid(n, kind, 6.0 if kind == "line" else 0.0)
+    loop = LoopState(grid, s, _wobbly_loop(s, n))
+    dpath = loop.ux / n if kind == "circle" else None
+    for data in (geo._closed_loop_path_data(s, loop.points, dpath),
+                 geo._open_path_data(s, loop.points)):
+        ref, g_nodes = _broadcast_cells(s, *data)
+        assert np.array_equal(s.transport_generator(data[0], data[2]), g_nodes)
+        assert np.array_equal(s.transport_cells(*data), ref)
+
+
 def test_default_seed_ignores_a_start_direction_set_by_rounding():
     """A base-node u_x of at most 1e-6 of the loop's largest, as on a line
     profile that has decayed at the base, or none at all, gives the first
@@ -640,19 +674,20 @@ def test_default_seed_ignores_a_start_direction_set_by_rounding():
 
 
 def test_loop_frame_work_does_not_grow_with_samples(monkeypatch):
-    """The generic transport evaluates the connection on whole cell stacks,
-    once at the nodes and once at the midpoints, so the number of generator
-    calls is fixed, not one round of stages per node; the round sphere's
-    closed-form cells call it not at all."""
+    """The generic transport evaluates the closed-form generator on whole
+    cell stacks, once at the nodes and once at the midpoints, so the disk
+    takes its conformal gradient twice per frame, not one round of stages
+    per node; the round sphere's closed-form cells take no generator."""
     counts = []
-    for s, calls in ((geo.hyperbolic_disk(), 2), (geo.round_sphere(), 0)):
-        rhs = type(s).covariant_rhs
+    for s, name, calls in ((geo.hyperbolic_disk(), "log_scale_grad", 2),
+                           (geo.round_sphere(), "transport_generator", 0)):
+        method = getattr(type(s), name)
 
-        def counting(*args, rhs=rhs):
+        def counting(*args, method=method):
             counts[-1] += 1
-            return rhs(*args)
+            return method(*args)
 
-        monkeypatch.setattr(type(s), "covariant_rhs", counting)
+        monkeypatch.setattr(type(s), name, counting)
         for n in (32, 256):
             counts.append(0)
             geo.loop_frame(s, _wobbly_loop(s, n))

@@ -361,3 +361,26 @@ def test_bench_pair_refuses_a_checkout_that_changed_during_the_runs(
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["checkouts"]["this"] == {"commit": "c0", "dirty": False,
                                            "diff_sha256": "d0"}
+
+
+def test_bench_pair_refuses_a_dirty_checkout(tmp_path, monkeypatch, capsys):
+    """A checkout with uncommitted changes to tracked files, on either side,
+    is refused before any run: no benchmark runs, no record is written and
+    the tool exits 1."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    other = tmp_path / "other"
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    runs = []
+    monkeypatch.setattr(tool, "bench_run", lambda *args: runs.append(args) or tool.last_json(
+        _bench_output(100.0, 10.0)))
+    argv = ["--against", str(other), "--label", "t", "--rounds", "1"]
+    for side in ("this", "against"):
+        monkeypatch.setattr(tool, "checkout_info", lambda root: {
+            "commit": "c0", "dirty": (root == tmp_path) == (side == "this"),
+            "diff_sha256": "d0"})
+        assert tool.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"uncommitted changes to tracked files in {side} " in err
+        assert "no record written" in err
+        assert not runs and not (tmp_path / "BENCH_t.json").exists()

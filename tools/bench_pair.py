@@ -48,9 +48,11 @@ by chance, and so give the other side a narrow interquartile range.
 
 It also records the seeds, the host, and both checkouts: the commit, whether
 tracked files had uncommitted changes, and the sha256 of ``git diff HEAD``,
-so two trees on the same commit can be told apart. The checkouts are read
-again after the runs; if either changed meanwhile, no record is written and
-the tool exits 1.
+so two trees on the same commit can be told apart. A record compares two
+commits, so a checkout whose tracked files have uncommitted changes is
+refused before any run: no record is written and the tool exits 1. The
+checkouts are read again after the runs; if either changed meanwhile, no
+record is written either and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -283,6 +285,12 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "workloads": {},
     }
+    dirty = [side for side, info in record["checkouts"].items() if info["dirty"]]
+    if dirty:
+        print(f"uncommitted changes to tracked files in {', '.join(dirty)} "
+              f"({', '.join(str(roots[side]) for side in dirty)}); no record written",
+              file=sys.stderr)
+        return 1
     for name in (w["name"] for w in spec["workloads"]):
         results = alternate(args.rounds, roots, lambda root, i: bench_run(
             root, spec["command"], name, seeds[i], seconds))
