@@ -157,18 +157,15 @@ def _check_strichartz(rng):
     out = []
     grid = SpectralGrid(64, kind="torus")
     x = grid.nodes
-    single = ComplexField(grid, np.exp(3j * x), convention="torus")
+    single = ComplexField(grid, np.exp(3j * x))
     out.append(_result("strichartz", "single_mode_ratio",
                        abs(strichartz_ratio(single) - 1.0), 1e-10))
-    pair = ComplexField(grid, np.exp(1j * x) + np.exp(4j * x),
-                        convention="torus")
+    pair = ComplexField(grid, np.exp(1j * x) + np.exp(4j * x))
     out.append(_result("strichartz", "two_mode_ratio",
                        abs(strichartz_ratio(pair) - 1.5 ** 0.25), 1e-6))
     worst = 0.0
     for _ in range(40):
-        f = _random_loop_field(grid, rng, n_modes=16)
-        worst = max(worst, strichartz_ratio(
-            ComplexField(grid, f.values, convention="torus")))
+        worst = max(worst, strichartz_ratio(_random_loop_field(grid, rng, n_modes=16)))
     out.append(_result("strichartz", "random_ratio_bound",
                        worst, np.sqrt(2.0) + 1e-9,
                        "40 random 16-mode fields"))
@@ -178,7 +175,6 @@ def _check_strichartz(rng):
     worst_excess = -np.inf
     for _ in range(10):
         src = _random_loop_field(grid, rng, n_modes=6)
-        src = ComplexField(grid, src.values, convention="torus")
         t0 = rng.uniform(0.0, times[-1])
         width = rng.uniform(0.1, 0.5)
         env = np.exp(-((times - t0) ** 2) / (2 * width**2))

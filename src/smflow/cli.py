@@ -502,7 +502,10 @@ def convergence_study(cfg, levels):
 
     Writes convergence.csv; errors are measured against the analytic
     precession solution, the internal cross-formulation disagreement, or
-    the finest level, depending on study.error.
+    the finest level, depending on study.error. Each level runs the route
+    of reduction.mode: a coupled level's loop is fd.evolve's (the final
+    points of fr.coupled_steps, bit for bit), an autonomous level's the
+    final loop of fr.autonomous_steps, which has no cross error.
     """
     levels = [item.strip() for item in levels if item.strip()]
     violations = []
@@ -529,7 +532,9 @@ def convergence_study(cfg, levels):
             violations.append(
                 f"levels must refine monotonically: ({n0}, {dt0:.3e}) "
                 f"-> ({n1}, {dt1:.3e})")
-    kind = _study_error_kind(cfg)
+    kind, coupled = _study_error_kind(cfg), cfg["reduction"]["mode"] == "coupled"
+    if kind == "cross" and not coupled:
+        violations.append("study.error 'cross' requires reduction.mode 'coupled'")
     if kind == "analytic" and not _has_closed_form(cfg):
         violations.append("study.error 'analytic' requires the latitude preset on "
                           "a round_sphere target and the circle domain")
@@ -550,7 +555,11 @@ def convergence_study(cfg, levels):
             errors.append(float(reduce(np.maximum, (
                 s.sup_error for *_, s in fr.coupled_steps(loop, dt_run, n_steps)))))
         else:
-            state = fd.evolve(loop, dt_run, n_steps)
+            if coupled:
+                state = fd.evolve(loop, dt_run, n_steps)
+            else:
+                for _, state, *_ in fr.autonomous_steps(loop, dt_run, n_steps):
+                    pass
             finals.append(state.points)
             if kind == "analytic":
                 exact = _latitude_exact(cfg["init"].get("alpha", np.pi / 3), grid,

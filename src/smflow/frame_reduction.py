@@ -278,7 +278,7 @@ def nonlinear_terms(loop: LoopState, coeffs: FrameCoefficients) -> NonlinearTerm
     Line grid: T is the raw tail integrated from the left edge and W = Q = 0;
     the coefficients must decay at the edges (_edge_decay).
 
-    Any other grid (the circle): S(x) = -K|Phi|^2/2, W = mean(S),
+    Circle grid: S(x) = -K|Phi|^2/2, W = mean(S),
     T = R - mean(R) + (oint r)/2 with R the primitive of
     r = (K o u)_x |Phi|^2 / 2, and Q the constant making Q + S - W + T the
     base-node gauge potential.
@@ -315,7 +315,7 @@ def assemble_nls_rhs(grid: SpectralGrid, values: np.ndarray,
     F = (alpha - 1) Phi_xx + (3 alpha_x / 2) Phi_x + (alpha_xx / 2) Phi
     - (S + T) Phi.
 
-    Any other grid (the circle; periodic gauge field phi): F = -2 i theta
+    Circle grid (periodic gauge field phi): F = -2 i theta
     phi_x - (theta^2 + x theta_rate + Q + S - W + T) phi, with variable
     metrics unsupported (the change of variables that removes the
     first-order term is specific to the flat circle).
@@ -384,7 +384,11 @@ def reduce_state(state: LoopState, seed=None, theta_ref=None):
     (parallel_frame's default when None), theta the frame's transport angle
     lifted next to theta_ref (by default next to holonomy_ode) and phi the
     coefficients untwisted by theta. On a line grid holonomy_ode is NaN,
-    theta 0 and phi a copy of the coefficients Phi."""
+    theta 0 and phi a copy of the coefficients Phi. A torus grid is refused:
+    the twist e^{i theta x} and the ramp x theta_t assume period 1."""
+    if state.grid.kind == "torus":
+        raise UnsupportedCombinationError(
+            "the frame reduction runs on the circle or the line grid, not the torus")
     frame = parallel_frame(state.surface, state, seed)
     coeffs = coefficients(state, frame)
     if state.grid.kind == "line":
@@ -500,14 +504,14 @@ def coupled_steps(state0: LoopState, dt: float, n_steps: int, l4_window: int = 3
     LoopState computes once. The loop's grid decides the reduction: a line
     grid runs the line reduction (theta = theta_t = 0, theta_ode NaN, no swept
     angle, the guarded edge decay in place of the twist residual and the
-    closure); any other grid runs the twisted circle reduction.
+    closure); the circle grid runs the twisted circle reduction.
 
     Yields (k, state, seed, step) for each state k = 0..n_steps: the
     LoopState, its frame seed e1[0] and its CoupledStep. Only the L4 window
     is kept.
     """
     surface, grid = state0.surface, state0.grid
-    circle = grid.kind != "line"
+    circle = grid.kind == "circle"
     l4 = _windowed_l4(grid, l4_window)
     state, seed, theta, pot = state0, None, None, None
     for k in range(n_steps + 1):

@@ -182,7 +182,7 @@ def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
     cells, one zero-padded inverse FFT per node offset; (2, n_cells, ..., k, k)."""
     n = samples.shape[0]
     coeff = dft(samples, axis=0) * (n_cells / n)
-    modes = mode_numbers(n, float)
+    modes = mode_numbers(n)
     if n % 2 == 0:  # Nyquist as a cosine: half the coefficient at each of -n/2, +n/2
         coeff[n // 2] *= 0.5
         coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
@@ -190,7 +190,7 @@ def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
     phase = np.exp(2j * np.pi * np.outer(_GAUSS_OFFSETS, modes) / n_cells)
     phase = phase.reshape(phase.shape + (1,) * (samples.ndim - 1))
     padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
-    np.add.at(padded, (slice(None), modes.astype(int) % n_cells), phase * coeff)
+    np.add.at(padded, (slice(None), modes % n_cells), phase * coeff)
     return dft(padded, axis=1, inverse=True)
 
 

@@ -4,13 +4,13 @@ numerical verifiers for periodic space-time integrability estimates.
 Sign convention throughout: i phi_t = phi_xx + F, so a free mode e^{ikx}
 evolves with multiplier e^{i k^2 t}.
 
-Two coexisting conventions for fields:
-  * "physical": the simulation's period-1 circle, wavenumbers 2*pi*m;
-  * "torus": both space and time have period 2*pi, wavenumbers are the
-    integers m themselves, so single modes e^{i(mx+m^2 t)} are genuinely
-    doubly periodic and restriction estimates take their standard form.
-A physical field maps to the torus convention by relabeling the same
-samples (x -> 2*pi*x) and speeding time up by 4*pi^2.
+A field is normalized by the kind of its grid. On the period-1 circle
+(and the line) the wavenumbers are 2*pi*m / period. On a torus grid both
+space and time have period 2*pi and the wavenumbers are the integers m
+themselves, so single modes e^{i(mx+m^2 t)} are genuinely doubly periodic
+and restriction estimates take their standard form. ``as_torus`` moves a
+circle field onto the torus by relabeling the same samples (x -> 2*pi*x);
+its time then runs 4*pi^2 times faster.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ DUHAMEL_CONSTANT = 0.55
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex scalar field sampled on a periodic grid."""
+    """Complex scalar field sampled on a periodic grid; torus-normalized
+    exactly when its grid is a torus grid."""
 
     grid: SpectralGrid
     values: np.ndarray
-    convention: str = "physical"
 
     def __post_init__(self):
-        if self.convention not in ("physical", "torus"):
-            raise ConfigError([f"unknown field convention {self.convention!r}"])
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.grid.n,):
             raise ConfigError(
@@ -54,22 +52,18 @@ class ComplexField:
         return dft(self.values) / self.grid.n
 
     def l2_norm(self) -> float:
-        """L^2 norm with the convention's true measure."""
+        """L^2 norm with the grid's true measure."""
         return float(np.sqrt(self.grid.period * np.mean(np.abs(self.values) ** 2)))
 
     def parseval_defect(self) -> float:
         return abs(np.mean(np.abs(self.values) ** 2) - np.sum(np.abs(self.modes) ** 2))
 
     def as_torus(self) -> "ComplexField":
-        """Relabel the period-1 samples onto the 2*pi torus (identity for
-        torus fields). Dynamics: t_torus = 4*pi^2 * t_physical."""
-        if self.convention == "torus":
-            return self
+        """Relabel the period-1 samples onto the 2*pi torus (identity for a
+        field on a torus grid). Dynamics: t_torus = 4*pi^2 * t_circle."""
         if self.grid.kind == "torus":
-            grid = self.grid
-        else:
-            grid = SpectralGrid(self.grid.n, kind="torus")
-        return ComplexField(grid, self.values.copy(), convention="torus")
+            return self
+        return ComplexField(SpectralGrid(self.grid.n, kind="torus"), self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ def free_propagate(field: ComplexField, t: float) -> ComplexField:
     """Evolve i phi_t = phi_xx for time t: hat phi -> e^{i k^2 t} hat phi."""
     k = field.grid.wavenumbers
     out = field.grid.multiply(field.values, np.exp(1j * k**2 * t))
-    return ComplexField(field.grid, out, field.convention)
+    return ComplexField(field.grid, out)
 
 
 # -- torus quadrature helpers -----------------------------------------------------
@@ -203,7 +197,7 @@ def duhamel_term(F: SpaceTimeField, t: float, delta: float, B: float) -> Duhamel
         f_a = integrand[k_full]
         f_b = f_a + (integrand[k_full + 1] - f_a) * (rem / dt)
         g0 = g0 + rem * 0.5 * (f_a + f_b)
-    profile = ComplexField(F.grid, dft(g0 * n_x, inverse=True), convention="torus")
+    profile = ComplexField(F.grid, dft(g0 * n_x, inverse=True))
     out = free_propagate(profile, t)
     l4 = _l4_of_free_evolution(profile.modes)
     bound = DUHAMEL_CONSTANT * (B ** (-0.25) + delta * B) * F.lp_norm(4.0 / 3.0)
@@ -283,7 +277,7 @@ def split_step(field: ComplexField, dt: float, potential=None, theta: float = 0.
                     "suggestion": "refine the spatial resolution and reduce dt",
                 },
             )
-    return ComplexField(field.grid, vals, field.convention)
+    return ComplexField(field.grid, vals)
 
 
 @dataclass(frozen=True)
@@ -344,6 +338,6 @@ def picard_iterate(phi0: ComplexField, potential, delta: float,
 
 
 def grid_time_period(field: ComplexField) -> float:
-    """Natural time period of the convention: 2*pi on the torus, 1 for the
-    period-1 physical circle (where the free flow has period 1/(2*pi))."""
-    return 2.0 * np.pi if field.convention == "torus" else 1.0
+    """Natural time period of the field's grid: 2*pi on a torus grid, else 1
+    (on the period-1 circle the free flow has period 1/(2*pi))."""
+    return 2.0 * np.pi if field.grid.kind == "torus" else 1.0

@@ -10,8 +10,8 @@ supported:
 * ``torus``: period 2*pi in x, the normalization used by the dispersive
   estimates (single Fourier modes are then doubly periodic in space-time).
 
-Mode numbers are the integers m in [-n/2, n/2); the wavenumber of mode m
-is 2*pi*m/period.
+Mode numbers are the exact integers m in [-n/2, n/2) in the DFT's layout
+(``mode_numbers``); the wavenumber of mode m is 2*pi*m/period.
 
 Up to ``DENSE_MAX_N`` samples ``derivatives``, ``upsample`` and
 ``midpoints`` apply cached dense matrices (Trefethen, Spectral Methods in
@@ -30,17 +30,11 @@ of a flow step at n = 256 with numpy 2.4.6).  That module is private to
 numpy, so an import-time probe takes them only if each gives the public
 ``np.fft`` function's bits on fixed data; a differing bit or an error
 selects the public functions, so a failed probe costs speed, never bits.
-Two rules keep the bits of the former inline formulas:
-
-* A Fourier multiplier multiplies as ``multiplier * spectrum`` (``multiply``)
-  and ``shift`` as ``spectrum * phase``: numpy's complex product need not
-  commute bit for bit (``a * b`` and ``b * a`` of unit normal data differ
-  by up to 1.8e-15 with numpy 2.4 on an AVX-512 host).
-* Float mode numbers, ``SpectralGrid.modes`` among them, stay
-  ``fftfreq(n, d=1/n)``: for 505 n up to 4096 (49, 98, 103, 107, ...; 230
-  of them even) some entries are one ulp off an integer, and
-  ``wavenumbers`` and the Gauss-node phases of ``holonomy`` are built from
-  them.
+A Fourier multiplier multiplies as ``multiplier * spectrum`` (``multiply``)
+and ``shift`` as ``spectrum * phase``, the order of the former inline
+formulas: numpy's complex product need not commute bit for bit (``a * b``
+and ``b * a`` of unit normal data differ by up to 1.8e-15 with numpy 2.4 on
+an AVX-512 host).
 """
 
 from __future__ import annotations
@@ -104,11 +98,12 @@ def dft(values, axis: int = -1, inverse: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def mode_numbers(n: int, dtype=int) -> np.ndarray:
-    """The mode numbers of an n-point DFT in its layout, 0, 1, ..., then the
-    negative ones (cached, read-only): exact as integers; as floats numpy's
-    fftfreq(n, d=1/n), which some phases and ``modes`` are built from."""
-    return _read_only(np.fft.fftfreq(n, d=1.0 / n).astype(dtype))
+def mode_numbers(n: int) -> np.ndarray:
+    """The integer mode numbers of an n-point DFT in its layout, 0, 1, ...,
+    then the negative ones (cached, read-only)."""
+    m = np.arange(n)
+    m[(n + 1) // 2:] -= n
+    return _read_only(m)
 
 
 @lru_cache(maxsize=64)
@@ -185,8 +180,8 @@ class SpectralGrid:
 
     @cached_property
     def modes(self) -> np.ndarray:
-        """Mode numbers in FFT layout as fftfreq's floats (cached, read-only)."""
-        return mode_numbers(self.n, float)
+        """Integer mode numbers in FFT layout (cached, read-only)."""
+        return mode_numbers(self.n)
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:

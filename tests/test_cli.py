@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from smflow import cli
 from smflow import flow_direct as fd
+from smflow import frame_reduction as fr
+from smflow.spectral import SpectralGrid
 
 
 def write_config(tmp_path, name="config.json", **sections):
@@ -1119,6 +1121,34 @@ class TestConvergeCommand:
                          "--levels", "16,32,64"]) == 2
         assert ("config error: study.error 'analytic' requires the latitude preset "
                 "on a round_sphere target") in capsys.readouterr().err
+
+    def test_autonomous_study_runs_the_autonomous_route(self, workdir):
+        """Each level runs the route of reduction.mode: on the warped sphere
+        the autonomous reference errors are not the coupled ones, and each
+        level's points are the final loop of fr.autonomous_steps."""
+        errors = {}
+        for mode in ("coupled", "autonomous"):
+            assert cli.main(["converge", "--set", "target.kind=warped_sphere",
+                             "--set", "study.error=reference", "--set", "time.t_final=0.002",
+                             "--set", f"reduction.mode={mode}", "--set", f"output.dir={mode}",
+                             "--levels", "16,32,64"]) == 0
+            cols, data = read_csv(workdir / mode / "convergence.csv")
+            errors[mode] = data[:, cols.index("error")]
+        assert np.all(errors["autonomous"][:2] > 10.0 * errors["coupled"][:2])
+        surface = cli._TARGETS["warped_sphere"](cli.load_config()["target"])
+        finals = []
+        for n, dt, n_steps in data[[0, 2]][:, [cols.index(c) for c in ("n", "dt", "n_steps")]]:
+            loop = fd.initial_loop(surface, SpectralGrid(int(n)), "latitude", alpha=np.pi / 4)
+            for _, final, *_ in fr.autonomous_steps(loop, dt, int(n_steps)):
+                pass
+            finals.append(final.points)
+        assert errors["autonomous"][0] == np.abs(finals[0] - finals[1][::4]).max()
+
+    def test_autonomous_study_has_no_cross_error(self, workdir, capsys):
+        assert cli.main(["converge", "--set", "reduction.mode=autonomous",
+                         "--set", "study.error=cross", "--levels", "16,32,64"]) == 2
+        assert ("config error: study.error 'cross' requires reduction.mode 'coupled'"
+                in capsys.readouterr().err)
 
     def test_cross_error_orders(self, workdir):
         cfg = write_config(workdir, time={"t_final": 0.003},

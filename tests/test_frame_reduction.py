@@ -541,6 +541,19 @@ def test_windowed_l4_matches_a_deque_of_the_window(window):
 
 
 class TestCoupledDriver:
+    def test_torus_grid_is_refused(self):
+        """The twist e^{i theta x} and the ramp x theta_t assume period 1, so
+        reduce_state, the entry of both drivers, refuses a torus grid rather
+        than return wrong numbers (a 5-step coupled run read a closure of
+        1.95 and a cross error 1e5 times its tolerance)."""
+        loop = fd.initial_loop(ROUND, SpectralGrid(64, "torus"), "perturbed_latitude",
+                               alpha=1.0, eps=0.05, m=2)
+        dt = fd.admissible_dt(loop)
+        for run in (lambda: fr.reduce_state(loop), lambda: fr.coupled_evolve(loop, dt, 5),
+                    lambda: next(fr.autonomous_steps(loop, dt, 5))):
+            with pytest.raises(UnsupportedCombinationError):
+                run()
+
     def test_round_sphere_run_is_consistent(self):
         grid = SpectralGrid(32)
         loop = fd.initial_loop(ROUND, grid, "perturbed_latitude",

@@ -27,11 +27,11 @@ X = TORUS.nodes
 
 
 def torus_field(values):
-    return ComplexField(TORUS, values, convention="torus")
+    return ComplexField(TORUS, values)
 
 
 def torus_field_on(n, values):
-    return ComplexField(SpectralGrid(n, kind="torus"), values, convention="torus")
+    return ComplexField(SpectralGrid(n, kind="torus"), values)
 
 
 def random_mode_field(rng, n_modes=32, mode_range=16, n=64):
@@ -39,13 +39,11 @@ def random_mode_field(rng, n_modes=32, mode_range=16, n=64):
     idx = rng.choice(np.arange(-mode_range, mode_range + 1), size=n_modes, replace=False)
     amps[idx % n] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
     vals = np.fft.ifft(amps) * n
-    return ComplexField(SpectralGrid(n, kind="torus"), vals, convention="torus")
+    return ComplexField(SpectralGrid(n, kind="torus"), vals)
 
 
 class TestComplexField:
     def test_validation_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            ComplexField(TORUS, np.ones(64), convention="weird")
         with pytest.raises(ConfigError):
             ComplexField(TORUS, np.ones(32))
         bad = np.ones(64, dtype=complex)
@@ -326,6 +324,16 @@ class TestPicard:
         with pytest.raises(NoConvergenceError) as err:
             picard_iterate(phi0, pot, delta=0.05, n_time=32, max_iter=8)
         assert len(err.value.factors) > 0
+
+    def test_grid_kind_sets_the_time_horizon(self):
+        """The horizon 2 delta period reads the grid: 2 pi on a torus grid,
+        1 on the circle; no label on the field is needed."""
+        res = picard_iterate(torus_field(np.exp(1j * X)), None, delta=0.02)
+        assert abs(res.solution.times[-1] - 2.0 * 0.02 * 2.0 * np.pi) < 1e-15
+        circle = SpectralGrid(64)
+        res = picard_iterate(ComplexField(circle, np.exp(2j * np.pi * circle.nodes)),
+                             None, delta=0.02)
+        assert abs(res.solution.times[-1] - 2.0 * 0.02) < 1e-15
 
     def test_delta_domain(self):
         phi0 = torus_field(np.exp(1j * X))

@@ -295,14 +295,14 @@ def _inline_picard(values, k2, times, tol=1e-12):
 def _inline_gauss_nodes(samples, n_cells):
     n = samples.shape[0]
     coeff = np.fft.fft(samples, axis=0) * (n_cells / n)
-    modes = np.fft.fftfreq(n, d=1.0 / n)
+    modes = _fftfreq_int(n)
     if n % 2 == 0:
         coeff[n // 2] *= 0.5
         coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
         modes = np.append(modes, n // 2)
     phase = np.exp(2j * np.pi * np.outer(hol._GAUSS_OFFSETS, modes) / n_cells)
     padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
-    np.add.at(padded, (slice(None), modes.astype(int) % n_cells),
+    np.add.at(padded, (slice(None), modes % n_cells),
               phase.reshape(phase.shape + (1, 1)) * coeff)
     return np.fft.ifft(padded, axis=1)
 
@@ -373,9 +373,8 @@ def _rerouted_sites(n):
     rng = np.random.default_rng(n)
     grid = SpectralGrid(n, kind="torus")
     k = grid.wavenumbers
-    phi = nls.ComplexField(grid, rng.normal(size=n) + 1j * rng.normal(size=n), "torus")
-    small = nls.ComplexField(grid, 0.1 * np.exp(1j * grid.nodes) + 0.05j * np.cos(2 * grid.nodes),
-                             "torus")
+    phi = nls.ComplexField(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+    small = nls.ComplexField(grid, 0.1 * np.exp(1j * grid.nodes) + 0.05j * np.cos(2 * grid.nodes))
     n_t = 50  # delta = 0.02 cuts the Duhamel integral at sample 2
     F = nls.SpaceTimeField(2.0 * np.pi * np.arange(n_t) / n_t, grid,
                            rng.normal(size=(n_t, n)) + 1j * rng.normal(size=(n_t, n)))
@@ -415,8 +414,8 @@ def _bits(value):
 @pytest.mark.parametrize("n", (64, 98))
 def test_rerouted_transforms_keep_the_inline_bits(n):
     """Each site gives the bits of the np.fft formula it replaced, the
-    multiplication order included; 98 is a size whose fftfreq floats are an
-    ulp off the integers."""
+    multiplication order included; the mode tables are the exact integers,
+    also at 98, a size whose fftfreq floats are an ulp off them."""
     for name, got, inline in _rerouted_sites(n):
         pairs = zip(got, inline) if isinstance(got, tuple) else [(got, inline)]
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in pairs), name
@@ -468,17 +467,23 @@ def test_probe_takes_numpys_gufuncs_only_on_equal_bits():
             assert spectral._select(_stub(name, fault)) is spectral._PUBLIC, (name, fault)
 
 
-def test_mode_numbers_are_the_fftfreq_table():
-    """The integer table is exact for every n up to 4096; the float one is
-    fftfreq's, an ulp off the integers for some n such as 49 and 98."""
+def test_mode_numbers_are_the_exact_table():
+    """mode_numbers is the exact integer table for every n up to 4096, also
+    where numpy's fftfreq floats are an ulp off it (n = 49, 98, ...); the
+    grid's modes are that table."""
     for n in range(1, 4097):
         exact = np.r_[0 : (n - 1) // 2 + 1, -(n // 2) : 0]
-        assert np.array_equal(mode_numbers(n), exact), n
-    for n in (49, 64, 98):
-        assert np.array_equal(mode_numbers(n, float), np.fft.fftfreq(n, d=1.0 / n))
-    assert not np.array_equal(mode_numbers(98, float), mode_numbers(98))
+        got = mode_numbers(n)
+        assert got.dtype.kind == "i" and np.array_equal(got, exact), n
     assert not mode_numbers(64).flags.writeable
-    assert SpectralGrid(98).modes is mode_numbers(98, float)
+    assert SpectralGrid(98).modes is mode_numbers(98)
+
+
+def test_wavenumbers_are_exact_at_a_size_where_fftfreq_is_not():
+    """At n = 98 the wavenumbers are 2 pi m / period of the exact integers m,
+    on every grid kind."""
+    for grid in (SpectralGrid(98), SpectralGrid(98, "line", 2.5), SpectralGrid(98, "torus")):
+        assert np.array_equal(grid.wavenumbers, 2.0 * np.pi * mode_numbers(98) / grid.period)
 
 
 def test_only_spectral_calls_numpy_fft():

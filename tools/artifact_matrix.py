@@ -12,17 +12,18 @@ perturbed round-sphere runs of 30 steps fail their invariants and exit 1:
 the coupled one its cross error and angle disagreement, the autonomous one
 both drifts, so the failing values of the fold are compared as well. Each
 scenario writes its artifacts to ``OUT/<name>/``. The matrix also runs
-``smflow check all`` (``OUT/check_all.json``) and four ``smflow converge``
-studies, one per error kind: cross-formulation studies of the default
-circle run at N = 16, 32, 64 (``OUT/converge_cross/``) and of the line
-run's settings at N = 32, 64, 128 (``OUT/converge_cross_line/``), the
+``smflow check all`` (``OUT/check_all.json``) and five ``smflow converge``
+studies, each error kind among them: cross-formulation studies of the
+default circle run at N = 16, 32, 64 (``OUT/converge_cross/``) and of the
+line run's settings at N = 32, 64, 128 (``OUT/converge_cross_line/``), the
 default latitude run against its closed form (``OUT/converge_analytic/``)
-and the warped sphere against its finest level (``OUT/converge_reference/``),
-both at N = 16, 32, 64, so it covers all three commands and both
-reductions; ``OUT/exit_codes.json`` records the exit codes. Every input is
-fixed and the output root is passed through ``SMFLOW_OUT``, so the config
-echo holds no path: two versions of the package that compute the same
-numbers write byte-identical trees.
+and the warped sphere against its finest level, coupled
+(``OUT/converge_reference/``) and autonomous
+(``OUT/converge_reference_autonomous/``), all three at N = 16, 32, 64, so
+it covers all three commands and both reductions; ``OUT/exit_codes.json``
+records the exit codes. Every input is fixed and the output root is passed
+through ``SMFLOW_OUT``, so the config echo holds no path: two versions of
+the package that compute the same numbers write byte-identical trees.
 
     PYTHONPATH=src python3 tools/artifact_matrix.py OUT
     PYTHONPATH=src python3 tools/artifact_matrix.py --record OUT
@@ -128,6 +129,10 @@ COMMANDS = {
                                              "study.error=reference",
                                              "output.dir=converge_reference"),
                            "--levels", "16,32,64"],
+    "converge_reference_autonomous": [
+        "converge", *_set("target.kind=warped_sphere", "study.error=reference", *AUTONOMOUS,
+                          "output.dir=converge_reference_autonomous"),
+        "--levels", "16,32,64"],
 }
 
 
