@@ -96,7 +96,8 @@ def _adopt(grid: SpectralGrid, surface: SurfaceModel, points: np.ndarray,
            time: float) -> LoopState:
     """A LoopState over a fresh (grid.n, point_dim) float array that its
     maker hands over and never writes again: made read-only in place, not
-    copied. The public constructor still copies whatever it is given."""
+    copied (the public constructor, which copies, made an N=256 flow step
+    1.5% slower in 40 of 40 alternating rounds)."""
     points.flags.writeable = False
     state = object.__new__(LoopState)
     state.__dict__.update(grid=grid, surface=surface, points=points, time=time)

@@ -385,15 +385,17 @@ def reduce_state(state: LoopState, seed=None, theta_ref=None):
     lifted next to theta_ref (by default next to holonomy_ode) and phi the
     coefficients untwisted by theta. On a line grid holonomy_ode is NaN,
     theta 0 and phi a copy of the coefficients Phi. A torus grid is refused:
-    the twist e^{i theta x} and the ramp x theta_t assume period 1."""
+    the twist e^{i theta x} and the ramp x theta_t assume period 1. On the
+    circle holonomy_ode comes first, so a loop whose reference gauge is
+    singular raises before any frame is transported."""
     if state.grid.kind == "torus":
         raise UnsupportedCombinationError(
             "the frame reduction runs on the circle or the line grid, not the torus")
+    ode = np.nan if state.grid.kind == "line" else _holonomy_ode(state)
     frame = parallel_frame(state.surface, state, seed)
     coeffs = coefficients(state, frame)
     if state.grid.kind == "line":
-        return frame, coeffs, np.nan, 0.0, coeffs.phi.copy()
-    ode = _holonomy_ode(state)
+        return frame, coeffs, ode, 0.0, coeffs.phi.copy()
     theta = lift_to_branch(frame.transport_angle(), ode if theta_ref is None else theta_ref)
     return frame, coeffs, ode, theta, untwist(coeffs, theta)
 
@@ -465,26 +467,18 @@ def _windowed_l4(grid: SpectralGrid, window: int):
     """Trailing-window space-time L4 norm of a sequence of fields. Each call
     l4(t, phi) appends phi at time t and returns (duration * period *
     mean |phi|^4)^(1/4) over the last `window` fields, with duration the span
-    of their times, or 1 while it is zero. Only the window is kept, each
-    field raised to the fourth power once. Call i writes |phi|^4 into rows
-    i % window and i % window + window of one buffer, so the window is
-    always one contiguous slice of it in time order, averaged in place."""
-    powers, times, calls = np.empty((2 * window, grid.n)), deque(maxlen=window), 0
+    of their times, or 1 while it is zero. Only the window's |phi|^4 rows
+    are kept, in a deque, each field raised to the fourth power once; the
+    mean is np.mean's sum and division over them joined in time order."""
+    powers, times = deque(maxlen=window), deque(maxlen=window)
 
     def l4(t, phi) -> float:
-        nonlocal calls
-        slot = calls % window
-        row = powers[slot]
-        np.abs(phi, out=row)
-        row **= 4
-        powers[slot + window] = row
-        calls += 1
+        powers.append(np.abs(phi) ** 4)
         times.append(t)
         duration = times[-1] - times[0]
-        start = calls % window if calls > window else 0
-        last = powers[start:start + len(times)]
+        last = np.concatenate(powers)
         return float(((duration if duration > 0.0 else 1.0) * grid.period
-                      * (np.add.reduce(last, None) / last.size)) ** 0.25)
+                      * (np.add.reduce(last) / last.size)) ** 0.25)
 
     return l4
 

@@ -80,24 +80,23 @@ _PAIR_A, _PAIR_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 def _cross(a, b):
     """a x b over the last axis, bit-equal to np.cross without its
-    argument handling, which dominates on the small arrays of the flow."""
+    argument handling (np.cross made an N=128 coupled step 8.8% slower)."""
     p = np.asarray(a)[..., _PAIR_A] * np.asarray(b)[..., _PAIR_B]
     return p[..., :3] - p[..., 3:]
 
 
 def _row_sum(x):
     """x summed over its last axis (2 or 3 long) left to right: bit-equal to
-    np.sum there, which adds fewer than eight terms in order, and a few
-    times faster on (n, 3) rows, where np.sum reduces a 3-long axis per
-    row."""
+    np.sum there, which adds fewer than eight terms in order; np.sum made
+    an N=128 coupled step 10.5% slower."""
     total = x[..., 0] + x[..., 1]
     return total + x[..., 2] if x.shape[-1] == 3 else total
 
 
 def _dot(a, b):
     """a . b over the last axis, kept as a trailing axis of length 1.  Two
-    single vectors take ndarray.dot, whose lower call cost matters in the
-    per-step seed transport of the coupled and autonomous drivers."""
+    single vectors (the seed transport) take ndarray.dot: the generic form
+    made the coupled_sphere128 op 2.2% slower in 10 of 10 benchmark pairs."""
     if a.ndim == b.ndim == 1:
         return a.dot(b)
     return _row_sum(a * b)[..., None]
@@ -199,6 +198,7 @@ class _Conformal:
     def transport_generator(self, u, du):
         # covariant_rhs on the identity rows in its own operation order: the
         # base's, then -(l.du) I, -l (x) du and +du (x) l, with l read once
+        # (that broadcast made a warped N=64 coupled step 5.7% slower)
         grad, eye = self.log_scale_grad(u), np.eye(u.shape[-1])
         out = super().transport_generator(u, du) - _dot(grad, du)[..., None] * eye
         return (out - grad[..., :, None] * du[..., None, :]) + du[..., :, None] * grad[..., None, :]
@@ -310,7 +310,8 @@ class RoundSphere(SurfaceModel):
         # k3 = c3 (x) bm; k4 = c4 (x) b1 vanishes under the projection P at
         # b1, leaving P - a0 (x) P b0 / 6 + (c2 + c3) (x) P bm / 3, one
         # batched 3 x 3 product of columns (n1, a0/6, -(c2+c3)/3) and rows
-        # (n1, P b0, P bm).
+        # (n1, P b0, P bm). The generic stages made an N=128 coupled step
+        # 4.2% slower.
         b0, bm, r2 = nodes[:-1], mids, self.radius**2
         a0, am, n1 = dnodes[:-1] / r2, dmids / r2, nodes[1:] / self.radius
         c2 = 0.5 * np.vecdot(b0, am)[:, None] * a0 - am
@@ -358,8 +359,7 @@ class WarpedSphere(_Conformal, RoundSphere):
 
     def log_scale_grad(self, p):
         """Tangential part of the warp gradient on the unit sphere."""
-        grad = np.asarray(self.warp_grad(p), dtype=float)
-        return grad - _dot(grad, p) * p
+        return self.tangent_project(p, np.asarray(self.warp_grad(p), dtype=float))
 
     def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
         # K = e^{-2 warp} (1 - lap), lap the Laplace-Beltrami of the warp on

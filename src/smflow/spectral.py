@@ -16,17 +16,16 @@ Mode numbers are the exact integers m in [-n/2, n/2) in the DFT's layout
 Up to ``DENSE_MAX_N`` samples ``derivatives``, ``upsample`` and
 ``midpoints`` apply cached dense matrices (Trefethen, Spectral Methods in
 MATLAB, 2000, ch. 3), the circulants of the FFT route's impulse response
-(the odd rows of the upsampling one for ``midpoints``).  At n = 128 on one
-BLAS thread of a 2-core x86_64, the FFT takes first and second derivatives
-of (n, 3) data in 17 us against 18 us, while the matrices upsample (n, 2, 3)
-data in 16 us against 24 us and take ``midpoints`` in 8 us against 19 us;
-``DENSE_MAX_N`` stays 128: moving it changes the rounding on the grids between.
+(the odd rows of the upsampling one for ``midpoints``).  The FFT route alone
+made an N=128 coupled step 6.5% slower (in-process, one BLAS thread, 2-core
+x86_64).  ``DENSE_MAX_N`` stays 128: moving it changes the rounding on the
+grids between.
 
 This module is the one owner of the discrete Fourier transform and of the
 mode layout: every transform goes through ``_TRANSFORMS`` and every mode
 table through ``mode_numbers``.  ``_TRANSFORMS`` calls numpy's pocketfft
-gufuncs as ``np.fft`` does, less its wrappers' dispatch and checks (a fifth
-of a flow step at n = 256 with numpy 2.4.6).  That module is private to
+gufuncs as ``np.fft`` does, less its wrappers' dispatch and checks (which
+made an N=256 flow step 20% slower with numpy 2.4.6).  That module is private to
 numpy, so an import-time probe takes them only if each gives the public
 ``np.fft`` function's bits on fixed data; a differing bit or an error
 selects the public functions, so a failed probe costs speed, never bits.

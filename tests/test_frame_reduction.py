@@ -12,6 +12,7 @@ from smflow.errors import (
     ConfigError,
     InconsistentHolonomyError,
     ResolutionError,
+    SingularChartError,
     UnsupportedCombinationError,
     UnsupportedOperationError,
 )
@@ -523,9 +524,9 @@ def reference_coupled(state0, dt, n_steps, l4_window):
 
 @pytest.mark.parametrize("window", [1, 2, 32])
 def test_windowed_l4_matches_a_deque_of_the_window(window):
-    """The two-copy ring buffer of the L4 window gives the bits of averaging
-    a deque of the last `window` |phi|^4 rows, with the call count below, at
-    and past the window, and past it again after a full wrap."""
+    """The L4 window gives the bits of np.mean over an independent deque of
+    the last `window` |phi|^4 rows, with the call count below, at and past
+    the window, and past it again after the window has turned over twice."""
     grid = SpectralGrid(32, "torus")
     rng = np.random.default_rng(window)
     l4 = fr._windowed_l4(grid, window)
@@ -553,6 +554,16 @@ class TestCoupledDriver:
                     lambda: next(fr.autonomous_steps(loop, dt, 5))):
             with pytest.raises(UnsupportedCombinationError):
                 run()
+
+    def test_singular_gauge_raises_before_any_frame_is_transported(self, monkeypatch):
+        """The north-pole constant preset has no azimuthal reference frame:
+        reduce_state takes holonomy_ode first and raises its
+        SingularChartError before the parallel frame is built."""
+        loop = fd.initial_loop(ROUND, SpectralGrid(64), "constant")
+        monkeypatch.setattr(fr, "parallel_frame", lambda *args: pytest.fail("frame built"))
+        with pytest.raises(SingularChartError,
+                           match="^azimuthal reference frame is singular near the poles$"):
+            fr.reduce_state(loop)
 
     def test_round_sphere_run_is_consistent(self):
         grid = SpectralGrid(32)

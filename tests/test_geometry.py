@@ -285,6 +285,21 @@ def test_tangent_projection_is_idempotent_orthogonal():
         geo.project_tangent(geo.flat_torus(), np.zeros(2), np.ones(2))
 
 
+def test_warped_log_scale_grad_is_the_projected_warp_gradient(bump_sphere):
+    """The warped sphere's log-scale gradient is its tangent projection of
+    the warp gradient, bit for bit, for (n, 3) rows and for single points,
+    and has numpy's bits of g - (g . p) p with the dot product summed by
+    np.sum."""
+    rng = np.random.default_rng(11)
+    for p in (bump_sphere.project_point(rng.normal(size=(128, 3))),
+              bump_sphere.project_point(rng.normal(size=3))):
+        g = bump_sphere.warp_grad(p)
+        got = bump_sphere.log_scale_grad(p)
+        assert got.shape == p.shape
+        assert np.array_equal(got, bump_sphere.tangent_project(p, g))
+        assert np.array_equal(got, g - np.sum(g * p, axis=-1, keepdims=True) * p)
+
+
 # -- christoffel symbols --------------------------------------------------------
 
 

@@ -188,6 +188,29 @@ def test_benchmark_fingerprints_hold():
         "theta": holonomy_ode(sphere, grid, state.points)})
 
 
+def test_benchmark_fingerprints_hold_for_every_mix_class(tmp_path, monkeypatch):
+    """One pool entry of each fingerprinted scenario_mix64 class, run
+    through cli.main into a temporary SMFLOW_OUT and compared with
+    perfbench/fingerprints.json as ScenarioMix._verify does (final snapshot
+    max norm, summary energy and angle), so a change that moves a mix
+    fingerprint fails here before a benchmark run. perfbench/ is only
+    read."""
+    wl = load_tool(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    trace = load_tool(ROOT / "perfbench" / "layertrace.py", "perfbench_layertrace")
+    monkeypatch.setenv("SMFLOW_OUT", str(tmp_path))
+    mix = wl.ScenarioMix(1, wl.Fingerprints(ROOT / "perfbench" / "fingerprints.json"),
+                         trace.Tracer(), tmp_path / "mix")
+    entries = {"coupled_round": wl._MIX_SPHERE_POOL[0],
+               "coupled_warped": wl._MIX_SPHERE_POOL[5],
+               "coupled_hyperbolic": wl._MIX_DISK_POOL[3],
+               "autonomous_round": wl._MIX_SPHERE_POOL[6]}
+    try:
+        outcomes = {cls: mix._scenario(cls, params, cls)[1] for cls, params in entries.items()}
+    finally:
+        mix.close()
+    assert outcomes == dict.fromkeys(entries, wl.OK)
+
+
 def _bench_output(throughput, p50, correct=True):
     """Canned output of one perfbench/run.py run: a table, then the JSON line."""
     metrics = {"throughput": {"value": throughput, "unit": "op/s"},
