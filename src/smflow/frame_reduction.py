@@ -129,8 +129,7 @@ class FrameCoefficients:
     node; ``phi`` is the complex combination a1 + i a2, twisted-periodic
     on a circle. ``phi_wrap`` is the coefficient of u_x at the base node
     against the once-around transported frame, i.e. the continuation value
-    of phi at base + period. ``untwisted`` and ``theta_used`` are filled
-    in by :func:`untwist`.
+    of phi at base + period.
     """
 
     grid: SpectralGrid
@@ -138,19 +137,15 @@ class FrameCoefficients:
     phi: np.ndarray
     phi_wrap: complex
     base_index: int = 0
-    untwisted: np.ndarray | None = None
-    theta_used: float | None = None
 
-    def velocity_coefficients(self, theta: float | None = None) -> np.ndarray:
+    def velocity_coefficients(self, theta: float = 0.0) -> np.ndarray:
         """Complex coefficients of u_t in the same frame: b = -i Phi_x.
 
         Phi is twisted-periodic on a circle, so its derivative is taken
-        through the periodic representation e^{i theta x} Phi using the
-        recorded (or supplied) twist angle; theta = 0 recovers the plain
-        spectral derivative for line or untwisted data.
+        through the periodic representation e^{i theta x} Phi, theta the
+        twist angle; theta = 0 recovers the plain spectral derivative for
+        line or untwisted data.
         """
-        if theta is None:
-            theta = self.theta_used or 0.0
         x = self.grid.nodes
         periodic = np.exp(1j * theta * x) * self.phi
         dphi = np.exp(-1j * theta * x) * (
@@ -188,8 +183,7 @@ def twisted_residual(coeffs: FrameCoefficients, theta: float) -> float:
 def untwist(coeffs: FrameCoefficients, theta: float) -> np.ndarray:
     """phi = e^{i theta x} Phi, periodic when theta matches the twist.
 
-    Records the angle used on the coefficients and rejects angles whose
-    twist relation fails by more than 1e-6 (relative).
+    Rejects angles whose twist relation fails by more than 1e-6 (relative).
     """
     res = twisted_residual(coeffs, theta)
     if res > 1e-6:
@@ -197,10 +191,7 @@ def untwist(coeffs: FrameCoefficients, theta: float) -> np.ndarray:
             f"twist angle residual {res:.3e} exceeds 1.0e-06; "
             "the supplied theta does not match the frame holonomy"
         )
-    out = np.exp(1j * theta * coeffs.grid.nodes) * coeffs.phi
-    coeffs.untwisted = out
-    coeffs.theta_used = float(theta)
-    return out
+    return np.exp(1j * theta * coeffs.grid.nodes) * coeffs.phi
 
 
 # -- curvature potentials -----------------------------------------------------------

@@ -11,15 +11,15 @@ Routes for the frame-rotation angle theta of a closed loop:
 For targets with several complex dimensions the scalar angle is replaced
 by the ordered exponential (product integral) of the connection matrix:
 2-node Gauss Magnus cells (4th order; Blanes, Casas, Oteo & Ros, Phys.
-Rep. 2009), one Richardson step and a polar projection. A zero-padded FFT
-gives the interpolant at the Gauss nodes of all cells, one batched
-Hermitian eigendecomposition exponentiates the cell stack, and a pairwise
-reduction composes it: the discrete map of a cell-by-cell loop. The
-base-point independence check stacks its shifted loops on a base axis, so
-it also exponentiates just two cell stacks per call, and pairs the
-eigenvalues of each shifted matrix with the base-0 ones by an exact
-minimum-sum assignment: the O(k^3) shortest-augmenting-path Hungarian
-method (Crouse, IEEE TAES 2016), written out on plain floats.
+Rep. 2009), one Richardson step and a polar projection. One call of
+``spectral.interpolant`` gives the connection at the Gauss nodes of all
+cells, one batched Hermitian eigendecomposition exponentiates the cell
+stack, and a pairwise reduction composes it: the discrete map of a
+cell-by-cell loop. The base-point independence check stacks its shifted
+loops on a base axis, so it also exponentiates just two cell stacks per
+call, and pairs the eigenvalues of each shifted matrix with the base-0
+ones by an exact minimum-sum assignment: the O(k^3) shortest-augmenting-path
+Hungarian method (Crouse, IEEE TAES 2016), written out on plain floats.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .geometry import (
     loop_frame,
     reference_connection,
 )
-from .spectral import SpectralGrid, dft, mode_numbers
+from .spectral import SpectralGrid, interpolant
 
 _GAUSS_OFFSETS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
@@ -176,24 +176,6 @@ def lift_to_branch(angle: float, reference: float) -> float:
 # -- matrix holonomy -------------------------------------------------------------
 
 
-def _gauss_node_values(samples: np.ndarray, n_cells: int) -> np.ndarray:
-    """Trigonometric interpolant of (n, ..., k, k) samples (middle axes:
-    independent loops) at the two Gauss nodes of each of n_cells >= n equal
-    cells, one zero-padded inverse FFT per node offset; (2, n_cells, ..., k, k)."""
-    n = samples.shape[0]
-    coeff = dft(samples, axis=0) * (n_cells / n)
-    modes = mode_numbers(n)
-    if n % 2 == 0:  # Nyquist as a cosine: half the coefficient at each of -n/2, +n/2
-        coeff[n // 2] *= 0.5
-        coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
-        modes = np.append(modes, n // 2)
-    phase = np.exp(2j * np.pi * np.outer(_GAUSS_OFFSETS, modes) / n_cells)
-    phase = phase.reshape(phase.shape + (1,) * (samples.ndim - 1))
-    padded = np.zeros((2, n_cells) + samples.shape[1:], dtype=complex)
-    np.add.at(padded, (slice(None), modes % n_cells), phase * coeff)
-    return dft(padded, axis=1, inverse=True)
-
-
 def _cell_exponentials(omega: np.ndarray) -> np.ndarray:
     """exp of a (cells, ..., k, k) stack of anti-Hermitian matrices in one
     call: omega = iH with H = V Lambda V^H Hermitian gives V e^{i Lambda} V^H."""
@@ -205,7 +187,7 @@ def _magnus_cells(samples: np.ndarray, period: float, n_cells: int) -> np.ndarra
     """Cell exponentials E_j of Y' = -B(x)Y in the 2-node Gauss Magnus scheme
     (4th order) on n_cells equal cells, as one stack (n_cells, ..., k, k)."""
     h = period / n_cells
-    B1, B2 = _gauss_node_values(samples, n_cells)
+    B1, B2 = interpolant(samples, n_cells, _GAUSS_OFFSETS)
     comm_factor = np.sqrt(3.0) * h * h / 12.0
     return _cell_exponentials(-(h / 2.0) * (B1 + B2) + comm_factor * (B2 @ B1 - B1 @ B2))
 

@@ -13,13 +13,24 @@ supported:
 Mode numbers are the exact integers m in [-n/2, n/2) in the DFT's layout
 (``mode_numbers``); the wavenumber of mode m is 2*pi*m/period.
 
+Every value off the nodes comes from one routine, ``interpolant``: the
+trigonometric interpolant of the n samples (Trefethen, Spectral Methods in
+MATLAB, 2000), its coefficients placed on a zero-padded spectrum.  For even
+n the Nyquist mode is split as a cosine, half its coefficient at -n/2 and
+half at +n/2, so real samples give a real interpolant.  ``upsample``,
+``midpoints`` and the Gauss nodes of the holonomy's Magnus cells read it.
+``shift`` is the unitary translation instead: it turns the Nyquist
+coefficient, kept at -n/2 alone, by a phase, so on complex samples a shift
+by -s undoes a shift by s, while the cosine split scales that coefficient
+by cos(pi o) at offset o, which no later shift restores.
+
 Up to ``DENSE_MAX_N`` samples ``derivatives``, ``upsample`` and
-``midpoints`` apply cached dense matrices (Trefethen, Spectral Methods in
-MATLAB, 2000, ch. 3), the circulants of the FFT route's impulse response
-(the odd rows of the upsampling one for ``midpoints``).  The FFT route alone
-made an N=128 coupled step 6.5% slower (in-process, one BLAS thread, 2-core
-x86_64).  ``DENSE_MAX_N`` stays 128: moving it changes the rounding on the
-grids between.
+``midpoints`` apply cached dense matrices (Trefethen, ch. 3), the
+circulants of the FFT route's impulse response (the odd rows of the
+upsampling one for ``midpoints``).  The FFT route alone made an N=128
+coupled step 6.5% slower (in-process, one BLAS thread, 2-core x86_64).
+``DENSE_MAX_N`` stays 128: moving it changes the rounding on the grids
+between.
 
 This module is the one owner of the discrete Fourier transform and of the
 mode layout: every transform goes through ``_TRANSFORMS`` and every mode
@@ -105,6 +116,25 @@ def mode_numbers(n: int) -> np.ndarray:
     return _read_only(m)
 
 
+def interpolant(values, n_out: int, offsets=(0.0,)) -> np.ndarray:
+    """The trigonometric interpolant of n >= 1 samples along axis 0 at
+    x = (j + o) period / n_out for each offset o and j < n_out (n_out >= n),
+    as (len(offsets), n_out, ...); real for real samples."""
+    values = np.asarray(values)
+    n = values.shape[0]
+    coeff, modes = dft(values, axis=0), mode_numbers(n)
+    if n % 2 == 0:  # the Nyquist mode as a cosine: half at each of -n/2 and n/2
+        coeff[n // 2] *= 0.5
+        coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
+        modes = np.append(modes, n // 2)
+    phase = np.exp(2j * np.pi * np.outer(offsets, modes) / n_out)
+    phase = phase.reshape(phase.shape + (1,) * (values.ndim - 1))
+    padded = np.zeros((len(offsets), n_out) + values.shape[1:], dtype=complex)
+    np.add.at(padded, (slice(None), modes % n_out), phase * coeff)
+    out = dft(padded, axis=1, inverse=True) * (n_out / n)
+    return out.real if np.isrealobj(values) else out
+
+
 @lru_cache(maxsize=64)
 def _multipliers(grid: "SpectralGrid", orders: tuple, real: bool) -> np.ndarray:
     """(i k)^order for each order as the rows of one array in FFT layout,
@@ -126,7 +156,7 @@ def _dense_operator(grid: "SpectralGrid", order: int, factor: int = 1) -> np.nda
     if factor == 1:
         col = grid._fft_derivatives(impulse, (order,))[0]
     else:
-        col = grid._fft_upsample(impulse, factor)
+        col = interpolant(impulse, grid.n * factor)[0]
         col[::factor] = impulse  # so node values pass through exactly
     rows = np.arange(col.size)[:, None]
     return _read_only(col[(rows - factor * np.arange(grid.n)) % col.size])
@@ -254,33 +284,15 @@ class SpectralGrid:
         if factor == 1:
             return values.copy()
         if self.n > DENSE_MAX_N:
-            return self._fft_upsample(values, factor)
+            return interpolant(values, self.n * factor)[0]
         return _dense_apply(_dense_operator(self, 0, factor), values)
 
     def midpoints(self, values: np.ndarray) -> np.ndarray:
-        """Trigonometric interpolation of real samples onto the cell
-        midpoints x_j + dx / 2: the odd rows of ``upsample(values, 2)``, bit
-        for bit up to DENSE_MAX_N, and above it a half-cell ``shift``, whose
-        real part drops the Nyquist mode as the split of ``upsample`` does
-        at the midpoints."""
+        """The interpolant at the cell midpoints x_j + dx / 2: the odd rows of
+        ``upsample(values, 2)``, bit for bit up to DENSE_MAX_N."""
         if self.n > DENSE_MAX_N:
-            return self.shift(values, -0.5 * self.dx)
+            return interpolant(values, self.n, (0.5,))[0]
         return _dense_apply(_dense_operator(self, 0, 2)[1::2], values)
-
-    def _fft_upsample(self, values: np.ndarray, factor: int) -> np.ndarray:
-        """upsample by zero padding the spectrum."""
-        n = self.n
-        vhat = dft(values, axis=0)
-        m = n * factor
-        out = np.zeros((m,) + values.shape[1:], dtype=complex)
-        half = n // 2
-        out[:half] = vhat[:half]
-        # split the Nyquist coefficient symmetrically to keep real data real
-        out[half] = 0.5 * vhat[half]
-        out[m - half] = 0.5 * vhat[half]
-        out[m - half + 1:] = vhat[half + 1:]
-        res = dft(out, axis=0, inverse=True) * factor
-        return res.real if np.isrealobj(values) else res
 
     def shift(self, values: np.ndarray, s: float) -> np.ndarray:
         """Circularly resample: returns g with g(x) = f(x - s).

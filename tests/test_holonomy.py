@@ -18,7 +18,7 @@ from smflow import flow_direct as fd
 from smflow import geometry as geo
 from smflow import holonomy as hol
 from smflow.errors import ConfigError, InconsistentHolonomyError
-from smflow.spectral import SpectralGrid
+from smflow.spectral import SpectralGrid, interpolant
 
 
 def latitude_loop(n, alpha):
@@ -499,7 +499,7 @@ def test_fft_gauss_nodes_match_dense_interpolant(n):
     samples = noncommuting_family(n) + 5j * (-1.0) ** np.arange(n)[:, None, None] * pauli()[2]
     for n_cells in (n, 2 * n, 20 * n):
         dense = dense_gauss_values(samples, n_cells).swapaxes(0, 1)
-        fft = hol._gauss_node_values(samples, n_cells)
+        fft = interpolant(samples, n_cells, hol._GAUSS_OFFSETS)
         assert np.abs(fft - dense).max() < 1e-13 * np.abs(samples).max()
 
 
@@ -511,7 +511,8 @@ def test_fft_gauss_nodes_reproduce_band_limited_samples(n):
     samples = (1j * (0.3 + np.cos(2 * np.pi * freq * x)))[:, None, None]
     xq = (np.arange(2 * n)[None, :] + np.array(hol._GAUSS_OFFSETS)[:, None]) / (2 * n)
     exact = 1j * (0.3 + np.cos(2 * np.pi * freq * xq))
-    assert np.abs(hol._gauss_node_values(samples, 2 * n)[..., 0, 0] - exact).max() < 1e-13
+    got = interpolant(samples, 2 * n, hol._GAUSS_OFFSETS)[..., 0, 0]
+    assert np.abs(got - exact).max() < 1e-13
 
 
 def test_cell_stacks_per_call_do_not_grow_with_n(monkeypatch):

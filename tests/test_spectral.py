@@ -1,5 +1,6 @@
 """Periodic grid calculus: exactness on band-limited data and shift behavior."""
 
+import itertools
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from smflow import holonomy as hol
 from smflow import nls_solver as nls
 from smflow import spectral
 from smflow.errors import ResolutionError
-from smflow.spectral import DENSE_MAX_N, SpectralGrid, mode_numbers
+from smflow.spectral import DENSE_MAX_N, SpectralGrid, interpolant, mode_numbers
 
 
 def band_limited(grid, rng, modes=5):
@@ -190,7 +191,7 @@ def test_dense_route_matches_fft_route(n):
                         assert np.abs(d - r).max() <= 1e-13 * np.abs(r).max()
                 for factor in (2, 3):
                     fine = grid.upsample(f, factor)
-                    ref = grid._fft_upsample(f, factor)
+                    ref = interpolant(f, n * factor)[0]
                     assert fine.shape == ref.shape and fine.dtype == ref.dtype
                     assert np.abs(fine - ref).max() <= 1e-13 * np.abs(ref).max()
                     assert np.array_equal(fine[::factor], f)
@@ -201,16 +202,18 @@ def test_fft_route_above_the_crossover():
     f = np.random.default_rng(0).normal(size=(grid.n, 3))
     for got, ref in zip(grid.derivatives(f), grid._fft_derivatives(f, (1, 2))):
         assert np.array_equal(got, ref)
-    assert np.array_equal(grid.upsample(f), grid._fft_upsample(f, 2))
+    assert np.array_equal(grid.upsample(f), interpolant(f, 2 * grid.n)[0])
+    assert np.array_equal(grid.midpoints(f), interpolant(f, grid.n, (0.5,))[0])
 
 
 @pytest.mark.parametrize("n", [4, 16, 128, 256, 1024])
 def test_midpoints_are_the_odd_rows_of_the_upsample(n):
-    """Bit for bit on the dense route, to rounding above it."""
+    """Bit for bit on the dense route, to rounding above it; real samples
+    and complex ones (reconstruct_loop upsamples the complex phi)."""
     grid = SpectralGrid(n)
     rng = np.random.default_rng(n)
-    for shape in ((n,), (n, 3), (n, 2, 3)):
-        f = rng.normal(size=shape)
+    for shape, cplx in itertools.product(((n,), (n, 3), (n, 2, 3)), (False, True)):
+        f = _real_or_complex(rng, shape, cplx)
         got, ref = grid.midpoints(f), grid.upsample(f, 2)[1::2]
         assert got.shape == ref.shape and got.dtype == ref.dtype
         if n <= DENSE_MAX_N:
@@ -329,6 +332,21 @@ def _inline_shift(grid, values, s):
     return np.fft.ifft(np.fft.fft(values, axis=0) * phase[:, None], axis=0).real
 
 
+def _inline_midpoints(values):
+    """The interpolant of even-n samples at the cell midpoints, offset 1/2 on
+    n cells: the Nyquist coefficient halved at -n/2 and at n/2, which meet
+    in one bin."""
+    n = len(values)
+    coeff = np.fft.fft(values, axis=0)
+    coeff[n // 2] *= 0.5
+    coeff = np.concatenate([coeff, coeff[n // 2 : n // 2 + 1]])
+    modes = np.append(_fftfreq_int(n), n // 2)
+    phase = np.exp(2j * np.pi * np.outer((0.5,), modes) / n)
+    padded = np.zeros((1,) + values.shape, dtype=complex)
+    np.add.at(padded, (slice(None), modes % n), phase[..., None] * coeff)
+    return np.fft.ifft(padded, axis=1)[0].real
+
+
 def _inline_derivatives(grid, values, orders):
     """The FFT derivative route with numpy's public transforms: the spectrum
     column-major, each order's multiplier row on its transpose."""
@@ -368,8 +386,8 @@ def _dft_sites(n):
 
 def _rerouted_sites(n):
     """(name, site, its inline numpy formula) for every transform that goes
-    through spectral.dft, mode_numbers, SpectralGrid.multiply or the FFT
-    derivative route; the last at the even sizes 130 to 4096."""
+    through spectral.dft, mode_numbers, interpolant, SpectralGrid.multiply
+    or the FFT derivative route; the last at the even sizes 130 to 4096."""
     rng = np.random.default_rng(n)
     grid = SpectralGrid(n, kind="torus")
     k = grid.wavenumbers
@@ -398,10 +416,10 @@ def _rerouted_sites(n):
         ("duhamel_term", (duhamel.field.values, duhamel.l4_norm), _inline_duhamel(F, 0.4, 0.02)),
         ("_l4_of_free_evolution", nls._l4_of_free_evolution(phi.modes),
          _inline_l4(np.fft.fft(phi.values) / n)),
-        ("_gauss_node_values", hol._gauss_node_values(samples, 2 * n),
+        ("interpolant at the Gauss nodes", interpolant(samples, 2 * n, hol._GAUSS_OFFSETS),
          _inline_gauss_nodes(samples, 2 * n)),
         ("shift", grid.shift(real, 0.37 * grid.dx), _inline_shift(grid, real, 0.37 * grid.dx)),
-        ("midpoints", fine.midpoints(fine_real), _inline_shift(fine, fine_real, -0.5 * fine.dx)),
+        ("midpoints", fine.midpoints(fine_real), _inline_midpoints(fine_real)),
         *_dft_sites(n),
         *(site for m in {64: (130, 4096), 98: (256, 1000)}[n] for site in _derivative_sites(m)),
     ]

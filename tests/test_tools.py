@@ -407,3 +407,24 @@ def test_bench_pair_refuses_a_dirty_checkout(tmp_path, monkeypatch, capsys):
         assert f"uncommitted changes to tracked files in {side} " in err
         assert "no record written" in err
         assert not runs and not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_bench_pair_names_the_timings_it_skipped(tmp_path, monkeypatch):
+    """A record lists each fixture, tier-1 or CLI timing whose count was 0,
+    by the key the timing would have in the record. Canned runs."""
+    tool = load_tool(ROOT / "tools" / "bench_pair.py", "bench_pair")
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "bench_run", lambda *args: tool.last_json(
+        _bench_output(100.0, 10.0)))
+    monkeypatch.setattr(tool, "checkout_info", lambda root: {
+        "commit": "c0", "dirty": False, "diff_sha256": "d0"})
+    monkeypatch.setattr(tool, "tier1_run", lambda root: {"wall_s": 1.0, "exit": 0})
+    argv = ["--against", str(tmp_path), "--label", "t", "--rounds", "1"]
+    assert tool.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["skipped"] == ["acceptance1_fixture", "tier1", "cli_run", "cli_check_all"]
+    assert tool.main([*argv, "--tier1", "1"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["skipped"] == ["acceptance1_fixture", "cli_run", "cli_check_all"]
+    assert "tier1" in record

@@ -22,6 +22,9 @@ duration pytest reports, and its energy drift from the acceptance line.
 in k alternating fresh processes per side writing into a temporary
 directory, with the process's maximum resident set size from ``os.wait4``.
 All three pin the BLAS and OpenMP pools to one thread, as the benchmark does.
+The record's ``skipped`` list names each of these timings that was not run
+(its count 0): ``acceptance1_fixture``, ``tier1``, ``cli_run`` and
+``cli_check_all``.
 
 ``BENCH_<label>.json`` is written at the root of this checkout. For each
 workload and side it holds every end-to-end metric's per-round values,
@@ -283,6 +286,10 @@ def main(argv=None) -> int:
                  "nproc": os.cpu_count(), "thread_pins": PINS},
         "seconds": seconds,
         "seeds": seeds,
+        "skipped": [name for name, k in (("acceptance1_fixture", args.fixture),
+                                         ("tier1", args.tier1),
+                                         *((f"cli_{c}", args.cli) for c in CLI_COMMANDS))
+                    if not k],
         "workloads": {},
     }
     dirty = [side for side, info in record["checkouts"].items() if info["dirty"]]
