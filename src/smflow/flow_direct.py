@@ -12,10 +12,13 @@ preserves |u| exactly, so the projection only removes O(dt^5) drift and
 the scheme stays 4th order).
 
 Each step allocates one workspace: every stage writes its rate into it
-through the target's ``flow_velocity(grid, u, out)``, and the stage states
-and the sum k1 + 2 k2 + 2 k3 + k4 are built there in place, in the order of
-the textbook formula, so the result is bit-equal to the allocating form. The
-workspace belongs to the call; no buffer outlives a step.
+through the target's velocity kernel, ``kernel(u, out)``, the plain call
+that ``SurfaceModel.velocity_kernel`` binds once per target and grid and
+that ``flow_velocity`` also runs, and the stage states and the sum k1 + 2 k2
++ 2 k3 + k4 are built there in place, in the order of the textbook formula,
+so the result is bit-equal to the allocating form. ``step`` looks the kernel
+up on its state's grid and ``evolve`` once per run. The workspace belongs to
+the call; no buffer outlives a step.
 
 The step holds its state, the workspace and the projected result
 column-major, so every coordinate column is contiguous through the FFTs
@@ -249,15 +252,15 @@ def step(state: LoopState, dt: float) -> LoopState:
     Negative dt integrates backward, which is legitimate for the
     time-reversible equation and used by the reversibility checks.
     """
-    s, grid = state.surface, state.grid
-    return _rk4_step(state, dt, lambda u, out: s.flow_velocity(grid, u, out),
-                     state.points)[0]
+    return _rk4_step(state, dt, state.surface.velocity_kernel(state.grid), state.points)[0]
 
 
 def evolve(state: LoopState, dt: float, n_steps: int, observer=None) -> LoopState:
-    """Advance n_steps of size dt; call observer(state) after each step."""
+    """Advance n_steps of size dt, each a ``step`` with the velocity kernel
+    looked up once for the run; call observer(state) after each step."""
+    velocity = state.surface.velocity_kernel(state.grid)
     for _ in range(n_steps):
-        state = step(state, dt)
+        state = _rk4_step(state, dt, velocity, state.points)[0]
         if observer is not None:
             observer(state)
     return state

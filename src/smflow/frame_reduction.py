@@ -357,10 +357,11 @@ def _step_with_seed(state: LoopState, dt: float, seed: np.ndarray):
     """One flow step plus parallel transport of the base-node seed vector
     along the base point's trajectory: the seed rides as one extra row of
     the RK4 state, so both share the four flow stages."""
-    s, grid, n = state.surface, state.grid, state.grid.n
+    s, n = state.surface, state.grid.n
+    velocity = s.velocity_kernel(state.grid)
 
     def rhs(y, rate):
-        s.flow_velocity(grid, y[:n], rate[:n])
+        velocity(y[:n], rate[:n])
         rate[n] = s.covariant_rhs(y[0], rate[0], y[n])
 
     y = np.empty((n + 1, state.points.shape[1]), order="F")

@@ -15,9 +15,13 @@ Christoffel symbols (``christoffel_at``) are the tests' oracle only.
 The complex structure J is p x v / radius on embedded spheres and rotation
 by 90 degrees in conformal charts; both satisfy J*J = -1 and are isometric
 for the respective metric.  ``flow_velocity`` gives the Schrodinger map
-velocity -J tau(u) from a loop's samples; ``RoundSphere`` writes it in
-Landau-Lifshitz form u_xx x u / radius from one second derivative, and every
-other target, ``WarpedSphere`` included, applies J to its tension.  Every
+velocity -J tau(u) from a loop's samples through the target's velocity
+kernel, a plain call ``kernel(u, out)`` that ``velocity_kernel`` binds once
+per target and grid and keeps in ``grid.bound``; the RK4 stages call it
+directly.  ``RoundSphere``'s kernel writes the velocity in Landau-Lifshitz
+form u_xx x u / radius from the grid's bound second derivative, its paired
+gathers and the radius; every other target, ``WarpedSphere`` included,
+applies J to its tension from the bound (1, 2) derivatives.  Every
 cross product forms its six products with one gather per factor, and every
 sum over a 2- or 3-long last axis adds left to right (``_row_sum``); both
 give numpy's bits with fewer calls on (n, 3) rows.  Hot-path rule: per-step
@@ -158,11 +162,30 @@ class SurfaceModel:
 
     def flow_velocity(self, grid, u: np.ndarray, out=None) -> np.ndarray:
         """u_t = -J tau(u) from the samples u of a loop on ``grid``, written
-        into ``out`` when given (a new array otherwise). The tension takes
-        row-major samples: its einsum rounds differently on other layouts."""
-        u = np.ascontiguousarray(u)
-        ux, uxx = grid.derivatives(u, (1, 2))
-        return np.negative(self.apply_J(u, self.tension(u, ux, uxx)), out=out)
+        into ``out`` when given (a new array otherwise) by the target's
+        ``velocity_kernel`` on grid."""
+        u = np.asarray(u)
+        return self.velocity_kernel(grid)(u, np.empty(u.shape) if out is None else out)
+
+    def velocity_kernel(self, grid):
+        """flow_velocity on grid as one plain call, kernel(u, out) -> out,
+        bound once for this target and grid and kept in ``grid.bound``."""
+        kernel = grid.bound.get(self)
+        if kernel is None:
+            kernel = grid.bound[self] = self._bind_velocity(grid)
+        return kernel
+
+    def _bind_velocity(self, grid):
+        """The generic kernel, -J tau(u) from the bound (1, 2) derivatives.
+        The tension takes row-major samples: its einsum rounds differently
+        on other layouts."""
+        derivatives = grid.derivative_operator((1, 2))
+
+        def kernel(u, out):
+            u = np.ascontiguousarray(u)
+            ux, uxx = derivatives(u)
+            return np.negative(self.apply_J(u, self.tension(u, ux, uxx)), out=out)
+        return kernel
 
     def transport_cells(self, nodes, mids, dnodes, dmids) -> np.ndarray:
         """The (M, d, d) RK4 propagators of the frame equation over the M
@@ -219,7 +242,7 @@ class _Conformal:
 
     # the first-order terms of tau survive J, and the transport generator is
     # no longer of rank one
-    flow_velocity = SurfaceModel.flow_velocity
+    _bind_velocity = SurfaceModel._bind_velocity
     transport_cells = SurfaceModel.transport_cells
 
 
@@ -289,20 +312,20 @@ class RoundSphere(SurfaceModel):
         speed2 = np.einsum("ni,ni->n", ux, ux)[:, None]
         return uxx + speed2 * u / self.radius**2
 
-    def flow_velocity(self, grid, u: np.ndarray, out=None) -> np.ndarray:
+    def _bind_velocity(self, grid):
         # Landau-Lifshitz form: J drops the normal part |u_x|^2 u / r^2 of
         # tau, so -J tau = u_xx x u / r for any u, on the sphere or not. The
         # pairs of _cross are gathered as rows of the (3, n) transposes, all
         # of u is read before out is written, so out may be u itself.
-        u = np.asarray(u)
-        if out is None:
-            out = np.empty(u.shape)
-        uxx = grid.derivatives(u, (2,))[0]
-        p = uxx.T.take(_PAIR_A, axis=0) * u.T.take(_PAIR_B, axis=0)
-        np.subtract(p[:3], p[3:], out=out.T)
-        if self.radius != 1.0:  # a division by 1 changes no bit
-            out /= self.radius
-        return out
+        second, radius = grid.derivative_operator((2,)), self.radius
+
+        def kernel(u, out):
+            p = second(u)[0].T.take(_PAIR_A, axis=0) * u.T.take(_PAIR_B, axis=0)
+            np.subtract(p[:3], p[3:], out=out.T)
+            if radius != 1.0:  # a division by 1 changes no bit
+                out /= radius
+            return out
+        return kernel
 
     def transport_cells(self, nodes, mids, dnodes, dmids) -> np.ndarray:
         # The generator -(du / r^2) (x) u has rank one, so with a = du / r^2

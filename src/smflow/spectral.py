@@ -32,14 +32,33 @@ coupled step 6.5% slower (in-process, one BLAS thread, 2-core x86_64).
 ``DENSE_MAX_N`` stays 128: moving it changes the rounding on the grids
 between.
 
+Each grid instance binds its derivative operators once and keeps them in
+``bound``, as it keeps ``nodes``: ``derivative_operator`` gives, per order
+tuple and real or complex samples, one plain call holding what its route
+needs.  On the FFT route that is the two transforms ``_select`` chose, with
+their axis-0 ``axes`` argument built once, the multiplier rows and 1/n; on
+the dense route, the matrices and the subtraction of the first sample.
+``derivatives`` calls it and implements no route itself, and the flow
+velocity kernels of the targets (``SurfaceModel.velocity_kernel``), which
+every RK4 stage calls, hold it too.  A stage used to pass through
+``derivatives`` and ``_fft_derivatives``, rebuild ``axes`` in a lambda and
+find the multipliers in an ``lru_cache`` that hashes the frozen grid in
+Python: that dispatch was 7% of an N=256 flow step (91.7 against 85.0 us
+per step, 59 of 60 alternating in-process rounds, one BLAS thread, 2-core
+x86_64).  A grid made afresh binds afresh; the arrays it binds stay shared
+between equal grids through the caches of ``_multipliers`` and
+``_dense_operator``.
+
 This module is the one owner of the discrete Fourier transform and of the
 mode layout: every transform goes through ``_TRANSFORMS`` and every mode
-table through ``mode_numbers``.  ``_TRANSFORMS`` calls numpy's pocketfft
-gufuncs as ``np.fft`` does, less its wrappers' dispatch and checks (which
-made an N=256 flow step 20% slower with numpy 2.4.6).  That module is private to
-numpy, so an import-time probe takes them only if each gives the public
-``np.fft`` function's bits on fixed data; a differing bit or an error
-selects the public functions, so a failed probe costs speed, never bits.
+table through ``mode_numbers``.  ``_TRANSFORMS`` is numpy's pocketfft
+gufuncs themselves, called with the scale and axes ``np.fft`` gives them,
+less its wrappers' dispatch and checks (which made an N=256 flow step 20%
+slower with numpy 2.4.6).  That module is private to numpy, so an
+import-time probe takes them only if each gives the public ``np.fft``
+function's bits on fixed data; a differing bit or an error selects the
+public functions, wrapped to the gufuncs' signature, so a failed probe
+costs speed, never bits.
 A Fourier multiplier multiplies as ``multiplier * spectrum`` (``multiply``)
 and ``shift`` as ``spectrum * phase``, the order of the former inline
 formulas: numpy's complex product need not commute bit for bit (``a * b``
@@ -65,33 +84,36 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The four transforms, each called (values, axis, out), n = out.shape[axis]:
-# real forward (even n), real inverse, complex forward and inverse; np.fft's.
-_PUBLIC = (lambda a, axis, out: np.fft.rfft(a, axis=axis, out=out),
-           lambda a, axis, out: np.fft.irfft(a, out.shape[axis], axis, out=out),
-           lambda a, axis, out: np.fft.fft(a, axis=axis, out=out),
-           lambda a, axis, out: np.fft.ifft(a, axis=axis, out=out))
+# The four transforms in the signature of numpy's pocketfft gufuncs,
+# (values, scale, axes=[(axis,), (), (axis,)], out=out) with n =
+# out.shape[axis]: real forward (even n), real inverse, complex forward and
+# inverse. These are np.fft's, which apply its scale (1 forward, 1/n
+# inverse) themselves.
+_PUBLIC = (lambda a, scale, axes, out: np.fft.rfft(a, axis=axes[0][0], out=out),
+           lambda a, scale, axes, out: np.fft.irfft(a, out.shape[axes[2][0]], axes[0][0],
+                                                    out=out),
+           lambda a, scale, axes, out: np.fft.fft(a, axis=axes[0][0], out=out),
+           lambda a, scale, axes, out: np.fft.ifft(a, axis=axes[0][0], out=out))
+_AXIS0 = [(0,), (), (0,)]  # the axes argument of a transform along axis 0
 
 
 def _select(umath) -> tuple:
-    """umath's gufuncs bound as np.fft calls them (scale 1 forward, 1/n inverse)
-    if they give _PUBLIC's bits on fixed C- and F-ordered (64, 3) columns and
-    odd-n complex rows (sin(j^2), as numpy.random's import costs 6 MB of RSS);
-    else, or on any error, _PUBLIC."""
-    def bind(ufunc, inverse):
-        return lambda a, axis, out: ufunc(a, 1 / out.shape[axis] if inverse else 1,
-                                          axes=[(axis,), (), (axis,)], out=out)
+    """umath's gufuncs themselves if, at np.fft's scale (1 forward, 1/n
+    inverse), they give _PUBLIC's bits on fixed C- and F-ordered (64, 3)
+    columns and odd-n complex rows (sin(j^2), as numpy.random's import costs
+    6 MB of RSS); else, or on any error, _PUBLIC."""
     try:
-        route = (bind(umath.rfft_n_even, False), bind(umath.irfft, True),
-                 bind(umath.fft, False), bind(umath.ifft, True))
+        route = (umath.rfft_n_even, umath.irfft, umath.fft, umath.ifft)
         x = np.sin(np.arange(1.0, 193.0) ** 2).reshape(64, 3)
         for x in (x, np.asfortranarray(x)):
             z = x + 1j * x[::-1]
             for i, a, axis, like in ((0, x, 0, x[:33].astype(complex)), (2, z, 0, z),
                                      (1, np.fft.rfft(x, axis=0), 0, x), (3, z, 0, z),
                                      (2, z[1:].T, -1, z[1:].T), (3, z[1:].T, -1, z[1:].T)):
-                if (route[i](a, axis, np.empty_like(like)).tobytes()
-                        != _PUBLIC[i](a, axis, np.empty_like(like)).tobytes()):
+                scale, axes = 1 / like.shape[axis] if i % 2 else 1, [(axis,), (), (axis,)]
+                got, want = (t(a, scale, axes=axes, out=np.empty_like(like))
+                             for t in (route[i], _PUBLIC[i]))
+                if got.tobytes() != want.tobytes():
                     return _PUBLIC
         return route
     except Exception:
@@ -104,7 +126,9 @@ _TRANSFORMS = _select(getattr(np.fft, "_pocketfft_umath", None))
 def dft(values, axis: int = -1, inverse: bool = False) -> np.ndarray:
     """numpy's complex DFT of values along one axis (unnormalized forward,
     1/n inverse); a 2-D transform is two calls, the last axis first."""
-    return _TRANSFORMS[3 if inverse else 2](values, axis, np.empty_like(values, complex))
+    out = np.empty_like(values, complex)
+    return _TRANSFORMS[3 if inverse else 2](values, 1 / out.shape[axis] if inverse else 1,
+                                            axes=[(axis,), (), (axis,)], out=out)
 
 
 @lru_cache(maxsize=64)
@@ -148,13 +172,39 @@ def _multipliers(grid: "SpectralGrid", orders: tuple, real: bool) -> np.ndarray:
     return _read_only(fac)
 
 
+def _fft_derivatives(grid: "SpectralGrid", orders: tuple, real: bool):
+    """The FFT route of ``derivatives`` bound on grid: values -> one array
+    per order, by one forward rfft (real data) or fft, then one inverse
+    transform per order. The spectrum is held column-major, so its
+    transpose is contiguous and takes each order's multiplier row in one
+    multiply, in place for the last order; each result takes the layout of
+    the values, so column-major samples give contiguous columns throughout."""
+    if real:
+        forward, inverse, m, dtype = *_TRANSFORMS[:2], grid.n // 2 + 1, float
+    else:
+        forward, inverse, m, dtype = *_TRANSFORMS[2:], grid.n, complex
+    *rows, last = _multipliers(grid, orders, real)
+    scale = 1 / grid.n
+
+    def apply(values):
+        vhat = np.empty((m,) + values.shape[1:], complex, order="F")
+        forward(values, 1, axes=_AXIS0, out=vhat)
+        spectrum = vhat.T
+        out = [inverse((spectrum * row).T, scale, axes=_AXIS0, out=np.empty_like(values, dtype))
+               for row in rows]
+        spectrum *= last
+        out.append(inverse(vhat, scale, axes=_AXIS0, out=np.empty_like(values, dtype)))
+        return tuple(out)
+    return apply
+
+
 @lru_cache(maxsize=64)
 def _dense_operator(grid: "SpectralGrid", order: int, factor: int = 1) -> np.ndarray:
     """The d^order/dx^order matrix (factor 1) or the factor-times upsampling
     matrix, as the circulant of the FFT route's response to a unit impulse."""
     impulse = np.eye(1, grid.n)[0]
     if factor == 1:
-        col = grid._fft_derivatives(impulse, (order,))[0]
+        col = _fft_derivatives(grid, (order,), True)(impulse)[0]
     else:
         col = interpolant(impulse, grid.n * factor)[0]
         col[::factor] = impulse  # so node values pass through exactly
@@ -162,15 +212,33 @@ def _dense_operator(grid: "SpectralGrid", order: int, factor: int = 1) -> np.nda
     return _read_only(col[(rows - factor * np.arange(grid.n)) % col.size])
 
 
-def _dense_apply(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """mat @ values along axis 0; complex data through its real view. The
-    product takes row-major columns: BLAS may round a column-major operand
-    differently (OpenBLAS 0.3.31 does at n = 16, 20 and 24)."""
+def _dense_apply(mats, values: np.ndarray) -> tuple:
+    """mat @ values along axis 0 for each of mats; complex data through its
+    real view. The product takes row-major columns: BLAS may round a
+    column-major operand differently (OpenBLAS 0.3.31 does at n = 16, 20
+    and 24)."""
     cplx = values.dtype.kind == "c"
     cols = np.ascontiguousarray(values.reshape(values.shape[0], -1),
                                 complex if cplx else None)
-    out = mat @ (cols.view(float) if cplx else cols)
-    return (out.view(complex) if cplx else out).reshape((-1,) + values.shape[1:])
+    shape = (-1,) + values.shape[1:]
+    if cplx:
+        cols = cols.view(float)
+        return tuple((mat @ cols).view(complex).reshape(shape) for mat in mats)
+    return tuple((mat @ cols).reshape(shape) for mat in mats)
+
+
+def _dense_derivatives(grid: "SpectralGrid", orders: tuple, real: bool):
+    """The dense route of ``derivatives`` bound on grid: one matrix per
+    order, applied to the values less their first sample (so constants map
+    to exactly 0)."""
+    mats = [_dense_operator(grid, k) for k in orders]
+    return lambda values: _dense_apply(mats, values - values[:1])
+
+
+def _bind_derivatives(grid: "SpectralGrid", orders: tuple, real: bool):
+    """The derivatives operator of grid for orders on real or complex
+    samples: the dense route up to DENSE_MAX_N, the FFT route above."""
+    return (_fft_derivatives if grid.n > DENSE_MAX_N else _dense_derivatives)(grid, orders, real)
 
 
 @dataclass(frozen=True)
@@ -227,30 +295,22 @@ class SpectralGrid:
         """Spectral derivatives of several orders along axis 0, one dense matrix
         per order up to DENSE_MAX_N; order -1 is the periodic antiderivative."""
         values = np.asarray(values)
-        if self.n > DENSE_MAX_N:
-            return self._fft_derivatives(values, orders)
-        shifted = values - values[:1]  # maps like values, constants to exactly 0
-        return tuple(_dense_apply(_dense_operator(self, k), shifted) for k in orders)
+        return self.derivative_operator(tuple(orders), values.dtype.kind != "c")(values)
 
-    def _fft_derivatives(self, values: np.ndarray, orders) -> tuple:
-        """derivatives by one forward rfft (real data) or fft, then one inverse
-        transform per order. The spectrum is held column-major, so its
-        transpose is contiguous and takes each order's cached multiplier row
-        in one multiply, in place for the last order; each result takes the
-        layout of the values, so column-major samples give contiguous
-        columns throughout."""
-        real = values.dtype.kind != "c"
-        m = self.n // 2 + 1 if real else self.n
-        vhat = np.empty((m,) + values.shape[1:], complex, order="F")
-        (_TRANSFORMS[0] if real else _TRANSFORMS[2])(values, 0, vhat)
-        inverse, dtype = (_TRANSFORMS[1], float) if real else (_TRANSFORMS[3], complex)
-        fac = _multipliers(self, tuple(orders), real)
-        spectrum, out = vhat.T, []
-        for i in range(len(fac) - 1):
-            out.append(inverse((spectrum * fac[i]).T, 0, np.empty_like(values, dtype)))
-        spectrum *= fac[-1]
-        out.append(inverse(vhat, 0, np.empty_like(values, dtype)))
-        return tuple(out)
+    @cached_property
+    def bound(self) -> dict:
+        """The calls bound to this grid instance, each built on first use:
+        its derivative operators, keyed (orders, real), and the flow
+        velocity kernel of each target, keyed by the target."""
+        return {}
+
+    def derivative_operator(self, orders: tuple = (1, 2), real: bool = True):
+        """``derivatives`` for orders on real (or complex) samples as one
+        plain call, values -> tuple, bound to this grid once."""
+        op = self.bound.get((orders, real))
+        if op is None:
+            op = self.bound[orders, real] = _bind_derivatives(self, orders, real)
+        return op
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Spectral d^order/dx^order along axis 0."""
@@ -285,14 +345,14 @@ class SpectralGrid:
             return values.copy()
         if self.n > DENSE_MAX_N:
             return interpolant(values, self.n * factor)[0]
-        return _dense_apply(_dense_operator(self, 0, factor), values)
+        return _dense_apply((_dense_operator(self, 0, factor),), values)[0]
 
     def midpoints(self, values: np.ndarray) -> np.ndarray:
         """The interpolant at the cell midpoints x_j + dx / 2: the odd rows of
         ``upsample(values, 2)``, bit for bit up to DENSE_MAX_N."""
         if self.n > DENSE_MAX_N:
             return interpolant(values, self.n, (0.5,))[0]
-        return _dense_apply(_dense_operator(self, 0, 2)[1::2], values)
+        return _dense_apply((_dense_operator(self, 0, 2)[1::2],), values)[0]
 
     def shift(self, values: np.ndarray, s: float) -> np.ndarray:
         """Circularly resample: returns g with g(x) = f(x - s).

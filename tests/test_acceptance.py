@@ -36,10 +36,11 @@ def su2_family(n):
                  + 0.5 * np.cos(4 * np.pi * x)[:, None, None] * s3)
 
 
-@pytest.fixture(scope="module")
-def long_conservation_run():
+def run_long_conservation():
     """Perturbed latitude on the round sphere, N=256, T=0.5, step at the
-    stability limit. Records energy and gradient norm every 256 steps."""
+    stability limit. Records energy and gradient norm every 256 steps. The
+    ``long_conservation_run`` fixture of conftest.py computes it in a worker
+    process beside the rest of the suite."""
     sphere = round_sphere(1.0)
     grid = SpectralGrid(256)
     loop = fd.initial_loop(sphere, grid, "perturbed_latitude",

@@ -250,26 +250,16 @@ class TestRunScenario:
     @pytest.mark.parametrize("target,expected",
                              [("warped_sphere", 27), ("round_sphere", 19)],
                              ids=["warped_sphere", "round_sphere"])
-    def test_coupled_derivatives_per_run(self, workdir, monkeypatch, target,
+    def test_coupled_derivatives_per_run(self, workdir, derivative_calls, target,
                                          expected):
         """A 3-step coupled run makes only the evolution's derivative
         calls: the holonomy payload reads u_x from the final state."""
-        from smflow.spectral import SpectralGrid
-
-        calls = []
-        derivatives = SpectralGrid.derivatives
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return derivatives(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpectralGrid, "derivatives", counting)
         cfg = write_config(workdir, target={"kind": target},
                            time={"dt": 1e-5, "t_final": 3e-5},
                            diagnostics={"cadence": 1, "snapshot_cadence": 1,
                                         "l4_window": 8})
         assert cli.main(["run", "--config", str(cfg)]) == 0
-        assert len(calls) == expected
+        assert len(derivative_calls) == expected
 
     def test_coupled_run_computes_theta_ode_once_per_state(self, workdir,
                                                             monkeypatch):
@@ -479,6 +469,25 @@ class TestRunScenario:
         assert summary["passed"] is False
         assert summary["error"]["type"] == "BlowUpSuspectedError"
         assert not (out / "holonomy.json").exists()
+
+    def test_non_finite_flow_step_exits_3(self, workdir, monkeypatch):
+        """A flow velocity kernel that returns NaN trips the RK4 step's
+        non-finite guard: the run exits 3 and summary.json names
+        BlowUpSuspectedError."""
+        from smflow import geometry as geo
+
+        def nan_kernel(surface, grid):
+            def kernel(u, out):
+                out[...] = np.nan
+                return out
+            return kernel
+
+        monkeypatch.setattr(geo.SurfaceModel, "velocity_kernel", nan_kernel)
+        assert cli.main(["run", "--set", "domain.n=16", "--set", "time.t_final=1e-4"]) == 3
+        summary = json.loads((workdir / "smflow-run" / "summary.json").read_text())
+        assert summary["passed"] is False
+        assert summary["error"]["type"] == "BlowUpSuspectedError"
+        assert "non-finite values after time step" in summary["error"]["message"]
 
     @pytest.mark.parametrize("mode,n,short,long,snapshot_cadence,bound", [
         pytest.param("coupled", 128, 50, 400, 0, 16, id="coupled-128-50-400"),
@@ -904,6 +913,60 @@ class TestConfigValidation:
         assert err.startswith(f"config error: output directory {workdir / 'taken'}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["run", "--set", "time"],
+                     "override 'time' is not of the form key=value", id="override-without-equals"),
+        pytest.param(["run", "--config", "missing.json"],
+                     "config file not found: missing.json", id="missing-file"),
+        pytest.param(["run", "--config", "broken.json"],
+                     "config file is not valid JSON: ", id="non-json-file"),
+        pytest.param(["run", "--config", "list.json"],
+                     "config file must contain a JSON object", id="non-object-file"),
+        pytest.param(["run", "--set", "target.kind=hyperbolic_disk", "--set", "init.kind=latitude"],
+                     "init.kind must be one of ('constant', 'fourier') for target "
+                     "'hyperbolic_disk'; got 'latitude'", id="init-kind-of-another-target"),
+        pytest.param(["run", "--set", "target.kind=flat_torus", "--set", "init.kind=fourier",
+                      "--set", "reduction.mode=autonomous"],
+                     "reduction.mode 'autonomous' requires an embedded sphere target on the "
+                     "circle domain", id="autonomous-on-a-chart-target"),
+        pytest.param(["run", "--set", "domain.kind=line", "--set", "reduction.mode=autonomous"],
+                     "reduction.mode 'autonomous' requires an embedded sphere target on the "
+                     "circle domain", id="autonomous-on-the-line"),
+        pytest.param(["converge", "--set", "time.t_final=0", "--levels", "16,32,64"],
+                     "time.t_final must be positive for a convergence study",
+                     id="study-without-time"),
+        pytest.param(["converge", "--levels", "16:1,32,64"],
+                     "level n=16: time.dt=1.000000e+00 exceeds the stability limit",
+                     id="study-level-refused"),
+        pytest.param(["converge", "--set", "study.error=reference", "--levels", "16,64,32"],
+                     "reference study needs every n to divide the finest (32); 64 does not",
+                     id="reference-levels-not-dividing")])
+    def test_refusal_exits_2_with_its_message(self, workdir, capsys, monkeypatch,
+                                              argv, message):
+        """Each refusal of a configuration, file or study before any work is
+        a config error: exit 2, its message on stderr and nothing written."""
+        monkeypatch.chdir(workdir)
+        (workdir / "broken.json").write_text("{")
+        (workdir / "list.json").write_text("[1, 2]")
+        assert cli.main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["broken.json", "list.json"]
+
+    def test_unwritable_output_directory_is_a_config_error(self, workdir, capsys,
+                                                          monkeypatch):
+        """An output directory that exists but may not be written exits 2
+        before any work. The permission is refused through os.access, which
+        grants root every mode bit."""
+        locked = workdir / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            False if Path(path) == locked else access(path, mode)))
+        assert cli.main(["run", "--set", "output.dir=locked"]) == 2
+        assert (capsys.readouterr().err
+                == f"config error: output directory {locked} is not writable\n")
+        assert not any(locked.iterdir())
+
     def test_unknown_key_rejected(self, workdir, capsys):
         cfg = write_config(workdir, truncation={"order": 4})
         assert cli.main(["run", "--config", str(cfg)]) == 2
@@ -1230,6 +1293,15 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "bogus"])
         assert exc.value.code == 2
+
+    def test_run_suite_refuses_an_unknown_name(self):
+        """The parser offers only known suites; run_suite itself refuses
+        any other name with a config error listing them."""
+        from smflow.checks import run_suite
+        from smflow.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="unknown check suite 'bogus'; expected one of"):
+            run_suite("bogus")
 
 
 def test_import_loads_no_scipy():

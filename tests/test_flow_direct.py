@@ -13,7 +13,7 @@ from smflow import flow_direct as fd
 from smflow import frame_reduction as fr
 from smflow import geometry as geo
 from smflow.geometry import _unit_tangent
-from smflow.errors import ConfigError, RejectedStepError
+from smflow.errors import BlowUpSuspectedError, ConfigError, RejectedStepError
 from smflow.spectral import SpectralGrid
 
 
@@ -80,7 +80,7 @@ def test_round_sphere_velocity_is_landau_lifshitz_form():
     holds off the sphere."""
     for surface, grid, u in _round_sphere_loops():
         fast = surface.flow_velocity(grid, u)
-        general = geo.SurfaceModel.flow_velocity(surface, grid, u)
+        general = geo.SurfaceModel._bind_velocity(surface, grid)(u, np.empty(u.shape))
         assert np.abs(fast - general).max() <= 1e-15 * np.abs(general).max()
 
 
@@ -130,20 +130,12 @@ def test_warped_sphere_keeps_the_general_velocity():
     assert np.array_equal(fd.flow_rhs(state), expected)
 
 
-def test_round_sphere_stage_takes_only_the_second_derivative(monkeypatch):
-    orders = []
-    derivatives = SpectralGrid.derivatives
-
-    def counting(self, values, orders_=(1, 2)):
-        orders.append(tuple(orders_))
-        return derivatives(self, values, orders_)
-
-    monkeypatch.setattr(SpectralGrid, "derivatives", counting)
+def test_round_sphere_stage_takes_only_the_second_derivative(derivative_calls):
     for n in (64, 256):
         state = make_state("perturbed_latitude", n=n, alpha=1.0, eps=0.1, m=2)
-        orders.clear()
+        derivative_calls.clear()
         fd.step(state, fd.admissible_dt(state))
-        assert orders == [(2,)] * 4
+        assert derivative_calls == [(2,)] * 4
 
 
 # -- stationary solutions ----------------------------------------------------------
@@ -460,6 +452,25 @@ def test_step_is_reentrant():
     a_alone, b_alone = fd.evolve(a0, dt, 5), fd.evolve(b0, dt, 5)
     assert np.array_equal(a.points, a_alone.points)
     assert np.array_equal(b.points, b_alone.points)
+
+
+def test_non_finite_velocity_trips_the_step_guard(monkeypatch):
+    """The step's own non-finite guard, reached through the step: with a
+    velocity kernel that returns NaN, fd.step raises BlowUpSuspectedError
+    at the state's time and step size."""
+    state = make_state("perturbed_latitude", n=32, alpha=1.0, eps=0.05, m=2)
+    dt = fd.admissible_dt(state)
+
+    def nan_kernel(surface, grid):
+        def kernel(u, out):
+            out[...] = np.nan
+            return out
+        return kernel
+
+    monkeypatch.setattr(geo.SurfaceModel, "velocity_kernel", nan_kernel)
+    with pytest.raises(BlowUpSuspectedError, match="non-finite values after time step") as exc:
+        fd.step(state, dt)
+    assert exc.value.diagnostics == {"time": 0.0, "dt": dt, "max_abs": 0.0}
 
 
 def test_evolve_rejects_oversized_step_with_admissible_value():

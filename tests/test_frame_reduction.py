@@ -749,13 +749,17 @@ class TestCoupledDriver:
         expected_seed = fr.parallel_frame(surf, state, seed=w).e1[0]
 
         calls = []
-        velocity = type(surf).flow_velocity
+        velocity_kernel = type(surf).velocity_kernel
 
-        def counting(*args):
-            calls.append(1)
-            return velocity(*args)
+        def counting(self, grid):
+            velocity = velocity_kernel(self, grid)
 
-        monkeypatch.setattr(type(surf), "flow_velocity", counting)
+            def kernel(u, out):
+                calls.append(1)
+                return velocity(u, out)
+            return kernel
+
+        monkeypatch.setattr(type(surf), "velocity_kernel", counting)
         res = fr.coupled_evolve(loop, dt, 1)
         assert len(calls) == 4
         assert np.abs(res.final_seed - expected_seed).max() < 1e-13
@@ -789,26 +793,18 @@ class TestCoupledDriver:
 
     @pytest.mark.parametrize("case,per_step", [("round", 6), ("warped", 8),
                                                ("hyperbolic", 6)])
-    def test_derivatives_per_coupled_step(self, monkeypatch, case, per_step):
+    def test_derivatives_per_coupled_step(self, derivative_calls, case, per_step):
         """Per step: 4 flow stages, u_x of the new state and u_x of the
         swept midpoint loop; a varying K adds its derivative and the
         primitive of the curvature-rate density. Each run starts from a
         fresh loop, since a loop state keeps the u_x it has computed."""
         loop = coupled_case(case)
         dt = fd.admissible_dt(loop)
-        calls = []
-        derivatives = SpectralGrid.derivatives
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return derivatives(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpectralGrid, "derivatives", counting)
         counts = []
         for n_steps in (1, 3):
-            calls.clear()
+            derivative_calls.clear()
             fr.coupled_evolve(coupled_case(case), dt, n_steps)
-            counts.append(len(calls))
+            counts.append(len(derivative_calls))
         assert (counts[1] - counts[0]) / 2 == per_step
 
     def test_coupled_steps_call_no_numpy_python_wrappers(self, monkeypatch):

@@ -853,3 +853,21 @@ def test_azimuthal_winding_matches_unwrap_oracle(n):
     got = [geo.azimuthal_winding(s, p) for p in loops]
     assert got == [unwrap_winding(p) for p in loops]
     assert got[:9] == [1, 1, 1, -3, -1, 0, 2, 5, 1]
+
+
+def test_factory_and_point_refusals():
+    """Each factory refuses what it cannot build, points of the wrong
+    dimension are off the target, and a sampled path needs two samples."""
+    with pytest.raises(ValueError, match="radius must be positive"):
+        geo.round_sphere(0.0)
+    with pytest.raises(ValueError, match="at least two factors"):
+        geo.product_surface(geo.round_sphere())
+    pair = geo.product_surface(geo.round_sphere(), geo.flat_torus())
+    with pytest.raises(UnsupportedOperationError, match="nested products"):
+        geo.product_surface(pair, geo.flat_torus())
+    with pytest.raises(OffManifoldError, match="expected point dimension 3, got 2"):
+        geo.round_sphere().validate_points(np.zeros((4, 2)))
+    north = np.array([[0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="at least two samples"):
+        geo.parallel_transport(geo.round_sphere(), north,
+                               geo.TangentVector(north[0], [1.0, 0.0, 0.0]))

@@ -626,3 +626,8 @@ def test_min_sum_assignment_matches_scipy():
         assert cols == list(ref)
         if kind == "constant":
             assert cols == list(rows)
+
+
+def test_connection_samples_must_be_square_matrices():
+    with pytest.raises(ConfigError, match="shape"):
+        hol.product_integral(np.zeros((8, 2, 3)), 1.0)

@@ -325,6 +325,17 @@ class TestPicard:
             picard_iterate(phi0, pot, delta=0.05, n_time=32, max_iter=8)
         assert len(err.value.factors) > 0
 
+    def test_slow_contraction_runs_out_of_sweeps(self):
+        """Small data contracts, but three sweeps cannot reach tol: the
+        raise names the sweeps, and every factor shows a contraction."""
+        phi0 = torus_field(0.1 * np.exp(1j * X) + 0.05 * np.exp(-2j * X))
+        pot = lambda v, t: -np.abs(v) ** 2
+        with pytest.raises(NoConvergenceError,
+                           match="did not contract below 1e-12 in 3 sweeps") as err:
+            picard_iterate(phi0, pot, delta=0.01, n_time=64, max_iter=3)
+        assert len(err.value.factors) == 2
+        assert max(err.value.factors) < 0.5
+
     def test_grid_kind_sets_the_time_horizon(self):
         """The horizon 2 delta period reads the grid: 2 pi on a torus grid,
         1 on the circle; no label on the field is needed."""
@@ -339,3 +350,8 @@ class TestPicard:
         phi0 = torus_field(np.exp(1j * X))
         with pytest.raises(ConfigError):
             picard_iterate(phi0, None, delta=0.5)
+
+
+def test_space_time_field_values_must_match_times_and_grid():
+    with pytest.raises(ConfigError, match="values must have shape"):
+        SpaceTimeField(np.arange(3.0), SpectralGrid(16, kind="torus"), np.zeros((3, 8)))

@@ -185,7 +185,7 @@ def test_dense_route_matches_fft_route(n):
                 f = _real_or_complex(rng, shape, cplx)
                 for orders in ((1,), (2,), (3,), (-1,), (1, 2)):
                     got = grid.derivatives(f, orders)
-                    ref = grid._fft_derivatives(f, orders)
+                    ref = spectral._fft_derivatives(grid, orders, not cplx)(f)
                     for d, r in zip(got, ref):
                         assert d.shape == r.shape and d.dtype == r.dtype
                         assert np.abs(d - r).max() <= 1e-13 * np.abs(r).max()
@@ -200,7 +200,7 @@ def test_dense_route_matches_fft_route(n):
 def test_fft_route_above_the_crossover():
     grid = SpectralGrid(2 * DENSE_MAX_N)
     f = np.random.default_rng(0).normal(size=(grid.n, 3))
-    for got, ref in zip(grid.derivatives(f), grid._fft_derivatives(f, (1, 2))):
+    for got, ref in zip(grid.derivatives(f), spectral._fft_derivatives(grid, (1, 2), True)(f)):
         assert np.array_equal(got, ref)
     assert np.array_equal(grid.upsample(f), interpolant(f, 2 * grid.n)[0])
     assert np.array_equal(grid.midpoints(f), interpolant(f, grid.n, (0.5,))[0])
@@ -512,3 +512,17 @@ def test_only_spectral_calls_numpy_fft():
              and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b|from numpy import fft|_pocketfft",
                            p.read_text())]
     assert users == []
+
+
+def test_grid_and_upsample_refusals():
+    """An unknown grid kind, a line without a half width and an upsampling
+    factor below 1 are refused; factor 1 returns a copy."""
+    with pytest.raises(ValueError, match="unknown grid kind 'strip'"):
+        SpectralGrid(16, "strip")
+    with pytest.raises(ValueError, match="positive half_width"):
+        SpectralGrid(16, "line")
+    grid, f = SpectralGrid(16), np.arange(16.0)
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        grid.upsample(f, 0)
+    same = grid.upsample(f, 1)
+    assert same is not f and np.array_equal(same, f)

@@ -1,13 +1,21 @@
 """The artifact-matrix tool's tree and number comparison and its golden,
 the paired benchmark tool's parse and summary step, the trend reader's
-chain of records, and the benchmark's stored fingerprints read from
-tier-1."""
+chain of records, the benchmark's stored fingerprints read from tier-1, the
+line-coverage tool, and the failure paths of the suite's fixture worker."""
 
 import importlib.util
+import inspect
 import json
 import math
+import os
+import shutil
 import statistics
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "artifact_matrix.py"
@@ -428,3 +436,53 @@ def test_bench_pair_names_the_timings_it_skipped(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["skipped"] == ["acceptance1_fixture", "cli_run", "cli_check_all"]
     assert "tier1" in record
+
+
+def _pytest_in(directory: Path) -> subprocess.CompletedProcess:
+    """pytest in a fresh process in directory, with this checkout's src on
+    the path."""
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=directory, capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+
+
+def test_line_coverage_lists_the_lines_no_test_reached():
+    """Traced while a fresh grid binds and applies real FFT derivatives,
+    the bound FFT operator reaches every body line but its complex branch,
+    and the dense route stays unreached; the tracer that was set before
+    (the tool's own, when the suite runs under it) is set again after."""
+    from smflow import spectral
+
+    tool = load_tool(ROOT / "tools" / "line_coverage.py", "line_coverage")
+    before, tracer = sys.gettrace(), tool.LineTracer()
+    tracer.start()
+    spectral.SpectralGrid(256).derivatives(np.ones((256, 3)), (1, 2))
+    tracer.stop()
+    assert sys.gettrace() is before
+    unreached = set(tracer.unreached()[str(Path(spectral.__file__).resolve())][0])
+    body = tool.body_lines(Path(spectral.__file__))
+    lines, first = inspect.getsourcelines(spectral._fft_derivatives)
+    complex_branch = next(first + i for i, text in enumerate(lines) if "_TRANSFORMS[2:]" in text)
+    assert body & set(range(first, first + len(lines))) & unreached == {complex_branch}
+    assert inspect.getsourcelines(spectral._dense_derivatives)[1] in unreached
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("os._exit(1)", "EOFError"),
+    ("raise RuntimeError('no run')", "the long_conservation_run worker raised"),
+], ids=["dies", "raises"])
+def test_fixture_worker_failure_fails_the_test(tmp_path, fault, message):
+    """A worker that dies before it sends makes the receive raise, and one
+    that raises sends its traceback: either way the reading test fails,
+    and neither hangs; a test that does not read the fixture passes."""
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "conftest.py")
+    (tmp_path / "test_slow.py").write_text(
+        "import os\n\n\n"
+        f"def run_long_conservation():\n    {fault}\n\n\n"
+        "def test_reads(long_conservation_run):\n    pass\n\n\n"
+        "def test_other():\n    pass\n")
+    done = _pytest_in(tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert message in done.stdout
+    assert "1 passed" in done.stdout
+
