@@ -304,6 +304,11 @@ class SpectralGrid:
         velocity kernel of each target, keyed by the target."""
         return {}
 
+    def __getstate__(self) -> dict:
+        """The grid's attributes less ``bound``, whose calls do not pickle
+        and are bound again on first use."""
+        return {k: v for k, v in self.__dict__.items() if k != "bound"}
+
     def derivative_operator(self, orders: tuple = (1, 2), real: bool = True):
         """``derivatives`` for orders on real (or complex) samples as one
         plain call, values -> tuple, bound to this grid once."""

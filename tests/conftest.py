@@ -35,7 +35,7 @@ def _compute(send, function):
     through the pipe as ("result", value) or ("error", text)."""
     try:
         message = ("result", function())
-    except BaseException:
+    except Exception:  # an exit or interrupt ends the worker unsent: EOFError
         message = ("error", traceback.format_exc())
     send.send(message)
     send.close()

@@ -6,6 +6,8 @@ maps are stationary; on the flat torus the flow is the free Schrodinger
 equation, so a single Fourier mode just rotates its phase at rate k^2.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -435,6 +437,17 @@ def test_step_adopts_the_projected_array(monkeypatch):
     assert new.points is made[-1]
     assert not new.points.flags.writeable
     assert fd.LoopState(state.grid, state.surface, made[-1]).points is not made[-1]
+
+
+def test_a_stepped_state_pickles():
+    """The grid's bound calls are left out of a pickle and bound again on
+    use: a state that has stepped round-trips and steps on to the same
+    bits."""
+    state = make_state("perturbed_latitude", n=64, alpha=1.0, eps=0.1, m=2)
+    dt = fd.admissible_dt(state)
+    state = fd.step(state, dt)
+    copy = pickle.loads(pickle.dumps(state))
+    assert np.array_equal(fd.step(copy, dt).points, fd.step(state, dt).points)
 
 
 def test_step_is_reentrant():

@@ -7,7 +7,6 @@ import importlib.util
 import inspect
 import json
 import math
-import os
 import shutil
 import statistics
 import subprocess
@@ -438,14 +437,6 @@ def test_bench_pair_names_the_timings_it_skipped(tmp_path, monkeypatch):
     assert "tier1" in record
 
 
-def _pytest_in(directory: Path) -> subprocess.CompletedProcess:
-    """pytest in a fresh process in directory, with this checkout's src on
-    the path."""
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                          cwd=directory, capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-
-
 def test_line_coverage_lists_the_lines_no_test_reached():
     """Traced while a fresh grid binds and applies real FFT derivatives,
     the bound FFT operator reaches every body line but its complex branch,
@@ -481,8 +472,8 @@ def test_fixture_worker_failure_fails_the_test(tmp_path, fault, message):
         f"def run_long_conservation():\n    {fault}\n\n\n"
         "def test_reads(long_conservation_run):\n    pass\n\n\n"
         "def test_other():\n    pass\n")
-    done = _pytest_in(tmp_path)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1, done.stdout + done.stderr
     assert message in done.stdout
     assert "1 passed" in done.stdout
-
