@@ -58,7 +58,7 @@ class BlowUpSuspectedError(SmflowError):
     """Field magnitudes grew past the configured guard during evolution.
 
     Attributes:
-        diagnostics: dict with at least 't', 'max_abs' and 'limit'.
+        diagnostics: dict with 'time' and 'max_abs', and 'dt' (RK4) or 'suggestion' (NLS).
     """
 
     def __init__(self, message: str, diagnostics: dict):

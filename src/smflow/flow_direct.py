@@ -53,7 +53,7 @@ class LoopState:
     Holds a read-only copy of its points and computes each per-state
     quantity at most once, on first use: ``ux`` (u_x), ``speed2``
     (|u_x|^2_h), ``curvature`` (K along the loop) and ``curvature_x``
-    ((K o u)_x, None when K is constant along the loop); u_x factor by factor."""
+    ((K o u)_x, None iff the target's K is one number); u_x factor by factor."""
 
     grid: SpectralGrid
     surface: SurfaceModel
@@ -90,9 +90,7 @@ class LoopState:
     def curvature_x(self) -> np.ndarray | None:
         if self.surface.constant_curvature is not None:
             return None
-        K = self.curvature
-        spread = np.maximum.reduce(K) - np.minimum.reduce(K)  # np.ptp's arithmetic
-        return None if spread == 0.0 else self.grid.derivative(K)
+        return self.grid.derivative(self.curvature)
 
 
 def _adopt(grid: SpectralGrid, surface: SurfaceModel, points: np.ndarray,

@@ -153,10 +153,6 @@ class SurfaceModel:
     def gaussian_curvature(self, p: np.ndarray) -> np.ndarray:
         return np.full(np.shape(p)[:-1], self.constant_curvature)
 
-    def curvature_gradient(self, p: np.ndarray) -> np.ndarray:
-        """Differential of K as an ambient (co)vector: dK(v) = grad . v."""
-        return np.zeros_like(np.asarray(p, dtype=float))
-
     def azimuthal_winding(self, points: np.ndarray) -> int:
         return 0
 
@@ -395,6 +391,7 @@ class WarpedSphere(_Conformal, RoundSphere):
         return np.exp(-2.0 * self.log_scale(p)) * (1.0 - lap)
 
     def curvature_gradient(self, p: np.ndarray) -> np.ndarray:
+        """Differential of K as an ambient (co)vector: dK(v) = grad . v."""
         # K through the radial projection is constant along rays, so centered
         # differences along the ambient axes give its tangential gradient
         p = np.asarray(p, dtype=float)
@@ -569,7 +566,6 @@ class ProductSurface(SurfaceModel):
         return np.concatenate(self._blockwise("tangent_project", p, w), axis=-1)
 
     gaussian_curvature = _per_factor_only("scalar curvature")
-    curvature_gradient = _per_factor_only("the curvature gradient")
     chart_metric = christoffel = covariant_rhs = tension = _per_factor_only(
         "the declared chart")
     reference_frame = _per_factor_only("the reference frame")

@@ -40,14 +40,15 @@ their axis-0 ``axes`` argument built once, the multiplier rows and 1/n; on
 the dense route, the matrices and the subtraction of the first sample.
 ``derivatives`` calls it and implements no route itself, and the flow
 velocity kernels of the targets (``SurfaceModel.velocity_kernel``), which
-every RK4 stage calls, hold it too.  A stage used to pass through
-``derivatives`` and ``_fft_derivatives``, rebuild ``axes`` in a lambda and
-find the multipliers in an ``lru_cache`` that hashes the frozen grid in
-Python: that dispatch was 7% of an N=256 flow step (91.7 against 85.0 us
-per step, 59 of 60 alternating in-process rounds, one BLAS thread, 2-core
-x86_64).  A grid made afresh binds afresh; the arrays it binds stay shared
-between equal grids through the caches of ``_multipliers`` and
-``_dense_operator``.
+every RK4 stage calls, hold it too.  Binding keeps a stage to its
+transforms and products: finding the route, ``axes`` and multipliers per
+call cost 7% of an N=256 flow step (91.7 against 85.0 us per step, 59 of
+60 alternating in-process rounds, one BLAS thread, 2-core x86_64).  A grid
+made afresh binds afresh; the arrays it binds stay shared between equal
+grids through the caches of ``_multipliers`` and ``_dense_operator``.
+This module owns every derivative route: no other module builds a
+derivative matrix, row or multiplier (the autonomous base velocity takes
+row 0 of ``derivative``).
 
 This module is the one owner of the discrete Fourier transform and of the
 mode layout: every transform goes through ``_TRANSFORMS`` and every mode

@@ -135,6 +135,23 @@ class TestRunScenario:
         assert summary["error"]["type"] == "SingularChartError"
         assert "singular" in summary["error"]["message"]
 
+    @pytest.mark.parametrize("mode", ["coupled", "autonomous"])
+    def test_constant_loop_off_the_pole_on_the_warped_sphere(self, workdir, mode):
+        """A constant loop away from the north pole is a valid run on the
+        warped sphere: K varies on the target but not along the loop, so
+        K_x is zero and the rate is 0 at every row (cross_error is NaN by
+        design in autonomous mode)."""
+        cfg = write_config(workdir, target={"kind": "warped_sphere"},
+                           init={"kind": "constant", "point": [1.0, 0.0, 0.0]},
+                           reduction={"mode": mode})
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        summary = json.loads((workdir / "out" / "summary.json").read_text())
+        assert summary["passed"] is True
+        cols, data = read_csv(workdir / "out" / "timeseries.csv")
+        finite = [c for c in cols if not (mode == "autonomous" and c == "cross_error")]
+        assert np.isfinite(data[:, [cols.index(c) for c in finite]]).all()
+        assert (data[:, cols.index("theta_rate")] == 0.0).all()
+
     def test_autonomous_reconstructs_each_state_once(self, workdir,
                                                      monkeypatch):
         from smflow import frame_reduction as fr
@@ -161,7 +178,7 @@ class TestRunScenario:
             assert len(calls) == expected, target
 
     @pytest.mark.parametrize("target,expected,curvatures",
-                             [("warped_sphere", 25, 11), ("round_sphere", 7, 0)],
+                             [("warped_sphere", 33, 11), ("round_sphere", 14, 0)],
                              ids=["warped_sphere", "round_sphere"])
     def test_autonomous_derivatives_per_run(self, workdir, monkeypatch,
                                             target, expected, curvatures):
@@ -169,11 +186,13 @@ class TestRunScenario:
         holonomy_ode and rate of each row from the loop state the
         evolution's snapshot rated (row 0: the initial loop, the final row:
         one fresh reconstruction), so u_x, K and K_x of a loop are taken
-        once; the holonomy payload reads u_x from the final state too, and
-        each snapshot takes Phi_x at the base node alone, without a full
-        derivative of phi. Each row and the payload equal the public routes
-        on the loop of its snapshot, to the bit; the payload's matrix is the
-        closed form and the Magnus product integral to 1e-14."""
+        once; the holonomy payload reads u_x from the final state too. Each
+        of the 7 snapshots (4 states, 3 predictors) takes one derivative of
+        phi for Phi_x at the base node, and on the warped sphere the final
+        state's snapshot adds the cumulative integral of its potential.
+        Each row and the payload equal the public routes on the loop of its
+        snapshot, to the bit; the payload's matrix is the closed form and
+        the Magnus product integral to 1e-14."""
         from smflow import flow_direct as fd
         from smflow.geometry import WarpedSphere
         from smflow.holonomy import (connection_matrix_samples, diagonal_holonomy,

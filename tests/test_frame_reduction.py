@@ -966,23 +966,6 @@ class TestReconstruction:
             assert np.abs(a - b).max() < 1e-13
         assert abs(got[3] - want[3]) < 1e-13
 
-    @pytest.mark.parametrize("grid", [SpectralGrid(4), SpectralGrid(64),
-                                      SpectralGrid(256), SpectralGrid(32, "torus"),
-                                      SpectralGrid(48, "line", 6.0)],
-                             ids=["circle4", "circle64", "circle256", "torus32",
-                                  "line48"])
-    def test_node0_derivative_row_matches_spectral_derivative(self, grid):
-        """The autonomous snapshot's base velocity reads Phi_x at node 0
-        as one dot with the derivative row; the full spectral derivative is
-        the oracle, including its dropped Nyquist mode."""
-        rng = np.random.default_rng(5)
-        phi = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
-        want = grid.derivative(phi)[0]
-        row = fr._node0_derivative_row(grid)
-        assert abs(row @ phi - want) <= 1e-13 * np.abs(grid.derivative(phi)).max()
-        nyquist = np.cos(np.pi * np.arange(grid.n))
-        assert abs(row @ nyquist) < 1e-15 * np.abs(row).sum()
-
     def test_chart_target_rejected(self):
         grid = SpectralGrid(32)
         with pytest.raises(UnsupportedOperationError):

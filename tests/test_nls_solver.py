@@ -276,7 +276,7 @@ class TestSplitStep:
         with pytest.raises(BlowUpSuspectedError) as err:
             split_step(phi0, 0.01, blow_up_threshold=0.5)
         diag = err.value.diagnostics
-        assert "max_abs" in diag and "suggestion" in diag
+        assert "time" in diag and "max_abs" in diag and "suggestion" in diag
 
 
 class TestSymmetries:

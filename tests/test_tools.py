@@ -458,6 +458,30 @@ def test_line_coverage_lists_the_lines_no_test_reached():
     assert inspect.getsourcelines(spectral._dense_derivatives)[1] in unreached
 
 
+def test_line_coverage_records_no_call_while_tracemalloc_traces():
+    """Inside a tracemalloc measurement the tracer records no call, so it
+    allocates nothing that the measurement counts; after the measurement
+    the same call is recorded."""
+    import tracemalloc
+
+    from smflow import spectral
+
+    tool = load_tool(ROOT / "tools" / "line_coverage.py", "line_coverage")
+    tracer, path = tool.LineTracer(), str(Path(spectral.__file__).resolve())
+    tracer.start()
+    tracemalloc.start()
+    try:
+        spectral.SpectralGrid(64).derivative(np.ones(64))
+    finally:
+        tracemalloc.stop()
+        tracer.stop()
+    assert not tracer.hits[path]
+    tracer.start()
+    spectral.SpectralGrid(64).derivative(np.ones(64))
+    tracer.stop()
+    assert tracer.hits[path]
+
+
 @pytest.mark.parametrize("fault,message", [
     ("os._exit(1)", "EOFError"),
     ("raise RuntimeError('no run')", "the long_conservation_run worker raised"),
