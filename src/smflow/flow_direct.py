@@ -13,8 +13,8 @@ the scheme stays 4th order).
 
 Each step allocates one workspace: every stage writes its rate into it
 through the target's velocity kernel, ``kernel(u, out)``, the plain call
-that ``SurfaceModel.velocity_kernel`` binds once per target and grid and
-that ``flow_velocity`` also runs, and the stage states and the sum k1 + 2 k2
+that ``SurfaceModel.velocity_kernel`` binds once per target and grid value
+and that ``flow_velocity`` also runs, and the stage states and the sum k1 + 2 k2
 + 2 k3 + k4 are built there in place, in the order of the textbook formula,
 so the result is bit-equal to the allocating form. ``step`` looks the kernel
 up on its state's grid and ``evolve`` once per run. The workspace belongs to

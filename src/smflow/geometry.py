@@ -17,7 +17,7 @@ by 90 degrees in conformal charts; both satisfy J*J = -1 and are isometric
 for the respective metric.  ``flow_velocity`` gives the Schrodinger map
 velocity -J tau(u) from a loop's samples through the target's velocity
 kernel, a plain call ``kernel(u, out)`` that ``velocity_kernel`` binds once
-per target and grid and keeps in ``grid.bound``; the RK4 stages call it
+per target and grid value (an ``lru_cache``); the RK4 stages call it
 directly.  ``RoundSphere``'s kernel writes the velocity in Landau-Lifshitz
 form u_xx x u / radius from the grid's bound second derivative, its paired
 gathers and the radius; every other target, ``WarpedSphere`` included,
@@ -60,6 +60,7 @@ nodes are the samples; open sampled paths use local cubic interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -163,13 +164,11 @@ class SurfaceModel:
         u = np.asarray(u)
         return self.velocity_kernel(grid)(u, np.empty(u.shape) if out is None else out)
 
+    @lru_cache(maxsize=64)
     def velocity_kernel(self, grid):
         """flow_velocity on grid as one plain call, kernel(u, out) -> out,
-        bound once for this target and grid and kept in ``grid.bound``."""
-        kernel = grid.bound.get(self)
-        if kernel is None:
-            kernel = grid.bound[self] = self._bind_velocity(grid)
-        return kernel
+        bound once per target and grid value."""
+        return self._bind_velocity(grid)
 
     def _bind_velocity(self, grid):
         """The generic kernel, -J tau(u) from the bound (1, 2) derivatives.

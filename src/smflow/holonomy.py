@@ -82,9 +82,10 @@ def holonomy_rate(surface: SurfaceModel, grid: SpectralGrid, points: np.ndarray)
 
 def _holonomy_rate(loop: LoopState) -> float:
     """holonomy_rate of a loop state, from its (K o u)_x and |u_x|^2_h; u_x
-    is not needed when K is constant."""
+    is not needed when K is constant. A zero integral gives +0.0, as
+    -0.5 * 0.0 would give -0.0."""
     dK = loop.curvature_x
-    return 0.0 if dK is None else float(-0.5 * loop.grid.integrate(dK * loop.speed2))
+    return 0.0 if dK is None else float(0.0 - 0.5 * loop.grid.integrate(dK * loop.speed2))
 
 
 def swept_angle_increment(surface: SurfaceModel, grid: SpectralGrid,

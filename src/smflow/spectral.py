@@ -27,25 +27,26 @@ by cos(pi o) at offset o, which no later shift restores.
 Up to ``DENSE_MAX_N`` samples ``derivatives``, ``upsample`` and
 ``midpoints`` apply cached dense matrices (Trefethen, ch. 3), the
 circulants of the FFT route's impulse response (the odd rows of the
-upsampling one for ``midpoints``).  The FFT route alone made an N=128
-coupled step 6.5% slower (in-process, one BLAS thread, 2-core x86_64).
-``DENSE_MAX_N`` stays 128: moving it changes the rounding on the grids
-between.
+upsampling one for ``midpoints``).  The FFT route alone made a
+round-sphere coupled state 14% slower at N=128 and 18-22% slower at N=64
+(the dense route faster in 79 and 76 of 80 alternating in-process rounds
+of 40 states, one BLAS thread, 2-core x86_64).  ``DENSE_MAX_N`` stays 128:
+moving it changes the rounding on the grids between.
 
-Each grid instance binds its derivative operators once and keeps them in
-``bound``, as it keeps ``nodes``: ``derivative_operator`` gives, per order
-tuple and real or complex samples, one plain call holding what its route
-needs.  On the FFT route that is the two transforms ``_select`` chose, with
-their axis-0 ``axes`` argument built once, the multiplier rows and 1/n; on
-the dense route, the matrices and the subtraction of the first sample.
-``derivatives`` calls it and implements no route itself, and the flow
-velocity kernels of the targets (``SurfaceModel.velocity_kernel``), which
-every RK4 stage calls, hold it too.  Binding keeps a stage to its
-transforms and products: finding the route, ``axes`` and multipliers per
-call cost 7% of an N=256 flow step (91.7 against 85.0 us per step, 59 of
-60 alternating in-process rounds, one BLAS thread, 2-core x86_64).  A grid
-made afresh binds afresh; the arrays it binds stay shared between equal
-grids through the caches of ``_multipliers`` and ``_dense_operator``.
+``derivative_operator`` gives, per order tuple and real or complex samples,
+one plain call holding what its route needs, bound once per grid value by
+the ``lru_cache`` of ``_bind_derivatives``, as ``_dense_operator`` caches
+its matrices: equal grids share it, a grid made afresh or unpickled
+included.  On the FFT route that is the two transforms ``_select`` chose,
+with their axis-0 ``axes`` argument built once, the multiplier rows and
+1/n; on the dense route, the matrices and the subtraction of the first
+sample.  ``derivatives`` calls it and implements no route itself, and the
+flow velocity kernels of the targets (``SurfaceModel.velocity_kernel``,
+cached per target and grid value the same way), which every RK4 stage
+calls, hold it too.  Binding keeps a stage to its transforms and products:
+finding the route, ``axes`` and multipliers per call cost 7% of an N=256
+flow step (91.7 against 85.0 us per step, 59 of 60 alternating in-process
+rounds, one BLAS thread, 2-core x86_64).
 This module owns every derivative route: no other module builds a
 derivative matrix, row or multiplier (the autonomous base velocity takes
 row 0 of ``derivative``).
@@ -160,7 +161,6 @@ def interpolant(values, n_out: int, offsets=(0.0,)) -> np.ndarray:
     return out.real if np.isrealobj(values) else out
 
 
-@lru_cache(maxsize=64)
 def _multipliers(grid: "SpectralGrid", orders: tuple, real: bool) -> np.ndarray:
     """(i k)^order for each order as the rows of one array in FFT layout,
     on the rfft half spectrum for real data."""
@@ -236,9 +236,11 @@ def _dense_derivatives(grid: "SpectralGrid", orders: tuple, real: bool):
     return lambda values: _dense_apply(mats, values - values[:1])
 
 
+@lru_cache(maxsize=64)
 def _bind_derivatives(grid: "SpectralGrid", orders: tuple, real: bool):
     """The derivatives operator of grid for orders on real or complex
-    samples: the dense route up to DENSE_MAX_N, the FFT route above."""
+    samples: the dense route up to DENSE_MAX_N, the FFT route above
+    (cached by grid value)."""
     return (_fft_derivatives if grid.n > DENSE_MAX_N else _dense_derivatives)(grid, orders, real)
 
 
@@ -298,25 +300,10 @@ class SpectralGrid:
         values = np.asarray(values)
         return self.derivative_operator(tuple(orders), values.dtype.kind != "c")(values)
 
-    @cached_property
-    def bound(self) -> dict:
-        """The calls bound to this grid instance, each built on first use:
-        its derivative operators, keyed (orders, real), and the flow
-        velocity kernel of each target, keyed by the target."""
-        return {}
-
-    def __getstate__(self) -> dict:
-        """The grid's attributes less ``bound``, whose calls do not pickle
-        and are bound again on first use."""
-        return {k: v for k, v in self.__dict__.items() if k != "bound"}
-
     def derivative_operator(self, orders: tuple = (1, 2), real: bool = True):
         """``derivatives`` for orders on real (or complex) samples as one
-        plain call, values -> tuple, bound to this grid once."""
-        op = self.bound.get((orders, real))
-        if op is None:
-            op = self.bound[orders, real] = _bind_derivatives(self, orders, real)
-        return op
+        plain call, values -> tuple, bound once per grid value."""
+        return _bind_derivatives(self, orders, real)
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Spectral d^order/dx^order along axis 0."""

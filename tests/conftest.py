@@ -84,12 +84,26 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture
-def derivative_calls(monkeypatch):
+def fresh_bindings():
+    """The caches of bound derivative operators and velocity kernels, cleared
+    before and after the test: what the test uses it binds itself, and
+    nothing it binds outlives it."""
+    from smflow import geometry, spectral
+
+    caches = (spectral._bind_derivatives, geometry.SurfaceModel.velocity_kernel)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def derivative_calls(fresh_bindings, monkeypatch):
     """The orders of every spectral derivative evaluation, one entry per
-    call, through the derivative operators that grids bind while the test
-    runs: ``derivatives`` and the flow velocity kernels alike. A grid made
-    in the test binds afresh; an operator bound before the test is not
-    counted."""
+    call, through the derivative operators bound while the test runs:
+    ``derivatives`` and the flow velocity kernels alike, also those of a
+    grid and target that were in use before the test."""
     from smflow import spectral
 
     calls, bind = [], spectral._bind_derivatives

@@ -140,7 +140,8 @@ class TestRunScenario:
         """A constant loop away from the north pole is a valid run on the
         warped sphere: K varies on the target but not along the loop, so
         K_x is zero and the rate is 0 at every row (cross_error is NaN by
-        design in autonomous mode)."""
+        design in autonomous mode). No zero of timeseries.csv prints with a
+        sign, the rate's included."""
         cfg = write_config(workdir, target={"kind": "warped_sphere"},
                            init={"kind": "constant", "point": [1.0, 0.0, 0.0]},
                            reduction={"mode": mode})
@@ -151,6 +152,7 @@ class TestRunScenario:
         finite = [c for c in cols if not (mode == "autonomous" and c == "cross_error")]
         assert np.isfinite(data[:, [cols.index(c) for c in finite]]).all()
         assert (data[:, cols.index("theta_rate")] == 0.0).all()
+        assert "-0.0" not in (workdir / "out" / "timeseries.csv").read_text()
 
     def test_autonomous_reconstructs_each_state_once(self, workdir,
                                                      monkeypatch):

@@ -440,13 +440,15 @@ def test_step_adopts_the_projected_array(monkeypatch):
 
 
 def test_a_stepped_state_pickles():
-    """The grid's bound calls are left out of a pickle and bound again on
-    use: a state that has stepped round-trips and steps on to the same
-    bits."""
+    """A grid pickles as the plain frozen value it is: a state that has
+    stepped round-trips with an equal grid, which takes the operator cached
+    for the original's, and steps on to the same bits."""
     state = make_state("perturbed_latitude", n=64, alpha=1.0, eps=0.1, m=2)
     dt = fd.admissible_dt(state)
     state = fd.step(state, dt)
     copy = pickle.loads(pickle.dumps(state))
+    assert copy.grid == state.grid
+    assert copy.grid.derivative_operator((2,)) is state.grid.derivative_operator((2,))
     assert np.array_equal(fd.step(copy, dt).points, fd.step(state, dt).points)
 
 

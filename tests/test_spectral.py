@@ -1,6 +1,7 @@
 """Periodic grid calculus: exactness on band-limited data and shift behavior."""
 
 import itertools
+import pickle
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -164,6 +165,23 @@ def test_cached_nodes_keep_their_values():
         assert np.array_equal(grid.nodes, expected)
         with pytest.raises(ValueError):
             grid.nodes[0] = 1.0
+
+
+def test_equal_grids_share_one_bound_operator():
+    """Bound operators are cached by grid value: equal grids made apart, or
+    one that went through pickle, return the same operator object, and a
+    target binds one velocity kernel for them; another grid, order set or
+    sample type has its own operator."""
+    grid, twin = SpectralGrid(64), SpectralGrid(64)
+    op = grid.derivative_operator((1, 2))
+    assert twin is not grid and twin.derivative_operator((1, 2)) is op
+    assert pickle.loads(pickle.dumps(grid)).derivative_operator((1, 2)) is op
+    others = (SpectralGrid(64, "torus").derivative_operator((1, 2)),
+              SpectralGrid(128).derivative_operator((1, 2)),
+              grid.derivative_operator((2,)), grid.derivative_operator((1, 2), False))
+    assert all(other is not op for other in others)
+    sphere = geo.round_sphere()
+    assert sphere.velocity_kernel(twin) is sphere.velocity_kernel(grid)
 
 
 def _real_or_complex(rng, shape, cplx):
@@ -445,12 +463,18 @@ def _flow_points(n_steps=50):
     return fd.evolve(state, fd.admissible_dt(state), n_steps).points
 
 
-def test_public_transforms_give_the_flow_the_same_bits(monkeypatch):
+def test_public_transforms_give_the_flow_the_same_bits(fresh_bindings, monkeypatch):
     """The route the probe selects and numpy's public functions agree bit for
-    bit over 50 flow steps at N = 256, the acceptance-1 kernel."""
+    bit over 50 flow steps at N = 256, the acceptance-1 kernel. The
+    operators are bound again after the swap, so the second run takes the
+    public functions."""
     fast = _flow_points()
     monkeypatch.setattr(spectral, "_TRANSFORMS", spectral._PUBLIC)
-    assert np.array_equal(_bits(_flow_points()), _bits(fast))
+    spectral._bind_derivatives.cache_clear()
+    public = _flow_points()
+    bound = SpectralGrid(256).derivative_operator((2,)).__closure__
+    assert spectral._PUBLIC[0] in [cell.cell_contents for cell in bound]
+    assert np.array_equal(_bits(public), _bits(fast))
 
 
 def _stub(name, fault):

@@ -437,11 +437,12 @@ def test_bench_pair_names_the_timings_it_skipped(tmp_path, monkeypatch):
     assert "tier1" in record
 
 
-def test_line_coverage_lists_the_lines_no_test_reached():
-    """Traced while a fresh grid binds and applies real FFT derivatives,
-    the bound FFT operator reaches every body line but its complex branch,
-    and the dense route stays unreached; the tracer that was set before
-    (the tool's own, when the suite runs under it) is set again after."""
+def test_line_coverage_lists_the_lines_no_test_reached(fresh_bindings):
+    """Traced while a grid binds, from cleared caches, and applies real FFT
+    derivatives, the bound FFT operator reaches every body line but its
+    complex branch, and the dense route stays unreached; the tracer that
+    was set before (the tool's own, when the suite runs under it) is set
+    again after."""
     from smflow import spectral
 
     tool = load_tool(ROOT / "tools" / "line_coverage.py", "line_coverage")
